@@ -5,7 +5,7 @@ Subcommands
 one-body     solve the boundary system for one body; writes J.csv, Q.json,
              E_table.csv and validation.json
 many-body    solve the coupled-moment system on a lattice; writes
-             centers.csv, E_centers.csv and summary.json
+             centers.csv, E_centers.csv, solution.csv and summary.json
 reproduce    rerun a bundled reference experiment and emit a side-by-side
              CSV of published versus computed values
 gamma        print the shape coupling matrix of the configured body
@@ -201,7 +201,7 @@ def cmd_one_body(config: RunConfig) -> int:
 
 
 def cmd_many_body(config: RunConfig) -> int:
-    """Solve the lattice problem and write centers.csv, E_centers.csv, summary.json."""
+    """Solve the lattice problem; write centers, E_centers, solution CSVs and summary.json."""
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     wave = config.wave()
@@ -230,7 +230,7 @@ def cmd_many_body(config: RunConfig) -> int:
         ],
         config,
     )
-    solution.to_csv(outdir / "solution.csv")
+    _write_csv(outdir / "solution.csv", *solution.csv_table(), config)
 
     probe = layout.centers[-1] + np.array([config.spacing, 0.0, 0.0])
     _write_json(
@@ -244,6 +244,11 @@ def cmd_many_body(config: RunConfig) -> int:
                 "iterations": solution.report.iterations,
                 "final_residual": solution.report.final_residual,
                 "converged": solution.report.converged,
+                "residual_history": solution.report.residual_history,
+            },
+            "operator": {
+                "coupling": solution.coupling,
+                "bytes": solution.operator_bytes,
             },
         },
         config,

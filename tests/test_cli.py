@@ -159,8 +159,19 @@ def test_many_body_summary(tmp_path):
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["norm_of_E"] == pytest.approx(5.20, abs=0.01)
     assert payload["error_estimate"] == pytest.approx(8.16e-10, rel=0.05)
+    history = payload["solver"]["residual_history"]
+    assert len(history) == payload["solver"]["iterations"]
+    assert history[-1] <= 1e-10
+    assert payload["operator"]["coupling"] == "fft"
+    # six kernel spectra on the zero-padded 6^3 grid plus the 3 x 3 tau
+    assert payload["operator"]["bytes"] == (6 * 6**3 + 9) * 16
     assert (tmp_path / "centers.csv").exists()
     assert (tmp_path / "E_centers.csv").exists()
+    lines = (tmp_path / "solution.csv").read_text().splitlines()
+    assert lines[0].startswith("# config:")
+    assert json.loads(lines[0].split(": ", 1)[1])["count"] == 27
+    assert lines[1].startswith("index,Ax_re")
+    assert len(lines) == 2 + 27
 
 
 def test_many_body_ratio_warning_proceeds(tmp_path):

@@ -1,10 +1,15 @@
 """Coupled-moment system: layout, assembly oracles, fields, error bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from emscat.kernels import green
+from emscat.kernels import curl_dipole_term, green
+from emscat.linalg import SolveReport
 from emscat.many_body import (
+    EffectiveFieldSolution,
+    LatticeGrid,
     ManyBodyLayout,
     ManyBodyOperator,
     assemble_many_body,
@@ -17,8 +22,38 @@ from emscat.many_body import (
     layout_from_csv,
     solve_effective_field,
 )
-from emscat.one_body import field_h, gamma_sphere_analytic, moment_q_asymptotic
+from emscat.one_body import (
+    GammaMatrix,
+    field_h,
+    gamma_sphere_analytic,
+    moment_q_asymptotic,
+)
 from emscat.waves import default_wave
+
+SPACING = 1e-7
+
+#: A gamma with off-diagonal entries, so that full_tau=True differs from the
+#: diagonal convention.
+SKEW_GAMMA = GammaMatrix.from_gamma(
+    np.array([[-0.3, 0.05, 0.02], [0.01, -0.25, 0.03], [0.04, 0.02, 0.15]])
+)
+
+
+def jittered_centers(n, seed=0):
+    """n^3 centers on a 1.5-spacing grid moved by up to 0.2 spacing per axis."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, 3) * 1.5 + 1.0
+    return (grid + rng.uniform(-0.2, 0.2, size=grid.shape)) * SPACING
+
+
+def grid_345_layout():
+    """Non-cubic 3 x 4 x 5 grid, x fastest, unequal steps and volumes."""
+    steps = np.array([1.0, 1.5, 2.0]) * SPACING
+    zz, yy, xx = np.meshgrid(np.arange(5), np.arange(4), np.arange(3), indexing="ij")
+    centers = 1e-7 + np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1) * steps
+    volumes = np.random.default_rng(5).uniform(0.5, 2.0, size=60) * 1e-22
+    return layout_from_centers(centers, SPACING, 1e-9, volumes=volumes)
 
 
 # --- layout ------------------------------------------------------------------
@@ -70,6 +105,35 @@ def test_spacing_violation_rejected():
         layout_from_centers(
             [[0.0, 0.0, 0.0], [1e-8, 0.0, 0.0]], spacing=1e-7, radius=1e-9
         )
+
+
+def test_jittered_pair_below_spacing_rejected():
+    centers = jittered_centers(4)
+    centers[1] = centers[0] + np.array([0.5 * SPACING, 0.0, 0.0])
+    with pytest.raises(ValueError, match="below spacing"):
+        layout_from_centers(centers, spacing=SPACING, radius=1e-9)
+
+
+def test_grid_detected_from_centers(tmp_path):
+    layout = lattice_layout(27, SPACING, 1e-9)
+    assert layout.grid == LatticeGrid(counts=(3, 3, 3), steps=(SPACING,) * 3)
+    path = tmp_path / "centers.csv"
+    layout.to_csv(path)
+    assert layout_from_csv(path, spacing=SPACING, radius=1e-9).grid.counts == (3, 3, 3)
+    again = layout_from_centers(layout.centers, spacing=SPACING, radius=1e-9)
+    assert again.grid.counts == (3, 3, 3)
+    grid = grid_345_layout().grid
+    assert grid.counts == (3, 4, 5)
+    np.testing.assert_allclose(grid.steps, np.array([1.0, 1.5, 2.0]) * SPACING, rtol=1e-14)
+
+
+def test_grid_not_detected_off_lattice():
+    layout = lattice_layout(27, SPACING, 1e-9)
+    z_fastest = layout.centers.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(-1, 3)
+    assert layout_from_centers(z_fastest, spacing=SPACING, radius=1e-9).grid is None
+    incomplete = layout.centers[:-1]
+    assert layout_from_centers(incomplete, spacing=SPACING, radius=1e-9).grid is None
+    assert layout_from_centers(jittered_centers(3), spacing=SPACING, radius=1e-9).grid is None
 
 
 def test_ratio_warning():
@@ -144,6 +208,36 @@ def test_matvec_matches_dense(wave):
         np.testing.assert_allclose(operator.matvec(x), dense @ x, rtol=1e-13)
 
 
+@pytest.mark.parametrize("full_tau", [False, True])
+@pytest.mark.parametrize("make_layout", [
+    # volume_coeff makes the coupling a few percent of the identity, so the
+    # comparison is not dominated by the identity part of the operator
+    lambda: lattice_layout(27, SPACING, 1e-9, volume_coeff=1e5),
+    lambda: lattice_layout(216, SPACING, 1e-9, volume_coeff=1e5),
+    grid_345_layout,
+], ids=["lattice-27", "lattice-216", "grid-3x4x5"])
+def test_fft_matvec_matches_dense(wave, make_layout, full_tau):
+    layout = make_layout()
+    operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA, full_tau=full_tau)
+    assert operator.coupling == "fft"
+    dense = operator.to_dense()
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=3 * layout.count) + 1j * rng.normal(size=3 * layout.count)
+    y = dense @ x
+    assert np.linalg.norm(y - x) > 1e-2 * np.linalg.norm(x)
+    np.testing.assert_allclose(operator.matvec(x), y, rtol=1e-12)
+
+
+def test_jittered_layout_takes_dense_path(wave):
+    layout = layout_from_centers(jittered_centers(3), spacing=SPACING, radius=1e-9,
+                                 volume_coeff=1e5)
+    operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA, full_tau=True)
+    assert operator.coupling == "dense"
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=81) + 1j * rng.normal(size=81)
+    np.testing.assert_allclose(operator.matvec(x), operator.to_dense() @ x, rtol=1e-12)
+
+
 def test_full_tau_equals_diagonal_for_diagonal_gamma(wave):
     layout = lattice_layout(8, 1e-7, 1e-9)
     gamma = gamma_sphere_analytic()
@@ -195,6 +289,45 @@ def test_effective_field_norm_m27(many27):
     # first center sits at zero incident phase
     assert abs(fields[0, 0] - 1.0) < 1e-6
     assert abs(fields[0, 2]) <= 1e-12 * np.linalg.norm(fields)
+
+
+@pytest.mark.parametrize("make_layout", [
+    grid_345_layout,
+    lambda: layout_from_centers(jittered_centers(4)[:60], spacing=SPACING, radius=1e-9),
+], ids=["grid-3x4x5", "jittered"])
+def test_effective_field_at_centers_matches_pair_sum(wave, make_layout):
+    layout = make_layout()
+    assert layout.count == 60
+    rng = np.random.default_rng(6)
+    # moments sized so that the scattered field is comparable to the incident one
+    q = (rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))) * 1e-13
+    solution = EffectiveFieldSolution(
+        a_values=-q / layout.volumes[:, None], q_values=q,
+        report=SolveReport(0, 0.0, True), wave=wave,
+    )
+    expected = wave.field(layout.centers)
+    for m, x in enumerate(layout.centers):
+        for j, t in enumerate(layout.centers):
+            if j != m:
+                expected[m] += np.cross(green(wave.wavenumber, x, t).gradient, q[j])
+    assert np.linalg.norm(expected - wave.field(layout.centers)) > 0.1 * np.sqrt(60)
+    np.testing.assert_allclose(
+        effective_field_at_centers(layout, wave, solution), expected, rtol=1e-12
+    )
+
+
+def test_lattice_32_cubed_has_no_quadratic_allocation(wave):
+    tracemalloc.start()
+    try:
+        layout = lattice_layout(32**3, SPACING, 1e-9)
+        solution = solve_effective_field(layout, wave, gamma_sphere_analytic())
+        fields = effective_field_at_centers(layout, wave, solution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solution.coupling == "fft"
+    assert np.all(np.isfinite(fields))
+    assert peak < 300 * 2**20
 
 
 def test_effective_field_mirror_antisymmetry(many27):
@@ -307,6 +440,24 @@ def test_field_h_many_single_particle_matches_one_body(wave):
     h_many = field_h_many(layout, wave, solution, x)
     h_one = field_h(wave, solution.q_values[0], layout.centers[0], x)
     np.testing.assert_allclose(h_many, h_one, rtol=1e-12)
+
+
+def test_field_h_many_matches_per_center_sum(many27):
+    layout, solution = many27
+    wave = default_wave()
+    x = layout.centers[-1] + np.array([SPACING, 0.3 * SPACING, 0.0])
+    curl_scattered = sum(
+        curl_dipole_term(wave.wavenumber, x, center, q)
+        for center, q in zip(layout.centers, solution.q_values)
+    )
+    expected = (wave.curl(x) + curl_scattered) / (1j * wave.frequency * wave.permeability)
+    np.testing.assert_allclose(field_h_many(layout, wave, solution, x), expected, rtol=1e-12)
+
+
+def test_field_h_many_rejects_center(many27):
+    layout, solution = many27
+    with pytest.raises(ValueError, match="center"):
+        field_h_many(layout, default_wave(), solution, layout.centers[4])
 
 
 def test_field_h_many_matches_fd_curl(many27):
