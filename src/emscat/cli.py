@@ -28,7 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .diagnostics import check_e_asymptotic, check_q_asymptotic, validate_solution
+from .diagnostics import (
+    check_e_asymptotic,
+    check_q_asymptotic,
+    gamma_for,
+    validate_solution,
+)
 from .linalg import ConvergenceError
 from .many_body import (
     effective_field_at_centers,
@@ -116,16 +121,6 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
         fh.write("\n")
 
 
-def _gamma_for(config: RunConfig, mesh):
-    if config.gamma_mode == "sphere":
-        return gamma_sphere_analytic()
-    if config.gamma_mode == "numeric-local":
-        return gamma_numeric(mesh, frame="local")
-    if config.gamma_mode == "numeric-lab":
-        return gamma_numeric(mesh, frame="lab")
-    raise ConfigError(f"unknown gamma_mode {config.gamma_mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def cmd_one_body(config: RunConfig) -> int:
         mesh, wave, tol=config.tol, restart=config.restart,
         max_iter=config.max_iter, scale=config.bie_scale,
     )
-    gamma = _gamma_for(config, mesh)
+    gamma = gamma_for(config.gamma_mode, mesh)
     q_e = moment_q_exact(current, mesh)
     q_a = moment_q_asymptotic(mesh, wave, gamma)
 
@@ -166,6 +161,7 @@ def cmd_one_body(config: RunConfig) -> int:
                 "iterations": current.report.iterations,
                 "final_residual": current.report.final_residual,
                 "converged": current.report.converged,
+                "residual_history": current.report.residual_history,
             },
         },
         config,

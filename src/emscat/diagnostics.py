@@ -39,6 +39,7 @@ __all__ = [
     "check_q_asymptotic",
     "check_e_asymptotic",
     "validate_solution",
+    "gamma_for",
     "convergence_sweep",
     "sweep_to_csv",
 ]
@@ -141,10 +142,15 @@ def validate_solution(
     )
 
 
-def _gamma_for(shape: ShapeSpec, mesh: CollocationMesh) -> GammaMatrix:
-    if shape.kind == "sphere":
+def gamma_for(mode: str, mesh: CollocationMesh) -> GammaMatrix:
+    """Coupling matrix by gamma mode: sphere | numeric-local | numeric-lab."""
+    if mode == "sphere":
         return gamma_sphere_analytic()
-    return gamma_numeric(mesh)
+    if mode == "numeric-local":
+        return gamma_numeric(mesh, frame="local")
+    if mode == "numeric-lab":
+        return gamma_numeric(mesh, frame="lab")
+    raise ValueError(f"unknown gamma_mode {mode!r}")
 
 
 def convergence_sweep(
@@ -176,7 +182,7 @@ def convergence_sweep(
     for case in cases:
         mesh = case.build()
         current = solve_current(mesh, wave, tol=solver_tol)
-        gamma = _gamma_for(case, mesh)
+        gamma = gamma_for("sphere" if case.kind == "sphere" else "numeric-local", mesh)
         report = validate_solution(mesh, wave, current, gamma, distances, direction)
         rows.append(
             {

@@ -100,14 +100,32 @@ def kernel_values(k: float, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.exp(1j * k * r) / (FOUR_PI * r)
 
 
+def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:
+    """Vectorized scalar c = g (ik - 1/r) / r, so that grad g = c (x - t).
+
+    Evaluated in place as exp(ikr) (ikr - 1) / (4 pi r^3), with at most two
+    complex arrays of the shape of r alive at once: the one-body operator
+    calls it on all P^2 point pairs.  No coincidence guard.
+    """
+    c = np.multiply(r, 1j * k)
+    phase = np.exp(c)
+    c -= 1.0
+    c *= phase
+    del phase
+    factor = r**3
+    factor *= FOUR_PI
+    np.reciprocal(factor, out=factor)
+    c *= factor
+    return c
+
+
 def kernel_gradients(k: float, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Vectorized gradient of g with respect to x over diff = x - t.
 
     diff has shape (..., 3), r shape (...); returns complex (..., 3).
     Callers are responsible for excluding coincident pairs.
     """
-    g = kernel_values(k, diff, r)
-    return (g * (1j * k - 1.0 / r) / r)[..., None] * diff
+    return gradient_coefficient(k, r)[..., None] * diff
 
 
 def kernel_hessian_parts(

@@ -102,14 +102,19 @@ def solve_gmres(
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True, [])
 
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).copy()
+    if x0 is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x = np.asarray(x0, dtype=complex).copy()
+        r = b - apply_a(x)
     history: list[float] = []
     total_iters = 0
 
     while True:
-        r = b - apply_a(x)
+        # r is the true residual of x, so on convergence it is final_residual
         beta = float(np.linalg.norm(r))
-        if beta / b_norm <= tol:
+        final = beta / b_norm
+        if final <= tol or total_iters >= max_iter:
             break
 
         # Arnoldi with Givens rotations on the Hessenberg matrix.
@@ -160,10 +165,8 @@ def solve_gmres(
             y = scipy.linalg.solve_triangular(h[:inner, :inner], g[:inner], check_finite=False)
             x = x + v[:inner].T @ y
 
-        if total_iters >= max_iter:
-            break
+        r = b - apply_a(x)
 
-    final = float(np.linalg.norm(b - apply_a(x))) / b_norm
     return x, SolveReport(
         iterations=total_iters,
         final_residual=final,

@@ -34,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import curl_dipole_term, green, kernel_gradients
+from .kernels import (
+    R_MIN_SCALE,
+    CoincidentPointsError,
+    curl_dipole_term,
+    gradient_coefficient,
+    green,
+    kernel_gradients,
+)
 from .linalg import ConvergenceError, SolveReport, solve_direct, solve_gmres
 from .waves import IncidentWave
 
@@ -81,47 +88,104 @@ class SurfaceCurrent:
     report: SolveReport
 
 
+def _pair_distances(mesh: CollocationMesh) -> np.ndarray:
+    """(P, P) distances |x_i - x_j| with 1.0 on the diagonal as a placeholder.
+
+    The squares are summed one component at a time, so no (P, P, 3)
+    temporary is built.  Raises CoincidentPointsError when two collocation
+    points coincide within the kernels.R_MIN_SCALE guard.
+    """
+    x = mesh.points - mesh.center
+    r = np.subtract.outer(x[:, 0], x[:, 0])
+    r *= r
+    for comp in (1, 2):
+        d = np.subtract.outer(x[:, comp], x[:, comp])
+        d *= d
+        r += d
+    np.sqrt(r, out=r)
+    np.fill_diagonal(r, np.inf)
+    r_min = float(r.min())
+    guard = R_MIN_SCALE * max(1.0, float(np.abs(mesh.points).max()))
+    if r_min < guard:
+        i, j = np.unravel_index(np.argmin(r), r.shape)
+        raise CoincidentPointsError(
+            f"collocation points {i} and {j} coincide: |x_i - x_j| = {r_min:.3e}"
+        )
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+def _moment_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (P, 12) block [v, x (x) v]: column 3 + 3p + q holds x_p v_q.
+
+    A pair sum sum_j c_ij (x_i - x_j)_p v_jq is then x_ip (c @ v)_iq minus
+    column 3 + 3p + q of c @ [v, x (x) v]: one GEMM for all nine (p, q).
+    """
+    outer = (x[:, :, None] * v[:, None, :]).reshape(len(v), 9)
+    return np.concatenate([v, outer], axis=1)
+
+
 class OneBodyOperator:
     """Matrix-free application of the discretized boundary operator I + s A.
 
     A is the collocated coupling sum over grad g(i, j) terms; the scale s
-    multiplies it (see assemble_one_body).  Precomputes the pairwise kernel
-    gradients scaled by the quadrature weights; matvec cost is a few dense
-    (P x P) products.  Unknowns are interleaved (X1, Y1, Z1, X2, ...).
+    multiplies it (see assemble_one_body).  Every pair term is a scalar times
+    x_i - x_j: grad g(i, j) w_j = C_ij (x_i - x_j) with
+
+        C_ij = g(r_ij) (ik - 1/r_ij) / r_ij * w_j,   C_ii = 0,
+
+    so only the (P, P) complex matrix C is stored (16 B per point pair).
+    Expanding x_i - x_j turns the matvec into one product C @ [J, x (x) J]
+    with 12 columns plus O(P) contractions against N_i and x_i . N_i.  The
+    coordinates x are taken relative to mesh.center: with raw coordinates the
+    expansion cancels catastrophically for a small body far from the origin.
+    Unknowns are interleaved (X1, Y1, Z1, X2, ...).
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
-        points = mesh.points
-        p = mesh.n_points
-        diff = points[:, None, :] - points[None, :, :]
-        r = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(r, 1.0)  # placeholder; diagonal entries zeroed below
+        x = mesh.points - mesh.center
+        coeff = gradient_coefficient(wavenumber, _pair_distances(mesh))
+        coeff *= mesh.weights[None, :]
+        np.fill_diagonal(coeff, 0.0)
 
-        grad = kernel_gradients(wavenumber, diff, r)
-        idx = np.arange(p)
-        grad[idx, idx, :] = 0.0
-
-        self._grad_w = grad * mesh.weights[None, :, None]  # (P, P, 3)
-        self._normal_dot = np.einsum("ijp,ip->ij", self._grad_w, mesh.normals)
+        self._coeff = coeff
+        self._x = x
         self._normals = mesh.normals
+        self._x_dot_n = np.einsum("ip,ip->i", x, mesh.normals)
         self._scale = float(scale)
-        self.n_points = p
-        self.shape = (3 * p, 3 * p)
+        self.n_points = mesh.n_points
+        self.shape = (3 * self.n_points, 3 * self.n_points)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        j = np.asarray(x, dtype=complex).reshape(self.n_points, 3)
-        # coupled(i, p, q) = sum_j grad_w(i, j, p) J(j, q)
-        coupled = np.tensordot(self._grad_w, j, axes=([1], [0]))
-        term1 = np.einsum("ipq,iq->ip", coupled, self._normals)
-        term2 = self._normal_dot @ j
+        p = self.n_points
+        j = np.asarray(x, dtype=complex).reshape(p, 3)
+        product = self._coeff @ _moment_columns(self._x, j)
+        cj = product[:, :3]  # sum_j C_ij J(j, q)
+        cxj = product[:, 3:].reshape(p, 3, 3)  # sum_j C_ij x(j, p) J(j, q)
+        # term1(i) = sum_j C_ij (x_i - x_j) (N_i . J_j)
+        n_dot_cj = np.einsum("iq,iq->i", self._normals, cj)
+        term1 = self._x * n_dot_cj[:, None] - np.einsum("ipq,iq->ip", cxj, self._normals)
+        # term2(i) = sum_j C_ij ((x_i - x_j) . N_i) J_j
+        term2 = self._x_dot_n[:, None] * cj - np.einsum("ip,ipq->iq", self._normals, cxj)
         return (j + self._scale * (term1 - term2)).reshape(-1)
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the full (3P, 3P) matrix (small systems / oracles)."""
+        """Materialize the full (3P, 3P) matrix (small systems / oracles).
+
+        Block (i, j) is s C_ij [(x_i - x_j) N_i^T - I (x_i - x_j) . N_i],
+        plus the identity on the diagonal blocks.
+        """
         p = self.n_points
-        a = self._scale * np.einsum("ijp,iq->ipjq", self._grad_w, self._normals)
+        a = np.zeros((p, 3, p, 3), dtype=complex)
+        normal_dot = np.zeros((p, p), dtype=complex)
         for comp in range(3):
-            a[:, comp, :, comp] -= self._scale * self._normal_dot
+            grad = self._coeff * np.subtract.outer(self._x[:, comp], self._x[:, comp])
+            a[:, comp, :, :] = grad[:, :, None] * self._normals[:, None, :]
+            normal_dot += grad * self._normals[:, comp, None]
+        for comp in range(3):
+            a[:, comp, :, comp] -= normal_dot
+        a *= self._scale
+        for comp in range(3):
             a[np.arange(p), comp, np.arange(p), comp] += 1.0
         return a.reshape(3 * p, 3 * p)
 
@@ -226,17 +290,18 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
     """
     if frame not in ("local", "lab"):
         raise ValueError(f"unknown frame {frame!r}")
-    points = mesh.points
     p = mesh.n_points
-    diff = points[:, None, :] - points[None, :, :]  # (s, t, comp) = s - t
-    r = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(r, 1.0)
-    grad0 = -diff / (4.0 * np.pi * r**3)[..., None]  # d g0 / d s
-    idx = np.arange(p)
-    grad0[idx, idx, :] = 0.0
+    x = mesh.points - mesh.center
+    # d g0 / d s = c_st (x_s - x_t) with c_st = -1 / (4 pi r^3); c is symmetric.
+    c = _pair_distances(mesh)
+    c **= 3
+    c *= -4.0 * np.pi
+    np.reciprocal(c, out=c)
+    np.fill_diagonal(c, 0.0)
 
-    # per_source[t, p, q] = sum_s grad0[s, t, p] N[s, q] w[s]
-    per_source = np.einsum("stp,sq,s->tpq", grad0, mesh.normals, mesh.weights)
+    # per_source[t, p, q] = sum_s c_ts (x_sp - x_tp) N_sq w_s
+    product = c @ _moment_columns(x, mesh.normals * mesh.weights[:, None])
+    per_source = product[:, 3:].reshape(p, 3, 3) - x[:, :, None] * product[:, None, :3]
 
     if frame == "local":
         basis = _local_frames(mesh.normals)  # (t, 3, 3), columns u, v, n

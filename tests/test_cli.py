@@ -82,6 +82,9 @@ def test_one_body_q_json(one_body_run):
     q_asym_z = complex(*payload["q_asym"][2])
     assert q_asym_z.imag == pytest.approx(0.376e-21, rel=1e-3)
     assert payload["solver"]["converged"] is True
+    history = payload["solver"]["residual_history"]
+    assert len(history) == payload["solver"]["iterations"]
+    assert history[-1] <= payload["config"]["tol"]
 
 
 def test_one_body_validation_json(one_body_run):

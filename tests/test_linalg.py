@@ -103,6 +103,25 @@ def test_gmres_final_residual_matches_recomputation():
     assert abs(report.final_residual - recomputed) <= 1e-12
 
 
+@pytest.mark.parametrize("restart", [50, 7])
+def test_gmres_applies_operator_once_per_iteration_and_restart(restart):
+    a, b = random_system(60, 8, dominance=1.0)
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return a @ v
+
+    _, report = solve_gmres(apply_a, b, tol=1e-11, restart=restart)
+    assert report.converged
+    # from x0 = None the start residual is b itself; each restart cycle ends
+    # with one true-residual matvec, reused as final_residual
+    cycles = -(-report.iterations // restart)
+    assert len(calls) == report.iterations + cycles
+    if restart == 50:
+        assert len(calls) == report.iterations + 1
+
+
 def test_gmres_rejects_bad_tol():
     with pytest.raises(ValueError):
         solve_gmres(lambda v: v, np.ones(3, dtype=complex), tol=0.0)

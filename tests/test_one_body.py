@@ -1,12 +1,13 @@
 """One-body boundary solver: assembly oracles, moments, gamma, fields."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from emscat.geometry import CollocationMesh, mesh_sphere
-from emscat.kernels import green
+from emscat.kernels import CoincidentPointsError, green
 from emscat.linalg import solve_direct
 from emscat.one_body import (
     GammaMatrix,
@@ -21,6 +22,7 @@ from emscat.one_body import (
     moment_q_asymptotic,
     moment_q_exact,
     solve_current,
+    _local_frames,
 )
 from emscat.waves import IncidentWave, default_wave
 
@@ -86,6 +88,75 @@ def test_matvec_matches_dense_columns():
         np.testing.assert_allclose(
             op.matvec(basis), dense[:, col], rtol=1e-14, atol=1e-16
         )
+
+
+# A small body far from the origin: the expanded matvec must not cancel.
+OFF_ORIGIN = (1.0, 2.0, 3.0)
+
+
+@pytest.fixture(scope="module")
+def off_origin_mesh():
+    return mesh_sphere(1e-9, 5, center=OFF_ORIGIN)  # P = 119
+
+
+def pairwise_coupling(mesh, k):
+    """Unscaled A from green() per pair: [grad g N_i^T - I grad g . N_i] w_j."""
+    p = mesh.n_points
+    a = np.zeros((p, 3, p, 3), dtype=complex)
+    for i in range(p):
+        n_i = mesh.normals[i]
+        for j in range(p):
+            if j != i:
+                grad = green(k, mesh.points[i], mesh.points[j]).gradient * mesh.weights[j]
+                a[i, :, j, :] = np.outer(grad, n_i) - np.eye(3) * (grad @ n_i)
+    return a.reshape(3 * p, 3 * p)
+
+
+@pytest.fixture(scope="module", params=[default_wave().wavenumber, 1e9], ids=["default-k", "kr~1"])
+def off_origin_oracle(request, off_origin_mesh):
+    return request.param, pairwise_coupling(off_origin_mesh, request.param)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_operator_matches_pairwise_oracle_off_origin(off_origin_mesh, off_origin_oracle, scale):
+    k, coupling = off_origin_oracle
+    op = OneBodyOperator(off_origin_mesh, k, scale=scale)
+    expected = np.eye(op.shape[0]) + scale * coupling
+    # Entries that vanish in exact arithmetic, and the imaginary part of
+    # exp(ikr)(ikr - 1) ~ (kr)^3 for kr << 1, carry roundoff of the size of
+    # the largest entry times eps in both codes: compare against that scale.
+    atol = 1e-12 * scale * np.abs(coupling).max()
+    np.testing.assert_allclose(op.to_dense(), expected, rtol=1e-12, atol=atol)
+    x = np.random.default_rng(3).normal(size=(2, op.shape[0])).T @ np.array([1.0, 1j])
+    np.testing.assert_allclose(op.matvec(x), expected @ x, rtol=1e-12, atol=atol)
+
+
+def test_coincident_points_rejected():
+    mesh = mesh_sphere(1e-9, 4)
+    twin = CollocationMesh(
+        points=np.vstack([mesh.points, mesh.points[5]]),
+        normals=np.vstack([mesh.normals, mesh.normals[5]]),
+        weights=np.append(mesh.weights, mesh.weights[5]),
+        volume=mesh.volume,
+        center=mesh.center,
+    )
+    with pytest.raises(CoincidentPointsError, match="5 and 76"):
+        OneBodyOperator(twin, default_wave().wavenumber)
+    with pytest.raises(ValueError, match="coincide"):
+        solve_current(twin, default_wave())
+    with pytest.raises(CoincidentPointsError):
+        gamma_numeric(twin)
+
+
+def test_operator_assembly_peak_memory_per_pair(wave):
+    mesh = mesh_sphere(1e-9, 18)  # P = 1762
+    tracemalloc.start()
+    try:
+        OneBodyOperator(mesh, wave.wavenumber)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * mesh.n_points**2
 
 
 def test_zero_incident_field_gives_zero_current():
@@ -168,6 +239,43 @@ def test_gamma_numeric_lab_frame_trace(sphere766):
     gamma = gamma_numeric(sphere766, frame="lab")
     # isotropic invariant: trace converges to -1/2
     assert np.trace(gamma.gamma).real == pytest.approx(-0.5, abs=0.03)
+
+
+def test_gamma_numeric_matches_pair_sum_off_origin(off_origin_mesh):
+    mesh = off_origin_mesh
+    # per_source[t] = sum_{s != t} grad_s g0(s, t) N_s^T w_s
+    per_source = np.zeros((mesh.n_points, 3, 3))
+    for t in range(mesh.n_points):
+        for s in range(mesh.n_points):
+            if s != t:
+                grad = green(0.0, mesh.points[s], mesh.points[t]).gradient.real
+                per_source[t] += np.outer(grad, mesh.normals[s]) * mesh.weights[s]
+    basis = _local_frames(mesh.normals)
+    local = np.einsum("tap,tab,tbq->tpq", basis, per_source, basis)
+    for frame, values in (("lab", per_source), ("local", local)):
+        expected = np.einsum("t,tpq->pq", mesh.weights, values) / mesh.area
+        np.testing.assert_allclose(
+            gamma_numeric(mesh, frame=frame).gamma, expected, rtol=1e-12, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("frame", ["local", "lab"])
+def test_gamma_numeric_translation_invariant(off_origin_mesh, frame):
+    shifted = off_origin_mesh
+    # the same stored geometry, moved back to the origin (exact subtraction)
+    at_origin = CollocationMesh(
+        points=shifted.points - shifted.center,
+        normals=shifted.normals,
+        weights=shifted.weights,
+        volume=shifted.volume,
+        center=np.zeros(3),
+    )
+    np.testing.assert_allclose(
+        gamma_numeric(shifted, frame=frame).gamma,
+        gamma_numeric(at_origin, frame=frame).gamma,
+        rtol=1e-12,
+        atol=1e-12,
+    )
 
 
 def test_gamma_numeric_rejects_unknown_frame(sphere766):
