@@ -28,13 +28,14 @@ from .geometry import (
     sphere_point_count,
     sphere_resolution_for,
 )
-from .kernels import CoincidentPointsError, KernelEval, green, green_static
+from .kernels import CoincidentPointsError, KernelEval, green
 from .linalg import (
     ConvergenceError,
     SingularMatrixError,
     SolveReport,
     solve_direct,
     solve_gmres,
+    solve_operator,
 )
 from .many_body import (
     EffectiveFieldSolution,

@@ -34,6 +34,7 @@ from .diagnostics import (
     gamma_for,
     validate_solution,
 )
+from .geometry import mesh_cube, mesh_ellipsoid, mesh_sphere
 from .linalg import ConvergenceError
 from .many_body import (
     effective_field_at_centers,
@@ -207,7 +208,7 @@ def cmd_many_body(config: RunConfig) -> int:
     )
     solution = solve_effective_field(
         layout, wave, gamma, tol=config.tol, restart=config.restart,
-        max_iter=config.max_iter, full_tau=config.full_tau,
+        max_iter=config.max_iter,
     )
     fields = effective_field_at_centers(layout, wave, solution)
 
@@ -281,14 +282,9 @@ def cmd_mesh_export(config: RunConfig, output: str) -> int:
 # Reference-table reproduction
 # ---------------------------------------------------------------------------
 
-def _sphere_mesh_for(config: RunConfig, m_phi: int, radius: float):
-    spec = RunConfig(shape="sphere", radius=radius, m_phi=m_phi)
-    return spec.shape_spec().build()
-
-
 def _reproduce_q_sphere(config: RunConfig):
     wave = config.wave()
-    mesh = _sphere_mesh_for(config, 12, 1e-9)
+    mesh = mesh_sphere(1e-9, 12)
     current = solve_current(mesh, wave, tol=config.tol, scale=1.0)
     q_e = moment_q_exact(current, mesh)
     q_a = moment_q_asymptotic(mesh, wave, gamma_sphere_analytic())
@@ -314,7 +310,7 @@ def _e_error_rows(mesh, wave, current, q_asym, points, published):
 
 def _reproduce_e_sphere(config: RunConfig):
     wave = config.wave()
-    mesh = _sphere_mesh_for(config, 12, 1e-9)
+    mesh = mesh_sphere(1e-9, 12)
     current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
     q_a = moment_q_asymptotic(mesh, wave, gamma_sphere_analytic())
     ref = REFERENCE_TABLES["e-sphere"]
@@ -326,8 +322,7 @@ def _reproduce_e_sphere(config: RunConfig):
 def _reproduce_e_ellipsoid(config: RunConfig):
     wave = config.wave()
     axes = np.array([1e-8, 1e-9, 1e-9])
-    spec = RunConfig(shape="ellipsoid", semi_axes=tuple(axes), m_phi=14)
-    mesh = spec.shape_spec().build()
+    mesh = mesh_ellipsoid(*axes, 14)
     current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
     q_a = moment_q_asymptotic(mesh, wave, gamma_numeric(mesh, frame="local"))
     ref = REFERENCE_TABLES["e-ellipsoid"]
@@ -337,8 +332,7 @@ def _reproduce_e_ellipsoid(config: RunConfig):
 
 def _reproduce_e_cube(config: RunConfig):
     wave = config.wave()
-    spec = RunConfig(shape="cube", radius=1e-7, n_per_face=10)
-    mesh = spec.shape_spec().build()
+    mesh = mesh_cube(1e-7, 10)
     current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
     q_a = moment_q_asymptotic(mesh, wave, gamma_sphere_analytic())
     ref = REFERENCE_TABLES["e-cube"]
@@ -358,7 +352,7 @@ def _reproduce_sweep_1386(config: RunConfig):
     rows = []
     gamma = gamma_sphere_analytic()
     for radius, pub_e, pub_q in zip(ref["radii"], ref["e_errors"], ref["q_errors"]):
-        mesh = _sphere_mesh_for(config, 16, radius)
+        mesh = mesh_sphere(radius, 16)
         q_a = moment_q_asymptotic(mesh, wave, gamma)
         x = mesh.center + ref["distance"] * direction
         cur_e = solve_current(mesh, wave, tol=config.tol, scale=2.0)
@@ -468,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_many.add_argument("--count", type=int, help="number of particles (perfect cube)")
     p_many.add_argument("--spacing", type=float, help="lattice spacing (cm)")
     p_many.add_argument("--particle-radius", type=float, dest="particle_radius")
-    p_many.add_argument("--full-tau", action="store_true", dest="full_tau")
 
     p_rep = sub.add_parser("reproduce", help="rerun a bundled reference experiment")
     _add_common_options(p_rep)
@@ -495,8 +488,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue
-        if key == "full_tau" and value is False:
-            continue  # store_true default; keep config-file value
         data[key] = tuple(value) if isinstance(value, list) else value
     config = RunConfig.from_dict(data)
     for message in config.warnings:

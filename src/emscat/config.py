@@ -46,7 +46,6 @@ class RunConfig:
     spacing: float = 1.0e-7                  # cm
     particle_radius: float = 1.0e-9          # cm
     box: tuple = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-    full_tau: bool = False
     # solver
     tol: float = 1.0e-10
     restart: int = 50

@@ -47,33 +47,28 @@ class KernelEval:
     hessian: np.ndarray
 
 
-def _check_separation(x: np.ndarray, t: np.ndarray, r: float, r_min_scale: float) -> None:
-    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(t))))
-    if r < r_min_scale * scale:
-        raise CoincidentPointsError(
-            f"source and evaluation point coincide: |x-t|={r:.3e}, scale={scale:.3e}"
-        )
-
-
-def green(k: float, x, t, r_min_scale: float = R_MIN_SCALE) -> KernelEval:
+def green(k: float, x, t) -> KernelEval:
     """Evaluate g(x, t) together with its gradient and Hessian in x.
 
     Parameters
     ----------
     k : wavenumber in 1/cm (k = 0 gives the static kernel).
     x, t : evaluation and source points, length-3 real sequences (cm).
-    r_min_scale : separation guard relative to max(1, |x|, |t|).
 
     Raises
     ------
     CoincidentPointsError
-        If |x - t| underflows the separation guard.
+        If |x - t| is below R_MIN_SCALE * max(1, |x|, |t|).
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     diff = x - t
     r = float(np.linalg.norm(diff))
-    _check_separation(x, t, r, r_min_scale)
+    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(t))))
+    if r < R_MIN_SCALE * scale:
+        raise CoincidentPointsError(
+            f"source and evaluation point coincide: |x-t|={r:.3e}, scale={scale:.3e}"
+        )
 
     u = diff / r
     value = np.exp(1j * k * r) / (FOUR_PI * r)
@@ -86,18 +81,33 @@ def green(k: float, x, t, r_min_scale: float = R_MIN_SCALE) -> KernelEval:
     return KernelEval(value=complex(value), gradient=gradient, hessian=hessian)
 
 
-def green_static(x, t, r_min_scale: float = R_MIN_SCALE) -> complex:
-    """Static kernel 1 / (4 pi |x - t|); identical to green(0, x, t).value."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r = float(np.linalg.norm(x - t))
-    _check_separation(x, t, r, r_min_scale)
-    return complex(1.0 / (FOUR_PI * r))
+def pair_distances(points: np.ndarray, center) -> np.ndarray:
+    """(P, P) distances |x_i - x_j| with 1.0 on the diagonal as a placeholder.
 
-
-def kernel_values(k: float, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorized g over precomputed separations r = |diff| (no guard)."""
-    return np.exp(1j * k * r) / (FOUR_PI * r)
+    The distances are taken between points - center, so they keep full
+    precision for a small cluster far from the origin; the squares are
+    summed one component at a time, so no (P, P, 3) temporary is built.
+    Raises CoincidentPointsError when two points lie closer than
+    R_MIN_SCALE * max(1, max |points|).
+    """
+    x = points - center
+    r = np.subtract.outer(x[:, 0], x[:, 0])
+    r *= r
+    for comp in (1, 2):
+        d = np.subtract.outer(x[:, comp], x[:, comp])
+        d *= d
+        r += d
+    np.sqrt(r, out=r)
+    np.fill_diagonal(r, np.inf)
+    r_min = float(r.min())
+    guard = R_MIN_SCALE * max(1.0, float(np.abs(points).max()))
+    if r_min < guard:
+        i, j = np.unravel_index(np.argmin(r), r.shape)
+        raise CoincidentPointsError(
+            f"points {i} and {j} are coincident: |x_i - x_j| = {r_min:.3e}"
+        )
+    np.fill_diagonal(r, 1.0)
+    return r
 
 
 def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:
@@ -136,7 +146,7 @@ def kernel_hessian_parts(
     Returns (g, c_iso, c_dir) with hess_pq = c_iso delta_pq + c_dir diff_p diff_q,
     so large batches never materialize (..., 3, 3) arrays.
     """
-    g = kernel_values(k, diff, r)
+    g = np.exp(1j * k * r) / (FOUR_PI * r)
     c_iso = g * (1j * k - 1.0 / r) / r
     c_dir = g * (-k * k - 3j * k / r + 3.0 / (r * r)) / (r * r)
     return g, c_iso, c_dir

@@ -20,6 +20,7 @@ __all__ = [
     "SolveReport",
     "solve_direct",
     "solve_gmres",
+    "solve_operator",
 ]
 
 #: A pivot below this fraction of the largest matrix entry marks the system
@@ -83,18 +84,22 @@ def solve_gmres(
     tol: float = 1e-10,
     restart: int = 50,
     max_iter: int = 1000,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Restarted GMRES for a matrix-free complex linear operator.
+    """Restarted GMRES for a matrix-free complex linear operator, from x = 0.
 
     apply_a maps a vector of len(b) to another; convergence means the
     relative residual |Ax - b| / |b| dropped below tol.  Non-convergence is
     reported through SolveReport.converged, never raised, so callers can
     attach context.  max_iter caps the total number of inner iterations.
+    A non-finite b raises ValueError before apply_a is called; a non-finite
+    residual estimate (apply_a returned NaN or inf) ends the solve at once,
+    unconverged, with final_residual NaN and x the last finite iterate.
     """
     b = np.asarray(b, dtype=complex)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side holds NaN or inf entries")
     n = b.shape[0]
     restart = max(1, min(restart, n))
 
@@ -102,11 +107,7 @@ def solve_gmres(
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True, [])
 
-    if x0 is None:
-        x, r = np.zeros_like(b), b
-    else:
-        x = np.asarray(x0, dtype=complex).copy()
-        r = b - apply_a(x)
+    x, r = np.zeros_like(b), b
     history: list[float] = []
     total_iters = 0
 
@@ -137,6 +138,9 @@ def solve_gmres(
                 h[i, j] = np.vdot(v[i], w)
                 w -= h[i, j] * v[i]
             h_next = float(np.linalg.norm(w))
+            if not np.isfinite(h_next):  # so is the residual estimate
+                history.append(float("nan"))
+                return x, SolveReport(total_iters, float("nan"), False, history)
             h[j + 1, j] = h_next
 
             for i in range(j):
@@ -156,7 +160,7 @@ def solve_gmres(
 
             inner = j + 1
             history.append(abs(g[j + 1]) / b_norm)
-            if abs(g[j + 1]) / b_norm <= tol or h_next == 0.0:
+            if history[-1] <= tol or h_next == 0.0:
                 break
             if j + 1 < restart:
                 v[j + 1] = w / h_next
@@ -173,3 +177,34 @@ def solve_gmres(
         converged=final <= tol,
         residual_history=history,
     )
+
+
+def solve_operator(
+    operator,
+    rhs: np.ndarray,
+    method: str = "gmres",
+    tol: float = 1e-10,
+    restart: int = 50,
+    max_iter: int = 1000,
+    what: str = "linear",
+) -> tuple[np.ndarray, SolveReport]:
+    """Solve operator x = rhs for an operator with matvec and to_dense.
+
+    method "gmres" never materializes the matrix and raises ConvergenceError
+    ("<what> solve stalled ...") when GMRES stalls; "direct" factorizes
+    to_dense() with the LU oracle and reports the true relative residual.
+    """
+    if method == "direct":
+        x = solve_direct(operator.to_dense(), rhs)
+        residual = float(
+            np.linalg.norm(operator.matvec(x) - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        )
+        return x, SolveReport(iterations=1, final_residual=residual, converged=True)
+    if method == "gmres":
+        x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart, max_iter=max_iter)
+        if not report.converged:
+            raise ConvergenceError(
+                f"{what} solve stalled at residual {report.final_residual:.3e}", report
+            )
+        return x, report
+    raise ValueError(f"unknown method {method!r}")

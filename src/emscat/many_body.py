@@ -4,11 +4,10 @@ Each body m is reduced to one moment Q_m = -|D_m| A_m; the vectors A_m solve
 
     A_m + sum_{j != m} tau [k^2 g(x_m, x_j) A_j + H(x_m, x_j) A_j] |D_j| = A0_m
 
-with H the kernel Hessian, tau = (I + gamma)^-1 and A0_m = tau (curl E0)(x_m).
-Row component p of the coupling uses the diagonal entry tau(p, p), which is
-exact for shapes whose gamma is diagonal; full_tau=True applies the whole
-matrix instead.  The solved moments give the scattered field by superposition
-of grad g x Q_m terms.
+with H the kernel Hessian, tau = (I + gamma)^-1 and A0_m = tau (curl E0)(x_m);
+the whole matrix tau multiplies both the coupling and the right-hand side.
+The solved moments give the scattered field by superposition of
+grad g x Q_m terms.
 
 The coupling is applied along one of two paths, chosen from the centres alone:
 
@@ -20,7 +19,8 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   O(M) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198, 1991).  The
   fields at the centres are the same convolution with the gradient kernel.
 * dense -- any other layout stores the pairwise coefficients, O(M^2) in time
-  and memory.
+  and memory.  Since grad g(x_m, x_j) = c_mj (x_m - x_j), the fields at the
+  centres are one (M, M) x (M, 6) product C @ [Q, x x Q].
 
 ``ManyBodyOperator.to_dense`` builds the blocks pairwise on both paths, so it
 is an independent oracle for the FFT matvec.
@@ -34,8 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import R_MIN_SCALE, kernel_gradients, kernel_hessian_parts
-from .linalg import ConvergenceError, SolveReport, solve_direct, solve_gmres
+from .kernels import (
+    R_MIN_SCALE,
+    gradient_coefficient,
+    kernel_gradients,
+    kernel_hessian_parts,
+    pair_distances,
+)
+from .linalg import SolveReport, solve_operator
 from .one_body import GammaMatrix
 from .waves import IncidentWave
 
@@ -252,15 +258,8 @@ def _pair_coefficients(layout: ManyBodyLayout, wavenumber: float):
     terms zeroed; (M, M) and (M, M, 3) arrays.
     """
     centers = layout.centers
-    m = layout.count
     diff = centers[:, None, :] - centers[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    if m > 1:
-        off_diag_min = r[~np.eye(m, dtype=bool)].min()
-        if off_diag_min < 1e-15 * max(1.0, float(np.abs(centers).max())):
-            raise ValueError("coincident particle centers")
-    np.fill_diagonal(r, 1.0)
-
+    r = pair_distances(centers, centers.mean(axis=0))
     k = wavenumber
     g, c_iso, c_dir = kernel_hessian_parts(k, diff, r)
     # Coupling block (m, j) = [k^2 g I + H] |D_j|; split into the isotropic
@@ -335,12 +334,10 @@ class ManyBodyOperator:
     pairwise coefficients are stored, O(M^2) memory).
     """
 
-    def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix,
-                 full_tau: bool = False):
+    def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix):
         self._layout = layout
         self._wavenumber = wavenumber
         self._tau = gamma.tau
-        self._full_tau = full_tau
         self.count = layout.count
         self.shape = (3 * self.count, 3 * self.count)
         self.coupling = "dense" if layout.grid is None else "fft"
@@ -372,9 +369,7 @@ class ManyBodyOperator:
         else:
             s = np.einsum("mjq,jq->mj", self._diff, a)
             out = self._c0 @ a + np.einsum("mj,mjp->mp", self._c2 * s, self._diff)
-        if self._full_tau:
-            return out @ self._tau.T
-        return out * np.diag(self._tau)[None, :]
+        return out @ self._tau.T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(x, dtype=complex).reshape(self.count, 3)
@@ -392,11 +387,7 @@ class ManyBodyOperator:
             c0[:, :, None, None] * eye[None, None, :, :]
             + c2[:, :, None, None] * diff[:, :, :, None] * diff[:, :, None, :]
         )  # (m, j, p, q)
-        if self._full_tau:
-            blocks = np.einsum("pr,mjrq->mjpq", self._tau, blocks)
-        else:
-            blocks = np.diag(self._tau)[None, None, :, None] * blocks
-        out = blocks.transpose(0, 2, 1, 3)  # (m, p, j, q)
+        out = np.einsum("pr,mjrq->mpjq", self._tau, blocks)
         for i in range(m):
             out[i, :, i, :] += eye
         return out.reshape(3 * m, 3 * m)
@@ -439,11 +430,10 @@ class EffectiveFieldSolution:
 
 
 def assemble_many_body(
-    layout: ManyBodyLayout, wave: IncidentWave, gamma: GammaMatrix,
-    full_tau: bool = False,
+    layout: ManyBodyLayout, wave: IncidentWave, gamma: GammaMatrix
 ) -> tuple[ManyBodyOperator, np.ndarray]:
     """Build the coupled system and right-hand side A0_m = tau (curl E0)(x_m)."""
-    operator = ManyBodyOperator(layout, wave.wavenumber, gamma, full_tau=full_tau)
+    operator = ManyBodyOperator(layout, wave.wavenumber, gamma)
     rhs = wave.curl(layout.centers) @ gamma.tau.T
     return operator, rhs.reshape(-1)
 
@@ -456,25 +446,15 @@ def solve_effective_field(
     restart: int = 50,
     max_iter: int = 1000,
     method: str = "gmres",
-    full_tau: bool = False,
 ) -> EffectiveFieldSolution:
-    """Solve for all A_m and attach the moments Q_m = -|D_m| A_m."""
-    operator, rhs = assemble_many_body(layout, wave, gamma, full_tau=full_tau)
-    if method == "direct":
-        x = solve_direct(operator.to_dense(), rhs)
-        residual = float(
-            np.linalg.norm(operator.matvec(x) - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        )
-        report = SolveReport(iterations=1, final_residual=residual, converged=True)
-    elif method == "gmres":
-        x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart, max_iter=max_iter)
-        if not report.converged:
-            raise ConvergenceError(
-                f"effective-field solve stalled at residual {report.final_residual:.3e}",
-                report,
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    """Solve for all A_m and attach the moments Q_m = -|D_m| A_m.
+
+    method "gmres" (default) or "direct" (LU on to_dense()), as in
+    linalg.solve_operator; raises ConvergenceError if GMRES stalls.
+    """
+    operator, rhs = assemble_many_body(layout, wave, gamma)
+    x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
+                               max_iter=max_iter, what="effective-field")
     a = x.reshape(layout.count, 3)
     return EffectiveFieldSolution(
         a_values=a,
@@ -484,16 +464,6 @@ def solve_effective_field(
         coupling=operator.coupling,
         operator_bytes=operator.nbytes,
     )
-
-
-def _scattered_sum(centers, q_values, wavenumber: float, m: int) -> np.ndarray:
-    """sum_{j != m} grad g(x_m, x_j) x Q_j at center m."""
-    diff = centers[m][None, :] - centers
-    r = np.linalg.norm(diff, axis=-1)
-    r[m] = 1.0  # placeholder; the self term is zeroed below
-    grad = kernel_gradients(wavenumber, diff, r)
-    grad[m] = 0.0
-    return np.sum(np.cross(grad, q_values), axis=0)
 
 
 def _separations(centers: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -521,7 +491,10 @@ def effective_field_at_centers(
     """Field acting on each body: the total field minus the body's own term.
 
     On a grid layout the scattered part is one FFT convolution of the
-    gradient kernel with the moments; otherwise it is summed per center.
+    gradient kernel with the moments.  Otherwise grad g(x_m, x_j) =
+    c_mj (x_m - x_j) makes it x_m x (C Q)_m - (C (x x Q))_m: one product of
+    the (M, M) matrix C with the (M, 6) block [Q, x x Q], in coordinates
+    centred on the layout so that the two terms do not cancel.
     """
     if layout.grid is not None:
         diff, _, c_iso, _ = _grid_kernel_parts(layout.grid, wave.wavenumber)
@@ -529,12 +502,13 @@ def effective_field_at_centers(
         q_hat = _grid_spectrum(solution.q_values, layout.grid)
         scattered = _grid_values(np.cross(grad_hat, q_hat, axis=0), layout.grid)
         return wave.field(layout.centers) + scattered
-    out = np.empty((layout.count, 3), dtype=complex)
-    for m in range(layout.count):
-        out[m] = wave.field(layout.centers[m]) + _scattered_sum(
-            layout.centers, solution.q_values, wave.wavenumber, m
-        )
-    return out
+    center = layout.centers.mean(axis=0)
+    x = layout.centers - center
+    coeff = gradient_coefficient(wave.wavenumber, pair_distances(layout.centers, center))
+    np.fill_diagonal(coeff, 0.0)
+    q = solution.q_values
+    product = coeff @ np.concatenate([q, np.cross(x, q)], axis=1)
+    return wave.field(layout.centers) + np.cross(x, product[:, :3]) - product[:, 3:]
 
 
 def field_h_many(

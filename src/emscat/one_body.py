@@ -35,14 +35,13 @@ import numpy as np
 
 from .geometry import CollocationMesh
 from .kernels import (
-    R_MIN_SCALE,
-    CoincidentPointsError,
     curl_dipole_term,
     gradient_coefficient,
     green,
     kernel_gradients,
+    pair_distances,
 )
-from .linalg import ConvergenceError, SolveReport, solve_direct, solve_gmres
+from .linalg import SolveReport, solve_operator
 from .waves import IncidentWave
 
 __all__ = [
@@ -88,33 +87,6 @@ class SurfaceCurrent:
     report: SolveReport
 
 
-def _pair_distances(mesh: CollocationMesh) -> np.ndarray:
-    """(P, P) distances |x_i - x_j| with 1.0 on the diagonal as a placeholder.
-
-    The squares are summed one component at a time, so no (P, P, 3)
-    temporary is built.  Raises CoincidentPointsError when two collocation
-    points coincide within the kernels.R_MIN_SCALE guard.
-    """
-    x = mesh.points - mesh.center
-    r = np.subtract.outer(x[:, 0], x[:, 0])
-    r *= r
-    for comp in (1, 2):
-        d = np.subtract.outer(x[:, comp], x[:, comp])
-        d *= d
-        r += d
-    np.sqrt(r, out=r)
-    np.fill_diagonal(r, np.inf)
-    r_min = float(r.min())
-    guard = R_MIN_SCALE * max(1.0, float(np.abs(mesh.points).max()))
-    if r_min < guard:
-        i, j = np.unravel_index(np.argmin(r), r.shape)
-        raise CoincidentPointsError(
-            f"collocation points {i} and {j} coincide: |x_i - x_j| = {r_min:.3e}"
-        )
-    np.fill_diagonal(r, 1.0)
-    return r
-
-
 def _moment_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The (P, 12) block [v, x (x) v]: column 3 + 3p + q holds x_p v_q.
 
@@ -144,7 +116,7 @@ class OneBodyOperator:
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
         x = mesh.points - mesh.center
-        coeff = gradient_coefficient(wavenumber, _pair_distances(mesh))
+        coeff = gradient_coefficient(wavenumber, pair_distances(mesh.points, mesh.center))
         coeff *= mesh.weights[None, :]
         np.fill_diagonal(coeff, 0.0)
 
@@ -230,20 +202,8 @@ def solve_current(
     the LU oracle.  Raises ConvergenceError if GMRES stalls.
     """
     operator, rhs = assemble_one_body(mesh, wave, scale=scale)
-    if method == "direct":
-        x = solve_direct(operator.to_dense(), rhs)
-        residual = float(
-            np.linalg.norm(operator.matvec(x) - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        )
-        report = SolveReport(iterations=1, final_residual=residual, converged=True)
-    elif method == "gmres":
-        x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart, max_iter=max_iter)
-        if not report.converged:
-            raise ConvergenceError(
-                f"boundary solve stalled at residual {report.final_residual:.3e}", report
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
+                               max_iter=max_iter, what="boundary")
     return SurfaceCurrent(values=x.reshape(mesh.n_points, 3), report=report)
 
 
@@ -293,7 +253,7 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
     p = mesh.n_points
     x = mesh.points - mesh.center
     # d g0 / d s = c_st (x_s - x_t) with c_st = -1 / (4 pi r^3); c is symmetric.
-    c = _pair_distances(mesh)
+    c = pair_distances(mesh.points, mesh.center)
     c **= 3
     c *= -4.0 * np.pi
     np.reciprocal(c, out=c)

@@ -36,13 +36,17 @@ class IncidentWave:
         object.__setattr__(self, "direction", direc)
         if amp.shape != (3,) or direc.shape != (3,):
             raise ValueError("amplitude and direction must be 3-vectors")
+        if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(direc))):
+            raise ValueError(
+                f"amplitude {amp.tolist()} and direction {direc.tolist()} must be finite"
+            )
         if abs(np.linalg.norm(direc) - 1.0) > 1e-12:
             raise ValueError(f"direction must be a unit vector, |d|={np.linalg.norm(direc)!r}")
         scale = max(1.0, float(np.linalg.norm(amp)))
         if abs(float(amp @ direc)) > 1e-12 * scale:
             raise ValueError("wave is not transverse: amplitude . direction != 0")
-        if not self.wavenumber > 0:
-            raise ValueError("wavenumber must be positive")
+        if not 0 < self.wavenumber < np.inf:
+            raise ValueError(f"wavenumber must be positive and finite, got {self.wavenumber!r}")
 
     def field(self, x) -> np.ndarray:
         """Incident electric field at x; x may be (3,) or (..., 3)."""

@@ -119,6 +119,19 @@ def test_interior_evaluation_point_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, values", [
+    ("--amplitude", ["nan", "0", "0"]),
+    ("--direction", ["0", "inf", "0"]),
+    ("--wavenumber", ["inf"]),
+], ids=["nan-amplitude", "inf-direction", "inf-wavenumber"])
+def test_non_finite_wave_exits_2(tmp_path, capsys, flag, values):
+    code = run_cli(["one-body", flag, *values, "--m-phi", "6", "--output-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert flag.lstrip("-") in err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = run_cli(
         ["one-body", "--config", str(tmp_path / "nope.json"),

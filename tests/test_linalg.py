@@ -114,12 +114,41 @@ def test_gmres_applies_operator_once_per_iteration_and_restart(restart):
 
     _, report = solve_gmres(apply_a, b, tol=1e-11, restart=restart)
     assert report.converged
-    # from x0 = None the start residual is b itself; each restart cycle ends
+    # from x = 0 the start residual is b itself; each restart cycle ends
     # with one true-residual matvec, reused as final_residual
     cycles = -(-report.iterations // restart)
     assert len(calls) == report.iterations + cycles
     if restart == 50:
         assert len(calls) == report.iterations + 1
+
+
+def test_gmres_rejects_non_finite_rhs_before_any_matvec():
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return v
+
+    b = np.ones(30, dtype=complex)
+    b[17] = np.nan
+    with pytest.raises(ValueError, match="NaN or inf"):
+        solve_gmres(apply_a, b)
+    assert calls == []
+
+
+def test_gmres_stops_at_first_non_finite_residual_estimate():
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return np.full_like(v, np.nan)
+
+    x, report = solve_gmres(apply_a, np.ones(30, dtype=complex))
+    assert len(calls) == 1
+    assert not report.converged
+    assert np.isnan(report.final_residual)
+    assert report.iterations == 1
+    np.testing.assert_array_equal(x, 0.0)
 
 
 def test_gmres_rejects_bad_tol():

@@ -32,8 +32,8 @@ from emscat.waves import default_wave
 
 SPACING = 1e-7
 
-#: A gamma with off-diagonal entries, so that full_tau=True differs from the
-#: diagonal convention.
+#: A gamma with off-diagonal entries, so that applying the whole tau differs
+#: from scaling each row by its diagonal entry.
 SKEW_GAMMA = GammaMatrix.from_gamma(
     np.array([[-0.3, 0.05, 0.02], [0.01, -0.25, 0.03], [0.04, 0.02, 0.15]])
 )
@@ -208,7 +208,6 @@ def test_matvec_matches_dense(wave):
         np.testing.assert_allclose(operator.matvec(x), dense @ x, rtol=1e-13)
 
 
-@pytest.mark.parametrize("full_tau", [False, True])
 @pytest.mark.parametrize("make_layout", [
     # volume_coeff makes the coupling a few percent of the identity, so the
     # comparison is not dominated by the identity part of the operator
@@ -216,9 +215,9 @@ def test_matvec_matches_dense(wave):
     lambda: lattice_layout(216, SPACING, 1e-9, volume_coeff=1e5),
     grid_345_layout,
 ], ids=["lattice-27", "lattice-216", "grid-3x4x5"])
-def test_fft_matvec_matches_dense(wave, make_layout, full_tau):
+def test_fft_matvec_matches_dense(wave, make_layout):
     layout = make_layout()
-    operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA, full_tau=full_tau)
+    operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
     assert operator.coupling == "fft"
     dense = operator.to_dense()
     rng = np.random.default_rng(3)
@@ -231,19 +230,28 @@ def test_fft_matvec_matches_dense(wave, make_layout, full_tau):
 def test_jittered_layout_takes_dense_path(wave):
     layout = layout_from_centers(jittered_centers(3), spacing=SPACING, radius=1e-9,
                                  volume_coeff=1e5)
-    operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA, full_tau=True)
+    operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
     assert operator.coupling == "dense"
     rng = np.random.default_rng(4)
     x = rng.normal(size=81) + 1j * rng.normal(size=81)
     np.testing.assert_allclose(operator.matvec(x), operator.to_dense() @ x, rtol=1e-12)
 
 
-def test_full_tau_equals_diagonal_for_diagonal_gamma(wave):
-    layout = lattice_layout(8, 1e-7, 1e-9)
+def test_sphere_tau_scales_pair_blocks_row_wise(wave):
+    # the sphere gamma is diagonal, so applying the whole tau scales row p of
+    # every coupling block by tau(p, p)
+    layout = lattice_layout(8, 1e-7, 1e-9, volume_coeff=1e5)
     gamma = gamma_sphere_analytic()
-    a = assemble_many_body(layout, wave, gamma, full_tau=False)[0].to_dense()
-    b = assemble_many_body(layout, wave, gamma, full_tau=True)[0].to_dense()
-    np.testing.assert_allclose(a, b, rtol=1e-14)
+    dense = assemble_many_body(layout, wave, gamma)[0].to_dense()
+    k = wave.wavenumber
+    expected = np.eye(24, dtype=complex)
+    for m, x in enumerate(layout.centers):
+        for j, t in enumerate(layout.centers):
+            if j != m:
+                ker = green(k, x, t)
+                block = (k * k * ker.value * np.eye(3) + ker.hessian) * layout.volumes[j]
+                expected[3 * m:3 * m + 3, 3 * j:3 * j + 3] = np.diag(gamma.tau)[:, None] * block
+    np.testing.assert_allclose(dense, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_coincident_centers_rejected(wave):
@@ -258,6 +266,12 @@ def test_coincident_centers_rejected(wave):
 
 
 # --- solving -----------------------------------------------------------------
+
+def test_unknown_method_rejected(wave):
+    with pytest.raises(ValueError, match="unknown method 'lu'"):
+        solve_effective_field(lattice_layout(8, 1e-7, 1e-9), wave, gamma_sphere_analytic(),
+                              method="lu")
+
 
 def test_moments_tied_to_a_values(many27):
     layout, solution = many27
@@ -294,7 +308,11 @@ def test_effective_field_norm_m27(many27):
 @pytest.mark.parametrize("make_layout", [
     grid_345_layout,
     lambda: layout_from_centers(jittered_centers(4)[:60], spacing=SPACING, radius=1e-9),
-], ids=["grid-3x4x5", "jittered"])
+    # far from the origin relative to its size: an expansion of x_m - x_j in
+    # raw coordinates cancels catastrophically here
+    lambda: layout_from_centers(
+        jittered_centers(4)[:60] + (0.3, 0.4, 0.5), spacing=SPACING, radius=1e-9),
+], ids=["grid-3x4x5", "jittered", "jittered-shifted"])
 def test_effective_field_at_centers_matches_pair_sum(wave, make_layout):
     layout = make_layout()
     assert layout.count == 60

@@ -215,6 +215,11 @@ def test_direct_and_gmres_solutions_agree():
     )
 
 
+def test_unknown_method_rejected():
+    with pytest.raises(ValueError, match="unknown method 'lu'"):
+        solve_current(mesh_sphere(1e-9, 4), default_wave(), method="lu")
+
+
 # --- gamma -------------------------------------------------------------------
 
 def test_gamma_sphere_analytic_values():
