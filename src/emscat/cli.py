@@ -23,12 +23,14 @@ import csv
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
 from .diagnostics import (
+    DIAGONAL_DIRECTION,
     check_e_asymptotic,
     check_q_asymptotic,
     gamma_for,
@@ -158,28 +160,24 @@ def cmd_one_body(config: RunConfig) -> int:
             "q_asym": [[z.real, z.imag] for z in q_a],
             "gamma": [[z.real, z.imag] for z in gamma.gamma.ravel()],
             "tau": [[z.real, z.imag] for z in gamma.tau.ravel()],
-            "solver": {
-                "iterations": current.report.iterations,
-                "final_residual": current.report.final_residual,
-                "converged": current.report.converged,
-                "residual_history": current.report.residual_history,
-            },
+            "solver": asdict(current.report),
         },
         config,
     )
 
-    e_rows = []
-    for x in config.eval_points(mesh.center):
-        e_e = field_e_exact(mesh, wave, current, x)
-        e_a = field_e_asymptotic(wave, q_a, mesh.center, x)
-        dist = float(np.linalg.norm(x - mesh.center))
-        gap = float(np.linalg.norm(e_e - e_a) / np.linalg.norm(e_e))
-        e_rows.append(
-            [_fmt(dist)]
-            + sum((_complex_values(z) for z in e_e), [])
-            + sum((_complex_values(z) for z in e_a), [])
-            + [_fmt(gap)]
-        )
+    points = config.eval_points(mesh.center)
+    report = validate_solution(
+        mesh, wave, current, gamma,
+        distances=config.distances, direction=config.eval_direction,
+    )
+    e_exact = field_e_exact(mesh, wave, current, points)
+    e_asym = field_e_asymptotic(wave, q_a, mesh.center, points)
+    e_rows = [
+        [_fmt(dist)]
+        + sum((_complex_values(z) for z in (*e_e, *e_a)), [])
+        + [_fmt(gap)]
+        for (dist, gap), e_e, e_a in zip(report.e_asym_rel, e_exact, e_asym)
+    ]
     e_header = (
         ["distance"]
         + sum((_complex_columns(f"Ee{c}") for c in "xyz"), [])
@@ -187,11 +185,6 @@ def cmd_one_body(config: RunConfig) -> int:
         + ["rel_error"]
     )
     _write_csv(outdir / "E_table.csv", e_header, e_rows, config)
-
-    report = validate_solution(
-        mesh, wave, current, gamma,
-        distances=config.distances, direction=config.eval_direction,
-    )
     _write_json(outdir / "validation.json", report.to_dict(), config)
     print(f"artifacts written to {outdir}", file=sys.stderr)
     return 0
@@ -237,12 +230,7 @@ def cmd_many_body(config: RunConfig) -> int:
             "norm_of_E": float(np.linalg.norm(fields)),
             "error_estimate": error_estimate_many(layout, solution, probe),
             "error_probe_point": [float(v) for v in probe],
-            "solver": {
-                "iterations": solution.report.iterations,
-                "final_residual": solution.report.final_residual,
-                "converged": solution.report.converged,
-                "residual_history": solution.report.residual_history,
-            },
+            "solver": asdict(solution.report),
             "operator": {
                 "coupling": solution.coupling,
                 "bytes": solution.operator_bytes,
@@ -300,51 +288,31 @@ def _reproduce_q_sphere(config: RunConfig):
     ]
 
 
-def _e_error_rows(mesh, wave, current, q_asym, points, published):
-    gaps = check_e_asymptotic(mesh, wave, current, q_asym, mesh.center, points)
-    rows = []
-    for (dist, gap), pub in zip(gaps, published):
-        rows.append([_fmt(dist), _fmt(pub), _fmt(gap), _fmt(abs(gap - pub) / pub)])
-    return ["distance", "published_error", "computed_error", "rel_deviation"], rows
-
-
-def _reproduce_e_sphere(config: RunConfig):
+def _reproduce_e(config: RunConfig, table_id: str):
+    """Exact-versus-asymptotic field errors at the published evaluation points."""
     wave = config.wave()
-    mesh = mesh_sphere(1e-9, 12)
+    ref = REFERENCE_TABLES[table_id]
+    if table_id == "e-ellipsoid":
+        axes = np.array([1e-8, 1e-9, 1e-9])
+        mesh = mesh_ellipsoid(*axes, 14)
+        gamma = gamma_numeric(mesh, frame="local")
+        offsets = np.outer(ref["axis_multiples"], axes)
+    else:
+        mesh = mesh_sphere(1e-9, 12) if table_id == "e-sphere" else mesh_cube(1e-7, 10)
+        gamma = gamma_sphere_analytic()
+        offsets = np.outer(ref["distances"], DIAGONAL_DIRECTION)
     current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
-    q_a = moment_q_asymptotic(mesh, wave, gamma_sphere_analytic())
-    ref = REFERENCE_TABLES["e-sphere"]
-    direction = np.ones(3) / np.sqrt(3.0)
-    points = [mesh.center + d * direction for d in ref["distances"]]
-    return _e_error_rows(mesh, wave, current, q_a, points, ref["errors"])
-
-
-def _reproduce_e_ellipsoid(config: RunConfig):
-    wave = config.wave()
-    axes = np.array([1e-8, 1e-9, 1e-9])
-    mesh = mesh_ellipsoid(*axes, 14)
-    current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
-    q_a = moment_q_asymptotic(mesh, wave, gamma_numeric(mesh, frame="local"))
-    ref = REFERENCE_TABLES["e-ellipsoid"]
-    points = [mesh.center + s * axes for s in ref["axis_multiples"]]
-    return _e_error_rows(mesh, wave, current, q_a, points, ref["errors"])
-
-
-def _reproduce_e_cube(config: RunConfig):
-    wave = config.wave()
-    mesh = mesh_cube(1e-7, 10)
-    current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
-    q_a = moment_q_asymptotic(mesh, wave, gamma_sphere_analytic())
-    ref = REFERENCE_TABLES["e-cube"]
-    direction = np.ones(3) / np.sqrt(3.0)
-    points = [mesh.center + d * direction for d in ref["distances"]]
-    return _e_error_rows(mesh, wave, current, q_a, points, ref["errors"])
+    q_a = moment_q_asymptotic(mesh, wave, gamma)
+    gaps = check_e_asymptotic(mesh, wave, current, q_a, mesh.center, mesh.center + offsets)
+    return ["distance", "published_error", "computed_error", "rel_deviation"], [
+        [_fmt(dist), _fmt(pub), _fmt(gap), _fmt(abs(gap - pub) / pub)]
+        for (dist, gap), pub in zip(gaps, ref["errors"])
+    ]
 
 
 def _reproduce_sweep_1386(config: RunConfig):
     wave = config.wave()
     ref = REFERENCE_TABLES["sweep-1386"]
-    direction = np.ones(3) / np.sqrt(3.0)
     header = [
         "radius", "published_e_error", "computed_e_error", "e_rel_deviation",
         "published_q_error", "computed_q_error", "q_rel_deviation",
@@ -354,7 +322,7 @@ def _reproduce_sweep_1386(config: RunConfig):
     for radius, pub_e, pub_q in zip(ref["radii"], ref["e_errors"], ref["q_errors"]):
         mesh = mesh_sphere(radius, 16)
         q_a = moment_q_asymptotic(mesh, wave, gamma)
-        x = mesh.center + ref["distance"] * direction
+        x = mesh.center + ref["distance"] * DIAGONAL_DIRECTION
         cur_e = solve_current(mesh, wave, tol=config.tol, scale=2.0)
         (_, e_gap), = check_e_asymptotic(mesh, wave, cur_e, q_a, mesh.center, [x])
         cur_q = solve_current(mesh, wave, tol=config.tol, scale=1.0)
@@ -391,9 +359,9 @@ def _reproduce_many(config: RunConfig, count: int):
 def cmd_reproduce(config: RunConfig, table_id: str) -> int:
     builders = {
         "q-sphere": _reproduce_q_sphere,
-        "e-sphere": _reproduce_e_sphere,
-        "e-ellipsoid": _reproduce_e_ellipsoid,
-        "e-cube": _reproduce_e_cube,
+        "e-sphere": lambda cfg: _reproduce_e(cfg, "e-sphere"),
+        "e-ellipsoid": lambda cfg: _reproduce_e(cfg, "e-ellipsoid"),
+        "e-cube": lambda cfg: _reproduce_e(cfg, "e-cube"),
         "sweep-1386": _reproduce_sweep_1386,
         "many-27": lambda cfg: _reproduce_many(cfg, 27),
         "many-1000": lambda cfg: _reproduce_many(cfg, 1000),

@@ -103,13 +103,13 @@ class RunConfig:
             return ShapeSpec("cube", self.radius, resolution=self.n_per_face)
         raise ConfigError(f"unknown shape {self.shape!r}")
 
-    def eval_points(self, center) -> list:
+    def eval_points(self, center) -> np.ndarray:
+        """(n, 3) points at the configured distances from center, n = 0 allowed."""
         d = np.asarray(self.eval_direction, dtype=float)
         norm = np.linalg.norm(d)
         if norm == 0:
             raise ConfigError("eval_direction must be nonzero")
-        d = d / norm
-        return [np.asarray(center) + float(dist) * d for dist in self.distances]
+        return np.asarray(center) + np.outer(self.distances, d / norm)
 
     def to_dict(self) -> dict:
         out = asdict(self)

@@ -108,14 +108,12 @@ def check_e_asymptotic(
 
     Returns (distance from center, |E_e - E_a| / |E_e|) per evaluation point.
     """
-    center = np.asarray(center, dtype=float)
-    out = []
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        e_exact = field_e_exact(mesh, wave, current, x)
-        e_asym = field_e_asymptotic(wave, q_asym, center, x)
-        gap = float(np.linalg.norm(e_exact - e_asym)) / float(np.linalg.norm(e_exact))
-        out.append((float(np.linalg.norm(x - center)), gap))
-    return out
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    e_exact = field_e_exact(mesh, wave, current, points)
+    e_asym = field_e_asymptotic(wave, q_asym, center, points)
+    gaps = np.linalg.norm(e_exact - e_asym, axis=1) / np.linalg.norm(e_exact, axis=1)
+    dists = np.linalg.norm(points - np.asarray(center, dtype=float), axis=1)
+    return list(zip(dists.tolist(), gaps.tolist()))
 
 
 def validate_solution(
@@ -130,15 +128,12 @@ def validate_solution(
     q_e = moment_q_exact(current, mesh)
     q_a = moment_q_asymptotic(mesh, wave, gamma)
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    points = [mesh.center + float(d) * direction for d in distances]
+    points = mesh.center + np.outer(distances, direction / np.linalg.norm(direction))
     return ValidationReport(
         tangentiality_max=check_tangentiality(current, mesh),
         q_residual_rel=check_q_residual(q_e, gamma, mesh, wave),
         q_asym_rel=check_q_asymptotic(q_e, q_a),
-        e_asym_rel=check_e_asymptotic(mesh, wave, current, q_a, mesh.center, points)
-        if points
-        else [],
+        e_asym_rel=check_e_asymptotic(mesh, wave, current, q_a, mesh.center, points),
     )
 
 

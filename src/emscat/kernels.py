@@ -129,22 +129,15 @@ def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:
     return c
 
 
-def kernel_gradients(k: float, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorized gradient of g with respect to x over diff = x - t.
-
-    diff has shape (..., 3), r shape (...); returns complex (..., 3).
-    Callers are responsible for excluding coincident pairs.
-    """
-    return gradient_coefficient(k, r)[..., None] * diff
-
-
 def kernel_hessian_parts(
-    k: float, diff: np.ndarray, r: np.ndarray
+    k: float, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized value and Hessian of g, the latter in split form.
 
-    Returns (g, c_iso, c_dir) with hess_pq = c_iso delta_pq + c_dir diff_p diff_q,
-    so large batches never materialize (..., 3, 3) arrays.
+    Returns (g, c_iso, c_dir) with hess_pq = c_iso delta_pq + c_dir diff_p diff_q
+    and grad g = c_iso diff, so large batches never materialize (..., 3, 3)
+    arrays.  c_iso is formed from g, not with gradient_coefficient: that
+    would cost a second complex exp per pair.
     """
     g = np.exp(1j * k * r) / (FOUR_PI * r)
     c_iso = g * (1j * k - 1.0 / r) / r
@@ -152,11 +145,28 @@ def kernel_hessian_parts(
     return g, c_iso, c_dir
 
 
-def curl_dipole_term(k: float, x, t, q) -> np.ndarray:
-    """Curl of the point-moment field grad g x q, i.e. k^2 g q + (q . grad) grad g.
+def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray]:
+    """Scattered E and curl E of point moments m_j at sources s_j.
 
-    Used by the magnetic-field formulas; q is a complex 3-vector.
+    E(x) = sum_j grad g(x, s_j) x m_j and its curl sum_j (k^2 g + H) m_j,
+    with H the kernel Hessian.  sources is real (m, 3), moments complex
+    (m, 3); x is (3,) or (n, 3), n = 0 included, and both results have the
+    leading shape of x.  Raises CoincidentPointsError when x lies on a
+    source (closer than R_MIN_SCALE * max(1, max |x|)).
     """
-    ker = green(k, x, t)
-    q = np.asarray(q, dtype=complex)
-    return k * k * ker.value * q + ker.hessian @ q
+    x = np.asarray(x, dtype=float)
+    moments = np.asarray(moments, dtype=complex)
+    diff = x[..., None, :] - sources
+    r = np.linalg.norm(diff, axis=-1)
+    if r.size and float(r.min()) < R_MIN_SCALE * max(1.0, float(np.abs(x).max())):
+        index = np.unravel_index(np.argmin(r), r.shape)[-1]
+        raise CoincidentPointsError(f"field evaluation point lies on source {index}")
+    g, c_iso, c_dir = kernel_hessian_parts(k, r)
+    # Sums over the sources as matrix products: a[..., p, q] =
+    # sum_j grad_p g(x, s_j) m_jq, whose antisymmetric part is E.
+    a = np.swapaxes(c_iso[..., None] * diff, -1, -2) @ moments
+    e = np.stack([a[..., 1, 2] - a[..., 2, 1], a[..., 2, 0] - a[..., 0, 2],
+                  a[..., 0, 1] - a[..., 1, 0]], axis=-1)
+    d_dot_m = np.einsum("...mp,mp->...m", diff, moments)
+    curl = (k * k * g + c_iso) @ moments + ((c_dir * d_dot_m)[..., None, :] @ diff)[..., 0, :]
+    return e, curl

@@ -20,6 +20,7 @@ __all__ = [
     "SolveReport",
     "solve_direct",
     "solve_gmres",
+    "check_method",
     "solve_operator",
 ]
 
@@ -179,6 +180,16 @@ def solve_gmres(
     )
 
 
+def check_method(method: str) -> None:
+    """Raise ValueError unless method is "gmres" or "direct".
+
+    The solvers call it before they assemble their operator, so a typo
+    fails before any O(N^2) work.
+    """
+    if method not in ("gmres", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def solve_operator(
     operator,
     rhs: np.ndarray,
@@ -194,17 +205,16 @@ def solve_operator(
     ("<what> solve stalled ...") when GMRES stalls; "direct" factorizes
     to_dense() with the LU oracle and reports the true relative residual.
     """
+    check_method(method)
     if method == "direct":
         x = solve_direct(operator.to_dense(), rhs)
         residual = float(
             np.linalg.norm(operator.matvec(x) - rhs) / max(np.linalg.norm(rhs), 1e-300)
         )
         return x, SolveReport(iterations=1, final_residual=residual, converged=True)
-    if method == "gmres":
-        x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart, max_iter=max_iter)
-        if not report.converged:
-            raise ConvergenceError(
-                f"{what} solve stalled at residual {report.final_residual:.3e}", report
-            )
-        return x, report
-    raise ValueError(f"unknown method {method!r}")
+    x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart, max_iter=max_iter)
+    if not report.converged:
+        raise ConvergenceError(
+            f"{what} solve stalled at residual {report.final_residual:.3e}", report
+        )
+    return x, report

@@ -35,13 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
-    R_MIN_SCALE,
+    CoincidentPointsError,
     gradient_coefficient,
-    kernel_gradients,
     kernel_hessian_parts,
+    moment_fields,
     pair_distances,
 )
-from .linalg import SolveReport, solve_operator
+from .linalg import SolveReport, check_method, solve_operator
 from .one_body import GammaMatrix
 from .waves import IncidentWave
 
@@ -261,7 +261,7 @@ def _pair_coefficients(layout: ManyBodyLayout, wavenumber: float):
     diff = centers[:, None, :] - centers[None, :, :]
     r = pair_distances(centers, centers.mean(axis=0))
     k = wavenumber
-    g, c_iso, c_dir = kernel_hessian_parts(k, diff, r)
+    g, c_iso, c_dir = kernel_hessian_parts(k, r)
     # Coupling block (m, j) = [k^2 g I + H] |D_j|; split into the isotropic
     # scalar and the rank-one diff (x) diff part.
     c0 = (k * k * g + c_iso) * layout.volumes[None, :]
@@ -296,7 +296,7 @@ def _grid_kernel_parts(grid: LatticeGrid, wavenumber: float):
     r = np.linalg.norm(diff, axis=-1)
     self_term = r == 0.0
     r[self_term] = 1.0
-    parts = kernel_hessian_parts(wavenumber, diff, r)
+    parts = kernel_hessian_parts(wavenumber, r)
     for part in parts:
         part[self_term] = 0.0
     return (diff, *parts)
@@ -421,13 +421,6 @@ class EffectiveFieldSolution:
             rows.append(row)
         return header, rows
 
-    def to_csv(self, path) -> None:
-        header, rows = self.csv_table()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-
 
 def assemble_many_body(
     layout: ManyBodyLayout, wave: IncidentWave, gamma: GammaMatrix
@@ -452,6 +445,7 @@ def solve_effective_field(
     method "gmres" (default) or "direct" (LU on to_dense()), as in
     linalg.solve_operator; raises ConvergenceError if GMRES stalls.
     """
+    check_method(method)
     operator, rhs = assemble_many_body(layout, wave, gamma)
     x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
                                max_iter=max_iter, what="effective-field")
@@ -466,23 +460,24 @@ def solve_effective_field(
     )
 
 
-def _separations(centers: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x - x_m for every center and its length; refuses x at a center."""
-    diff = x[None, :] - centers
-    r = np.linalg.norm(diff, axis=-1)
-    if float(r.min()) < R_MIN_SCALE * max(1.0, float(np.abs(x).max())):
-        raise ValueError("field evaluation at a particle center")
-    return diff, r
+def _moment_fields(
+    layout: ManyBodyLayout, wave: IncidentWave, solution: EffectiveFieldSolution, x
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scattered E and curl E of all the moments at x; refuses x at a center."""
+    try:
+        return moment_fields(wave.wavenumber, layout.centers, solution.q_values, x)
+    except CoincidentPointsError:
+        raise ValueError("field evaluation at a particle center") from None
 
 
 def field_e_many(
     layout: ManyBodyLayout, wave: IncidentWave, solution: EffectiveFieldSolution, x
 ) -> np.ndarray:
-    """Asymptotic total field E(x) = E0(x) + sum_m grad g(x, x_m) x Q_m."""
-    x = np.asarray(x, dtype=float)
-    diff, r = _separations(layout.centers, x)
-    grad = kernel_gradients(wave.wavenumber, diff, r)
-    return wave.field(x) + np.sum(np.cross(grad, solution.q_values), axis=0)
+    """Asymptotic total field E(x) = E0(x) + sum_m grad g(x, x_m) x Q_m.
+
+    x is (3,) or (n, 3); the result has the same shape.
+    """
+    return wave.field(x) + _moment_fields(layout, wave, solution, x)[0]
 
 
 def effective_field_at_centers(
@@ -516,20 +511,11 @@ def field_h_many(
 ) -> np.ndarray:
     """Magnetic field of the many-body solution, H = curl E / (i omega mu).
 
-    Each moment contributes curl(grad g x Q) = k^2 g Q + H Q with the
-    Hessian H Q = c_iso Q + c_dir d (d . Q), d = x - x_m.
+    Each moment contributes curl(grad g x Q) = k^2 g Q + H Q, H the kernel
+    Hessian; x is (3,) or (n, 3).
     """
-    x = np.asarray(x, dtype=float)
-    k = wave.wavenumber
-    diff, r = _separations(layout.centers, x)
-    g, c_iso, c_dir = kernel_hessian_parts(k, diff, r)
-    q = solution.q_values
-    d_dot_q = np.einsum("mp,mp->m", diff, q)
-    curl_scattered = ((k * k * g + c_iso)[:, None] * q
-                      + (c_dir * d_dot_q)[:, None] * diff).sum(axis=0)
-    return (wave.curl(x) + curl_scattered) / (
-        1j * wave.frequency * wave.permeability
-    )
+    curl_scattered = _moment_fields(layout, wave, solution, x)[1]
+    return (wave.curl(x) + curl_scattered) / (1j * wave.frequency * wave.permeability)
 
 
 def error_estimate_many(

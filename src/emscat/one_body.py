@@ -34,14 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import (
-    curl_dipole_term,
-    gradient_coefficient,
-    green,
-    kernel_gradients,
-    pair_distances,
-)
-from .linalg import SolveReport, solve_operator
+from .kernels import gradient_coefficient, moment_fields, pair_distances
+from .linalg import SolveReport, check_method, solve_operator
 from .waves import IncidentWave
 
 __all__ = [
@@ -201,6 +195,7 @@ def solve_current(
     method "gmres" (default) never materializes the matrix; "direct" uses
     the LU oracle.  Raises ConvergenceError if GMRES stalls.
     """
+    check_method(method)
     operator, rhs = assemble_one_body(mesh, wave, scale=scale)
     x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
                                max_iter=max_iter, what="boundary")
@@ -278,32 +273,23 @@ def moment_q_asymptotic(
     return -mesh.volume * (gamma.tau @ wave.curl(mesh.center))
 
 
-def _require_outside(mesh: CollocationMesh, x: np.ndarray) -> None:
-    dist = float(np.linalg.norm(x - mesh.center))
-    if dist <= mesh.radius:
-        raise ValueError(
-            f"evaluation point at distance {dist:.3e} lies inside the body "
-            f"(radius {mesh.radius:.3e})"
-        )
-
-
 def field_e_exact(
     mesh: CollocationMesh, wave: IncidentWave, current: SurfaceCurrent, x
 ) -> np.ndarray:
     """Total electric field from the solved density.
 
-    E(x) = E0(x) + sum_j grad g(x, t_j) x J(j) w_j; valid for x strictly
-    outside the body.
+    E(x) = E0(x) + sum_j grad g(x, t_j) x J(j) w_j; x is (3,) or (n, 3), every
+    point strictly outside the body, and the result has the shape of x.
     """
     x = np.asarray(x, dtype=float)
-    _require_outside(mesh, x)
-    diff = x[None, :] - mesh.points
-    r = np.linalg.norm(diff, axis=-1)
-    grad = kernel_gradients(wave.wavenumber, diff, r)
-    scattered = np.sum(
-        np.cross(grad, current.values) * mesh.weights[:, None], axis=0
-    )
-    return wave.field(x) + scattered
+    dist = np.linalg.norm(x - mesh.center, axis=-1)
+    if np.any(dist <= mesh.radius):
+        raise ValueError(
+            f"evaluation point at distance {dist.min():.3e} lies inside the body "
+            f"(radius {mesh.radius:.3e})"
+        )
+    moments = current.values * mesh.weights[:, None]
+    return wave.field(x) + moment_fields(wave.wavenumber, mesh.points, moments, x)[0]
 
 
 def field_e_asymptotic(
@@ -311,24 +297,25 @@ def field_e_asymptotic(
 ) -> np.ndarray:
     """Point-moment approximation E(x) = E0(x) + grad g(x, center) x Q.
 
-    Valid far from the body; when the body radius is supplied, points closer
-    than a few radii trigger a warning.
+    Valid far from the body; x is (3,) or (n, 3).  When the body radius is
+    supplied, points closer than a few radii trigger a warning.
     """
     x = np.asarray(x, dtype=float)
     center = np.asarray(center, dtype=float)
-    if radius is not None and np.linalg.norm(x - center) < 3.0 * radius:
+    if radius is not None and np.any(np.linalg.norm(x - center, axis=-1) < 3.0 * radius):
         warnings.warn(
             "evaluation point is close to the body; the point-moment "
             "approximation degrades there",
             stacklevel=2,
         )
-    ker = green(wave.wavenumber, x, center)
-    return wave.field(x) + np.cross(ker.gradient, np.asarray(q, dtype=complex))
+    return wave.field(x) + moment_fields(wave.wavenumber, center[None], [q], x)[0]
 
 
 def field_h(wave: IncidentWave, q, center, x) -> np.ndarray:
-    """Magnetic field of the point-moment solution, H = curl E / (i omega mu)."""
-    x = np.asarray(x, dtype=float)
+    """Magnetic field of the point-moment solution, H = curl E / (i omega mu).
+
+    x is (3,) or (n, 3).
+    """
     center = np.asarray(center, dtype=float)
-    curl_scattered = curl_dipole_term(wave.wavenumber, x, center, q)
+    curl_scattered = moment_fields(wave.wavenumber, center[None], [q], x)[1]
     return (wave.curl(x) + curl_scattered) / (1j * wave.frequency * wave.permeability)

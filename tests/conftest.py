@@ -15,6 +15,18 @@ from emscat import (
 )
 from emscat.waves import default_wave
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Deterministic examples and no on-disk database: reruns see the same
+    # cases and the suite stays about as fast as without the property tests.
+    settings.register_profile(
+        "emscat", derandomize=True, deadline=None, max_examples=50, database=None
+    )
+    settings.load_profile("emscat")
+
 
 @pytest.fixture(scope="session")
 def wave():

@@ -100,6 +100,37 @@ def test_one_body_csv_has_config_echo(one_body_run):
     assert echoed["m_phi"] == 8
 
 
+def read_e_table(path):
+    """Data rows of E_table.csv, after the config echo and the header."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config:")
+    assert lines[1].split(",")[-1] == "rel_error"
+    return [line.split(",") for line in lines[2:]]
+
+
+def test_e_table_rel_error_is_validation_gap(tmp_path):
+    code = run_cli(
+        ["one-body", "--m-phi", "6", "--output-dir", str(tmp_path),
+         "--distances", "1.73e-8", "1.73e-7", "1.73e-6"]
+    )
+    assert code == 0
+    rows = read_e_table(tmp_path / "E_table.csv")
+    gaps = json.loads((tmp_path / "validation.json").read_text())["e_asym_rel"]
+    assert len(rows) == len(gaps) == 3
+    for row, (dist, gap) in zip(rows, gaps):
+        assert float(row[0]) == pytest.approx(dist, rel=1e-15)
+        assert float(row[-1]) == pytest.approx(gap, rel=1e-15)
+
+
+def test_no_distances_writes_header_only_e_table(tmp_path):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"distances": [], "m_phi": 6}))
+    code = run_cli(["one-body", "--config", str(config_path), "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert read_e_table(tmp_path / "E_table.csv") == []
+    assert json.loads((tmp_path / "validation.json").read_text())["e_asym_rel"] == []
+
+
 def test_cube_reports_600_points(tmp_path, capsys):
     code = run_cli(
         ["one-body", "--shape", "cube", "--radius", "1e-7",

@@ -5,8 +5,8 @@ import pytest
 
 from emscat.kernels import (
     CoincidentPointsError,
-    curl_dipole_term,
     green,
+    moment_fields,
     pair_distances,
 )
 
@@ -102,14 +102,18 @@ def test_coincident_points_raise():
         green(K, (1e8, 0.0, 0.0), (1e8 + 1e-9, 0.0, 0.0))
 
 
-def test_curl_dipole_term_matches_hessian_route():
+def test_moment_fields_matches_green_pair_sum():
     rng = np.random.default_rng(3)
-    t = np.zeros(3)
-    x = rng.normal(size=3) / K
-    q = rng.normal(size=3) + 1j * rng.normal(size=3)
-    ker = green(K, x, t)
-    expected = K * K * ker.value * q + ker.hessian @ q
-    np.testing.assert_allclose(curl_dipole_term(K, x, t, q), expected, rtol=1e-14)
+    sources = rng.normal(size=(5, 3)) / K
+    moments = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    x = rng.normal(size=(4, 3)) / K + 4.0 / K
+    e, curl = moment_fields(K, sources, moments, x)
+    for i, xi in enumerate(x):
+        kers = [green(K, xi, t) for t in sources]
+        e_i = sum(np.cross(ker.gradient, m) for ker, m in zip(kers, moments))
+        curl_i = sum(K * K * ker.value * m + ker.hessian @ m for ker, m in zip(kers, moments))
+        np.testing.assert_allclose(e[i], e_i, rtol=1e-13)
+        np.testing.assert_allclose(curl[i], curl_i, rtol=1e-13)
 
 
 def test_pair_distances_match_pairwise_norms():

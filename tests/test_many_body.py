@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from emscat.kernels import curl_dipole_term, green
+from emscat.kernels import green
 from emscat.linalg import SolveReport
 from emscat.many_body import (
     EffectiveFieldSolution,
@@ -158,13 +158,11 @@ def test_layout_csv_volume_column_optional(tmp_path):
     np.testing.assert_allclose(layout.volumes, 4.0 / 3.0 * np.pi * 1e-27, rtol=1e-12)
 
 
-def test_solution_csv_export(tmp_path, many27):
+def test_solution_csv_export(many27):
     _, solution = many27
-    path = tmp_path / "solution.csv"
-    solution.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 28
-    first = lines[1].split(",")
+    header, rows = solution.csv_table()
+    assert len(header) == 13 and len(rows) == 27
+    first = rows[0]
     assert complex(float(first[1]), float(first[2])) == pytest.approx(
         solution.a_values[0, 0]
     )
@@ -267,7 +265,11 @@ def test_coincident_centers_rejected(wave):
 
 # --- solving -----------------------------------------------------------------
 
-def test_unknown_method_rejected(wave):
+def test_unknown_method_rejected(wave, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operator assembled before the method was checked")
+
+    monkeypatch.setattr("emscat.many_body.ManyBodyOperator", no_assembly)
     with pytest.raises(ValueError, match="unknown method 'lu'"):
         solve_effective_field(lattice_layout(8, 1e-7, 1e-9), wave, gamma_sphere_analytic(),
                               method="lu")
@@ -393,6 +395,9 @@ def test_field_e_many_rejects_center(many27):
     layout, solution = many27
     with pytest.raises(ValueError, match="center"):
         field_e_many(layout, default_wave(), solution, layout.centers[4])
+    batch = np.vstack([[5e-7, 5e-7, 5e-7], layout.centers[4]])
+    with pytest.raises(ValueError, match="field evaluation at a particle center"):
+        field_e_many(layout, default_wave(), solution, batch)
 
 
 # --- error estimate ----------------------------------------------------------
@@ -464,9 +469,10 @@ def test_field_h_many_matches_per_center_sum(many27):
     layout, solution = many27
     wave = default_wave()
     x = layout.centers[-1] + np.array([SPACING, 0.3 * SPACING, 0.0])
+    k = wave.wavenumber
+    kers = [green(k, x, center) for center in layout.centers]
     curl_scattered = sum(
-        curl_dipole_term(wave.wavenumber, x, center, q)
-        for center, q in zip(layout.centers, solution.q_values)
+        k * k * ker.value * q + ker.hessian @ q for ker, q in zip(kers, solution.q_values)
     )
     expected = (wave.curl(x) + curl_scattered) / (1j * wave.frequency * wave.permeability)
     np.testing.assert_allclose(field_h_many(layout, wave, solution, x), expected, rtol=1e-12)
@@ -476,6 +482,9 @@ def test_field_h_many_rejects_center(many27):
     layout, solution = many27
     with pytest.raises(ValueError, match="center"):
         field_h_many(layout, default_wave(), solution, layout.centers[4])
+    batch = np.vstack([[5e-7, 5e-7, 5e-7], layout.centers[4]])
+    with pytest.raises(ValueError, match="field evaluation at a particle center"):
+        field_h_many(layout, default_wave(), solution, batch)
 
 
 def test_field_h_many_matches_fd_curl(many27):

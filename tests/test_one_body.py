@@ -215,7 +215,11 @@ def test_direct_and_gmres_solutions_agree():
     )
 
 
-def test_unknown_method_rejected():
+def test_unknown_method_rejected(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operator assembled before the method was checked")
+
+    monkeypatch.setattr("emscat.one_body.OneBodyOperator", no_assembly)
     with pytest.raises(ValueError, match="unknown method 'lu'"):
         solve_current(mesh_sphere(1e-9, 4), default_wave(), method="lu")
 
@@ -342,8 +346,12 @@ def test_field_e_exact_reduces_to_incident(sphere766):
 
 
 def test_field_e_exact_rejects_interior_point(sphere766, sphere766_current):
+    inside = np.array([0.0, 0.0, 5e-10])
     with pytest.raises(ValueError, match="inside"):
-        field_e_exact(sphere766, default_wave(), sphere766_current, np.array([0.0, 0.0, 5e-10]))
+        field_e_exact(sphere766, default_wave(), sphere766_current, inside)
+    batch = np.array([[1e-6, 1e-6, 1e-6], inside, [2e-6, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="inside"):
+        field_e_exact(sphere766, default_wave(), sphere766_current, batch)
 
 
 def test_field_e_exact_reference_value(sphere766, sphere766_current, diagonal):
