@@ -13,8 +13,6 @@ from .diagnostics import (
     check_q_asymptotic,
     check_q_residual,
     check_tangentiality,
-    convergence_sweep,
-    sweep_to_csv,
     validate_solution,
 )
 from .geometry import (

@@ -12,8 +12,10 @@ gamma        print the shape coupling matrix of the configured body
 mesh-export  write the collocation mesh as CSV
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence.
-All artifacts embed the fully resolved configuration for provenance; complex
-numbers are serialized as re/im column pairs with 16 significant digits.
+All artifacts embed the fully resolved configuration for provenance: JSON
+under a "config" key, CSV as a first "# config: {...}" line.  Complex numbers
+are serialized as re/im column pairs with 16 significant digits.  This module
+is the only writer of these tables.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .many_body import (
     solve_effective_field,
 )
 from .one_body import (
-    field_e_asymptotic,
-    field_e_exact,
     gamma_numeric,
     gamma_sphere_analytic,
     moment_q_asymptotic,
@@ -165,18 +165,15 @@ def cmd_one_body(config: RunConfig) -> int:
         config,
     )
 
-    points = config.eval_points(mesh.center)
     report = validate_solution(
         mesh, wave, current, gamma,
         distances=config.distances, direction=config.eval_direction,
     )
-    e_exact = field_e_exact(mesh, wave, current, points)
-    e_asym = field_e_asymptotic(wave, q_a, mesh.center, points)
     e_rows = [
         [_fmt(dist)]
         + sum((_complex_values(z) for z in (*e_e, *e_a)), [])
         + [_fmt(gap)]
-        for (dist, gap), e_e, e_a in zip(report.e_asym_rel, e_exact, e_asym)
+        for (dist, gap), e_e, e_a in zip(report.e_asym_rel, report.e_exact, report.e_asym)
     ]
     e_header = (
         ["distance"]
@@ -220,7 +217,15 @@ def cmd_many_body(config: RunConfig) -> int:
         ],
         config,
     )
-    _write_csv(outdir / "solution.csv", *solution.csv_table(), config)
+    _write_csv(
+        outdir / "solution.csv",
+        ["index"] + sum((_complex_columns(f"{v}{c}") for v in "AQ" for c in "xyz"), []),
+        [
+            [str(i)] + sum((_complex_values(z) for z in (*a, *q)), [])
+            for i, (a, q) in enumerate(zip(solution.a_values, solution.q_values))
+        ],
+        config,
+    )
 
     probe = layout.centers[-1] + np.array([config.spacing, 0.0, 0.0])
     _write_json(
@@ -260,8 +265,17 @@ def cmd_gamma(config: RunConfig) -> int:
 
 
 def cmd_mesh_export(config: RunConfig, output: str) -> int:
+    """Write the collocation mesh as CSV, one row per point: x,y,z,Nx,Ny,Nz,w."""
     mesh = config.shape_spec().build()
-    mesh.to_csv(output)
+    _write_csv(
+        Path(output),
+        ["x", "y", "z", "Nx", "Ny", "Nz", "w"],
+        [
+            [_fmt(v) for v in (*pt, *nrm, w)]
+            for pt, nrm, w in zip(mesh.points, mesh.normals, mesh.weights)
+        ],
+        config,
+    )
     print(f"{mesh.n_points} points -> {output}", file=sys.stderr)
     return 0
 
@@ -303,7 +317,9 @@ def _reproduce_e(config: RunConfig, table_id: str):
         offsets = np.outer(ref["distances"], DIAGONAL_DIRECTION)
     current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
     q_a = moment_q_asymptotic(mesh, wave, gamma)
-    gaps = check_e_asymptotic(mesh, wave, current, q_a, mesh.center, mesh.center + offsets)
+    gaps, _, _ = check_e_asymptotic(
+        mesh, wave, current, q_a, mesh.center, mesh.center + offsets
+    )
     return ["distance", "published_error", "computed_error", "rel_deviation"], [
         [_fmt(dist), _fmt(pub), _fmt(gap), _fmt(abs(gap - pub) / pub)]
         for (dist, gap), pub in zip(gaps, ref["errors"])
@@ -324,7 +340,7 @@ def _reproduce_sweep_1386(config: RunConfig):
         q_a = moment_q_asymptotic(mesh, wave, gamma)
         x = mesh.center + ref["distance"] * DIAGONAL_DIRECTION
         cur_e = solve_current(mesh, wave, tol=config.tol, scale=2.0)
-        (_, e_gap), = check_e_asymptotic(mesh, wave, cur_e, q_a, mesh.center, [x])
+        ((_, e_gap),), _, _ = check_e_asymptotic(mesh, wave, cur_e, q_a, mesh.center, [x])
         cur_q = solve_current(mesh, wave, tol=config.tol, scale=1.0)
         q_gap = check_q_asymptotic(moment_q_exact(cur_q, mesh), q_a)
         rows.append(

@@ -60,6 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if self.wavenumber is None:
             self.wavenumber = 2.0 * np.pi / self.wavelength
+        if not np.any(self.eval_direction):
+            raise ConfigError("eval_direction must be nonzero")
         self._check_consistency()
 
     def _check_consistency(self):
@@ -102,14 +104,6 @@ class RunConfig:
         if self.shape == "cube":
             return ShapeSpec("cube", self.radius, resolution=self.n_per_face)
         raise ConfigError(f"unknown shape {self.shape!r}")
-
-    def eval_points(self, center) -> np.ndarray:
-        """(n, 3) points at the configured distances from center, n = 0 allowed."""
-        d = np.asarray(self.eval_direction, dtype=float)
-        norm = np.linalg.norm(d)
-        if norm == 0:
-            raise ConfigError("eval_direction must be nonzero")
-        return np.asarray(center) + np.outer(self.distances, d / norm)
 
     def to_dict(self) -> dict:
         out = asdict(self)

@@ -1,4 +1,4 @@
-"""Validation quantities for solved one-body problems, plus sweep drivers.
+"""Validation quantities for solved one-body problems.
 
 Three checks qualify a boundary solve:
 
@@ -6,19 +6,15 @@ Three checks qualify a boundary solve:
 * the moment residual |(I + gamma) Q - R| / |R| with R = -|D| (curl E0)(center);
 * the relative gap between the quadrature moment and the closed-form
   asymptotic moment, and between the exact and asymptotic far fields.
-
-convergence_sweep reruns the full pipeline across mesh resolutions or body
-sizes and tabulates everything per case.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CollocationMesh, ShapeSpec
+from .geometry import CollocationMesh
 from .one_body import (
     GammaMatrix,
     SurfaceCurrent,
@@ -28,7 +24,6 @@ from .one_body import (
     gamma_sphere_analytic,
     moment_q_asymptotic,
     moment_q_exact,
-    solve_current,
 )
 from .waves import IncidentWave
 
@@ -40,8 +35,6 @@ __all__ = [
     "check_e_asymptotic",
     "validate_solution",
     "gamma_for",
-    "convergence_sweep",
-    "sweep_to_csv",
 ]
 
 DIAGONAL_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -49,12 +42,18 @@ DIAGONAL_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
 @dataclass
 class ValidationReport:
-    """The validation quantities of one solved case."""
+    """The validation quantities of one solved case.
+
+    e_exact and e_asym are the (n, 3) exact and point-moment fields at the
+    evaluation points that e_asym_rel compares; to_dict leaves them out.
+    """
 
     tangentiality_max: float
     q_residual_rel: float
     q_asym_rel: float
-    e_asym_rel: list[tuple[float, float]] = field(default_factory=list)
+    e_asym_rel: list[tuple[float, float]]
+    e_exact: np.ndarray
+    e_asym: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -103,17 +102,18 @@ def check_e_asymptotic(
     q_asym: np.ndarray,
     center,
     points,
-) -> list[tuple[float, float]]:
+) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray]:
     """Per-point relative gap between exact and point-moment fields.
 
-    Returns (distance from center, |E_e - E_a| / |E_e|) per evaluation point.
+    Returns the (distance from center, |E_e - E_a| / |E_e|) pair of each
+    evaluation point, then the (n, 3) fields E_e and E_a it compared.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     e_exact = field_e_exact(mesh, wave, current, points)
     e_asym = field_e_asymptotic(wave, q_asym, center, points)
     gaps = np.linalg.norm(e_exact - e_asym, axis=1) / np.linalg.norm(e_exact, axis=1)
     dists = np.linalg.norm(points - np.asarray(center, dtype=float), axis=1)
-    return list(zip(dists.tolist(), gaps.tolist()))
+    return list(zip(dists.tolist(), gaps.tolist())), e_exact, e_asym
 
 
 def validate_solution(
@@ -129,11 +129,16 @@ def validate_solution(
     q_a = moment_q_asymptotic(mesh, wave, gamma)
     direction = np.asarray(direction, dtype=float)
     points = mesh.center + np.outer(distances, direction / np.linalg.norm(direction))
+    e_asym_rel, e_exact, e_asym = check_e_asymptotic(
+        mesh, wave, current, q_a, mesh.center, points
+    )
     return ValidationReport(
         tangentiality_max=check_tangentiality(current, mesh),
         q_residual_rel=check_q_residual(q_e, gamma, mesh, wave),
         q_asym_rel=check_q_asymptotic(q_e, q_a),
-        e_asym_rel=check_e_asymptotic(mesh, wave, current, q_a, mesh.center, points),
+        e_asym_rel=e_asym_rel,
+        e_exact=e_exact,
+        e_asym=e_asym,
     )
 
 
@@ -146,76 +151,3 @@ def gamma_for(mode: str, mesh: CollocationMesh) -> GammaMatrix:
     if mode == "numeric-lab":
         return gamma_numeric(mesh, frame="lab")
     raise ValueError(f"unknown gamma_mode {mode!r}")
-
-
-def convergence_sweep(
-    shape: ShapeSpec,
-    wave: IncidentWave,
-    resolutions=None,
-    scale_factors=None,
-    distances=(),
-    direction=DIAGONAL_DIRECTION,
-    solver_tol: float = 1e-10,
-) -> list[dict]:
-    """Tabulate the validation quantities across one sweep axis.
-
-    Exactly one of resolutions (mesh refinement) or scale_factors (body size
-    at fixed mesh) must be given.  Each row carries the case description and
-    the full ValidationReport contents.
-    """
-    if (resolutions is None) == (scale_factors is None):
-        raise ValueError("give exactly one of resolutions or scale_factors")
-
-    cases = []
-    if resolutions is not None:
-        for res in resolutions:
-            cases.append(ShapeSpec(shape.kind, shape.a, shape.b, shape.c, int(res)))
-    else:
-        cases = [shape.scaled(float(s)) for s in scale_factors]
-
-    rows = []
-    for case in cases:
-        mesh = case.build()
-        current = solve_current(mesh, wave, tol=solver_tol)
-        gamma = gamma_for("sphere" if case.kind == "sphere" else "numeric-local", mesh)
-        report = validate_solution(mesh, wave, current, gamma, distances, direction)
-        rows.append(
-            {
-                "kind": case.kind,
-                "a": case.a,
-                "b": case.b,
-                "c": case.c,
-                "resolution": case.resolution,
-                "n_points": mesh.n_points,
-                **report.to_dict(),
-            }
-        )
-    return rows
-
-
-def sweep_to_csv(rows: list, path) -> None:
-    """Write sweep rows as CSV, one case per row.
-
-    Per-distance field errors become err@<distance> columns (union over rows).
-    """
-    distances = sorted({d for row in rows for d, _ in row["e_asym_rel"]})
-    header = [
-        "kind", "a", "b", "c", "resolution", "n_points",
-        "tangentiality_max", "q_residual_rel", "q_asym_rel",
-    ] + [f"err@{d:.6g}" for d in distances]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            by_distance = {d: e for d, e in row["e_asym_rel"]}
-            record = [
-                row["kind"], row["a"], row["b"], row["c"],
-                row["resolution"], row["n_points"],
-                f"{row['tangentiality_max']:.16g}",
-                f"{row['q_residual_rel']:.16g}",
-                f"{row['q_asym_rel']:.16g}",
-            ] + [
-                f"{by_distance[d]:.16g}" if d in by_distance else ""
-                for d in distances
-            ]
-            writer.writerow(record)

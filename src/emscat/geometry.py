@@ -17,7 +17,6 @@ floor in m_theta reproduces the reference point counts exactly
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -83,14 +82,6 @@ class CollocationMesh:
             raise ValueError("non-positive quadrature weight")
         if not self.volume > 0:
             raise ValueError("non-positive volume")
-
-    def to_csv(self, path) -> None:
-        """Write one row per point: x,y,z,Nx,Ny,Nz,w."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "z", "Nx", "Ny", "Nz", "w"])
-            for pt, nrm, w in zip(self.points, self.normals, self.weights):
-                writer.writerow([f"{v:.16g}" for v in (*pt, *nrm, w)])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +328,7 @@ def mesh_parametric(surface: ParametricSurface) -> CollocationMesh:
 
 
 # ---------------------------------------------------------------------------
-# Shape descriptor used by sweeps and the CLI
+# Shape descriptor used by the CLI
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -368,13 +359,3 @@ class ShapeSpec:
         if self.kind == "ellipsoid":
             return mesh_ellipsoid(self.a, self.b, self.c, self.resolution, center)
         return mesh_cube(self.a, self.resolution, center)
-
-    def scaled(self, factor: float) -> "ShapeSpec":
-        """Same shape with all lengths multiplied by factor."""
-        return ShapeSpec(
-            kind=self.kind,
-            a=self.a * factor,
-            b=None if self.b is None else self.b * factor,
-            c=None if self.c is None else self.c * factor,
-            resolution=self.resolution,
-        )

@@ -135,13 +135,6 @@ class ManyBodyLayout:
     def count(self) -> int:
         return self.centers.shape[0]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "z", "volume"])
-            for c, v in zip(self.centers, self.volumes):
-                writer.writerow([f"{val:.16g}" for val in (*c, v)])
-
 
 def _detect_grid(centers: np.ndarray) -> LatticeGrid | None:
     """The regular x-fastest grid the centers form, or None; O(M)."""
@@ -237,10 +230,13 @@ def layout_from_centers(
 
 
 def layout_from_csv(path, spacing: float, radius: float, box=((0, 0, 0), (1, 1, 1))):
-    """Read centers (x,y,z[,volume]) back from to_csv output."""
+    """Read centers from an x,y,z[,volume] CSV, skipping lines that start with #.
+
+    Reads the centers.csv written by `emscat many-body`.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
             rows.append(
                 (float(row["x"]), float(row["y"]), float(row["z"]),
                  float(row.get("volume", SPHERE_VOLUME_COEFF * radius**3)))
@@ -407,19 +403,6 @@ class EffectiveFieldSolution:
     wave: IncidentWave
     coupling: str | None = None
     operator_bytes: int | None = None
-
-    def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        """Header and one row per body: A_m and Q_m as re/im column pairs."""
-        header = ["index"]
-        for name in ("Ax", "Ay", "Az", "Qx", "Qy", "Qz"):
-            header += [f"{name}_re", f"{name}_im"]
-        rows = []
-        for i, (a, q) in enumerate(zip(self.a_values, self.q_values)):
-            row = [str(i)]
-            for z in (*a, *q):
-                row += [f"{z.real:.16g}", f"{z.imag:.16g}"]
-            rows.append(row)
-        return header, rows
 
 
 def assemble_many_body(

@@ -292,22 +292,12 @@ def field_e_exact(
     return wave.field(x) + moment_fields(wave.wavenumber, mesh.points, moments, x)[0]
 
 
-def field_e_asymptotic(
-    wave: IncidentWave, q, center, x, radius: float | None = None
-) -> np.ndarray:
+def field_e_asymptotic(wave: IncidentWave, q, center, x) -> np.ndarray:
     """Point-moment approximation E(x) = E0(x) + grad g(x, center) x Q.
 
-    Valid far from the body; x is (3,) or (n, 3).  When the body radius is
-    supplied, points closer than a few radii trigger a warning.
+    Valid far from the body; x is (3,) or (n, 3).
     """
-    x = np.asarray(x, dtype=float)
     center = np.asarray(center, dtype=float)
-    if radius is not None and np.any(np.linalg.norm(x - center, axis=-1) < 3.0 * radius):
-        warnings.warn(
-            "evaluation point is close to the body; the point-moment "
-            "approximation degrades there",
-            stacklevel=2,
-        )
     return wave.field(x) + moment_fields(wave.wavenumber, center[None], [q], x)[0]
 
 

@@ -1,12 +1,16 @@
 """CLI behavior: artifacts, exit codes, determinism, config handling."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import emscat.cli
 from emscat.cli import main
 from emscat.config import ConfigError, RunConfig
+from emscat.many_body import lattice_layout, layout_from_csv
+from emscat.one_body import field_e_asymptotic, field_e_exact
 
 
 def run_cli(args):
@@ -56,6 +60,34 @@ def test_config_invalid_json(tmp_path):
 def test_config_ellipsoid_requires_axes():
     with pytest.raises(ConfigError, match="semi_axes"):
         RunConfig(shape="ellipsoid").shape_spec()
+
+
+def config_line(path):
+    """The JSON of the `# config:` line that opens a CSV artifact."""
+    first = path.read_text().splitlines()[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: "):])
+
+
+@pytest.mark.parametrize("args, overrides, csvs, jsons", [
+    (["one-body", "--m-phi", "6", "--distances", "1.73e-6"],
+     {"m_phi": 6, "distances": (1.73e-6,)}, ["J.csv", "E_table.csv"],
+     ["Q.json", "validation.json"]),
+    (["many-body", "--count", "8"], {"count": 8},
+     ["centers.csv", "E_centers.csv", "solution.csv"], ["summary.json"]),
+    (["reproduce", "q-sphere"], {}, ["reproduce_q-sphere.csv"], []),
+    (["mesh-export", "--shape", "cube", "--n-per-face", "3", "--output", "{out}/mesh.csv"],
+     {"shape": "cube", "n_per_face": 3}, ["mesh.csv"], []),
+], ids=["one-body", "many-body", "reproduce", "mesh-export"])
+def test_every_artifact_carries_resolved_config(tmp_path, args, overrides, csvs, jsons):
+    args = [a.replace("{out}", str(tmp_path)) for a in args]
+    assert run_cli([*args, "--output-dir", str(tmp_path)]) == 0
+    resolved = RunConfig.from_dict({**overrides, "output_dir": str(tmp_path)}).to_dict()
+    expected = json.loads(json.dumps(resolved))
+    for name in csvs:
+        assert config_line(tmp_path / name) == expected, name
+    for name in jsons:
+        assert json.loads((tmp_path / name).read_text())["config"] == expected, name
 
 
 # --- one-body ----------------------------------------------------------------
@@ -131,6 +163,41 @@ def test_no_distances_writes_header_only_e_table(tmp_path):
     assert json.loads((tmp_path / "validation.json").read_text())["e_asym_rel"] == []
 
 
+def test_one_body_evaluates_each_field_once(tmp_path, monkeypatch):
+    counts = {field_e_exact: 0, field_e_asymptotic: 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every emscat module that binds an evaluator calls the counted one
+    for name, module in list(sys.modules.items()):
+        if name == "emscat" or name.startswith("emscat."):
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in counts):
+                    monkeypatch.setattr(module, key, counted(value))
+    code = run_cli(["one-body", "--m-phi", "6", "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert list(counts.values()) == [1, 1]
+
+
+def test_zero_eval_direction_exits_2_before_solving(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match="eval_direction"):
+        RunConfig(eval_direction=(0.0, 0.0, 0.0))
+    calls = []
+    solve_current = emscat.cli.solve_current
+    monkeypatch.setattr(
+        emscat.cli, "solve_current", lambda *a, **k: calls.append(1) or solve_current(*a, **k)
+    )
+    code = run_cli(["one-body", "--eval-direction", "0", "0", "0", "--m-phi", "6",
+                    "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert calls == []
+    assert "eval_direction" in capsys.readouterr().err
+
+
 def test_cube_reports_600_points(tmp_path, capsys):
     code = run_cli(
         ["one-body", "--shape", "cube", "--radius", "1e-7",
@@ -197,13 +264,19 @@ def test_determinism_byte_identical(tmp_path):
 
 # --- many-body ---------------------------------------------------------------
 
-def test_many_body_summary(tmp_path):
+@pytest.fixture(scope="module")
+def many_body_run(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("many_body")
     code = run_cli(
         ["many-body", "--count", "27", "--spacing", "1e-7",
-         "--particle-radius", "1e-9", "--output-dir", str(tmp_path)]
+         "--particle-radius", "1e-9", "--output-dir", str(outdir)]
     )
     assert code == 0
-    payload = json.loads((tmp_path / "summary.json").read_text())
+    return outdir
+
+
+def test_many_body_summary(many_body_run):
+    payload = json.loads((many_body_run / "summary.json").read_text())
     assert payload["norm_of_E"] == pytest.approx(5.20, abs=0.01)
     assert payload["error_estimate"] == pytest.approx(8.16e-10, rel=0.05)
     history = payload["solver"]["residual_history"]
@@ -212,13 +285,31 @@ def test_many_body_summary(tmp_path):
     assert payload["operator"]["coupling"] == "fft"
     # six kernel spectra on the zero-padded 6^3 grid plus the 3 x 3 tau
     assert payload["operator"]["bytes"] == (6 * 6**3 + 9) * 16
-    assert (tmp_path / "centers.csv").exists()
-    assert (tmp_path / "E_centers.csv").exists()
-    lines = (tmp_path / "solution.csv").read_text().splitlines()
+    assert (many_body_run / "centers.csv").exists()
+    assert (many_body_run / "E_centers.csv").exists()
+    lines = (many_body_run / "solution.csv").read_text().splitlines()
     assert lines[0].startswith("# config:")
     assert json.loads(lines[0].split(": ", 1)[1])["count"] == 27
     assert lines[1].startswith("index,Ax_re")
     assert len(lines) == 2 + 27
+
+
+def test_many_body_solution_csv_values(many_body_run, many27):
+    _, solution = many27
+    data = np.genfromtxt(many_body_run / "solution.csv", delimiter=",", skip_header=2)
+    assert data.shape == (27, 13)
+    np.testing.assert_array_equal(data[:, 0], np.arange(27))
+    values = data[:, 1::2] + 1j * data[:, 2::2]
+    np.testing.assert_allclose(values[:, :3], solution.a_values, rtol=1e-12)
+    np.testing.assert_allclose(values[:, 3:], solution.q_values, rtol=1e-12)
+
+
+def test_centers_csv_roundtrip(many_body_run):
+    layout = lattice_layout(27, 1e-7, 1e-9)
+    back = layout_from_csv(many_body_run / "centers.csv", spacing=1e-7, radius=1e-9)
+    np.testing.assert_allclose(back.centers, layout.centers, rtol=1e-15)
+    np.testing.assert_allclose(back.volumes, layout.volumes, rtol=1e-15)
+    assert back.grid.counts == (3, 3, 3)
 
 
 def test_many_body_ratio_warning_proceeds(tmp_path):
@@ -276,13 +367,18 @@ def test_gamma_subcommand(tmp_path, capsys):
     assert g33 == pytest.approx(1.0 / 6.0, abs=5e-2)
 
 
-def test_mesh_export_subcommand(tmp_path):
+def test_mesh_export_subcommand(tmp_path, cube600):
     out = tmp_path / "mesh.csv"
     code = run_cli(
         ["mesh-export", "--shape", "cube", "--radius", "1e-7",
-         "--n-per-face", "5", "--output", str(out)]
+         "--n-per-face", "10", "--output", str(out)]
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "x,y,z,Nx,Ny,Nz,w"
-    assert len(lines) == 1 + 6 * 25
+    assert config_line(out)["n_per_face"] == 10
+    assert lines[1] == "x,y,z,Nx,Ny,Nz,w"
+    assert len(lines) == 2 + 600
+    data = np.genfromtxt(out, delimiter=",", skip_header=2)
+    np.testing.assert_allclose(data[:, :3], cube600.points, rtol=1e-15)
+    np.testing.assert_allclose(data[:, 3:6], cube600.normals, rtol=1e-15)
+    np.testing.assert_allclose(data[:, 6], cube600.weights, rtol=1e-15)

@@ -1,4 +1,4 @@
-"""Validation checks and sweep driver."""
+"""Validation checks."""
 
 import numpy as np
 import pytest
@@ -8,16 +8,13 @@ from emscat.diagnostics import (
     check_q_asymptotic,
     check_q_residual,
     check_tangentiality,
-    convergence_sweep,
     validate_solution,
 )
-from emscat.geometry import ShapeSpec
 from emscat.one_body import (
     SurfaceCurrent,
     gamma_sphere_analytic,
     moment_q_asymptotic,
     moment_q_exact,
-    solve_current,
 )
 from emscat.waves import default_wave
 
@@ -96,11 +93,13 @@ def test_e_asymptotic_zero_for_zero_current_and_moment(sphere766, diagonal):
         values=np.zeros((sphere766.n_points, 3), dtype=complex), report=None
     )
     points = [1e-6 * diagonal]
-    gaps = check_e_asymptotic(
+    gaps, e_exact, e_asym = check_e_asymptotic(
         sphere766, wave, current, np.zeros(3), sphere766.center, points
     )
     assert gaps[0][1] == 0.0
     assert gaps[0][0] == pytest.approx(1e-6)
+    np.testing.assert_array_equal(e_exact, wave.field(np.array(points)))
+    np.testing.assert_array_equal(e_asym, e_exact)
 
 
 def test_validate_solution_bundle(sphere766, sphere766_current):
@@ -112,61 +111,8 @@ def test_validate_solution_bundle(sphere766, sphere766_current):
     assert report.tangentiality_max <= 1e-10
     assert 0 < report.q_asym_rel <= 6e-2
     assert len(report.e_asym_rel) == 1
+    assert report.e_exact.shape == report.e_asym.shape == (1, 3)
     payload = report.to_dict()
     assert set(payload) == {
         "tangentiality_max", "q_residual_rel", "q_asym_rel", "e_asym_rel",
     }
-
-
-def test_sweep_single_entry_equals_direct_run(sphere766, sphere766_current):
-    wave = default_wave()
-    rows = convergence_sweep(
-        ShapeSpec("sphere", 1e-9, resolution=12), wave,
-        resolutions=[12], distances=(1.73e-6,),
-    )
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["n_points"] == 766
-    direct = validate_solution(
-        sphere766, wave, sphere766_current, gamma_sphere_analytic(),
-        distances=(1.73e-6,),
-    )
-    assert row["q_asym_rel"] == pytest.approx(direct.q_asym_rel, rel=1e-6)
-    assert row["tangentiality_max"] <= 1e-10
-
-
-def test_sweep_over_sizes_decays():
-    wave = default_wave()
-    rows = convergence_sweep(
-        ShapeSpec("sphere", 1e-9, resolution=8), wave,
-        scale_factors=[1.0, 0.1], distances=(1.73e-6,),
-    )
-    errs = [row["e_asym_rel"][0][1] for row in rows]
-    # size down a decade, near-field gap down ~1000x
-    assert 500 <= errs[0] / errs[1] <= 2000
-
-
-def test_sweep_requires_exactly_one_axis():
-    wave = default_wave()
-    spec = ShapeSpec("sphere", 1e-9, resolution=8)
-    with pytest.raises(ValueError):
-        convergence_sweep(spec, wave)
-    with pytest.raises(ValueError):
-        convergence_sweep(spec, wave, resolutions=[8], scale_factors=[1.0])
-
-
-def test_sweep_csv_export(tmp_path):
-    from emscat.diagnostics import sweep_to_csv
-
-    wave = default_wave()
-    rows = convergence_sweep(
-        ShapeSpec("sphere", 1e-9, resolution=6), wave,
-        resolutions=[6, 8], distances=(1.73e-6,),
-    )
-    path = tmp_path / "sweep.csv"
-    sweep_to_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    header = lines[0].split(",")
-    assert "q_asym_rel" in header
-    assert any(col.startswith("err@") for col in header)

@@ -247,24 +247,9 @@ def test_parametric_degenerate_raises():
 
 # --- misc --------------------------------------------------------------------
 
-def test_mesh_csv_roundtrip(tmp_path, cube600):
-    path = tmp_path / "mesh.csv"
-    cube600.to_csv(path)
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    assert data.shape[0] == 600
-    np.testing.assert_allclose(
-        np.stack([data["x"], data["y"], data["z"]], axis=1), cube600.points, rtol=1e-15
-    )
-    np.testing.assert_allclose(data["w"], cube600.weights, rtol=1e-15)
-
-
-def test_shape_spec_build_and_scale():
+def test_shape_spec_build_and_validation():
     spec = ShapeSpec("sphere", 1e-9, resolution=8)
     assert spec.build().n_points == sphere_point_count(8)
-    shrunk = spec.scaled(0.1)
-    assert shrunk.a == pytest.approx(1e-10)
-    spec_e = ShapeSpec("ellipsoid", 1e-8, 1e-9, 1e-9, resolution=8)
-    assert spec_e.scaled(2.0).b == pytest.approx(2e-9)
     with pytest.raises(ValueError):
         ShapeSpec("ellipsoid", 1e-8)
     with pytest.raises(ValueError):

@@ -47,6 +47,13 @@ def jittered_centers(n, seed=0):
     return (grid + rng.uniform(-0.2, 0.2, size=grid.shape)) * SPACING
 
 
+def write_centers_csv(path, layout):
+    """centers.csv as `emscat many-body` writes it: a # line, header, .16g rows."""
+    rows = [",".join(f"{v:.16g}" for v in (*c, vol))
+            for c, vol in zip(layout.centers, layout.volumes)]
+    path.write_text("\n".join(["# config: {}", "x,y,z,volume", *rows]) + "\n")
+
+
 def grid_345_layout():
     """Non-cubic 3 x 4 x 5 grid, x fastest, unequal steps and volumes."""
     steps = np.array([1.0, 1.5, 2.0]) * SPACING
@@ -118,7 +125,7 @@ def test_grid_detected_from_centers(tmp_path):
     layout = lattice_layout(27, SPACING, 1e-9)
     assert layout.grid == LatticeGrid(counts=(3, 3, 3), steps=(SPACING,) * 3)
     path = tmp_path / "centers.csv"
-    layout.to_csv(path)
+    write_centers_csv(path, layout)
     assert layout_from_csv(path, spacing=SPACING, radius=1e-9).grid.counts == (3, 3, 3)
     again = layout_from_centers(layout.centers, spacing=SPACING, radius=1e-9)
     assert again.grid.counts == (3, 3, 3)
@@ -144,7 +151,7 @@ def test_ratio_warning():
 def test_layout_csv_roundtrip(tmp_path):
     layout = lattice_layout(8, 1e-7, 1e-9)
     path = tmp_path / "centers.csv"
-    layout.to_csv(path)
+    write_centers_csv(path, layout)
     back = layout_from_csv(path, spacing=1e-7, radius=1e-9)
     np.testing.assert_allclose(back.centers, layout.centers, rtol=1e-15)
     np.testing.assert_allclose(back.volumes, layout.volumes, rtol=1e-15)
@@ -156,19 +163,6 @@ def test_layout_csv_volume_column_optional(tmp_path):
     layout = layout_from_csv(path, spacing=1e-7, radius=1e-9)
     assert layout.count == 2
     np.testing.assert_allclose(layout.volumes, 4.0 / 3.0 * np.pi * 1e-27, rtol=1e-12)
-
-
-def test_solution_csv_export(many27):
-    _, solution = many27
-    header, rows = solution.csv_table()
-    assert len(header) == 13 and len(rows) == 27
-    first = rows[0]
-    assert complex(float(first[1]), float(first[2])) == pytest.approx(
-        solution.a_values[0, 0]
-    )
-    assert complex(float(first[7]), float(first[8])) == pytest.approx(
-        solution.q_values[0, 0]
-    )
 
 
 # --- assembly ----------------------------------------------------------------

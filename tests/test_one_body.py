@@ -382,14 +382,6 @@ def test_field_e_asymptotic_zero_moment_is_incident():
     )
 
 
-def test_field_e_asymptotic_warns_close_to_body():
-    wave = default_wave()
-    with pytest.warns(UserWarning, match="close"):
-        field_e_asymptotic(
-            wave, np.zeros(3), np.zeros(3), np.array([2e-9, 0.0, 0.0]), radius=1e-9
-        )
-
-
 def test_field_h_zero_moment_is_incident_curl():
     wave = default_wave()
     x = np.array([1e-6, 2e-6, 0.0])
