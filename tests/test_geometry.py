@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from emscat.cli import cmd_mesh_export
+from emscat.config import RunConfig
 from emscat.geometry import (
     CollocationMesh,
     ParametricSurface,
@@ -246,6 +248,19 @@ def test_parametric_degenerate_raises():
 
 
 # --- misc --------------------------------------------------------------------
+
+def test_mesh_csv_roundtrip(tmp_path, cube600):
+    path = tmp_path / "mesh.csv"
+    config = RunConfig(shape="cube", radius=1e-7, n_per_face=10)
+    assert cmd_mesh_export(config, str(path)) == 0
+    # the first line is the "# config:" provenance line, the second the header
+    data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+    assert data.shape[0] == 600
+    np.testing.assert_allclose(
+        np.stack([data["x"], data["y"], data["z"]], axis=1), cube600.points, rtol=1e-15
+    )
+    np.testing.assert_allclose(data["w"], cube600.weights, rtol=1e-15)
+
 
 def test_shape_spec_build_and_validation():
     spec = ShapeSpec("sphere", 1e-9, resolution=8)
