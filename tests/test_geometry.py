@@ -13,6 +13,7 @@ from emscat.geometry import (
     mesh_ellipsoid,
     mesh_parametric,
     mesh_sphere,
+    sphere_band_counts,
     sphere_point_count,
     sphere_resolution_for,
 )
@@ -96,6 +97,128 @@ def test_sphere_off_center():
     mesh = mesh_sphere(2e-9, 8, center=(1.0, 2.0, 3.0))
     radii = np.linalg.norm(mesh.points - np.array([1.0, 2.0, 3.0]), axis=1)
     np.testing.assert_allclose(radii, 2e-9, rtol=1e-6)
+
+
+# --- per-point loop oracles ----------------------------------------------------
+# The builders as they were written before they became array code, one Python
+# iteration per point.  The sphere and cube builders must reproduce them bit
+# for bit; the ellipsoid's points too, its normals and weights to rounding.
+
+def _loop_band_nodes(m_phi):
+    phi, m_theta = sphere_band_counts(m_phi)
+    d_phi = np.pi / (m_phi + 1)
+    for phi_j, mt in zip(phi, m_theta):
+        d_theta = 2.0 * np.pi / mt
+        for i in range(1, mt + 1):
+            yield i * d_theta, phi_j, d_theta, d_phi
+
+
+def _loop_sphere(radius, m_phi, center=(0.0, 0.0, 0.0)):
+    center = np.asarray(center, dtype=float)
+    pts, nrm, wts = [], [], []
+    for theta, phi, d_theta, d_phi in _loop_band_nodes(m_phi):
+        n = np.array(
+            [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
+        )
+        pts.append(center + radius * n)
+        nrm.append(n)
+        wts.append(radius * radius * np.sin(phi) * d_theta * d_phi)
+    residual = 4.0 * np.pi * radius * radius - float(np.sum(wts))
+    if residual <= 0:
+        residual = 2.0 * min(wts)
+    for pole in (1.0, -1.0):
+        pts.append(center + np.array([0.0, 0.0, pole * radius]))
+        nrm.append(np.array([0.0, 0.0, pole]))
+        wts.append(residual / 2.0)
+    return pts, nrm, wts, 4.0 / 3.0 * np.pi * radius**3, center
+
+
+def _loop_ellipsoid(a, b, c, m_phi, center=(0.0, 0.0, 0.0)):
+    center = np.asarray(center, dtype=float)
+    pts, nrm, wts = [], [], []
+    for theta, phi, d_theta, d_phi in _loop_band_nodes(m_phi):
+        ct, st = np.cos(theta), np.sin(theta)
+        cp, sp = np.cos(phi), np.sin(phi)
+        pts.append(center + np.array([a * ct * sp, b * st * sp, c * cp]))
+        n = np.array([ct * sp / a, st * sp / b, cp / c])
+        nrm.append(n / np.linalg.norm(n))
+        f_theta = np.array([-a * st * sp, b * ct * sp, 0.0])
+        f_phi = np.array([a * ct * cp, b * st * cp, -c * sp])
+        wts.append(np.linalg.norm(np.cross(f_theta, f_phi)) * d_theta * d_phi)
+    d_phi = np.pi / (m_phi + 1)
+    cap_phi = d_phi / 4.0
+    cap_element = np.linalg.norm(
+        np.cross(
+            np.array([0.0, b * np.sin(cap_phi), 0.0]),
+            np.array([a * np.cos(cap_phi), 0.0, -c * np.sin(cap_phi)]),
+        )
+    )
+    for pole in (1.0, -1.0):
+        pts.append(center + np.array([0.0, 0.0, pole * c]))
+        nrm.append(np.array([0.0, 0.0, pole]))
+        wts.append(cap_element * 2.0 * np.pi * (d_phi / 2.0))
+    return pts, nrm, wts, 4.0 / 3.0 * np.pi * a * b * c, center
+
+
+def _loop_cube(a_half, n, center=(0.0, 0.0, 0.0)):
+    center = np.asarray(center, dtype=float)
+    h = 2.0 * a_half / n
+    grid = -a_half + h * (np.arange(n) + 0.5)
+    pts, nrm = [], []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            normal = np.zeros(3)
+            normal[axis] = sign
+            u_axis, v_axis = [ax for ax in range(3) if ax != axis]
+            for u in grid:
+                for v in grid:
+                    p = np.zeros(3)
+                    p[axis] = sign * a_half
+                    p[u_axis] = u
+                    p[v_axis] = v
+                    pts.append(center + p)
+                    nrm.append(normal)
+    return pts, nrm, np.full(6 * n * n, h * h), (2.0 * a_half) ** 3, center
+
+
+def assert_mesh_equal(mesh, oracle):
+    pts, nrm, wts, volume, center = oracle
+    for name, want in zip(("points", "normals", "weights", "center"),
+                          (pts, nrm, wts, center)):
+        assert np.array_equal(getattr(mesh, name), np.array(want)), name
+    assert mesh.volume == volume
+
+
+OFF_CENTER = (1.0e-8, -2.5e-9, 3.0e-9)
+
+
+@pytest.mark.parametrize("m_phi, center", [
+    *((m, (0.0, 0.0, 0.0)) for m in (2, 3, 7, 12, 14, 16, 18, 24)),
+    (12, OFF_CENTER),
+])
+def test_sphere_bit_identical_to_loop_oracle(m_phi, center):
+    assert_mesh_equal(
+        mesh_sphere(1e-9, m_phi, center=center), _loop_sphere(1e-9, m_phi, center)
+    )
+
+
+@pytest.mark.parametrize("n, center", [
+    *((n, (0.0, 0.0, 0.0)) for n in (2, 3, 10)),
+    (10, OFF_CENTER),
+])
+def test_cube_bit_identical_to_loop_oracle(n, center):
+    assert_mesh_equal(mesh_cube(1e-7, n, center=center), _loop_cube(1e-7, n, center))
+
+
+@pytest.mark.parametrize("m_phi", [14, 4])
+def test_ellipsoid_matches_loop_oracle(m_phi):
+    mesh = mesh_ellipsoid(1e-8, 1e-9, 1e-9, m_phi)
+    pts, nrm, wts, volume, center = _loop_ellipsoid(1e-8, 1e-9, 1e-9, m_phi)
+    assert np.array_equal(mesh.points, np.array(pts))
+    np.testing.assert_allclose(mesh.normals, np.array(nrm), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(mesh.weights, np.array(wts), rtol=1e-15, atol=0)
+    assert np.array_equal(mesh.center, center)
+    assert mesh.volume == volume
 
 
 # --- ellipsoid ---------------------------------------------------------------
