@@ -18,7 +18,6 @@ from .diagnostics import (
 from .geometry import (
     CollocationMesh,
     ParametricSurface,
-    ShapeSpec,
     mesh_cube,
     mesh_ellipsoid,
     mesh_parametric,

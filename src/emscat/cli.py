@@ -133,7 +133,7 @@ def cmd_one_body(config: RunConfig) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     wave = config.wave()
-    mesh = config.shape_spec().build()
+    mesh = config.mesh()
     print(f"collocation points: {mesh.n_points}", file=sys.stderr)
 
     current = solve_current(
@@ -249,7 +249,7 @@ def cmd_many_body(config: RunConfig) -> int:
 
 def cmd_gamma(config: RunConfig) -> int:
     """Print analytic (sphere) and numeric coupling matrices as JSON."""
-    mesh = config.shape_spec().build()
+    mesh = config.mesh()
     out = {
         "n_points": mesh.n_points,
         "numeric_local": [[z.real, z.imag] for z in gamma_numeric(mesh, "local").gamma.ravel()],
@@ -266,7 +266,7 @@ def cmd_gamma(config: RunConfig) -> int:
 
 def cmd_mesh_export(config: RunConfig, output: str) -> int:
     """Write the collocation mesh as CSV, one row per point: x,y,z,Nx,Ny,Nz,w."""
-    mesh = config.shape_spec().build()
+    mesh = config.mesh()
     _write_csv(
         Path(output),
         ["x", "y", "z", "Nx", "Ny", "Nz", "w"],

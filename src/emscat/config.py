@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ShapeSpec
+from .geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
 from .waves import FREQUENCY, IncidentWave, WAVELENGTH, WAVE_SPEED
 
 
@@ -60,8 +60,15 @@ class RunConfig:
     def __post_init__(self):
         if self.wavenumber is None:
             self.wavenumber = 2.0 * np.pi / self.wavelength
-        if not np.any(self.eval_direction):
+        direction = np.asarray(self.eval_direction, dtype=float)
+        if direction.shape != (3,) or not np.isfinite(direction).all():
+            raise ConfigError(
+                f"eval_direction must be 3 finite numbers, got {self.eval_direction}"
+            )
+        if not direction.any():
             raise ConfigError("eval_direction must be nonzero")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite number greater than 0, got {self.tol}")
         self._check_consistency()
 
     def _check_consistency(self):
@@ -93,16 +100,17 @@ class RunConfig:
             permittivity=self.permittivity,
         )
 
-    def shape_spec(self) -> ShapeSpec:
+    def mesh(self) -> CollocationMesh:
+        """Collocation mesh of the configured body: the one shape-to-builder dispatch."""
         if self.shape == "sphere":
-            return ShapeSpec("sphere", self.radius, resolution=self.m_phi)
+            return mesh_sphere(self.radius, self.m_phi)
         if self.shape == "ellipsoid":
             if self.semi_axes is None:
                 raise ConfigError("ellipsoid shape needs semi_axes (a, b, c)")
             a, b, c = self.semi_axes
-            return ShapeSpec("ellipsoid", a, b, c, resolution=self.m_phi)
+            return mesh_ellipsoid(a, b, c, self.m_phi)
         if self.shape == "cube":
-            return ShapeSpec("cube", self.radius, resolution=self.n_per_face)
+            return mesh_cube(self.radius, self.n_per_face)
         raise ConfigError(f"unknown shape {self.shape!r}")
 
     def to_dict(self) -> dict:

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "CollocationMesh",
     "ParametricSurface",
-    "ShapeSpec",
     "mesh_sphere",
     "mesh_ellipsoid",
     "mesh_cube",
@@ -56,6 +55,9 @@ class CollocationMesh:
     def __post_init__(self):
         for name in ("points", "normals", "weights", "center"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("points", "normals", "weights", "center", "volume"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"mesh {name} must be finite")
 
     @property
     def n_points(self) -> int:
@@ -121,14 +123,17 @@ def sphere_resolution_for(target_points: int, max_m_phi: int = 200) -> int:
     return best_m
 
 
-def _band_nodes(m_phi: int):
-    """Yield (theta_i, phi_j, d_theta, d_phi) for every band point."""
+def _band_grid(m_phi: int):
+    """theta, phi and d_theta of every band point, band by band, and d_phi."""
     phi, m_theta = sphere_band_counts(m_phi)
-    d_phi = np.pi / (m_phi + 1)
-    for phi_j, mt in zip(phi, m_theta):
-        d_theta = 2.0 * np.pi / mt
-        for i in range(1, mt + 1):
-            yield i * d_theta, phi_j, d_theta, d_phi
+    d_theta = np.repeat(2.0 * np.pi / m_theta, m_theta)
+    # azimuthal index i = 1 .. m_theta within each band
+    i = np.arange(1, m_theta.sum() + 1) - np.repeat(np.cumsum(m_theta) - m_theta, m_theta)
+    return i * d_theta, np.repeat(phi, m_theta), d_theta, np.pi / (m_phi + 1)
+
+
+#: Outward normals of the north and south pole points.
+_POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
 def mesh_sphere(radius: float, m_phi: int, center=(0.0, 0.0, 0.0)) -> CollocationMesh:
@@ -138,34 +143,24 @@ def mesh_sphere(radius: float, m_phi: int, center=(0.0, 0.0, 0.0)) -> Collocatio
     d_theta d_phi; the two pole points absorb the residual so the weights
     sum to the exact area 4 pi radius^2.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     center = np.asarray(center, dtype=float)
-
-    pts, nrm, wts = [], [], []
-    for theta, phi, d_theta, d_phi in _band_nodes(m_phi):
-        n = np.array(
-            [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
-        )
-        pts.append(center + radius * n)
-        nrm.append(n)
-        wts.append(radius * radius * np.sin(phi) * d_theta * d_phi)
-
-    area = 4.0 * np.pi * radius * radius
-    residual = area - float(np.sum(wts))
+    theta, phi, d_theta, d_phi = _band_grid(m_phi)
+    sp = np.sin(phi)
+    normals = np.vstack([
+        np.stack([np.cos(theta) * sp, np.sin(theta) * sp, np.cos(phi)], axis=1), _POLES
+    ])
+    wts = radius * radius * sp * d_theta * d_phi
+    residual = 4.0 * np.pi * radius * radius - float(np.sum(wts))
     if residual <= 0:
         # Band weights already tile the full area; give the poles a patch of
         # the same scale as their neighbors instead of a negative cap.
-        residual = 2.0 * min(wts)
-    for pole in (1.0, -1.0):
-        pts.append(center + np.array([0.0, 0.0, pole * radius]))
-        nrm.append(np.array([0.0, 0.0, pole]))
-        wts.append(residual / 2.0)
-
+        residual = 2.0 * wts.min()
     return CollocationMesh(
-        points=np.array(pts),
-        normals=np.array(nrm),
-        weights=np.array(wts),
+        points=center + radius * normals,
+        normals=normals,
+        weights=np.append(wts, [residual / 2.0] * 2),
         volume=4.0 / 3.0 * np.pi * radius**3,
         center=center,
     )
@@ -181,23 +176,17 @@ def mesh_ellipsoid(
     (cos t sin p / a, sin t sin p / b, cos p / c); weights are the parametric
     surface element |f_theta x f_phi| d_theta d_phi.
     """
-    if min(a, b, c) <= 0:
-        raise ValueError("semi-axes must be positive")
+    if not (np.all(np.isfinite([a, b, c])) and min(a, b, c) > 0):
+        raise ValueError(f"semi-axes must be positive and finite, got {(a, b, c)}")
     center = np.asarray(center, dtype=float)
-
-    pts, nrm, wts = [], [], []
-    for theta, phi, d_theta, d_phi in _band_nodes(m_phi):
-        ct, st = np.cos(theta), np.sin(theta)
-        cp, sp = np.cos(phi), np.sin(phi)
-        pts.append(center + np.array([a * ct * sp, b * st * sp, c * cp]))
-        n = np.array([ct * sp / a, st * sp / b, cp / c])
-        nrm.append(n / np.linalg.norm(n))
-        f_theta = np.array([-a * st * sp, b * ct * sp, 0.0])
-        f_phi = np.array([a * ct * cp, b * st * cp, -c * sp])
-        wts.append(np.linalg.norm(np.cross(f_theta, f_phi)) * d_theta * d_phi)
+    theta, phi, d_theta, d_phi = _band_grid(m_phi)
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    grad = np.stack([ct * sp / a, st * sp / b, cp / c], axis=1)
+    f_theta = np.stack([-a * st * sp, b * ct * sp, np.zeros_like(sp)], axis=1)
+    f_phi = np.stack([a * ct * cp, b * st * cp, -c * sp], axis=1)
+    wts = np.linalg.norm(np.cross(f_theta, f_phi), axis=1) * d_theta * d_phi
 
     # Pole caps via a one-point rule on the residual band phi in [0, d_phi/2].
-    d_phi = np.pi / (m_phi + 1)
     cap_phi = d_phi / 4.0
     cap_element = np.linalg.norm(
         np.cross(
@@ -206,15 +195,11 @@ def mesh_ellipsoid(
         )
     )
     cap_weight = cap_element * 2.0 * np.pi * (d_phi / 2.0)
-    for pole in (1.0, -1.0):
-        pts.append(center + np.array([0.0, 0.0, pole * c]))
-        nrm.append(np.array([0.0, 0.0, pole]))
-        wts.append(cap_weight)
-
+    points = np.vstack([np.stack([a * ct * sp, b * st * sp, c * cp], axis=1), c * _POLES])
     return CollocationMesh(
-        points=np.array(pts),
-        normals=np.array(nrm),
-        weights=np.array(wts),
+        points=center + points,
+        normals=np.vstack([grad / np.linalg.norm(grad, axis=1, keepdims=True), _POLES]),
+        weights=np.append(wts, [cap_weight] * 2),
         volume=4.0 / 3.0 * np.pi * a * b * c,
         center=center,
     )
@@ -226,35 +211,24 @@ def mesh_cube(a_half: float, n_per_face: int, center=(0.0, 0.0, 0.0)) -> Colloca
     Points sit at face-cell centers, normals are the axis unit vectors of
     the face, every weight is the exact cell area (2 a_half / n)^2.
     """
-    if not a_half > 0:
-        raise ValueError("a_half must be positive")
+    if not (np.isfinite(a_half) and a_half > 0):
+        raise ValueError(f"a_half must be positive and finite, got {a_half}")
     if n_per_face < 2:
         raise ValueError("n_per_face must be >= 2")
     center = np.asarray(center, dtype=float)
     n = n_per_face
     h = 2.0 * a_half / n
     grid = -a_half + h * (np.arange(n) + 0.5)
-
-    pts, nrm = [], []
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            normal = np.zeros(3)
-            normal[axis] = sign
-            u_axis, v_axis = [ax for ax in range(3) if ax != axis]
-            for u in grid:
-                for v in grid:
-                    p = np.zeros(3)
-                    p[axis] = sign * a_half
-                    p[u_axis] = u
-                    p[v_axis] = v
-                    pts.append(center + p)
-                    nrm.append(normal)
-
-    count = 6 * n * n
+    # in-face coordinates (u, v) of the cells, v fastest; a face at axis p
+    # inserts its constant coordinate at position p
+    uv = np.stack([g.ravel() for g in np.meshgrid(grid, grid, indexing="ij")], axis=1)
+    faces = [(axis, sign) for axis in range(3) for sign in (1.0, -1.0)]
+    points = np.vstack([np.insert(uv, axis, sign * a_half, axis=1) for axis, sign in faces])
+    normals = [np.insert([0.0, 0.0], axis, sign) for axis, sign in faces]
     return CollocationMesh(
-        points=np.array(pts),
-        normals=np.array(nrm),
-        weights=np.full(count, h * h),
+        points=center + points,
+        normals=np.repeat(normals, n * n, axis=0),
+        weights=np.full(6 * n * n, h * h),
         volume=(2.0 * a_half) ** 3,
         center=center,
     )
@@ -325,37 +299,3 @@ def mesh_parametric(surface: ParametricSurface) -> CollocationMesh:
     return CollocationMesh(
         points=points, normals=normals, weights=weights, volume=volume, center=centroid
     )
-
-
-# ---------------------------------------------------------------------------
-# Shape descriptor used by the CLI
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShapeSpec:
-    """Declarative body description that can build its own mesh.
-
-    kind is one of "sphere", "ellipsoid", "cube".  For a sphere `a` is the
-    radius, for an ellipsoid (a, b, c) are the semi-axes, for a cube `a` is
-    the half side.  resolution is m_phi for sphere/ellipsoid and the
-    per-face cell count for the cube.
-    """
-
-    kind: str
-    a: float
-    b: float | None = None
-    c: float | None = None
-    resolution: int = 12
-
-    def __post_init__(self):
-        if self.kind not in ("sphere", "ellipsoid", "cube"):
-            raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.kind == "ellipsoid" and (self.b is None or self.c is None):
-            raise ValueError("ellipsoid needs all three semi-axes")
-
-    def build(self, center=(0.0, 0.0, 0.0)) -> CollocationMesh:
-        if self.kind == "sphere":
-            return mesh_sphere(self.a, self.resolution, center)
-        if self.kind == "ellipsoid":
-            return mesh_ellipsoid(self.a, self.b, self.c, self.resolution, center)
-        return mesh_cube(self.a, self.resolution, center)

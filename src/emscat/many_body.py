@@ -106,6 +106,8 @@ class ManyBodyLayout:
         object.__setattr__(self, "volumes", np.asarray(self.volumes, dtype=float))
         if centers.shape[1] != 3:
             raise ValueError("centers must be (M, 3)")
+        if centers.shape[0] == 0:
+            raise ValueError("a layout needs at least 1 center, got 0")
         if self.volumes.shape != (centers.shape[0],):
             raise ValueError("one volume per center required")
         lo, hi = np.asarray(self.box[0]), np.asarray(self.box[1])
@@ -241,6 +243,8 @@ def layout_from_csv(path, spacing: float, radius: float, box=((0, 0, 0), (1, 1, 
                 (float(row["x"]), float(row["y"]), float(row["z"]),
                  float(row.get("volume", SPHERE_VOLUME_COEFF * radius**3)))
             )
+    if not rows:
+        raise ValueError(f"{path} holds no center rows")
     data = np.array(rows)
     return layout_from_centers(
         data[:, :3], spacing=spacing, radius=radius, box=box, volumes=data[:, 3]

@@ -42,7 +42,7 @@ def test_config_json_roundtrip(tmp_path):
     path.write_text(json.dumps({"shape": "cube", "radius": 1e-7, "n_per_face": 4}))
     config = RunConfig.from_json(path)
     assert config.shape == "cube"
-    assert config.shape_spec().build().n_points == 96
+    assert config.mesh().n_points == 96
 
 
 def test_config_missing_file():
@@ -59,7 +59,7 @@ def test_config_invalid_json(tmp_path):
 
 def test_config_ellipsoid_requires_axes():
     with pytest.raises(ConfigError, match="semi_axes"):
-        RunConfig(shape="ellipsoid").shape_spec()
+        RunConfig(shape="ellipsoid").mesh()
 
 
 def config_line(path):
@@ -198,6 +198,44 @@ def test_zero_eval_direction_exits_2_before_solving(tmp_path, monkeypatch, capsy
     assert "eval_direction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"eval_direction": [1, 1]}, "eval_direction"),
+    ({"eval_direction": [1, float("nan"), 1]}, "eval_direction"),
+    ({"tol": 0}, "tol"),
+    ({"tol": -1e-10}, "tol"),
+], ids=["short-eval-direction", "nan-eval-direction", "zero-tol", "negative-tol"])
+def test_bad_config_exits_2_before_meshing(tmp_path, monkeypatch, capsys, data, field):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig.from_dict(data)
+    calls = []
+    monkeypatch.setattr(RunConfig, "mesh", lambda self: calls.append(1))
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(data))
+    code = run_cli(["one-body", "--config", str(config_path), "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert calls == []
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--radius", "inf"], "radius"),
+    (["--shape", "cube", "--radius", "inf"], "a_half"),
+    (["--shape", "ellipsoid", "--semi-axes", "1e-8", "inf", "1e-9"], "semi-axes"),
+], ids=["sphere", "cube", "ellipsoid"])
+def test_non_finite_size_exits_2_before_assembly(tmp_path, monkeypatch, capsys, args, name):
+    calls = []
+    solve_current = emscat.cli.solve_current
+    monkeypatch.setattr(
+        emscat.cli, "solve_current", lambda *a, **k: calls.append(1) or solve_current(*a, **k)
+    )
+    code = run_cli(["one-body", *args, "--m-phi", "4", "--n-per-face", "2",
+                    "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err
+
+
 def test_cube_reports_600_points(tmp_path, capsys):
     code = run_cli(
         ["one-body", "--shape", "cube", "--radius", "1e-7",
@@ -326,6 +364,11 @@ def test_many_body_bad_count_exits_2(tmp_path):
         ["many-body", "--count", "26", "--output-dir", str(tmp_path)]
     )
     assert code == 2
+
+
+def test_many_body_zero_count_exits_2(tmp_path, capsys):
+    assert run_cli(["many-body", "--count", "0", "--output-dir", str(tmp_path)]) == 2
+    assert "got 0" in capsys.readouterr().err
 
 
 # --- reproduce ---------------------------------------------------------------

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from emscat.cli import cmd_mesh_export
-from emscat.config import RunConfig
+from emscat.config import ConfigError, RunConfig
 from emscat.geometry import (
     CollocationMesh,
     ParametricSurface,
-    ShapeSpec,
     mesh_cube,
     mesh_ellipsoid,
     mesh_parametric,
@@ -237,10 +236,11 @@ def test_ellipsoid_reference_count(ellipsoid1052):
 def test_ellipsoid_normals_orthogonal_to_tangents(ellipsoid1052):
     # finite-difference tangent oracle at a sample of band points; the node
     # parameters are regenerated exactly as the builder lays them out
-    from emscat.geometry import _band_nodes
+    from emscat.geometry import _band_grid
 
     a, b, c = 1e-8, 1e-9, 1e-9
-    params = [(theta, phi) for theta, phi, _, _ in _band_nodes(14)]
+    theta_all, phi_all, _, _ = _band_grid(14)
+    params = list(zip(theta_all, phi_all))
     rng = np.random.default_rng(5)
     idx = rng.choice(len(params), size=40, replace=False)
     f = lambda t, p: np.array(
@@ -385,13 +385,15 @@ def test_mesh_csv_roundtrip(tmp_path, cube600):
     np.testing.assert_allclose(data["w"], cube600.weights, rtol=1e-15)
 
 
-def test_shape_spec_build_and_validation():
-    spec = ShapeSpec("sphere", 1e-9, resolution=8)
-    assert spec.build().n_points == sphere_point_count(8)
-    with pytest.raises(ValueError):
-        ShapeSpec("ellipsoid", 1e-8)
-    with pytest.raises(ValueError):
-        ShapeSpec("torus", 1.0)
+def test_run_config_mesh_dispatch():
+    assert RunConfig(m_phi=8).mesh().n_points == sphere_point_count(8)
+    assert RunConfig(shape="cube", radius=1e-7, n_per_face=3).mesh().n_points == 54
+    ellipsoid = RunConfig(shape="ellipsoid", semi_axes=(1e-8, 1e-9, 1e-9), m_phi=8)
+    assert ellipsoid.mesh().n_points == sphere_point_count(8)
+    with pytest.raises(ConfigError, match="semi_axes"):
+        RunConfig(shape="ellipsoid").mesh()
+    with pytest.raises(ConfigError, match="torus"):
+        RunConfig(shape="torus").mesh()
 
 
 def test_mesh_validate_catches_bad_normals(cube600):
@@ -404,3 +406,12 @@ def test_mesh_validate_catches_bad_normals(cube600):
     )
     with pytest.raises(ValueError, match="unit"):
         bad.validate()
+
+
+@pytest.mark.parametrize("name", ["points", "normals", "weights", "volume", "center"])
+def test_mesh_rejects_non_finite_entries(cube600, name):
+    fields = {key: np.array(getattr(cube600, key))
+              for key in ("points", "normals", "weights", "volume", "center")}
+    fields[name].flat[-1] = np.nan
+    with pytest.raises(ValueError, match=f"mesh {name} must be finite"):
+        CollocationMesh(**fields)

@@ -97,6 +97,13 @@ def test_non_cubic_count_rejected():
         lattice_layout(26, 1e-7, 1e-9)
 
 
+def test_empty_layout_rejected():
+    with pytest.raises(ValueError, match="at least 1 center, got 0"):
+        lattice_layout(0, 1e-7, 1e-9)
+    with pytest.raises(ValueError, match="got 0"):
+        layout_from_centers(np.empty((0, 3)), spacing=1e-7, radius=1e-9)
+
+
 def test_lattice_must_fit_in_box():
     with pytest.raises(ValueError, match="fit"):
         lattice_layout(27, 0.6, 1e-9)
@@ -163,6 +170,14 @@ def test_layout_csv_volume_column_optional(tmp_path):
     layout = layout_from_csv(path, spacing=1e-7, radius=1e-9)
     assert layout.count == 2
     np.testing.assert_allclose(layout.volumes, 4.0 / 3.0 * np.pi * 1e-27, rtol=1e-12)
+
+
+
+def test_layout_csv_without_rows_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# config: {}\nx,y,z,volume\n")
+    with pytest.raises(ValueError, match="empty.csv holds no center rows"):
+        layout_from_csv(path, spacing=1e-7, radius=1e-9)
 
 
 # --- assembly ----------------------------------------------------------------
