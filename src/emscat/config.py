@@ -105,7 +105,7 @@ class RunConfig:
         if self.shape == "sphere":
             return mesh_sphere(self.radius, self.m_phi)
         if self.shape == "ellipsoid":
-            if self.semi_axes is None:
+            if self.semi_axes is None or len(self.semi_axes) != 3:
                 raise ConfigError("ellipsoid shape needs semi_axes (a, b, c)")
             a, b, c = self.semi_axes
             return mesh_ellipsoid(a, b, c, self.m_phi)

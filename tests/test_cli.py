@@ -60,6 +60,8 @@ def test_config_invalid_json(tmp_path):
 def test_config_ellipsoid_requires_axes():
     with pytest.raises(ConfigError, match="semi_axes"):
         RunConfig(shape="ellipsoid").mesh()
+    with pytest.raises(ConfigError, match="semi_axes"):
+        RunConfig(shape="ellipsoid", semi_axes=(1e-8, 1e-9)).mesh()
 
 
 def config_line(path):
