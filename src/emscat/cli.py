@@ -47,6 +47,7 @@ from .many_body import (
     solve_effective_field,
 )
 from .one_body import (
+    assemble_one_body,
     gamma_numeric,
     gamma_sphere_analytic,
     moment_q_asymptotic,
@@ -339,9 +340,11 @@ def _reproduce_sweep_1386(config: RunConfig):
         mesh = mesh_sphere(radius, 16)
         q_a = moment_q_asymptotic(mesh, wave, gamma)
         x = mesh.center + ref["distance"] * DIAGONAL_DIRECTION
-        cur_e = solve_current(mesh, wave, tol=config.tol, scale=2.0)
+        operator, _ = assemble_one_body(mesh, wave)
+        cur_e = solve_current(mesh, wave, tol=config.tol, scale=2.0, operator=operator)
         ((_, e_gap),), _, _ = check_e_asymptotic(mesh, wave, cur_e, q_a, mesh.center, [x])
-        cur_q = solve_current(mesh, wave, tol=config.tol, scale=1.0)
+        cur_q = solve_current(mesh, wave, tol=config.tol, scale=1.0, operator=operator)
+        del operator  # free C before the next mesh is assembled
         q_gap = check_q_asymptotic(moment_q_exact(cur_q, mesh), q_a)
         rows.append(
             [_fmt(radius), _fmt(pub_e), _fmt(e_gap), _fmt(abs(e_gap - pub_e) / pub_e),

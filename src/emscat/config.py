@@ -22,6 +22,16 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _check_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite number greater than 0, got {value}")
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     # wave
@@ -67,8 +77,12 @@ class RunConfig:
             )
         if not direction.any():
             raise ConfigError("eval_direction must be nonzero")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be a finite number greater than 0, got {self.tol}")
+        for name in ("tol", "spacing", "particle_radius"):
+            _check_positive(name, getattr(self, name))
+        for name in ("count", "restart", "max_iter"):
+            _check_count(name, getattr(self, name))
+        if not (np.isfinite(self.bie_scale) and self.bie_scale != 0):
+            raise ConfigError(f"bie_scale must be a finite nonzero number, got {self.bie_scale}")
         self._check_consistency()
 
     def _check_consistency(self):

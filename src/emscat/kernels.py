@@ -81,6 +81,35 @@ def green(k: float, x, t) -> KernelEval:
     return KernelEval(value=complex(value), gradient=gradient, hessian=hessian)
 
 
+def _distances(x_rows: np.ndarray, x_cols: np.ndarray) -> np.ndarray:
+    """(n, m) distances |x_i - x_j|, the squares summed one component at a time."""
+    r = np.subtract.outer(x_rows[:, 0], x_cols[:, 0])
+    r *= r
+    for comp in (1, 2):
+        d = np.subtract.outer(x_rows[:, comp], x_cols[:, comp])
+        d *= d
+        r += d
+    np.sqrt(r, out=r)
+    return r
+
+
+def _check_coincident(r: np.ndarray, offset: int, guard: float) -> None:
+    """Guard rows offset.. against columns offset.. and put 1.0 on their diagonal.
+
+    Raises CoincidentPointsError naming the global indices of the closest
+    pair when it lies below guard.
+    """
+    np.fill_diagonal(r, np.inf)
+    r_min = float(r.min())
+    if r_min < guard:
+        i, j = np.unravel_index(np.argmin(r), r.shape)
+        raise CoincidentPointsError(
+            f"points {i + offset} and {j + offset} are coincident: "
+            f"|x_i - x_j| = {r_min:.3e}"
+        )
+    np.fill_diagonal(r, 1.0)
+
+
 def pair_distances(points: np.ndarray, center) -> np.ndarray:
     """(P, P) distances |x_i - x_j| with 1.0 on the diagonal as a placeholder.
 
@@ -91,31 +120,54 @@ def pair_distances(points: np.ndarray, center) -> np.ndarray:
     R_MIN_SCALE * max(1, max |points|).
     """
     x = points - center
-    r = np.subtract.outer(x[:, 0], x[:, 0])
-    r *= r
-    for comp in (1, 2):
-        d = np.subtract.outer(x[:, comp], x[:, comp])
-        d *= d
-        r += d
-    np.sqrt(r, out=r)
-    np.fill_diagonal(r, np.inf)
-    r_min = float(r.min())
-    guard = R_MIN_SCALE * max(1.0, float(np.abs(points).max()))
-    if r_min < guard:
-        i, j = np.unravel_index(np.argmin(r), r.shape)
-        raise CoincidentPointsError(
-            f"points {i} and {j} are coincident: |x_i - x_j| = {r_min:.3e}"
-        )
-    np.fill_diagonal(r, 1.0)
+    r = _distances(x, x)
+    _check_coincident(r, 0, R_MIN_SCALE * max(1.0, float(np.abs(points).max())))
     return r
+
+
+#: Distances evaluated per row block of pair_matrix: 512 KiB of r, so the
+#: kernel's temporaries stay a few MiB whatever the point count.  Smaller
+#: blocks also evaluate fewer pairs twice and stay in cache; assembly was
+#: fastest near this size from P = 729 to 3174 (one BLAS thread).
+PAIR_BLOCK_BYTES = 2**19
+
+
+def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex) -> np.ndarray:
+    """(P, P) matrix kernel(r_ij) w_j with a zero diagonal, r_ij = |x_i - x_j|.
+
+    kernel maps an array of distances to an array of its shape (it may
+    overwrite its argument); w_j = 1 when weights is None.  Since r is
+    symmetric, kernel is evaluated on the upper triangle only, one row block
+    at a time: rows [a, b) against columns [a, P), each block at most
+    PAIR_BLOCK_BYTES of distances.  The block and its weighted transpose are
+    written straight into the output, so assembly holds the output plus one
+    block.  The entries equal those of kernel(pair_distances(points,
+    center)) * w_j bit for bit, and the same CoincidentPointsError guard
+    applies.
+    """
+    x = points - center
+    p = x.shape[0]
+    w = np.ones(p) if weights is None else np.asarray(weights, dtype=float)
+    guard = R_MIN_SCALE * max(1.0, float(np.abs(points).max()))
+    out = np.empty((p, p), dtype=dtype)
+    rows = max(1, PAIR_BLOCK_BYTES // (8 * p))
+    for a in range(0, p, rows):
+        b = min(p, a + rows)
+        r = _distances(x[a:b], x[a:])
+        _check_coincident(r, a, guard)
+        block = kernel(r)
+        np.multiply(block, w[a:], out=out[a:b, a:])
+        np.multiply(block[:, b - a:].T, w[a:b], out=out[b:, a:b])
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:
     """Vectorized scalar c = g (ik - 1/r) / r, so that grad g = c (x - t).
 
     Evaluated in place as exp(ikr) (ikr - 1) / (4 pi r^3), with at most two
-    complex arrays of the shape of r alive at once: the one-body operator
-    calls it on all P^2 point pairs.  No coincidence guard.
+    complex arrays of the shape of r alive at once: pair_matrix calls it on
+    each row block of point pairs.  No coincidence guard.
     """
     c = np.multiply(r, 1j * k)
     phase = np.exp(c)
@@ -145,28 +197,51 @@ def kernel_hessian_parts(
     return g, c_iso, c_dir
 
 
+#: Bytes a moment_fields batch may hold while it is evaluated.  A batch costs
+#: about FIELD_BYTES_PER_PAIR per point-source pair, so the evaluation points
+#: are taken in row blocks of FIELD_BLOCK_BYTES / (FIELD_BYTES_PER_PAIR m).
+FIELD_BLOCK_BYTES = 8 * 2**20
+FIELD_BYTES_PER_PAIR = 160
+
+
 def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray]:
     """Scattered E and curl E of point moments m_j at sources s_j.
 
     E(x) = sum_j grad g(x, s_j) x m_j and its curl sum_j (k^2 g + H) m_j,
     with H the kernel Hessian.  sources is real (m, 3), moments complex
     (m, 3); x is (3,) or (n, 3), n = 0 included, and both results have the
-    leading shape of x.  Raises CoincidentPointsError when x lies on a
-    source (closer than R_MIN_SCALE * max(1, max |x|)).
+    leading shape of x.  The points are evaluated in row blocks of about
+    FIELD_BLOCK_BYTES, so memory does not grow with n.  Raises
+    CoincidentPointsError when x lies on a source (closer than
+    R_MIN_SCALE * max(1, max |x|)).
     """
     x = np.asarray(x, dtype=float)
     moments = np.asarray(moments, dtype=complex)
-    diff = x[..., None, :] - sources
+    points = x.reshape(-1, 3)
+    guard = R_MIN_SCALE * max(1.0, float(np.abs(x).max())) if x.size else 0.0
+    e = np.empty(points.shape, dtype=complex)
+    curl = np.empty(points.shape, dtype=complex)
+    rows = max(1, FIELD_BLOCK_BYTES // (FIELD_BYTES_PER_PAIR * max(1, len(sources))))
+    for a in range(0, len(points), rows):
+        e[a:a + rows], curl[a:a + rows] = _moment_fields_block(
+            k, sources, moments, points[a:a + rows], guard
+        )
+    return e.reshape(x.shape), curl.reshape(x.shape)
+
+
+def _moment_fields_block(k, sources, moments, x, guard):
+    """moment_fields on an (n, 3) block of points."""
+    diff = x[:, None, :] - sources
     r = np.linalg.norm(diff, axis=-1)
-    if r.size and float(r.min()) < R_MIN_SCALE * max(1.0, float(np.abs(x).max())):
+    if r.size and float(r.min()) < guard:
         index = np.unravel_index(np.argmin(r), r.shape)[-1]
         raise CoincidentPointsError(f"field evaluation point lies on source {index}")
     g, c_iso, c_dir = kernel_hessian_parts(k, r)
-    # Sums over the sources as matrix products: a[..., p, q] =
-    # sum_j grad_p g(x, s_j) m_jq, whose antisymmetric part is E.
+    # Sums over the sources as matrix products: a[n, p, q] =
+    # sum_j grad_p g(x_n, s_j) m_jq, whose antisymmetric part is E.
     a = np.swapaxes(c_iso[..., None] * diff, -1, -2) @ moments
-    e = np.stack([a[..., 1, 2] - a[..., 2, 1], a[..., 2, 0] - a[..., 0, 2],
-                  a[..., 0, 1] - a[..., 1, 0]], axis=-1)
-    d_dot_m = np.einsum("...mp,mp->...m", diff, moments)
-    curl = (k * k * g + c_iso) @ moments + ((c_dir * d_dot_m)[..., None, :] @ diff)[..., 0, :]
+    e = np.stack([a[:, 1, 2] - a[:, 2, 1], a[:, 2, 0] - a[:, 0, 2],
+                  a[:, 0, 1] - a[:, 1, 0]], axis=-1)
+    d_dot_m = np.einsum("nmp,mp->nm", diff, moments)
+    curl = (k * k * g + c_iso) @ moments + ((c_dir * d_dot_m)[:, None, :] @ diff)[:, 0, :]
     return e, curl

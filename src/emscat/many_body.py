@@ -40,6 +40,7 @@ from .kernels import (
     kernel_hessian_parts,
     moment_fields,
     pair_distances,
+    pair_matrix,
 )
 from .linalg import SolveReport, check_method, solve_operator
 from .one_body import GammaMatrix
@@ -192,10 +193,10 @@ def lattice_layout(
     with i (the x index) varying fastest.  Per-body volumes default to the
     spherical volume_coeff * radius^3.
     """
-    n = round(count ** (1.0 / 3.0))
+    n = round(abs(count) ** (1.0 / 3.0))
     if n**3 != count:
         raise ValueError(
-            f"count must be a perfect cube for lattice placement, got {count}; "
+            f"count must be a positive perfect cube for lattice placement, got {count}; "
             "use layout_from_centers for irregular configurations"
         )
     lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
@@ -486,8 +487,8 @@ def effective_field_at_centers(
         return wave.field(layout.centers) + scattered
     center = layout.centers.mean(axis=0)
     x = layout.centers - center
-    coeff = gradient_coefficient(wave.wavenumber, pair_distances(layout.centers, center))
-    np.fill_diagonal(coeff, 0.0)
+    k = wave.wavenumber
+    coeff = pair_matrix(layout.centers, center, lambda r: gradient_coefficient(k, r))
     q = solution.q_values
     product = coeff @ np.concatenate([q, np.cross(x, q)], axis=1)
     return wave.field(layout.centers) + np.cross(x, product[:, :3]) - product[:, 3:]

@@ -28,13 +28,14 @@ s = 2 moment converges to (3/2) |D| |curl E0| while the asymptotic formula
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import gradient_coefficient, moment_fields, pair_distances
+from .kernels import gradient_coefficient, moment_fields, pair_matrix
 from .linalg import SolveReport, check_method, solve_operator
 from .waves import IncidentWave
 
@@ -101,6 +102,9 @@ class OneBodyOperator:
         C_ij = g(r_ij) (ik - 1/r_ij) / r_ij * w_j,   C_ii = 0,
 
     so only the (P, P) complex matrix C is stored (16 B per point pair).
+    C_ij / w_j is symmetric, so kernels.pair_matrix evaluates it on the
+    upper triangle in row blocks.  The scale s multiplies only at matvec
+    time: with_scale shares C with a copy at another scale.
     Expanding x_i - x_j turns the matvec into one product C @ [J, x (x) J]
     with 12 columns plus O(P) contractions against N_i and x_i . N_i.  The
     coordinates x are taken relative to mesh.center: with raw coordinates the
@@ -110,17 +114,23 @@ class OneBodyOperator:
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
         x = mesh.points - mesh.center
-        coeff = gradient_coefficient(wavenumber, pair_distances(mesh.points, mesh.center))
-        coeff *= mesh.weights[None, :]
-        np.fill_diagonal(coeff, 0.0)
-
-        self._coeff = coeff
+        self._coeff = pair_matrix(
+            mesh.points, mesh.center, lambda r: gradient_coefficient(wavenumber, r),
+            weights=mesh.weights,
+        )
         self._x = x
         self._normals = mesh.normals
         self._x_dot_n = np.einsum("ip,ip->i", x, mesh.normals)
         self._scale = float(scale)
+        self.wavenumber = float(wavenumber)
         self.n_points = mesh.n_points
         self.shape = (3 * self.n_points, 3 * self.n_points)
+
+    def with_scale(self, scale: float) -> "OneBodyOperator":
+        """The operator I + scale A: a shallow copy that shares C."""
+        operator = copy.copy(self)
+        operator._scale = float(scale)
+        return operator
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         p = self.n_points
@@ -175,10 +185,12 @@ def assemble_one_body(
         warnings.warn(
             f"k * radius = {ka:.3g}; outside the small-body regime", stacklevel=2
         )
-    operator = OneBodyOperator(mesh, wave.wavenumber, scale=scale)
-    e0 = wave.field(mesh.points)
-    rhs = -scale * np.cross(mesh.normals, e0)
-    return operator, rhs.reshape(-1)
+    return OneBodyOperator(mesh, wave.wavenumber, scale=scale), _boundary_rhs(mesh, wave, scale)
+
+
+def _boundary_rhs(mesh: CollocationMesh, wave: IncidentWave, scale: float) -> np.ndarray:
+    """Right-hand side -s N x E0 of the boundary system, flattened."""
+    return (-scale * np.cross(mesh.normals, wave.field(mesh.points))).reshape(-1)
 
 
 def solve_current(
@@ -189,14 +201,27 @@ def solve_current(
     max_iter: int = 1000,
     method: str = "gmres",
     scale: float = DEFAULT_BIE_SCALE,
+    operator: OneBodyOperator | None = None,
 ) -> SurfaceCurrent:
     """Solve the boundary system for the surface density J.
 
     method "gmres" (default) never materializes the matrix; "direct" uses
-    the LU oracle.  Raises ConvergenceError if GMRES stalls.
+    the LU oracle.  Raises ConvergenceError if GMRES stalls.  operator, from
+    assemble_one_body on this mesh and wavenumber at any scale, is reused
+    at this scale instead of assembling a new one; ValueError if its point
+    count or wavenumber differs.
     """
     check_method(method)
-    operator, rhs = assemble_one_body(mesh, wave, scale=scale)
+    if operator is None:
+        operator, rhs = assemble_one_body(mesh, wave, scale=scale)
+    elif operator.n_points != mesh.n_points or operator.wavenumber != wave.wavenumber:
+        raise ValueError(
+            f"operator for {operator.n_points} points at k = {operator.wavenumber:.6g} "
+            f"does not match the mesh ({mesh.n_points} points) and wave "
+            f"(k = {wave.wavenumber:.6g})"
+        )
+    else:
+        operator, rhs = operator.with_scale(scale), _boundary_rhs(mesh, wave, scale)
     x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
                                max_iter=max_iter, what="boundary")
     return SurfaceCurrent(values=x.reshape(mesh.n_points, 3), report=report)
@@ -248,11 +273,7 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
     p = mesh.n_points
     x = mesh.points - mesh.center
     # d g0 / d s = c_st (x_s - x_t) with c_st = -1 / (4 pi r^3); c is symmetric.
-    c = pair_distances(mesh.points, mesh.center)
-    c **= 3
-    c *= -4.0 * np.pi
-    np.reciprocal(c, out=c)
-    np.fill_diagonal(c, 0.0)
+    c = pair_matrix(mesh.points, mesh.center, _static_coefficient, dtype=float)
 
     # per_source[t, p, q] = sum_s c_ts (x_sp - x_tp) N_sq w_s
     product = c @ _moment_columns(x, mesh.normals * mesh.weights[:, None])
@@ -264,6 +285,14 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
 
     gamma = np.einsum("t,tpq->pq", mesh.weights, per_source) / mesh.area
     return GammaMatrix.from_gamma(gamma)
+
+
+def _static_coefficient(r: np.ndarray) -> np.ndarray:
+    """-1 / (4 pi r^3), in place."""
+    r **= 3
+    r *= -4.0 * np.pi
+    np.reciprocal(r, out=r)
+    return r
 
 
 def moment_q_asymptotic(

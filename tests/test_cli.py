@@ -238,6 +238,29 @@ def test_non_finite_size_exits_2_before_assembly(tmp_path, monkeypatch, capsys, 
     assert name in err and "finite" in err
 
 
+@pytest.mark.parametrize("args, field", [
+    (["many-body", "--count", "-8"], "count"),
+    (["many-body", "--restart", "0"], "restart"),
+    (["many-body", "--max-iter", "0"], "max_iter"),
+    (["many-body", "--particle-radius", "0"], "particle_radius"),
+    (["many-body", "--spacing", "nan"], "spacing"),
+    (["many-body", "--spacing=-1e-7"], "spacing"),
+    (["one-body", "--m-phi", "4", "--bie-scale", "0"], "bie_scale"),
+    (["one-body", "--m-phi", "4", "--bie-scale", "nan"], "bie_scale"),
+], ids=["negative-count", "zero-restart", "zero-max-iter", "zero-particle-radius",
+        "nan-spacing", "negative-spacing", "zero-bie-scale", "nan-bie-scale"])
+def test_bad_number_exits_2_before_building(tmp_path, monkeypatch, capsys, args, field):
+    calls = []
+    mesh, layout = RunConfig.mesh, emscat.cli.lattice_layout
+    monkeypatch.setattr(RunConfig, "mesh", lambda self: calls.append(1) or mesh(self))
+    monkeypatch.setattr(
+        emscat.cli, "lattice_layout", lambda *a, **k: calls.append(1) or layout(*a, **k)
+    )
+    assert run_cli([*args, "--output-dir", str(tmp_path)]) == 2
+    assert calls == []
+    assert field in capsys.readouterr().err
+
+
 def test_cube_reports_600_points(tmp_path, capsys):
     code = run_cli(
         ["one-body", "--shape", "cube", "--radius", "1e-7",
@@ -392,6 +415,19 @@ def test_reproduce_many_27(tmp_path, capsys):
     np.testing.assert_allclose(published, [8.16e-6, 8.16e-10, 8.16e-14, 8.16e-18])
     assert np.all(computed / published < 2.0)
     assert np.all(published / computed < 2.0)
+
+
+def test_sweep_1386_assembles_one_operator_per_mesh(tmp_path, monkeypatch):
+    built = []
+
+    class CountingOperator(emscat.one_body.OneBodyOperator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(emscat.one_body, "OneBodyOperator", CountingOperator)
+    assert run_cli(["reproduce", "sweep-1386", "--output-dir", str(tmp_path)]) == 0
+    assert len(built) == 4
 
 
 def test_reproduce_q_sphere(tmp_path, capsys):

@@ -1,14 +1,20 @@
 """Kernel values and derivatives against finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import emscat.kernels as kernels
 from emscat.kernels import (
     CoincidentPointsError,
+    gradient_coefficient,
     green,
     moment_fields,
     pair_distances,
+    pair_matrix,
 )
+from emscat.one_body import _static_coefficient
 
 K = 2.0 * np.pi / 6.0e-5  # default experiment wavenumber, 1/cm
 
@@ -125,3 +131,77 @@ def test_pair_distances_match_pairwise_norms():
     np.testing.assert_allclose(r, expected, rtol=1e-8)
     with pytest.raises(CoincidentPointsError, match="points 4 and 30 are coincident"):
         pair_distances(np.vstack([points, points[4]]), points.mean(axis=0))
+
+
+# --- pair_matrix ---------------------------------------------------------------
+
+#: Rows per pair_matrix block in the tests below (PAIR_BLOCK_BYTES patched).
+ROWS = 4
+
+PAIR_KERNELS = {
+    "weighted-complex": (lambda r: gradient_coefficient(K, r), True, complex),
+    "real-static": (_static_coefficient, False, float),
+    "unweighted-complex": (lambda r: gradient_coefficient(K, r), False, complex),
+}
+
+
+def full_pair_matrix(points, center, kernel, weights):
+    """The one-shot construction: pair_distances, kernel, times w_j, zero diagonal."""
+    c = kernel(pair_distances(points, center))
+    if weights is not None:
+        c *= weights[None, :]
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+def block_rows(monkeypatch, p):
+    monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * p * ROWS)
+
+
+@pytest.mark.parametrize("kind", PAIR_KERNELS)
+@pytest.mark.parametrize("p", [1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS - 1, 2 * ROWS + 1,
+                               5 * ROWS + 2])
+def test_pair_matrix_equals_full_construction(monkeypatch, kind, p):
+    block_rows(monkeypatch, p)
+    rng = np.random.default_rng(p)
+    points = (1.0, 2.0, 3.0) + rng.normal(size=(p, 3)) * 1e-7
+    kernel, weighted, dtype = PAIR_KERNELS[kind]
+    weights = rng.uniform(0.5, 2.0, p) if weighted else None
+    center = points.mean(axis=0)
+    got = pair_matrix(points, center, kernel, weights=weights, dtype=dtype)
+    assert got.dtype == dtype
+    assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
+
+
+@pytest.mark.parametrize("i, j", [(5, 6), (1, 9)], ids=["inside-one-block", "across-blocks"])
+def test_pair_matrix_names_coincident_points(monkeypatch, i, j):
+    p = 3 * ROWS
+    block_rows(monkeypatch, p)
+    points = np.random.default_rng(2).normal(size=(p, 3)) * 1e-7
+    points[j] = points[i]
+    with pytest.raises(CoincidentPointsError, match=f"points {i} and {j} are coincident"):
+        pair_matrix(points, points.mean(axis=0), np.reciprocal, dtype=float)
+
+
+# --- moment_fields row blocks ----------------------------------------------------
+
+def test_moment_field_map_is_row_blocked(monkeypatch, sphere766):
+    rng = np.random.default_rng(5)
+    direction = rng.normal(size=(10_000, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    x = sphere766.center + direction * rng.uniform(2e-9, 1e-7, (10_000, 1))
+    moments = rng.normal(size=(sphere766.n_points, 3)) + 1j * rng.normal(
+        size=(sphere766.n_points, 3))
+    tracemalloc.start()
+    try:
+        e, curl = moment_fields(K, sphere766.points, moments, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one batch of 10^4 x 766 pairs would hold about 1.2 GB at 160 B per pair
+    assert peak <= 16 * 2**20
+    # the unblocked evaluation, on every tenth point to keep it small
+    monkeypatch.setattr(kernels, "FIELD_BLOCK_BYTES", 2**62)
+    e_ref, curl_ref = moment_fields(K, sphere766.points, moments, x[::10])
+    np.testing.assert_allclose(e[::10], e_ref, rtol=1e-14)
+    np.testing.assert_allclose(curl[::10], curl_ref, rtol=1e-14)

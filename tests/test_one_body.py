@@ -2,10 +2,12 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emscat import one_body
 from emscat.geometry import CollocationMesh, mesh_sphere
 from emscat.kernels import CoincidentPointsError, green
 from emscat.linalg import solve_direct
@@ -157,6 +159,40 @@ def test_operator_assembly_peak_memory_per_pair(wave):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * mesh.n_points**2
+
+
+def test_operator_assembly_holds_c_plus_one_block(wave):
+    mesh = mesh_sphere(1e-9, 18)  # P = 1762
+    tracemalloc.start()
+    try:
+        OneBodyOperator(mesh, wave.wavenumber)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * mesh.n_points**2 + 32 * 2**20
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_reused_operator_solves_bit_identically(wave, scale):
+    mesh = mesh_sphere(1e-9, 8)
+    operator, _ = assemble_one_body(mesh, wave, scale=3.0)
+    fresh = solve_current(mesh, wave, scale=scale)
+    reused = solve_current(mesh, wave, scale=scale, operator=operator)
+    assert np.array_equal(reused.values, fresh.values)
+    assert reused.report == fresh.report
+    assert operator.with_scale(scale)._coeff is operator._coeff
+
+
+def test_mismatched_operator_rejected_before_solving(wave, monkeypatch):
+    mesh = mesh_sphere(1e-9, 6)
+    operator, _ = assemble_one_body(mesh, wave)
+    calls = []
+    monkeypatch.setattr(one_body, "solve_operator", lambda *a, **k: calls.append(1))
+    with pytest.raises(ValueError, match="does not match"):
+        solve_current(mesh_sphere(1e-9, 8), wave, operator=operator)
+    with pytest.raises(ValueError, match="does not match"):
+        solve_current(mesh, replace(wave, wavenumber=2 * wave.wavenumber), operator=operator)
+    assert calls == []
 
 
 def test_zero_incident_field_gives_zero_current():
