@@ -136,30 +136,38 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex)
     """(P, P) matrix kernel(r_ij) w_j with a zero diagonal, r_ij = |x_i - x_j|.
 
     kernel maps an array of distances to an array of its shape (it may
-    overwrite its argument); w_j = 1 when weights is None.  Since r is
-    symmetric, kernel is evaluated on the upper triangle only, one row block
-    at a time: rows [a, b) against columns [a, P), each block at most
-    PAIR_BLOCK_BYTES of distances.  The block and its weighted transpose are
-    written straight into the output, so assembly holds the output plus one
-    block.  The entries equal those of kernel(pair_distances(points,
-    center)) * w_j bit for bit, and the same CoincidentPointsError guard
-    applies.
+    overwrite its argument), or to a tuple of n such arrays; the result is
+    then the (n, P, P) stack of their matrices.  w_j = 1 when weights is
+    None.  Since r is symmetric, kernel is evaluated on the upper triangle
+    only, one row block at a time: rows [a, b) against columns [a, P), each
+    block at most PAIR_BLOCK_BYTES of distances.  The block and its weighted
+    transpose are written straight into the output, so assembly holds the
+    output plus one block.  The entries equal those of
+    kernel(pair_distances(points, center)) * w_j bit for bit, and the same
+    CoincidentPointsError guard applies.
     """
     x = points - center
     p = x.shape[0]
     w = np.ones(p) if weights is None else np.asarray(weights, dtype=float)
     guard = R_MIN_SCALE * max(1.0, float(np.abs(points).max()))
-    out = np.empty((p, p), dtype=dtype)
+    out = None
     rows = max(1, PAIR_BLOCK_BYTES // (8 * p))
     for a in range(0, p, rows):
         b = min(p, a + rows)
         r = _distances(x[a:b], x[a:])
         _check_coincident(r, a, guard)
-        block = kernel(r)
-        np.multiply(block, w[a:], out=out[a:b, a:])
-        np.multiply(block[:, b - a:].T, w[a:b], out=out[b:, a:b])
-    np.fill_diagonal(out, 0.0)
-    return out
+        blocks = kernel(r)
+        stacked = isinstance(blocks, tuple)
+        if not stacked:
+            blocks = (blocks,)
+        if out is None:
+            out = np.empty((len(blocks), p, p), dtype=dtype)
+        for block, part in zip(blocks, out):
+            np.multiply(block, w[a:], out=part[a:b, a:])
+            np.multiply(block[:, b - a:].T, w[a:b], out=part[b:, a:b])
+    for part in out:
+        np.fill_diagonal(part, 0.0)
+    return out if stacked else out[0]
 
 
 def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:

@@ -18,12 +18,18 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   zero-padded (2n)^3 circulant and applied by FFT in O(M log M) time and
   O(M) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198, 1991).  The
   fields at the centres are the same convolution with the gradient kernel.
-* dense -- any other layout stores the pairwise coefficients, O(M^2) in time
-  and memory.  Since grad g(x_m, x_j) = c_mj (x_m - x_j), the fields at the
-  centres are one (M, M) x (M, 6) product C @ [Q, x x Q].
+* dense -- any other layout stores the coupling as two complex (M, M)
+  scalar matrices, C0 for the isotropic part and C2 for the d d^T part of
+  each block (32 B per pair), built on the upper triangle in row blocks.
+  Expanding d = x_m - x_j in coordinates centred on the layout turns the
+  matvec into C0 @ A and one (M, M) x (M, 15) product C2 @ [A, x (x) A, x s]
+  with s_j = x_j . A_j, plus O(M) contractions.  Since grad g(x_m, x_j) =
+  c_mj (x_m - x_j), the fields at the centres are likewise one (M, M) x
+  (M, 6) product C @ [Q, x x Q].
 
-``ManyBodyOperator.to_dense`` builds the blocks pairwise on both paths, so it
-is an independent oracle for the FFT matvec.
+``ManyBodyOperator.to_dense`` builds the blocks from pairwise differences of
+the raw centres on both paths, so it is an independent oracle for both
+matvecs.
 """
 
 from __future__ import annotations
@@ -39,11 +45,10 @@ from .kernels import (
     gradient_coefficient,
     kernel_hessian_parts,
     moment_fields,
-    pair_distances,
     pair_matrix,
 )
 from .linalg import SolveReport, check_method, solve_operator
-from .one_body import GammaMatrix
+from .one_body import GammaMatrix, _moment_columns
 from .waves import IncidentWave
 
 __all__ = [
@@ -252,24 +257,23 @@ def layout_from_csv(path, spacing: float, radius: float, box=((0, 0, 0), (1, 1, 
     )
 
 
-def _pair_coefficients(layout: ManyBodyLayout, wavenumber: float):
+def _pair_coefficients(layout: ManyBodyLayout, wavenumber: float) -> np.ndarray:
     """Pairwise coupling in split form: block (m, j) = c0 I + c2 diff diff^T.
 
-    Returns (c0, c2, diff) with the volumes |D_j| folded in and the self
-    terms zeroed; (M, M) and (M, M, 3) arrays.
+    Returns the complex (2, M, M) stack of c0 and c2, with the volumes |D_j|
+    folded in and the self terms zeroed.  Block (m, j) is
+    [k^2 g I + H] |D_j|, H = c_iso I + c_dir diff diff^T, so c0 =
+    (k^2 g + c_iso) |D_j| and c2 = c_dir |D_j|; both are symmetric before
+    the volumes, so pair_matrix evaluates them on the upper triangle.
     """
-    centers = layout.centers
-    diff = centers[:, None, :] - centers[None, :, :]
-    r = pair_distances(centers, centers.mean(axis=0))
     k = wavenumber
-    g, c_iso, c_dir = kernel_hessian_parts(k, r)
-    # Coupling block (m, j) = [k^2 g I + H] |D_j|; split into the isotropic
-    # scalar and the rank-one diff (x) diff part.
-    c0 = (k * k * g + c_iso) * layout.volumes[None, :]
-    c2 = c_dir * layout.volumes[None, :]
-    np.fill_diagonal(c0, 0.0)
-    np.fill_diagonal(c2, 0.0)
-    return c0, c2, diff
+
+    def parts(r):
+        g, c_iso, c_dir = kernel_hessian_parts(k, r)
+        return k * k * g + c_iso, c_dir
+
+    centers = layout.centers
+    return pair_matrix(centers, centers.mean(axis=0), parts, weights=layout.volumes)
 
 
 #: Unique (p, q) components of a symmetric 3 x 3 block, and the index of
@@ -331,8 +335,17 @@ class ManyBodyOperator:
     """Matrix-free application of the 3M x 3M effective-field system.
 
     coupling is "fft" on a grid layout (the FFT of the six unique Hessian
-    kernel components is stored, O(M) memory) and "dense" otherwise (the
-    pairwise coefficients are stored, O(M^2) memory).
+    kernel components is stored, O(M) memory) and "dense" otherwise.  The
+    dense path stores only the complex (2, M, M) stack of the scalar
+    coefficients c0 and c2 of _pair_coefficients (32 B per pair) and the
+    centres x relative to their mean.  With d = x_m - x_j,
+
+        sum_j c2_mj d (d . A_j) = x_m (x_m . P_m - S_m) - P~_m x_m + T_m
+
+    where P = C2 @ A, P~[m, p, q] = sum_j c2_mj x_jp A_jq, S_m = trace P~_m
+    and T = C2 @ (x s), s_j = x_j . A_j: one GEMM of C2 with the 15 columns
+    [A, x (x) A, x s], one of C0 with A, and O(M) contractions.  Centring
+    keeps the terms from cancelling for a cluster far from the origin.
     """
 
     def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix):
@@ -343,7 +356,8 @@ class ManyBodyOperator:
         self.shape = (3 * self.count, 3 * self.count)
         self.coupling = "dense" if layout.grid is None else "fft"
         if layout.grid is None:
-            self._c0, self._c2, self._diff = _pair_coefficients(layout, wavenumber)
+            self._coeff = _pair_coefficients(layout, wavenumber)
+            self._x = layout.centers - layout.centers.mean(axis=0)
             return
         k = wavenumber
         diff, g, c_iso, c_dir = _grid_kernel_parts(layout.grid, k)
@@ -368,8 +382,15 @@ class ManyBodyOperator:
             ])
             out = _grid_values(out_hat, grid)
         else:
-            s = np.einsum("mjq,jq->mj", self._diff, a)
-            out = self._c0 @ a + np.einsum("mj,mjp->mp", self._c2 * s, self._diff)
+            x = self._x
+            s = np.einsum("jq,jq->j", x, a)
+            columns = np.concatenate([_moment_columns(x, a), x * s[:, None]], axis=1)
+            product = self._coeff[1] @ columns
+            xa = product[:, 3:12].reshape(-1, 3, 3)  # sum_j c2_mj x_jp A_jq
+            trace = np.einsum("mpp->m", xa)
+            out = (self._coeff[0] @ a
+                   + x * (np.einsum("mq,mq->m", x, product[:, :3]) - trace)[:, None]
+                   - np.einsum("mpq,mq->mp", xa, x) + product[:, 12:])
         return out @ self._tau.T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -378,10 +399,10 @@ class ManyBodyOperator:
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full (3M, 3M) matrix pairwise (small systems / oracles)."""
-        if self.coupling == "dense":
-            c0, c2, diff = self._c0, self._c2, self._diff
-        else:
-            c0, c2, diff = _pair_coefficients(self._layout, self._wavenumber)
+        c0, c2 = (self._coeff if self.coupling == "dense"
+                  else _pair_coefficients(self._layout, self._wavenumber))
+        centers = self._layout.centers
+        diff = centers[:, None, :] - centers[None, :, :]
         m = self.count
         eye = np.eye(3)
         blocks = (

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 import emscat.kernels as kernels
+import emscat.many_body as many_body
+import emscat.one_body as one_body
+from emscat.geometry import mesh_sphere
 from emscat.kernels import (
     CoincidentPointsError,
     gradient_coefficient,
     green,
+    kernel_hessian_parts,
     moment_fields,
     pair_distances,
     pair_matrix,
 )
+from emscat.linalg import SolveReport
 from emscat.one_body import _static_coefficient
+from emscat.waves import default_wave
 
 K = 2.0 * np.pi / 6.0e-5  # default experiment wavenumber, 1/cm
 
@@ -142,15 +148,22 @@ PAIR_KERNELS = {
     "weighted-complex": (lambda r: gradient_coefficient(K, r), True, complex),
     "real-static": (_static_coefficient, False, float),
     "unweighted-complex": (lambda r: gradient_coefficient(K, r), False, complex),
+    "weighted-tuple": (lambda r: kernel_hessian_parts(K, r), True, complex),
 }
 
 
 def full_pair_matrix(points, center, kernel, weights):
-    """The one-shot construction: pair_distances, kernel, times w_j, zero diagonal."""
+    """The one-shot construction: pair_distances, kernel, times w_j, zero diagonal.
+
+    A kernel returning a tuple gives the stack of its matrices.
+    """
     c = kernel(pair_distances(points, center))
+    if isinstance(c, tuple):
+        c = np.stack(c)
     if weights is not None:
-        c *= weights[None, :]
-    np.fill_diagonal(c, 0.0)
+        c *= weights
+    for part in c.reshape(-1, *c.shape[-2:]):
+        np.fill_diagonal(part, 0.0)
     return c
 
 
@@ -170,7 +183,60 @@ def test_pair_matrix_equals_full_construction(monkeypatch, kind, p):
     center = points.mean(axis=0)
     got = pair_matrix(points, center, kernel, weights=weights, dtype=dtype)
     assert got.dtype == dtype
+    assert got.shape == ((3,) if kind == "weighted-tuple" else ()) + (p, p)
     assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
+
+
+def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex):
+    """Stand-in for pair_matrix that builds the full distances at once."""
+    c = full_pair_matrix(points, center, kernel, weights)
+    assert c.dtype == dtype
+    return c
+
+
+def _one_body_c(mesh, layout):
+    return one_body.OneBodyOperator(mesh, K)._coeff
+
+
+def _gamma_numeric(mesh, layout):
+    return one_body.gamma_numeric(mesh, frame="lab").gamma
+
+
+def _fields_at_centers(mesh, layout):
+    wave = default_wave()
+    rng = np.random.default_rng(8)
+    q = (rng.normal(size=(layout.count, 3)) + 1j * rng.normal(size=(layout.count, 3))) * 1e-13
+    solution = many_body.EffectiveFieldSolution(
+        a_values=-q / layout.volumes[:, None], q_values=q,
+        report=SolveReport(0, 0.0, True), wave=wave,
+    )
+    return many_body.effective_field_at_centers(layout, wave, solution)
+
+
+#: Single-kernel callers of pair_matrix: the module that imports it, and a
+#: function of (mesh, layout) returning the caller's result.
+PAIR_MATRIX_CALLERS = {
+    "one-body-C": (one_body, _one_body_c),
+    "gamma-numeric": (one_body, _gamma_numeric),
+    "effective-field-at-centers": (many_body, _fields_at_centers),
+}
+
+
+@pytest.mark.parametrize("caller", PAIR_MATRIX_CALLERS)
+def test_pair_matrix_callers_match_one_shot_construction(monkeypatch, caller):
+    module, run = PAIR_MATRIX_CALLERS[caller]
+    mesh = mesh_sphere(1e-9, 5, center=(0.1, 0.2, 0.3))  # P = 119
+    rng = np.random.default_rng(9)
+    grid = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    centers = (grid * 1.5 + 1.0 + rng.uniform(-0.2, 0.2, grid.shape)) * 1e-7
+    layout = many_body.layout_from_centers(
+        centers, 1e-7, 1e-9, volumes=rng.uniform(0.5, 2.0, 27) * 1e-22)
+    count = mesh.n_points if module is one_body else layout.count
+    block_rows(monkeypatch, count)  # several blocks and a ragged last one
+    assert count % ROWS and count > 2 * ROWS
+    blocked = run(mesh, layout)
+    monkeypatch.setattr(module, "pair_matrix", one_shot_pair_matrix)
+    assert np.array_equal(blocked, run(mesh, layout))
 
 
 @pytest.mark.parametrize("i, j", [(5, 6), (1, 9)], ids=["inside-one-block", "across-blocks"])

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from emscat.kernels import green
+import emscat.kernels as kernels
+from emscat.kernels import green, kernel_hessian_parts, pair_distances
 from emscat.linalg import SolveReport
 from emscat.many_body import (
     EffectiveFieldSolution,
@@ -242,6 +243,65 @@ def test_jittered_layout_takes_dense_path(wave):
     rng = np.random.default_rng(4)
     x = rng.normal(size=81) + 1j * rng.normal(size=81)
     np.testing.assert_allclose(operator.matvec(x), operator.to_dense() @ x, rtol=1e-12)
+
+
+def unequal_volume_layout(shift=0.0):
+    """Jittered 27-body layout with unequal volumes, moved by shift cm per axis.
+
+    The centres are whole multiples of 2^-53 cm, so adding a shift below
+    0.5 cm is exact and the shifted layout has the same pairwise differences.
+    """
+    centers = np.round(jittered_centers(3, seed=7) * 2.0**53) / 2.0**53
+    volumes = np.random.default_rng(7).uniform(0.5, 2.0, size=27) * 1e-22
+    return layout_from_centers(centers + shift, spacing=SPACING, radius=1e-9,
+                               volumes=volumes)
+
+
+def test_dense_coefficients_equal_full_construction(wave, monkeypatch):
+    layout = unequal_volume_layout()
+    # 4 rows per block: seven row blocks, the last one ragged
+    monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * layout.count * 4)
+    operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+    k = wave.wavenumber
+    g, c_iso, c_dir = kernel_hessian_parts(
+        k, pair_distances(layout.centers, layout.centers.mean(axis=0)))
+    expected = np.stack([k * k * g + c_iso, c_dir]) * layout.volumes
+    for part in expected:
+        np.fill_diagonal(part, 0.0)
+    assert np.array_equal(operator._coeff, expected)
+
+
+def test_dense_matvec_centred_far_from_origin(wave):
+    # 0.5 cm is 5e6 spacings: an expansion of x_m - x_j in raw coordinates
+    # would cancel to about 1e-3 here
+    near, far = unequal_volume_layout(), unequal_volume_layout(shift=0.5)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=81) + 1j * rng.normal(size=81)
+    results = []
+    for layout in (near, far):
+        operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
+        assert operator.coupling == "dense"
+        y = operator.matvec(x)
+        assert np.linalg.norm(y - x) > 1e-2 * np.linalg.norm(x)
+        np.testing.assert_allclose(y, operator.to_dense() @ x, rtol=1e-12)
+        results.append(y)
+    np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
+
+
+def test_dense_operator_holds_two_scalar_matrices(wave):
+    layout = layout_from_centers(jittered_centers(10), spacing=SPACING, radius=1e-9)
+    m = layout.count
+    tracemalloc.start()
+    try:
+        operator = ManyBodyOperator(layout, wave.wavenumber, gamma_sphere_analytic())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert operator.coupling == "dense"
+    # c0 and c2 at 16 B per pair each, the centres and tau: no (M, M, 3) array
+    assert operator.nbytes <= 32 * m * m + 64 * m
+    # the coefficients plus one row block of kernel temporaries
+    assert peak <= 32 * m * m + 16 * 2**20
 
 
 def test_sphere_tau_scales_pair_blocks_row_wise(wave):
