@@ -23,8 +23,19 @@ class ConfigError(ValueError):
 
 
 def _check_positive(name: str, value) -> None:
-    if not (np.isfinite(value) and value > 0):
+    try:
+        ok = bool(np.isfinite(value) and value > 0)
+    except TypeError:  # a string or null from a config file
+        ok = False
+    if not ok:
         raise ConfigError(f"{name} must be a finite number greater than 0, got {value}")
+
+
+def _as_floats(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must hold numbers, got {value!r}") from None
 
 
 def _check_count(name: str, value) -> None:
@@ -68,15 +79,24 @@ class RunConfig:
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
+        # the wave parameters are checked before any of them divides another
+        for name in ("wavelength", "wave_speed", "frequency", "permeability", "permittivity"):
+            _check_positive(name, getattr(self, name))
         if self.wavenumber is None:
             self.wavenumber = 2.0 * np.pi / self.wavelength
-        direction = np.asarray(self.eval_direction, dtype=float)
+        _check_positive("wavenumber", self.wavenumber)
+        direction = _as_floats("eval_direction", self.eval_direction)
         if direction.shape != (3,) or not np.isfinite(direction).all():
             raise ConfigError(
                 f"eval_direction must be 3 finite numbers, got {self.eval_direction}"
             )
         if not direction.any():
             raise ConfigError("eval_direction must be nonzero")
+        distances = _as_floats("distances", self.distances)
+        if distances.ndim != 1 or not (np.isfinite(distances) & (distances > 0)).all():
+            raise ConfigError(
+                f"distances must be finite numbers greater than 0, got {self.distances}"
+            )
         for name in ("tol", "spacing", "particle_radius"):
             _check_positive(name, getattr(self, name))
         for name in ("count", "restart", "max_iter"):

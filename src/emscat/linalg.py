@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SingularMatrixError",
@@ -60,8 +59,12 @@ def solve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a dense square complex system by partial-pivoting LU.
 
     Raises SingularMatrixError when any U pivot magnitude falls below
-    PIVOT_RTOL times the largest entry of A.
+    PIVOT_RTOL times the largest entry of A.  scipy.linalg is imported on
+    the first call, not with the package: it is the oracle's only user and
+    loading it costs about 0.4 s.
     """
+    import scipy.linalg
+
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -77,6 +80,28 @@ def solve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matrix is numerically singular (min pivot {pivots.min():.3e}, scale {scale:.3e})"
         )
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def _back_substitute(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve the upper-triangular system r y = g, one row at a time from the bottom.
+
+    Row j is (g[j] - r[j, j+1:] @ y[j+1:]) * (1 / r[j, j]), the order in
+    which LAPACK's triangular solve works.  The Givens rotations of GMRES
+    leave the diagonal real up to rounding, and on such triangles y is
+    bit-identical to scipy.linalg.solve_triangular; with a general complex
+    diagonal the two form 1 / r[j, j] differently and agree to rounding.
+    An exactly zero diagonal entry raises numpy.linalg.LinAlgError, as
+    scipy does.
+    """
+    zero = np.flatnonzero(np.diagonal(r) == 0)
+    if zero.size:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {zero[0]}"
+        )
+    y = np.empty_like(g)
+    for j in range(len(g) - 1, -1, -1):
+        y[j] = (g[j] - r[j, j + 1:] @ y[j + 1:]) * (1.0 / r[j, j])
+    return y
 
 
 def solve_gmres(
@@ -95,6 +120,10 @@ def solve_gmres(
     A non-finite b raises ValueError before apply_a is called; a non-finite
     residual estimate (apply_a returned NaN or inf) ends the solve at once,
     unconverged, with final_residual NaN and x the last finite iterate.
+    The solver needs numpy only: each restart cycle ends in a back
+    substitution on the small Hessenberg triangle (_back_substitute), which
+    raises numpy.linalg.LinAlgError on an exactly zero diagonal entry, as
+    for a zero operator.
     """
     b = np.asarray(b, dtype=complex)
     if tol <= 0:
@@ -167,8 +196,7 @@ def solve_gmres(
                 v[j + 1] = w / h_next
 
         if inner > 0:
-            y = scipy.linalg.solve_triangular(h[:inner, :inner], g[:inner], check_finite=False)
-            x = x + v[:inner].T @ y
+            x = x + v[:inner].T @ _back_substitute(h[:inner, :inner], g[:inner])
 
         r = b - apply_a(x)
 

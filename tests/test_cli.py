@@ -205,7 +205,15 @@ def test_zero_eval_direction_exits_2_before_solving(tmp_path, monkeypatch, capsy
     ({"eval_direction": [1, float("nan"), 1]}, "eval_direction"),
     ({"tol": 0}, "tol"),
     ({"tol": -1e-10}, "tol"),
-], ids=["short-eval-direction", "nan-eval-direction", "zero-tol", "negative-tol"])
+    ({"wave_speed": 0}, "wave_speed"),
+    ({"wavelength": "6e-5"}, "wavelength"),
+    ({"distances": [1.73e-8, float("nan")]}, "distances"),
+    ({"distances": [float("inf")]}, "distances"),
+    ({"distances": [0.0]}, "distances"),
+    ({"distances": ["far"]}, "distances"),
+], ids=["short-eval-direction", "nan-eval-direction", "zero-tol", "negative-tol",
+        "zero-wave-speed", "string-wavelength", "nan-distance", "inf-distance",
+        "zero-distance", "string-distance"])
 def test_bad_config_exits_2_before_meshing(tmp_path, monkeypatch, capsys, data, field):
     with pytest.raises(ConfigError, match=field):
         RunConfig.from_dict(data)
@@ -247,8 +255,17 @@ def test_non_finite_size_exits_2_before_assembly(tmp_path, monkeypatch, capsys, 
     (["many-body", "--spacing=-1e-7"], "spacing"),
     (["one-body", "--m-phi", "4", "--bie-scale", "0"], "bie_scale"),
     (["one-body", "--m-phi", "4", "--bie-scale", "nan"], "bie_scale"),
+    (["one-body", "--m-phi", "4", "--wavelength", "0"], "wavelength"),
+    (["one-body", "--m-phi", "4", "--wavenumber", "0"], "wavenumber"),
+    (["one-body", "--m-phi", "4", "--frequency", "0"], "frequency"),
+    (["one-body", "--m-phi", "4", "--permeability", "nan"], "permeability"),
+    (["one-body", "--m-phi", "4", "--permittivity=-1"], "permittivity"),
+    (["one-body", "--m-phi", "4", "--distances", "nan"], "distances"),
+    (["many-body", "--wavelength", "inf"], "wavelength"),
 ], ids=["negative-count", "zero-restart", "zero-max-iter", "zero-particle-radius",
-        "nan-spacing", "negative-spacing", "zero-bie-scale", "nan-bie-scale"])
+        "nan-spacing", "negative-spacing", "zero-bie-scale", "nan-bie-scale",
+        "zero-wavelength", "zero-wavenumber", "zero-frequency", "nan-permeability",
+        "negative-permittivity", "nan-distance", "inf-wavelength"])
 def test_bad_number_exits_2_before_building(tmp_path, monkeypatch, capsys, args, field):
     calls = []
     mesh, layout = RunConfig.mesh, emscat.cli.lattice_layout

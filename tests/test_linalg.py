@@ -1,12 +1,27 @@
 """Direct and iterative solver behavior, including the residual contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import emscat.linalg
+from emscat import (
+    gamma_sphere_analytic,
+    lattice_layout,
+    mesh_ellipsoid,
+    mesh_sphere,
+    solve_current,
+    solve_effective_field,
+)
 from emscat.linalg import (
     SingularMatrixError,
     SolveReport,
+    _back_substitute,
     solve_direct,
     solve_gmres,
 )
@@ -149,6 +164,91 @@ def test_gmres_stops_at_first_non_finite_residual_estimate():
     assert np.isnan(report.final_residual)
     assert report.iterations == 1
     np.testing.assert_array_equal(x, 0.0)
+
+
+def test_back_substitution_matches_scipy_bit_for_bit(monkeypatch, wave, sphere766, cube600):
+    triangles = {}
+
+    def recorded(case):
+        def record(r, g):
+            triangles.setdefault(case, []).append((r.copy(), g.copy()))
+            return _back_substitute(r, g)
+        monkeypatch.setattr(emscat.linalg, "_back_substitute", record)
+
+    recorded("sphere-766")
+    solve_current(sphere766, wave)
+    recorded("sphere-766 scale 2")
+    solve_current(sphere766, wave, scale=2.0)
+    recorded("cube-600")
+    solve_current(cube600, wave)
+    recorded("ellipsoid")
+    solve_current(mesh_ellipsoid(1e-8, 1e-9, 1e-9, 6), wave)
+    recorded("lattice-1000")
+    solve_effective_field(lattice_layout(1000, 1e-7, 1e-9), wave, gamma_sphere_analytic())
+    recorded("restart 3")
+    solve_current(mesh_sphere(1e-9, 6), wave, restart=3)
+
+    assert len(triangles) == 6
+    assert len(triangles["restart 3"]) >= 2  # several restart cycles
+    for case, cycles in triangles.items():
+        for r, g in cycles:
+            expected = scipy.linalg.solve_triangular(r, g, check_finite=False)
+            assert np.array_equal(_back_substitute(r, g), expected), (case, len(g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 50])
+def test_back_substitution_solves_random_triangles(n):
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # a real diagonal, as GMRES's Givens rotations leave it: the same bits as scipy
+    r = upper + np.diag(n + rng.random(n))
+    assert np.array_equal(_back_substitute(r, g), scipy.linalg.solve_triangular(r, g))
+    # a complex diagonal: numpy and LAPACK form the reciprocal differently
+    r = upper + np.diag(n + rng.random(n) + 1j * rng.random(n))
+    expected = scipy.linalg.solve_triangular(r, g)
+    np.testing.assert_allclose(_back_substitute(r, g), expected, rtol=1e-13)
+
+
+def test_back_substitution_rejects_zero_diagonal():
+    r = np.triu(np.ones((4, 4), dtype=complex))
+    r[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+        _back_substitute(r, np.ones(4, dtype=complex))
+
+
+def test_gmres_zero_operator_raises_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve_gmres(np.zeros_like, np.ones(6, dtype=complex))
+
+
+ISOLATION_SCRIPT = """
+import sys
+import emscat
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+wave = emscat.default_wave()
+current = emscat.solve_current(emscat.mesh_sphere(1e-9, 4), wave)
+assert current.report.converged
+emscat.solve_effective_field(
+    emscat.lattice_layout(27, 1e-7, 1e-9), wave, emscat.gamma_sphere_analytic())
+assert scipy_modules() == [], scipy_modules()
+
+direct = emscat.solve_current(emscat.mesh_sphere(1e-9, 4), wave, method="direct")
+assert "scipy.linalg" in sys.modules
+error = abs(direct.values - current.values).max() / abs(direct.values).max()
+assert error < 1e-8, error
+"""
+
+
+def test_import_and_gmres_solves_load_no_scipy():
+    # a fresh interpreter: this one has scipy loaded already
+    src = str(Path(emscat.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", ISOLATION_SCRIPT], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_gmres_rejects_bad_tol():
