@@ -25,7 +25,7 @@ from .geometry import (
     sphere_point_count,
     sphere_resolution_for,
 )
-from .kernels import CoincidentPointsError, KernelEval, green
+from .kernels import CoincidentPointsError
 from .linalg import (
     ConvergenceError,
     SingularMatrixError,

@@ -6,8 +6,10 @@ one-body     solve the boundary system for one body; writes J.csv, Q.json,
              E_table.csv and validation.json
 many-body    solve the coupled-moment system on a lattice; writes
              centers.csv, E_centers.csv, solution.csv and summary.json
-reproduce    rerun a bundled reference experiment and emit a side-by-side
-             CSV of published versus computed values
+reproduce    rerun a bundled reference experiment through the one-body or
+             many-body pipeline and emit a side-by-side CSV of published
+             versus computed values; each table fixes its body and
+             evaluation fields, and --tol, --restart and --max-iter apply
 gamma        print the shape coupling matrix of the configured body
 mesh-export  write the collocation mesh as CSV
 
@@ -25,20 +27,13 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .diagnostics import (
-    DIAGONAL_DIRECTION,
-    check_e_asymptotic,
-    check_q_asymptotic,
-    gamma_for,
-    validate_solution,
-)
-from .geometry import mesh_cube, mesh_ellipsoid, mesh_sphere
+from .diagnostics import gamma_for, validate_solution
 from .linalg import ConvergenceError
 from .many_body import (
     effective_field_at_centers,
@@ -50,8 +45,6 @@ from .one_body import (
     assemble_one_body,
     gamma_numeric,
     gamma_sphere_analytic,
-    moment_q_asymptotic,
-    moment_q_exact,
     solve_current,
 )
 
@@ -126,6 +119,47 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Pipelines: the computation of one-body and many-body, shared by reproduce
+# ---------------------------------------------------------------------------
+
+def _one_body(config: RunConfig, mesh, operator=None):
+    """Solve config's body on mesh and validate it: (current, gamma, report).
+
+    operator, from assemble_one_body on mesh, is reused at config.bie_scale.
+    """
+    wave = config.wave()
+    current = solve_current(
+        mesh, wave, tol=config.tol, restart=config.restart,
+        max_iter=config.max_iter, scale=config.bie_scale, operator=operator,
+    )
+    gamma = gamma_for(config.gamma_mode, mesh)
+    report = validate_solution(
+        mesh, wave, current, gamma,
+        distances=config.distances, direction=config.eval_direction,
+    )
+    return current, gamma, report
+
+
+def _many_body(config: RunConfig):
+    """Solve config's lattice: (layout, solution, fields, probe, estimate).
+
+    fields are the effective fields at the centres; estimate is the error
+    estimate at probe, one spacing beyond the last centre along x.
+    """
+    wave = config.wave()
+    layout = lattice_layout(
+        config.count, config.spacing, config.particle_radius, box=config.box
+    )
+    solution = solve_effective_field(
+        layout, wave, gamma_sphere_analytic(), tol=config.tol,
+        restart=config.restart, max_iter=config.max_iter,
+    )
+    fields = effective_field_at_centers(layout, wave, solution)
+    probe = layout.centers[-1] + np.array([config.spacing, 0.0, 0.0])
+    return layout, solution, fields, probe, error_estimate_many(layout, solution, probe)
+
+
+# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -133,17 +167,9 @@ def cmd_one_body(config: RunConfig) -> int:
     """Solve one body and write J.csv, Q.json, E_table.csv, validation.json."""
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    wave = config.wave()
     mesh = config.mesh()
     print(f"collocation points: {mesh.n_points}", file=sys.stderr)
-
-    current = solve_current(
-        mesh, wave, tol=config.tol, restart=config.restart,
-        max_iter=config.max_iter, scale=config.bie_scale,
-    )
-    gamma = gamma_for(config.gamma_mode, mesh)
-    q_e = moment_q_exact(current, mesh)
-    q_a = moment_q_asymptotic(mesh, wave, gamma)
+    current, gamma, report = _one_body(config, mesh)
 
     rows = [
         [_fmt(v) for v in (*pt, w)] + sum((_complex_values(j) for j in jj), [])
@@ -157,8 +183,8 @@ def cmd_one_body(config: RunConfig) -> int:
     _write_json(
         outdir / "Q.json",
         {
-            "q_exact": [[z.real, z.imag] for z in q_e],
-            "q_asym": [[z.real, z.imag] for z in q_a],
+            "q_exact": [[z.real, z.imag] for z in report.q_exact],
+            "q_asym": [[z.real, z.imag] for z in report.q_asym],
             "gamma": [[z.real, z.imag] for z in gamma.gamma.ravel()],
             "tau": [[z.real, z.imag] for z in gamma.tau.ravel()],
             "solver": asdict(current.report),
@@ -166,10 +192,6 @@ def cmd_one_body(config: RunConfig) -> int:
         config,
     )
 
-    report = validate_solution(
-        mesh, wave, current, gamma,
-        distances=config.distances, direction=config.eval_direction,
-    )
     e_rows = [
         [_fmt(dist)]
         + sum((_complex_values(z) for z in (*e_e, *e_a)), [])
@@ -192,16 +214,7 @@ def cmd_many_body(config: RunConfig) -> int:
     """Solve the lattice problem; write centers, E_centers, solution CSVs and summary.json."""
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    wave = config.wave()
-    gamma = gamma_sphere_analytic()
-    layout = lattice_layout(
-        config.count, config.spacing, config.particle_radius, box=config.box
-    )
-    solution = solve_effective_field(
-        layout, wave, gamma, tol=config.tol, restart=config.restart,
-        max_iter=config.max_iter,
-    )
-    fields = effective_field_at_centers(layout, wave, solution)
+    layout, solution, fields, probe, estimate = _many_body(config)
 
     _write_csv(
         outdir / "centers.csv",
@@ -227,14 +240,12 @@ def cmd_many_body(config: RunConfig) -> int:
         ],
         config,
     )
-
-    probe = layout.centers[-1] + np.array([config.spacing, 0.0, 0.0])
     _write_json(
         outdir / "summary.json",
         {
             "count": layout.count,
             "norm_of_E": float(np.linalg.norm(fields)),
-            "error_estimate": error_estimate_many(layout, solution, probe),
+            "error_estimate": estimate,
             "error_probe_point": [float(v) for v in probe],
             "solver": asdict(solution.report),
             "operator": {
@@ -285,67 +296,78 @@ def cmd_mesh_export(config: RunConfig, output: str) -> int:
 # Reference-table reproduction
 # ---------------------------------------------------------------------------
 
-def _reproduce_q_sphere(config: RunConfig):
-    wave = config.wave()
-    mesh = mesh_sphere(1e-9, 12)
-    current = solve_current(mesh, wave, tol=config.tol, scale=1.0)
-    q_e = moment_q_exact(current, mesh)
-    q_a = moment_q_asymptotic(mesh, wave, gamma_sphere_analytic())
-    ref = REFERENCE_TABLES["q-sphere"]
-    rows = [
-        ("Q_exact_z_imag", ref["q_exact_z_imag"], q_e[2].imag),
-        ("Q_asym_z_imag", ref["q_asym_z_imag"], q_a[2].imag),
-        ("Q_gap_rel", ref["q_gap_rel"], check_q_asymptotic(q_e, q_a)),
-    ]
-    return ["quantity", "published", "computed", "rel_deviation"], [
-        [name, _fmt(pub), _fmt(val), _fmt(abs(val - pub) / abs(pub))]
-        for name, pub, val in rows
-    ]
+_ELLIPSOID_AXES = (1e-8, 1e-9, 1e-9)
+
+#: The body and evaluation fields of each table, set over the caller's
+#: config: only the wave, tol, restart and max_iter are the caller's own.
+_TABLE_FIELDS = {
+    "q-sphere": dict(shape="sphere", radius=1e-9, m_phi=12, bie_scale=1.0,
+                     gamma_mode="sphere", distances=()),
+    "e-sphere": dict(shape="sphere", radius=1e-9, m_phi=12, bie_scale=2.0,
+                     gamma_mode="sphere",
+                     distances=REFERENCE_TABLES["e-sphere"]["distances"]),
+    "e-ellipsoid": dict(shape="ellipsoid", semi_axes=_ELLIPSOID_AXES, m_phi=14,
+                        bie_scale=2.0, gamma_mode="numeric-local",
+                        eval_direction=_ELLIPSOID_AXES,
+                        distances=tuple(
+                            m * float(np.linalg.norm(_ELLIPSOID_AXES))
+                            for m in REFERENCE_TABLES["e-ellipsoid"]["axis_multiples"]
+                        )),
+    "e-cube": dict(shape="cube", radius=1e-7, n_per_face=10, bie_scale=2.0,
+                   gamma_mode="sphere",
+                   distances=REFERENCE_TABLES["e-cube"]["distances"]),
+    # one sphere per radius, solved at scale 2 for E and at scale 1 for Q
+    "sweep-1386": dict(shape="sphere", m_phi=16, gamma_mode="sphere"),
+    # one lattice per particle radius
+    "many-27": dict(count=27, spacing=1e-7, box=RunConfig.box),
+    "many-1000": dict(count=1000, spacing=1e-7, box=RunConfig.box),
+}
 
 
-def _reproduce_e(config: RunConfig, table_id: str):
-    """Exact-versus-asymptotic field errors at the published evaluation points."""
-    wave = config.wave()
+def _table_config(config: RunConfig, table_id: str, **fields) -> RunConfig:
+    """config with the table's fields and then fields set; its own warnings."""
+    fields = {"eval_direction": (1.0, 1.0, 1.0), **_TABLE_FIELDS[table_id], **fields}
+    return replace(config, warnings=[], **fields)
+
+
+def _reproduce_one_body(config: RunConfig, table_id: str):
+    """q-sphere and the E tables: one one-body run on the table's body."""
     ref = REFERENCE_TABLES[table_id]
-    if table_id == "e-ellipsoid":
-        axes = np.array([1e-8, 1e-9, 1e-9])
-        mesh = mesh_ellipsoid(*axes, 14)
-        gamma = gamma_numeric(mesh, frame="local")
-        offsets = np.outer(ref["axis_multiples"], axes)
-    else:
-        mesh = mesh_sphere(1e-9, 12) if table_id == "e-sphere" else mesh_cube(1e-7, 10)
-        gamma = gamma_sphere_analytic()
-        offsets = np.outer(ref["distances"], DIAGONAL_DIRECTION)
-    current = solve_current(mesh, wave, tol=config.tol, scale=2.0)
-    q_a = moment_q_asymptotic(mesh, wave, gamma)
-    gaps, _, _ = check_e_asymptotic(
-        mesh, wave, current, q_a, mesh.center, mesh.center + offsets
-    )
+    table = _table_config(config, table_id)
+    _, _, report = _one_body(table, table.mesh())
+    if table_id == "q-sphere":
+        rows = [
+            ("Q_exact_z_imag", ref["q_exact_z_imag"], report.q_exact[2].imag),
+            ("Q_asym_z_imag", ref["q_asym_z_imag"], report.q_asym[2].imag),
+            ("Q_gap_rel", ref["q_gap_rel"], report.q_asym_rel),
+        ]
+        return ["quantity", "published", "computed", "rel_deviation"], [
+            [name, _fmt(pub), _fmt(val), _fmt(abs(val - pub) / abs(pub))]
+            for name, pub, val in rows
+        ]
     return ["distance", "published_error", "computed_error", "rel_deviation"], [
         [_fmt(dist), _fmt(pub), _fmt(gap), _fmt(abs(gap - pub) / pub)]
-        for (dist, gap), pub in zip(gaps, ref["errors"])
+        for (dist, gap), pub in zip(report.e_asym_rel, ref["errors"])
     ]
 
 
 def _reproduce_sweep_1386(config: RunConfig):
-    wave = config.wave()
     ref = REFERENCE_TABLES["sweep-1386"]
     header = [
         "radius", "published_e_error", "computed_e_error", "e_rel_deviation",
         "published_q_error", "computed_q_error", "q_rel_deviation",
     ]
     rows = []
-    gamma = gamma_sphere_analytic()
     for radius, pub_e, pub_q in zip(ref["radii"], ref["e_errors"], ref["q_errors"]):
-        mesh = mesh_sphere(radius, 16)
-        q_a = moment_q_asymptotic(mesh, wave, gamma)
-        x = mesh.center + ref["distance"] * DIAGONAL_DIRECTION
-        operator, _ = assemble_one_body(mesh, wave)
-        cur_e = solve_current(mesh, wave, tol=config.tol, scale=2.0, operator=operator)
-        ((_, e_gap),), _, _ = check_e_asymptotic(mesh, wave, cur_e, q_a, mesh.center, [x])
-        cur_q = solve_current(mesh, wave, tol=config.tol, scale=1.0, operator=operator)
+        e_table = _table_config(config, "sweep-1386", radius=radius, bie_scale=2.0,
+                                distances=(ref["distance"],))
+        q_table = _table_config(config, "sweep-1386", radius=radius, bie_scale=1.0,
+                                distances=())
+        mesh = e_table.mesh()
+        operator, _ = assemble_one_body(mesh, e_table.wave())
+        ((_, e_gap),) = _one_body(e_table, mesh, operator)[2].e_asym_rel
+        q_gap = _one_body(q_table, mesh, operator)[2].q_asym_rel
         del operator  # free C before the next mesh is assembled
-        q_gap = check_q_asymptotic(moment_q_exact(cur_q, mesh), q_a)
         rows.append(
             [_fmt(radius), _fmt(pub_e), _fmt(e_gap), _fmt(abs(e_gap - pub_e) / pub_e),
              _fmt(pub_q), _fmt(q_gap), _fmt(abs(q_gap - pub_q) / pub_q)]
@@ -353,21 +375,16 @@ def _reproduce_sweep_1386(config: RunConfig):
     return header, rows
 
 
-def _reproduce_many(config: RunConfig, count: int):
-    wave = config.wave()
-    ref = REFERENCE_TABLES[f"many-{count}"]
-    gamma = gamma_sphere_analytic()
+def _reproduce_many(config: RunConfig, table_id: str):
+    ref = REFERENCE_TABLES[table_id]
     header = [
         "radius", "published_norm", "computed_norm",
         "published_error", "computed_error", "error_rel_deviation",
     ]
     rows = []
     for radius, pub_err in zip(ref["radii"], ref["errors"]):
-        layout = lattice_layout(count, 1e-7, radius)
-        solution = solve_effective_field(layout, wave, gamma, tol=config.tol)
-        fields = effective_field_at_centers(layout, wave, solution)
-        probe = layout.centers[-1] + np.array([layout.spacing, 0.0, 0.0])
-        err = error_estimate_many(layout, solution, probe)
+        table = _table_config(config, table_id, particle_radius=radius)
+        _, _, fields, _, err = _many_body(table)
         rows.append(
             [_fmt(radius), _fmt(ref["norm"]), _fmt(float(np.linalg.norm(fields))),
              _fmt(pub_err), _fmt(err), _fmt(abs(err - pub_err) / pub_err)]
@@ -376,20 +393,16 @@ def _reproduce_many(config: RunConfig, count: int):
 
 
 def cmd_reproduce(config: RunConfig, table_id: str) -> int:
-    builders = {
-        "q-sphere": _reproduce_q_sphere,
-        "e-sphere": lambda cfg: _reproduce_e(cfg, "e-sphere"),
-        "e-ellipsoid": lambda cfg: _reproduce_e(cfg, "e-ellipsoid"),
-        "e-cube": lambda cfg: _reproduce_e(cfg, "e-cube"),
-        "sweep-1386": _reproduce_sweep_1386,
-        "many-27": lambda cfg: _reproduce_many(cfg, 27),
-        "many-1000": lambda cfg: _reproduce_many(cfg, 1000),
-    }
-    if table_id not in builders:
+    if table_id not in REFERENCE_TABLES:
         raise ConfigError(
-            f"unknown table id {table_id!r}; choose from {sorted(builders)}"
+            f"unknown table id {table_id!r}; choose from {sorted(REFERENCE_TABLES)}"
         )
-    header, rows = builders[table_id](config)
+    if table_id == "sweep-1386":
+        header, rows = _reproduce_sweep_1386(config)
+    elif table_id.startswith("many-"):
+        header, rows = _reproduce_many(config, table_id)
+    else:
+        header, rows = _reproduce_one_body(config, table_id)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"reproduce_{table_id}.csv"

@@ -97,6 +97,10 @@ class RunConfig:
             raise ConfigError(
                 f"distances must be finite numbers greater than 0, got {self.distances}"
             )
+        box = _as_floats("box", self.box)
+        if box.shape != (2, 3) or not np.isfinite(box).all():
+            raise ConfigError(f"box must be two triples of finite numbers, got {self.box}")
+        self.box = tuple(tuple(corner) for corner in self.box)
         for name in ("tol", "spacing", "particle_radius"):
             _check_positive(name, getattr(self, name))
         for name in ("count", "restart", "max_iter"):
@@ -162,9 +166,6 @@ class RunConfig:
         for key in ("direction", "amplitude", "semi_axes", "distances", "eval_direction"):
             if coerced.get(key) is not None:
                 coerced[key] = tuple(coerced[key])
-        if coerced.get("box") is not None:
-            lo, hi = coerced["box"]
-            coerced["box"] = (tuple(lo), tuple(hi))
         try:
             return cls(**coerced)
         except TypeError as exc:

@@ -44,14 +44,18 @@ DIAGONAL_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 class ValidationReport:
     """The validation quantities of one solved case.
 
-    e_exact and e_asym are the (n, 3) exact and point-moment fields at the
-    evaluation points that e_asym_rel compares; to_dict leaves them out.
+    q_exact and q_asym are the quadrature and asymptotic moments that
+    q_asym_rel compares, and e_exact and e_asym the (n, 3) exact and
+    point-moment fields at the evaluation points that e_asym_rel compares;
+    to_dict leaves the four arrays out.
     """
 
     tangentiality_max: float
     q_residual_rel: float
     q_asym_rel: float
     e_asym_rel: list[tuple[float, float]]
+    q_exact: np.ndarray
+    q_asym: np.ndarray
     e_exact: np.ndarray
     e_asym: np.ndarray
 
@@ -137,6 +141,8 @@ def validate_solution(
         q_residual_rel=check_q_residual(q_e, gamma, mesh, wave),
         q_asym_rel=check_q_asymptotic(q_e, q_a),
         e_asym_rel=e_asym_rel,
+        q_exact=q_e,
+        q_asym=q_a,
         e_exact=e_exact,
         e_asym=e_asym,
     )

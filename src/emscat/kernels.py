@@ -18,8 +18,6 @@ k in 1/cm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 FOUR_PI = 4.0 * np.pi
@@ -32,53 +30,6 @@ R_MIN_SCALE = 1e-15
 
 class CoincidentPointsError(ValueError):
     """Kernel evaluation requested at (numerically) coincident points."""
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    """Kernel value with first and second x-derivatives at one point pair.
-
-    value is in 1/cm, gradient (shape (3,)) in 1/cm^2 and hessian
-    (shape (3, 3), symmetric) in 1/cm^3.
-    """
-
-    value: complex
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def green(k: float, x, t) -> KernelEval:
-    """Evaluate g(x, t) together with its gradient and Hessian in x.
-
-    Parameters
-    ----------
-    k : wavenumber in 1/cm (k = 0 gives the static kernel).
-    x, t : evaluation and source points, length-3 real sequences (cm).
-
-    Raises
-    ------
-    CoincidentPointsError
-        If |x - t| is below R_MIN_SCALE * max(1, |x|, |t|).
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    diff = x - t
-    r = float(np.linalg.norm(diff))
-    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(t))))
-    if r < R_MIN_SCALE * scale:
-        raise CoincidentPointsError(
-            f"source and evaluation point coincide: |x-t|={r:.3e}, scale={scale:.3e}"
-        )
-
-    u = diff / r
-    value = np.exp(1j * k * r) / (FOUR_PI * r)
-    radial = 1j * k - 1.0 / r
-    gradient = value * radial * u
-    hessian = value * (
-        (radial / r) * np.eye(3)
-        + (-k * k - 3j * k / r + 3.0 / (r * r)) * np.outer(u, u)
-    )
-    return KernelEval(value=complex(value), gradient=gradient, hessian=hessian)
 
 
 def _distances(x_rows: np.ndarray, x_cols: np.ndarray) -> np.ndarray:
@@ -205,23 +156,16 @@ def kernel_hessian_parts(
     return g, c_iso, c_dir
 
 
-#: Bytes a moment_fields batch may hold while it is evaluated.  A batch costs
-#: about FIELD_BYTES_PER_PAIR per point-source pair, so the evaluation points
-#: are taken in row blocks of FIELD_BLOCK_BYTES / (FIELD_BYTES_PER_PAIR m).
-FIELD_BLOCK_BYTES = 8 * 2**20
-FIELD_BYTES_PER_PAIR = 160
-
-
 def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray]:
     """Scattered E and curl E of point moments m_j at sources s_j.
 
     E(x) = sum_j grad g(x, s_j) x m_j and its curl sum_j (k^2 g + H) m_j,
     with H the kernel Hessian.  sources is real (m, 3), moments complex
     (m, 3); x is (3,) or (n, 3), n = 0 included, and both results have the
-    leading shape of x.  The points are evaluated in row blocks of about
-    FIELD_BLOCK_BYTES, so memory does not grow with n.  Raises
-    CoincidentPointsError when x lies on a source (closer than
-    R_MIN_SCALE * max(1, max |x|)).
+    leading shape of x.  The points are evaluated in row blocks of
+    PAIR_BLOCK_BYTES of distances, as in pair_matrix, so memory does not
+    grow with n.  Raises CoincidentPointsError when x lies on a source
+    (closer than R_MIN_SCALE * max(1, max |x|)).
     """
     x = np.asarray(x, dtype=float)
     moments = np.asarray(moments, dtype=complex)
@@ -229,7 +173,7 @@ def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray
     guard = R_MIN_SCALE * max(1.0, float(np.abs(x).max())) if x.size else 0.0
     e = np.empty(points.shape, dtype=complex)
     curl = np.empty(points.shape, dtype=complex)
-    rows = max(1, FIELD_BLOCK_BYTES // (FIELD_BYTES_PER_PAIR * max(1, len(sources))))
+    rows = max(1, PAIR_BLOCK_BYTES // (8 * max(1, len(sources))))
     for a in range(0, len(points), rows):
         e[a:a + rows], curl[a:a + rows] = _moment_fields_block(
             k, sources, moments, points[a:a + rows], guard

@@ -227,6 +227,25 @@ def test_bad_config_exits_2_before_meshing(tmp_path, monkeypatch, capsys, data, 
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", [
+    [1, 2],
+    [[0, 0, 0], [1, 1, "x"]],
+    [[0, 0, 0], [1, 1]],
+    [[0, 0, 0], [1, 1, float("inf")]],
+], ids=["flat", "string", "short", "inf"])
+def test_bad_box_exits_2_before_layout(tmp_path, monkeypatch, capsys, box):
+    with pytest.raises(ConfigError, match="box"):
+        RunConfig.from_dict({"box": box})
+    calls = []
+    monkeypatch.setattr(emscat.cli, "lattice_layout", lambda *a, **k: calls.append(1))
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"box": box}))
+    code = run_cli(["many-body", "--config", str(config_path), "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert calls == []
+    assert "box" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, name", [
     (["--radius", "inf"], "radius"),
     (["--shape", "cube", "--radius", "inf"], "a_half"),
@@ -480,3 +499,62 @@ def test_mesh_export_subcommand(tmp_path, cube600):
     np.testing.assert_allclose(data[:, :3], cube600.points, rtol=1e-15)
     np.testing.assert_allclose(data[:, 3:6], cube600.normals, rtol=1e-15)
     np.testing.assert_allclose(data[:, 6], cube600.weights, rtol=1e-15)
+
+
+def read_table(path):
+    """{column: [cell, ...]} of a reproduce CSV, as the strings written."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header, *rows = (line.split(",") for line in lines)
+    return {key: [row[i] for row in rows] for i, key in enumerate(header)}
+
+
+@pytest.mark.parametrize("table", ["q-sphere", "e-cube", "sweep-1386", "many-27"])
+def test_reproduce_honours_solver_flags(tmp_path, capsys, table):
+    code = run_cli(["reproduce", table, "--max-iter", "1", "--output-dir", str(tmp_path)])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_e_cube_table_equals_one_body(tmp_path):
+    distances = ["1.73e-3", "1.73e-4", "1.73e-5", "1.73e-6"]
+    assert run_cli(["one-body", "--shape", "cube", "--radius", "1e-7", "--n-per-face", "10",
+                    "--bie-scale", "2", "--distances", *distances,
+                    "--output-dir", str(tmp_path)]) == 0
+    rel_errors = [row[-1] for row in read_e_table(tmp_path / "E_table.csv")]
+    assert run_cli(["reproduce", "e-cube", "--output-dir", str(tmp_path)]) == 0
+    assert read_table(tmp_path / "reproduce_e-cube.csv")["computed_error"] == rel_errors
+
+
+def test_many_27_table_equals_many_body(tmp_path):
+    assert run_cli(["many-body", "--count", "27", "--spacing", "1e-7",
+                    "--particle-radius", "1e-8", "--output-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert run_cli(["reproduce", "many-27", "--output-dir", str(tmp_path)]) == 0
+    table = read_table(tmp_path / "reproduce_many-27.csv")
+    assert table["radius"][0] == "1e-08"
+    assert table["computed_norm"][0] == f"{summary['norm_of_E']:.16g}"
+    assert table["computed_error"][0] == f"{summary['error_estimate']:.16g}"
+
+
+@pytest.mark.parametrize("table", ["q-sphere", "many-27"])
+def test_config_file_does_not_change_tables(tmp_path, table):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(
+        {"shape": "cube", "m_phi": 5, "count": 8, "box": [[1, 1, 1], [2, 2, 2]]}
+    ))
+    computed = []
+    for extra in ([], ["--config", str(config_path)]):
+        outdir = tmp_path / str(len(extra))
+        assert run_cli(["reproduce", table, *extra, "--output-dir", str(outdir)]) == 0
+        columns = read_table(outdir / f"reproduce_{table}.csv")
+        computed.append({k: v for k, v in columns.items() if k.startswith("computed")})
+    assert computed[0] == computed[1]
+    assert computed[0]
+
+
+def test_table_config_keeps_caller_warnings(tmp_path, capsys):
+    # a wavenumber 1% off 2 pi / wavelength warns once, when the config is built
+    config = RunConfig(wavenumber=1.01 * 2 * np.pi / 6e-5, output_dir=str(tmp_path))
+    assert len(config.warnings) == 1
+    assert emscat.cli.cmd_reproduce(config, "q-sphere") == 0
+    assert len(config.warnings) == 1

@@ -12,7 +12,6 @@ from emscat.geometry import mesh_sphere
 from emscat.kernels import (
     CoincidentPointsError,
     gradient_coefficient,
-    green,
     kernel_hessian_parts,
     moment_fields,
     pair_distances,
@@ -21,6 +20,7 @@ from emscat.kernels import (
 from emscat.linalg import SolveReport
 from emscat.one_body import _static_coefficient
 from emscat.waves import default_wave
+from kernel_oracle import green
 
 K = 2.0 * np.pi / 6.0e-5  # default experiment wavenumber, 1/cm
 
@@ -267,7 +267,7 @@ def test_moment_field_map_is_row_blocked(monkeypatch, sphere766):
     # one batch of 10^4 x 766 pairs would hold about 1.2 GB at 160 B per pair
     assert peak <= 16 * 2**20
     # the unblocked evaluation, on every tenth point to keep it small
-    monkeypatch.setattr(kernels, "FIELD_BLOCK_BYTES", 2**62)
+    monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 2**62)
     e_ref, curl_ref = moment_fields(K, sphere766.points, moments, x[::10])
     np.testing.assert_allclose(e[::10], e_ref, rtol=1e-14)
     np.testing.assert_allclose(curl[::10], curl_ref, rtol=1e-14)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import emscat.kernels as kernels
-from emscat.kernels import green, kernel_hessian_parts, pair_distances
+from emscat.kernels import kernel_hessian_parts, pair_distances
 from emscat.linalg import SolveReport
 from emscat.many_body import (
     EffectiveFieldSolution,
@@ -30,6 +30,7 @@ from emscat.one_body import (
     moment_q_asymptotic,
 )
 from emscat.waves import default_wave
+from kernel_oracle import green
 
 SPACING = 1e-7
 
