@@ -508,6 +508,65 @@ def read_table(path):
     return {key: [row[i] for row in rows] for i, key in enumerate(header)}
 
 
+E_TABLE_HEADER = ("distance,Eex_re,Eex_im,Eey_re,Eey_im,Eez_re,Eez_im,"
+                  "Eax_re,Eax_im,Eay_re,Eay_im,Eaz_re,Eaz_im,rel_error")
+E_REPRODUCE_HEADER = "distance,published_error,computed_error,rel_deviation"
+MANY_REPRODUCE_HEADER = ("radius,published_norm,computed_norm,"
+                         "published_error,computed_error,error_rel_deviation")
+
+#: The header row of every CSV the CLI writes, by path under the output dir.
+CSV_HEADERS = {
+    "one/J.csv": "x,y,z,w,Jx_re,Jx_im,Jy_re,Jy_im,Jz_re,Jz_im",
+    "one/E_table.csv": E_TABLE_HEADER,
+    "no-distances/E_table.csv": E_TABLE_HEADER,
+    "many/centers.csv": "x,y,z,volume",
+    "many/E_centers.csv": "index,Ex_re,Ex_im,Ey_re,Ey_im,Ez_re,Ez_im",
+    "many/solution.csv": ("index,Ax_re,Ax_im,Ay_re,Ay_im,Az_re,Az_im,"
+                          "Qx_re,Qx_im,Qy_re,Qy_im,Qz_re,Qz_im"),
+    "mesh.csv": "x,y,z,Nx,Ny,Nz,w",
+    "reproduce_q-sphere.csv": "quantity,published,computed,rel_deviation",
+    "reproduce_e-sphere.csv": E_REPRODUCE_HEADER,
+    "reproduce_e-ellipsoid.csv": E_REPRODUCE_HEADER,
+    "reproduce_e-cube.csv": E_REPRODUCE_HEADER,
+    "reproduce_sweep-1386.csv": ("radius,published_e_error,computed_e_error,e_rel_deviation,"
+                                 "published_q_error,computed_q_error,q_rel_deviation"),
+    "reproduce_many-27.csv": MANY_REPRODUCE_HEADER,
+    "reproduce_many-1000.csv": MANY_REPRODUCE_HEADER,
+}
+
+
+@pytest.fixture(scope="module")
+def every_csv(tmp_path_factory):
+    """Output dir holding every CSV the CLI writes, laid out as in CSV_HEADERS."""
+    out = tmp_path_factory.mktemp("every_csv")
+    no_distances = out / "c.json"
+    no_distances.write_text(json.dumps({"distances": []}))
+    runs = [
+        ["one-body", "--m-phi", "6", "--output-dir", str(out / "one")],
+        ["one-body", "--m-phi", "6", "--config", str(no_distances),
+         "--output-dir", str(out / "no-distances")],
+        ["many-body", "--count", "8", "--output-dir", str(out / "many")],
+        ["mesh-export", "--shape", "cube", "--n-per-face", "3",
+         "--output", str(out / "mesh.csv")],
+    ] + [
+        ["reproduce", table, "--output-dir", str(out)]
+        for table in ("q-sphere", "e-sphere", "e-ellipsoid", "e-cube",
+                      "sweep-1386", "many-27", "many-1000")
+    ]
+    for args in runs:
+        assert run_cli(args) == 0, args
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CSV_HEADERS))
+def test_csv_header_is_pinned(every_csv, name):
+    lines = (every_csv / name).read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == CSV_HEADERS[name]
+    assert (len(lines) == 2) == (name == "no-distances/E_table.csv")
+    assert all(len(line.split(",")) == len(lines[1].split(",")) for line in lines[2:])
+
+
 @pytest.mark.parametrize("table", ["q-sphere", "e-cube", "sweep-1386", "many-27"])
 def test_reproduce_honours_solver_flags(tmp_path, capsys, table):
     code = run_cli(["reproduce", table, "--max-iter", "1", "--output-dir", str(tmp_path)])
