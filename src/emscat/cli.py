@@ -15,9 +15,11 @@ mesh-export  write the collocation mesh as CSV
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence.
 All artifacts embed the fully resolved configuration for provenance: JSON
-under a "config" key, CSV as a first "# config: {...}" line.  Complex numbers
-are serialized as re/im column pairs with 16 significant digits.  This module
-is the only writer of these tables.
+under a "config" key, CSV as a first "# config: {...}" line (for a reproduce
+table, the configuration of its first solve).  Every CSV is written by
+_write_csv from named columns: a 3-vector column Q becomes Qx, Qy, Qz, a
+complex column z becomes z_re, z_im, and numbers have 16 significant digits.
+This module is the only writer of these tables.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import sys
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import GAMMA_MODES, SHAPES, ConfigError, RunConfig
 from .diagnostics import gamma_for, validate_solution
 from .linalg import ConvergenceError
 from .many_body import (
@@ -48,67 +51,40 @@ from .one_body import (
     solve_current,
 )
 
-#: Published values of the bundled reference experiments, used by the
-#: `reproduce` subcommand for side-by-side comparison tables.
-REFERENCE_TABLES = {
-    "q-sphere": {
-        "q_exact_z_imag": 0.3925e-21,
-        "q_asym_z_imag": 0.3760e-21,
-        "q_gap_rel": 4.21e-2,
-    },
-    "e-sphere": {
-        "distances": (1.73e-8, 1.73e-7, 1.73e-6),
-        "errors": (4.67e-4, 4.67e-7, 4.70e-10),
-    },
-    "e-ellipsoid": {
-        "axis_multiples": (10.0, 100.0, 1000.0),
-        "errors": (1.73e-4, 1.73e-7, 1.73e-10),
-    },
-    "e-cube": {
-        "distances": (1.73e-3, 1.73e-4, 1.73e-5, 1.73e-6),
-        "errors": (1.19e-8, 1.19e-7, 1.52e-6, 8.64e-4),
-    },
-    "sweep-1386": {
-        "radii": (1.0e-7, 1.0e-8, 1.0e-9, 1.0e-10),
-        "e_errors": (1.08e-6, 1.08e-9, 1.08e-12, 1.12e-15),
-        "q_errors": (1.96e-2, 1.96e-2, 1.96e-2, 1.89e-2),
-        "distance": 1.73e-5,
-    },
-    "many-27": {
-        "radii": (1.0e-8, 1.0e-9, 1.0e-10, 1.0e-11),
-        "norm": 5.20,
-        "errors": (8.16e-6, 8.16e-10, 8.16e-14, 8.16e-18),
-    },
-    "many-1000": {
-        "radii": (1.0e-8, 1.0e-9, 1.0e-10, 1.0e-11),
-        "norm": 31.6,
-        "errors": (3.02e-4, 3.02e-8, 3.02e-12, 3.02e-16),
-    },
-}
-
-
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.16g}"
+def _write_csv(path: Path, columns: dict, config: RunConfig) -> None:
+    """Write columns, {name: one value per row} in order, under a config line.
 
-
-def _complex_columns(name: str):
-    return [f"{name}_re", f"{name}_im"]
-
-
-def _complex_values(z: complex):
-    return [_fmt(z.real), _fmt(z.imag)]
-
-
-def _write_csv(path: Path, header: list, rows: list, config: RunConfig) -> None:
+    An (n, 3) column Q is written as Qx, Qy, Qz (and an unnamed one as x, y,
+    z), a complex column z as z_re, z_im; numbers with 16 significant digits,
+    strings as they are.
+    """
+    flat = {}
+    for name, values in columns.items():
+        values = np.asarray(values)
+        parts = ({name + c: values[:, i] for i, c in enumerate("xyz")}
+                 if values.ndim == 2 else {name: values})
+        for key, part in parts.items():
+            if np.iscomplexobj(part):
+                flat[f"{key}_re"], flat[f"{key}_im"] = part.real, part.imag
+            else:
+                flat[key] = part
     with open(path, "w", newline="") as fh:
         fh.write("# config: " + json.dumps(config.to_dict(), sort_keys=True) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(flat)
+        writer.writerows(
+            [v if isinstance(v, str) else f"{v:.16g}" for v in row]
+            for row in zip(*(part.tolist() for part in flat.values()))
+        )
+
+
+def _pairs(values) -> list:
+    """The complex values, flattened, as JSON [re, im] pairs."""
+    return [[z.real, z.imag] for z in np.ravel(values)]
 
 
 def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
@@ -147,9 +123,8 @@ def _many_body(config: RunConfig):
     estimate at probe, one spacing beyond the last centre along x.
     """
     wave = config.wave()
-    layout = lattice_layout(
-        config.count, config.spacing, config.particle_radius, box=config.box
-    )
+    layout = lattice_layout(config.count, config.spacing, config.particle_radius,
+                            box=config.box)
     solution = solve_effective_field(
         layout, wave, gamma_sphere_analytic(), tol=config.tol,
         restart=config.restart, max_iter=config.max_iter,
@@ -171,40 +146,16 @@ def cmd_one_body(config: RunConfig) -> int:
     print(f"collocation points: {mesh.n_points}", file=sys.stderr)
     current, gamma, report = _one_body(config, mesh)
 
-    rows = [
-        [_fmt(v) for v in (*pt, w)] + sum((_complex_values(j) for j in jj), [])
-        for pt, w, jj in zip(mesh.points, mesh.weights, current.values)
-    ]
-    header = ["x", "y", "z", "w"] + sum(
-        (_complex_columns(f"J{c}") for c in "xyz"), []
-    )
-    _write_csv(outdir / "J.csv", header, rows, config)
-
-    _write_json(
-        outdir / "Q.json",
-        {
-            "q_exact": [[z.real, z.imag] for z in report.q_exact],
-            "q_asym": [[z.real, z.imag] for z in report.q_asym],
-            "gamma": [[z.real, z.imag] for z in gamma.gamma.ravel()],
-            "tau": [[z.real, z.imag] for z in gamma.tau.ravel()],
-            "solver": asdict(current.report),
-        },
-        config,
-    )
-
-    e_rows = [
-        [_fmt(dist)]
-        + sum((_complex_values(z) for z in (*e_e, *e_a)), [])
-        + [_fmt(gap)]
-        for (dist, gap), e_e, e_a in zip(report.e_asym_rel, report.e_exact, report.e_asym)
-    ]
-    e_header = (
-        ["distance"]
-        + sum((_complex_columns(f"Ee{c}") for c in "xyz"), [])
-        + sum((_complex_columns(f"Ea{c}") for c in "xyz"), [])
-        + ["rel_error"]
-    )
-    _write_csv(outdir / "E_table.csv", e_header, e_rows, config)
+    _write_csv(outdir / "J.csv",
+               {"": mesh.points, "w": mesh.weights, "J": current.values}, config)
+    _write_json(outdir / "Q.json", {
+        "q_exact": _pairs(report.q_exact), "q_asym": _pairs(report.q_asym),
+        "gamma": _pairs(gamma.gamma), "tau": _pairs(gamma.tau),
+        "solver": asdict(current.report),
+    }, config)
+    distances, gaps = np.reshape(report.e_asym_rel, (-1, 2)).T
+    _write_csv(outdir / "E_table.csv", {"distance": distances, "Ee": report.e_exact,
+                                         "Ea": report.e_asym, "rel_error": gaps}, config)
     _write_json(outdir / "validation.json", report.to_dict(), config)
     print(f"artifacts written to {outdir}", file=sys.stderr)
     return 0
@@ -216,30 +167,11 @@ def cmd_many_body(config: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     layout, solution, fields, probe, estimate = _many_body(config)
 
-    _write_csv(
-        outdir / "centers.csv",
-        ["x", "y", "z", "volume"],
-        [[_fmt(v) for v in (*c, vol)] for c, vol in zip(layout.centers, layout.volumes)],
-        config,
-    )
-    _write_csv(
-        outdir / "E_centers.csv",
-        ["index"] + sum((_complex_columns(f"E{c}") for c in "xyz"), []),
-        [
-            [str(i)] + sum((_complex_values(z) for z in row), [])
-            for i, row in enumerate(fields)
-        ],
-        config,
-    )
-    _write_csv(
-        outdir / "solution.csv",
-        ["index"] + sum((_complex_columns(f"{v}{c}") for v in "AQ" for c in "xyz"), []),
-        [
-            [str(i)] + sum((_complex_values(z) for z in (*a, *q)), [])
-            for i, (a, q) in enumerate(zip(solution.a_values, solution.q_values))
-        ],
-        config,
-    )
+    index = np.arange(layout.count)
+    _write_csv(outdir / "centers.csv", {"": layout.centers, "volume": layout.volumes}, config)
+    _write_csv(outdir / "E_centers.csv", {"index": index, "E": fields}, config)
+    _write_csv(outdir / "solution.csv",
+               {"index": index, "A": solution.a_values, "Q": solution.q_values}, config)
     _write_json(
         outdir / "summary.json",
         {
@@ -264,13 +196,11 @@ def cmd_gamma(config: RunConfig) -> int:
     mesh = config.mesh()
     out = {
         "n_points": mesh.n_points,
-        "numeric_local": [[z.real, z.imag] for z in gamma_numeric(mesh, "local").gamma.ravel()],
-        "numeric_lab": [[z.real, z.imag] for z in gamma_numeric(mesh, "lab").gamma.ravel()],
+        "numeric_local": _pairs(gamma_numeric(mesh, "local").gamma),
+        "numeric_lab": _pairs(gamma_numeric(mesh, "lab").gamma),
     }
     if config.shape == "sphere":
-        out["sphere_analytic"] = [
-            [z.real, z.imag] for z in gamma_sphere_analytic().gamma.ravel()
-        ]
+        out["sphere_analytic"] = _pairs(gamma_sphere_analytic().gamma)
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0
@@ -279,15 +209,8 @@ def cmd_gamma(config: RunConfig) -> int:
 def cmd_mesh_export(config: RunConfig, output: str) -> int:
     """Write the collocation mesh as CSV, one row per point: x,y,z,Nx,Ny,Nz,w."""
     mesh = config.mesh()
-    _write_csv(
-        Path(output),
-        ["x", "y", "z", "Nx", "Ny", "Nz", "w"],
-        [
-            [_fmt(v) for v in (*pt, *nrm, w)]
-            for pt, nrm, w in zip(mesh.points, mesh.normals, mesh.weights)
-        ],
-        config,
-    )
+    _write_csv(Path(output),
+               {"": mesh.points, "N": mesh.normals, "w": mesh.weights}, config)
     print(f"{mesh.n_points} points -> {output}", file=sys.stderr)
     return 0
 
@@ -296,117 +219,144 @@ def cmd_mesh_export(config: RunConfig, output: str) -> int:
 # Reference-table reproduction
 # ---------------------------------------------------------------------------
 
-_ELLIPSOID_AXES = (1e-8, 1e-9, 1e-9)
+def _deviation(computed, published) -> np.ndarray:
+    return np.abs(np.subtract(computed, published)) / np.abs(published)
 
-#: The body and evaluation fields of each table, set over the caller's
-#: config: only the wave, tol, restart and max_iter are the caller's own.
-_TABLE_FIELDS = {
-    "q-sphere": dict(shape="sphere", radius=1e-9, m_phi=12, bie_scale=1.0,
-                     gamma_mode="sphere", distances=()),
-    "e-sphere": dict(shape="sphere", radius=1e-9, m_phi=12, bie_scale=2.0,
-                     gamma_mode="sphere",
-                     distances=REFERENCE_TABLES["e-sphere"]["distances"]),
-    "e-ellipsoid": dict(shape="ellipsoid", semi_axes=_ELLIPSOID_AXES, m_phi=14,
-                        bie_scale=2.0, gamma_mode="numeric-local",
-                        eval_direction=_ELLIPSOID_AXES,
-                        distances=tuple(
-                            m * float(np.linalg.norm(_ELLIPSOID_AXES))
-                            for m in REFERENCE_TABLES["e-ellipsoid"]["axis_multiples"]
-                        )),
-    "e-cube": dict(shape="cube", radius=1e-7, n_per_face=10, bie_scale=2.0,
-                   gamma_mode="sphere",
-                   distances=REFERENCE_TABLES["e-cube"]["distances"]),
-    # one sphere per radius, solved at scale 2 for E and at scale 1 for Q
-    "sweep-1386": dict(shape="sphere", m_phi=16, gamma_mode="sphere"),
-    # one lattice per particle radius
-    "many-27": dict(count=27, spacing=1e-7, box=RunConfig.box),
-    "many-1000": dict(count=1000, spacing=1e-7, box=RunConfig.box),
+
+def _q_columns(config: RunConfig, published: dict) -> dict:
+    """q-sphere: the z moments and their gap, from one one-body run."""
+    _, _, report = _one_body(config, config.mesh())
+    computed = [report.q_exact[2].imag, report.q_asym[2].imag, report.q_asym_rel]
+    values = list(published.values())
+    return {"quantity": list(published), "published": values,
+            "computed": computed, "rel_deviation": _deviation(computed, values)}
+
+
+def _e_columns(config: RunConfig, published: dict) -> dict:
+    """The E tables: the far-field gap at each distance, from one one-body run."""
+    _, _, report = _one_body(config, config.mesh())
+    distances, gaps = np.reshape(report.e_asym_rel, (-1, 2)).T
+    return {"distance": distances, "published_error": published["errors"],
+            "computed_error": gaps, "rel_deviation": _deviation(gaps, published["errors"])}
+
+
+def _sweep_columns(config: RunConfig, published: dict) -> dict:
+    """sweep-1386: per radius, the E gap at config's scale and distance, then
+    the Q gap at scale 1, both solved on one assembled operator."""
+    e_gaps, q_gaps = [], []
+    for radius in published["radii"]:
+        e_config = replace(config, radius=radius)
+        mesh = e_config.mesh()
+        operator, _ = assemble_one_body(mesh, e_config.wave())
+        ((_, e_gap),) = _one_body(e_config, mesh, operator)[2].e_asym_rel
+        q_config = replace(e_config, bie_scale=1.0, distances=())
+        q_gaps.append(_one_body(q_config, mesh, operator)[2].q_asym_rel)
+        e_gaps.append(e_gap)
+        del operator  # free C before the next mesh is assembled
+    return {
+        "radius": published["radii"],
+        "published_e_error": published["e_errors"], "computed_e_error": e_gaps,
+        "e_rel_deviation": _deviation(e_gaps, published["e_errors"]),
+        "published_q_error": published["q_errors"], "computed_q_error": q_gaps,
+        "q_rel_deviation": _deviation(q_gaps, published["q_errors"]),
+    }
+
+
+def _many_columns(config: RunConfig, published: dict) -> dict:
+    """many-27 and many-1000: per particle radius, the field norm at the
+    centres and the error estimate, from one many-body run."""
+    norms, errors = [], []
+    for radius in published["radii"]:
+        _, _, fields, _, error = _many_body(replace(config, particle_radius=radius))
+        norms.append(float(np.linalg.norm(fields)))
+        errors.append(error)
+    return {
+        "radius": published["radii"], "published_norm": [published["norm"]] * len(norms),
+        "computed_norm": norms, "published_error": published["errors"],
+        "computed_error": errors,
+        "error_rel_deviation": _deviation(errors, published["errors"]),
+    }
+
+
+class Table(NamedTuple):
+    """A bundled reference experiment of `reproduce`.
+
+    fields are the RunConfig fields of its first solve, set over the caller's
+    config: only the wave, tol, restart and max_iter are the caller's own.
+    columns(table config, published) returns the CSV columns.
+    """
+
+    fields: dict
+    published: dict
+    columns: Callable
+
+
+_ELLIPSOID_AXES = (1e-8, 1e-9, 1e-9)
+_SWEEP_RADII = (1.0e-7, 1.0e-8, 1.0e-9, 1.0e-10)
+_MANY_RADII = (1.0e-8, 1.0e-9, 1.0e-10, 1.0e-11)
+
+#: The reproduce tables by id, with the published values they are compared to.
+TABLES = {
+    "q-sphere": Table(
+        dict(shape="sphere", radius=1e-9, m_phi=12, bie_scale=1.0, gamma_mode="sphere",
+             distances=()),
+        {"Q_exact_z_imag": 0.3925e-21, "Q_asym_z_imag": 0.3760e-21, "Q_gap_rel": 4.21e-2},
+        _q_columns,
+    ),
+    "e-sphere": Table(
+        dict(shape="sphere", radius=1e-9, m_phi=12, bie_scale=2.0, gamma_mode="sphere",
+             distances=(1.73e-8, 1.73e-7, 1.73e-6)),
+        {"errors": (4.67e-4, 4.67e-7, 4.70e-10)},
+        _e_columns,
+    ),
+    "e-ellipsoid": Table(
+        # evaluated at 10, 100 and 1000 times the semi-axes vector
+        dict(shape="ellipsoid", semi_axes=_ELLIPSOID_AXES, m_phi=14, bie_scale=2.0,
+             gamma_mode="numeric-local", eval_direction=_ELLIPSOID_AXES,
+             distances=tuple(m * float(np.linalg.norm(_ELLIPSOID_AXES))
+                             for m in (10.0, 100.0, 1000.0))),
+        {"errors": (1.73e-4, 1.73e-7, 1.73e-10)},
+        _e_columns,
+    ),
+    "e-cube": Table(
+        dict(shape="cube", radius=1e-7, n_per_face=10, bie_scale=2.0, gamma_mode="sphere",
+             distances=(1.73e-3, 1.73e-4, 1.73e-5, 1.73e-6)),
+        {"errors": (1.19e-8, 1.19e-7, 1.52e-6, 8.64e-4)},
+        _e_columns,
+    ),
+    "sweep-1386": Table(
+        dict(shape="sphere", radius=_SWEEP_RADII[0], m_phi=16, bie_scale=2.0,
+             gamma_mode="sphere", distances=(1.73e-5,)),
+        {"radii": _SWEEP_RADII, "e_errors": (1.08e-6, 1.08e-9, 1.08e-12, 1.12e-15),
+         "q_errors": (1.96e-2, 1.96e-2, 1.96e-2, 1.89e-2)},
+        _sweep_columns,
+    ),
+    "many-27": Table(
+        dict(count=27, spacing=1e-7, particle_radius=_MANY_RADII[0], box=RunConfig.box),
+        {"radii": _MANY_RADII, "norm": 5.20,
+         "errors": (8.16e-6, 8.16e-10, 8.16e-14, 8.16e-18)},
+        _many_columns,
+    ),
+    "many-1000": Table(
+        dict(count=1000, spacing=1e-7, particle_radius=_MANY_RADII[0], box=RunConfig.box),
+        {"radii": _MANY_RADII, "norm": 31.6,
+         "errors": (3.02e-4, 3.02e-8, 3.02e-12, 3.02e-16)},
+        _many_columns,
+    ),
 }
 
 
-def _table_config(config: RunConfig, table_id: str, **fields) -> RunConfig:
-    """config with the table's fields and then fields set; its own warnings."""
-    fields = {"eval_direction": (1.0, 1.0, 1.0), **_TABLE_FIELDS[table_id], **fields}
-    return replace(config, warnings=[], **fields)
-
-
-def _reproduce_one_body(config: RunConfig, table_id: str):
-    """q-sphere and the E tables: one one-body run on the table's body."""
-    ref = REFERENCE_TABLES[table_id]
-    table = _table_config(config, table_id)
-    _, _, report = _one_body(table, table.mesh())
-    if table_id == "q-sphere":
-        rows = [
-            ("Q_exact_z_imag", ref["q_exact_z_imag"], report.q_exact[2].imag),
-            ("Q_asym_z_imag", ref["q_asym_z_imag"], report.q_asym[2].imag),
-            ("Q_gap_rel", ref["q_gap_rel"], report.q_asym_rel),
-        ]
-        return ["quantity", "published", "computed", "rel_deviation"], [
-            [name, _fmt(pub), _fmt(val), _fmt(abs(val - pub) / abs(pub))]
-            for name, pub, val in rows
-        ]
-    return ["distance", "published_error", "computed_error", "rel_deviation"], [
-        [_fmt(dist), _fmt(pub), _fmt(gap), _fmt(abs(gap - pub) / pub)]
-        for (dist, gap), pub in zip(report.e_asym_rel, ref["errors"])
-    ]
-
-
-def _reproduce_sweep_1386(config: RunConfig):
-    ref = REFERENCE_TABLES["sweep-1386"]
-    header = [
-        "radius", "published_e_error", "computed_e_error", "e_rel_deviation",
-        "published_q_error", "computed_q_error", "q_rel_deviation",
-    ]
-    rows = []
-    for radius, pub_e, pub_q in zip(ref["radii"], ref["e_errors"], ref["q_errors"]):
-        e_table = _table_config(config, "sweep-1386", radius=radius, bie_scale=2.0,
-                                distances=(ref["distance"],))
-        q_table = _table_config(config, "sweep-1386", radius=radius, bie_scale=1.0,
-                                distances=())
-        mesh = e_table.mesh()
-        operator, _ = assemble_one_body(mesh, e_table.wave())
-        ((_, e_gap),) = _one_body(e_table, mesh, operator)[2].e_asym_rel
-        q_gap = _one_body(q_table, mesh, operator)[2].q_asym_rel
-        del operator  # free C before the next mesh is assembled
-        rows.append(
-            [_fmt(radius), _fmt(pub_e), _fmt(e_gap), _fmt(abs(e_gap - pub_e) / pub_e),
-             _fmt(pub_q), _fmt(q_gap), _fmt(abs(q_gap - pub_q) / pub_q)]
-        )
-    return header, rows
-
-
-def _reproduce_many(config: RunConfig, table_id: str):
-    ref = REFERENCE_TABLES[table_id]
-    header = [
-        "radius", "published_norm", "computed_norm",
-        "published_error", "computed_error", "error_rel_deviation",
-    ]
-    rows = []
-    for radius, pub_err in zip(ref["radii"], ref["errors"]):
-        table = _table_config(config, table_id, particle_radius=radius)
-        _, _, fields, _, err = _many_body(table)
-        rows.append(
-            [_fmt(radius), _fmt(ref["norm"]), _fmt(float(np.linalg.norm(fields))),
-             _fmt(pub_err), _fmt(err), _fmt(abs(err - pub_err) / pub_err)]
-        )
-    return header, rows
-
-
 def cmd_reproduce(config: RunConfig, table_id: str) -> int:
-    if table_id not in REFERENCE_TABLES:
-        raise ConfigError(
-            f"unknown table id {table_id!r}; choose from {sorted(REFERENCE_TABLES)}"
-        )
-    if table_id == "sweep-1386":
-        header, rows = _reproduce_sweep_1386(config)
-    elif table_id.startswith("many-"):
-        header, rows = _reproduce_many(config, table_id)
-    else:
-        header, rows = _reproduce_one_body(config, table_id)
+    """Write reproduce_<table_id>.csv under the config of its first solve; echo it."""
+    if table_id not in TABLES:
+        raise ConfigError(f"unknown table id {table_id!r}; choose from {sorted(TABLES)}")
+    table = TABLES[table_id]
+    config = replace(config, warnings=[],
+                     **{"eval_direction": (1.0, 1.0, 1.0), **table.fields})
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"reproduce_{table_id}.csv"
-    _write_csv(path, header, rows, config)
+    _write_csv(path, table.columns(config, table.published), config)
     with open(path) as fh:
         sys.stdout.write(fh.read())
     return 0
@@ -432,15 +382,14 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_shape_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shape", choices=["sphere", "ellipsoid", "cube"])
+    parser.add_argument("--shape", choices=SHAPES)
     parser.add_argument("--radius", type=float, help="sphere radius / cube half side (cm)")
     parser.add_argument("--semi-axes", type=float, nargs=3, dest="semi_axes",
                         metavar=("A", "B", "C"))
     parser.add_argument("--m-phi", type=int, dest="m_phi")
     parser.add_argument("--n-per-face", type=int, dest="n_per_face")
     parser.add_argument("--bie-scale", type=float, dest="bie_scale")
-    parser.add_argument("--gamma-mode", dest="gamma_mode",
-                        choices=["sphere", "numeric-local", "numeric-lab"])
+    parser.add_argument("--gamma-mode", dest="gamma_mode", choices=GAMMA_MODES)
     parser.add_argument("--distances", type=float, nargs="+")
     parser.add_argument("--eval-direction", type=float, nargs=3, dest="eval_direction",
                         metavar=("X", "Y", "Z"))
@@ -465,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="rerun a bundled reference experiment")
     _add_common_options(p_rep)
-    p_rep.add_argument("table_id", help="q-sphere | e-sphere | e-ellipsoid | e-cube | "
-                                        "sweep-1386 | many-27 | many-1000")
+    p_rep.add_argument("table_id", help=" | ".join(TABLES))
 
     p_gamma = sub.add_parser("gamma", help="coupling matrix of the configured body")
     _add_common_options(p_gamma)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -22,25 +23,41 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+SHAPES = ("sphere", "ellipsoid", "cube")
+GAMMA_MODES = ("sphere", "numeric-local", "numeric-lab")
+
+
+def _check_number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _check_positive(name: str, value) -> None:
-    try:
-        ok = bool(np.isfinite(value) and value > 0)
-    except TypeError:  # a string or null from a config file
-        ok = False
-    if not ok:
+    _check_number(name, value)
+    if not (np.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be a finite number greater than 0, got {value}")
 
 
-def _as_floats(name: str, value) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must hold numbers, got {value!r}") from None
-
-
 def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
         raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
+def _numbers(name: str, value, shape: tuple, what: str, valid=np.isfinite) -> tuple:
+    """value, numbers of the given shape (None matches any length), as tuples.
+
+    valid(array) must hold for every entry; else ConfigError naming name,
+    with what describing the expected value.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    if (array.dtype.kind not in "iuf" or array.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, array.shape))
+            or not valid(array.astype(float)).all()):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return tuple(map(tuple, value)) if array.ndim == 2 else tuple(value)
 
 
 @dataclass
@@ -85,28 +102,36 @@ class RunConfig:
         if self.wavenumber is None:
             self.wavenumber = 2.0 * np.pi / self.wavelength
         _check_positive("wavenumber", self.wavenumber)
-        direction = _as_floats("eval_direction", self.eval_direction)
-        if direction.shape != (3,) or not np.isfinite(direction).all():
-            raise ConfigError(
-                f"eval_direction must be 3 finite numbers, got {self.eval_direction}"
-            )
-        if not direction.any():
+        for name, shape, what, valid in (
+            ("direction", (3,), "3 finite numbers", np.isfinite),
+            ("amplitude", (3,), "3 finite numbers", np.isfinite),
+            ("eval_direction", (3,), "3 finite numbers", np.isfinite),
+            ("distances", (None,), "a list of finite numbers greater than 0",
+             lambda a: np.isfinite(a) & (a > 0)),
+            ("box", (2, 3), "two triples of finite numbers", np.isfinite),
+        ):
+            setattr(self, name, _numbers(name, getattr(self, name), shape, what, valid))
+        if self.semi_axes is not None:
+            # the mesh builder rejects sizes that are not finite and positive
+            self.semi_axes = _numbers("semi_axes", self.semi_axes, (3,), "3 numbers (a, b, c)",
+                                      valid=np.isreal)
+        if not any(self.eval_direction):
             raise ConfigError("eval_direction must be nonzero")
-        distances = _as_floats("distances", self.distances)
-        if distances.ndim != 1 or not (np.isfinite(distances) & (distances > 0)).all():
-            raise ConfigError(
-                f"distances must be finite numbers greater than 0, got {self.distances}"
-            )
-        box = _as_floats("box", self.box)
-        if box.shape != (2, 3) or not np.isfinite(box).all():
-            raise ConfigError(f"box must be two triples of finite numbers, got {self.box}")
-        self.box = tuple(tuple(corner) for corner in self.box)
+        try:
+            self.wave()
+        except ValueError as exc:  # direction not a unit vector transverse to amplitude
+            raise ConfigError(str(exc)) from None
+        _check_number("radius", self.radius)
         for name in ("tol", "spacing", "particle_radius"):
             _check_positive(name, getattr(self, name))
-        for name in ("count", "restart", "max_iter"):
+        for name in ("count", "restart", "max_iter", "m_phi", "n_per_face"):
             _check_count(name, getattr(self, name))
+        _check_number("bie_scale", self.bie_scale)
         if not (np.isfinite(self.bie_scale) and self.bie_scale != 0):
             raise ConfigError(f"bie_scale must be a finite nonzero number, got {self.bie_scale}")
+        for name, choices in (("shape", SHAPES), ("gamma_mode", GAMMA_MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; choose from {choices}")
         self._check_consistency()
 
     def _check_consistency(self):
@@ -135,7 +160,6 @@ class RunConfig:
             wavenumber=float(self.wavenumber),
             frequency=self.frequency,
             permeability=self.permeability,
-            permittivity=self.permittivity,
         )
 
     def mesh(self) -> CollocationMesh:
@@ -143,13 +167,10 @@ class RunConfig:
         if self.shape == "sphere":
             return mesh_sphere(self.radius, self.m_phi)
         if self.shape == "ellipsoid":
-            if self.semi_axes is None or len(self.semi_axes) != 3:
+            if self.semi_axes is None:
                 raise ConfigError("ellipsoid shape needs semi_axes (a, b, c)")
-            a, b, c = self.semi_axes
-            return mesh_ellipsoid(a, b, c, self.m_phi)
-        if self.shape == "cube":
-            return mesh_cube(self.radius, self.n_per_face)
-        raise ConfigError(f"unknown shape {self.shape!r}")
+            return mesh_ellipsoid(*self.semi_axes, self.m_phi)
+        return mesh_cube(self.radius, self.n_per_face)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -162,14 +183,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        for key in ("direction", "amplitude", "semi_axes", "distances", "eval_direction"):
-            if coerced.get(key) is not None:
-                coerced[key] = tuple(coerced[key])
-        try:
-            return cls(**coerced)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

@@ -190,13 +190,12 @@ def lattice_layout(
     spacing: float,
     radius: float,
     box=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-    volume_coeff: float = SPHERE_VOLUME_COEFF,
 ) -> ManyBodyLayout:
     """Regular n x n x n lattice anchored at the low corner of the box.
 
     count must be a perfect cube; centers are box_min + (i, j, l) * spacing
-    with i (the x index) varying fastest.  Per-body volumes default to the
-    spherical volume_coeff * radius^3.
+    with i (the x index) varying fastest.  Each body has the volume of a
+    sphere of the given radius.
     """
     n = round(abs(count) ** (1.0 / 3.0))
     if n**3 != count:
@@ -214,7 +213,7 @@ def lattice_layout(
         centers=centers,
         radius=radius,
         spacing=spacing,
-        volumes=np.full(count, volume_coeff * radius**3),
+        volumes=np.full(count, SPHERE_VOLUME_COEFF * radius**3),
         box=(tuple(lo), tuple(hi)),
     )
 
@@ -225,12 +224,11 @@ def layout_from_centers(
     radius: float,
     box=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
     volumes=None,
-    volume_coeff: float = SPHERE_VOLUME_COEFF,
 ) -> ManyBodyLayout:
     """Layout from an explicit center list (general counts allowed)."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if volumes is None:
-        volumes = np.full(centers.shape[0], volume_coeff * radius**3)
+        volumes = np.full(centers.shape[0], SPHERE_VOLUME_COEFF * radius**3)
     return ManyBodyLayout(
         centers=centers, radius=radius, spacing=spacing, volumes=np.asarray(volumes),
         box=(tuple(box[0]), tuple(box[1])),

@@ -27,7 +27,6 @@ class IncidentWave:
     wavenumber: float
     frequency: float = FREQUENCY
     permeability: float = 1.0
-    permittivity: float = 1.0
 
     def __post_init__(self):
         amp = np.asarray(self.amplitude, dtype=float)
@@ -68,7 +67,6 @@ def default_wave(
     direction=(0.0, 1.0, 0.0),
     frequency: float = FREQUENCY,
     permeability: float = 1.0,
-    permittivity: float = 1.0,
 ) -> IncidentWave:
     """Wave with the default experiment parameters (k = 2 pi / wavelength)."""
     return IncidentWave(
@@ -77,5 +75,4 @@ def default_wave(
         wavenumber=2.0 * np.pi / wavelength,
         frequency=frequency,
         permeability=permeability,
-        permittivity=permittivity,
     )

@@ -77,10 +77,16 @@ def config_line(path):
      ["Q.json", "validation.json"]),
     (["many-body", "--count", "8"], {"count": 8},
      ["centers.csv", "E_centers.csv", "solution.csv"], ["summary.json"]),
-    (["reproduce", "q-sphere"], {}, ["reproduce_q-sphere.csv"], []),
+    # a reproduce table records the config of its first solve
+    (["reproduce", "q-sphere"],
+     {"shape": "sphere", "radius": 1e-9, "m_phi": 12, "bie_scale": 1.0, "gamma_mode": "sphere",
+      "distances": ()}, ["reproduce_q-sphere.csv"], []),
+    (["reproduce", "e-cube"],
+     {"shape": "cube", "radius": 1e-7, "n_per_face": 10, "bie_scale": 2.0, "gamma_mode": "sphere",
+      "distances": (1.73e-3, 1.73e-4, 1.73e-5, 1.73e-6)}, ["reproduce_e-cube.csv"], []),
     (["mesh-export", "--shape", "cube", "--n-per-face", "3", "--output", "{out}/mesh.csv"],
      {"shape": "cube", "n_per_face": 3}, ["mesh.csv"], []),
-], ids=["one-body", "many-body", "reproduce", "mesh-export"])
+], ids=["one-body", "many-body", "reproduce", "reproduce-e-cube", "mesh-export"])
 def test_every_artifact_carries_resolved_config(tmp_path, args, overrides, csvs, jsons):
     args = [a.replace("{out}", str(tmp_path)) for a in args]
     assert run_cli([*args, "--output-dir", str(tmp_path)]) == 0
@@ -211,9 +217,26 @@ def test_zero_eval_direction_exits_2_before_solving(tmp_path, monkeypatch, capsy
     ({"distances": [float("inf")]}, "distances"),
     ({"distances": [0.0]}, "distances"),
     ({"distances": ["far"]}, "distances"),
+    ({"distances": 1e-8}, "distances"),
+    ({"direction": 1}, "direction"),
+    ({"direction": [1, 1, 0]}, "direction"),
+    ({"direction": None}, "direction"),
+    ({"eval_direction": None}, "eval_direction"),
+    ({"semi_axes": 5}, "semi_axes"),
+    ({"semi_axes": [1e-8, "1e-9", 1e-9]}, "semi_axes"),
+    ({"m_phi": 2.5}, "m_phi"),
+    ({"m_phi": "12"}, "m_phi"),
+    ({"n_per_face": 2.5}, "n_per_face"),
+    ({"radius": "1e-9"}, "radius"),
+    ({"bie_scale": "2"}, "bie_scale"),
+    ({"gamma_mode": "bogus"}, "gamma_mode"),
+    ({"shape": "torus"}, "shape"),
 ], ids=["short-eval-direction", "nan-eval-direction", "zero-tol", "negative-tol",
         "zero-wave-speed", "string-wavelength", "nan-distance", "inf-distance",
-        "zero-distance", "string-distance"])
+        "zero-distance", "string-distance", "scalar-distances", "scalar-direction",
+        "non-unit-direction", "null-direction", "null-eval-direction", "scalar-semi-axes",
+        "string-semi-axis", "fractional-m-phi", "string-m-phi", "fractional-n-per-face",
+        "string-radius", "string-bie-scale", "unknown-gamma-mode", "unknown-shape"])
 def test_bad_config_exits_2_before_meshing(tmp_path, monkeypatch, capsys, data, field):
     with pytest.raises(ConfigError, match=field):
         RunConfig.from_dict(data)

@@ -1,6 +1,7 @@
 """Coupled-moment system: layout, assembly oracles, fields, error bound."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ def write_centers_csv(path, layout):
     rows = [",".join(f"{v:.16g}" for v in (*c, vol))
             for c, vol in zip(layout.centers, layout.volumes)]
     path.write_text("\n".join(["# config: {}", "x,y,z,volume", *rows]) + "\n")
+
+
+def heavy(layout):
+    """layout with each volume 1e5 radius^3, far above a sphere's."""
+    return replace(layout, volumes=np.full(layout.count, 1e5 * layout.radius**3))
 
 
 def grid_345_layout():
@@ -218,10 +224,10 @@ def test_matvec_matches_dense(wave):
 
 
 @pytest.mark.parametrize("make_layout", [
-    # volume_coeff makes the coupling a few percent of the identity, so the
+    # heavy volumes make the coupling a few percent of the identity, so the
     # comparison is not dominated by the identity part of the operator
-    lambda: lattice_layout(27, SPACING, 1e-9, volume_coeff=1e5),
-    lambda: lattice_layout(216, SPACING, 1e-9, volume_coeff=1e5),
+    lambda: heavy(lattice_layout(27, SPACING, 1e-9)),
+    lambda: heavy(lattice_layout(216, SPACING, 1e-9)),
     grid_345_layout,
 ], ids=["lattice-27", "lattice-216", "grid-3x4x5"])
 def test_fft_matvec_matches_dense(wave, make_layout):
@@ -237,8 +243,7 @@ def test_fft_matvec_matches_dense(wave, make_layout):
 
 
 def test_jittered_layout_takes_dense_path(wave):
-    layout = layout_from_centers(jittered_centers(3), spacing=SPACING, radius=1e-9,
-                                 volume_coeff=1e5)
+    layout = heavy(layout_from_centers(jittered_centers(3), spacing=SPACING, radius=1e-9))
     operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
     assert operator.coupling == "dense"
     rng = np.random.default_rng(4)
@@ -308,7 +313,7 @@ def test_dense_operator_holds_two_scalar_matrices(wave):
 def test_sphere_tau_scales_pair_blocks_row_wise(wave):
     # the sphere gamma is diagonal, so applying the whole tau scales row p of
     # every coupling block by tau(p, p)
-    layout = lattice_layout(8, 1e-7, 1e-9, volume_coeff=1e5)
+    layout = heavy(lattice_layout(8, 1e-7, 1e-9))
     gamma = gamma_sphere_analytic()
     dense = assemble_many_body(layout, wave, gamma)[0].to_dense()
     k = wave.wavenumber
