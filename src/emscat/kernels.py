@@ -93,9 +93,10 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex)
     only, one row block at a time: rows [a, b) against columns [a, P), each
     block at most PAIR_BLOCK_BYTES of distances.  The block and its weighted
     transpose are written straight into the output, so assembly holds the
-    output plus one block.  The entries equal those of
-    kernel(pair_distances(points, center)) * w_j bit for bit, and the same
-    CoincidentPointsError guard applies.
+    output plus one block.  For a kernel whose bits do not depend on the
+    size of its argument, as for every kernel in this module, the entries
+    equal those of kernel(pair_distances(points, center)) * w_j bit for
+    bit.  The same CoincidentPointsError guard applies.
     """
     x = points - center
     p = x.shape[0]
@@ -140,6 +141,16 @@ def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:
     return c
 
 
+def _scale(z: np.ndarray, s: np.ndarray) -> None:
+    """z *= s in place for complex z and real s, one real part at a time.
+
+    With s = 1 / d it gives the bits of numpy's z / d, whose complex division
+    multiplies by the reciprocal, without casting d to complex.
+    """
+    np.multiply(z.real, s, out=z.real)
+    np.multiply(z.imag, s, out=z.imag)
+
+
 def kernel_hessian_parts(
     k: float, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,10 +160,45 @@ def kernel_hessian_parts(
     and grad g = c_iso diff, so large batches never materialize (..., 3, 3)
     arrays.  c_iso is formed from g, not with gradient_coefficient: that
     would cost a second complex exp per pair.
+
+    Evaluated in explicit steps as
+
+        g     = exp(ikr) / (4 pi r)
+        c_iso = g (ik - 1/r) / r
+        c_dir = g (-k^2 - 3ik/r + 3/r^2) / r^2
+
+    with exp(ikr) formed once as cos kr + i sin kr, each complex product
+    written to a fresh array with g as its first operand, and no ufunc that
+    casts a real array to complex.  Every element therefore has the same
+    bits whatever the size of r; numpy's in-place reuse of large temporaries
+    swaps the operands of a fused complex multiply, so the one-expression
+    form changed the last bits from 16384 elements up.  The bits are those
+    of that form on arrays of 1 to 16383 elements.
     """
-    g = np.exp(1j * k * r) / (FOUR_PI * r)
-    c_iso = g * (1j * k - 1.0 / r) / r
-    c_dir = g * (-k * k - 3j * k / r + 3.0 / (r * r)) / (r * r)
+    r = np.asarray(r, dtype=float)
+    g, c_iso, c_dir, bracket = (np.empty(r.shape, dtype=complex) for _ in range(4))
+    work = np.empty(r.shape)
+    np.multiply(k, r, out=work)
+    np.cos(work, out=g.real)
+    np.sin(work, out=g.imag)
+    np.multiply(FOUR_PI, r, out=work)
+    np.reciprocal(work, out=work)
+    _scale(g, work)
+    inv_r = np.reciprocal(r, out=np.empty(r.shape))
+    np.negative(inv_r, out=bracket.real)
+    bracket.imag = k
+    np.multiply(g, bracket, out=c_iso)
+    _scale(c_iso, inv_r)
+    np.multiply(r, r, out=work)
+    np.divide(3.0, work, out=bracket.real)
+    np.add(bracket.real, -k * k, out=bracket.real)
+    np.multiply(3.0 * k, inv_r, out=bracket.imag)
+    del inv_r
+    np.negative(bracket.imag, out=bracket.imag)
+    np.multiply(g, bracket, out=c_dir)
+    del bracket
+    np.reciprocal(work, out=work)
+    _scale(c_dir, work)
     return g, c_iso, c_dir
 
 

@@ -19,17 +19,21 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   O(M) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198, 1991).  The
   fields at the centres are the same convolution with the gradient kernel.
 * dense -- any other layout stores the coupling as two complex (M, M)
-  scalar matrices, C0 for the isotropic part and C2 for the d d^T part of
-  each block (32 B per pair), built on the upper triangle in row blocks.
-  Expanding d = x_m - x_j in coordinates centred on the layout turns the
-  matvec into C0 @ A and one (M, M) x (M, 15) product C2 @ [A, x (x) A, x s]
-  with s_j = x_j . A_j, plus O(M) contractions.  Since grad g(x_m, x_j) =
-  c_mj (x_m - x_j), the fields at the centres are likewise one (M, M) x
-  (M, 6) product C @ [Q, x x Q].
+  scalar matrices, C_iso = c_iso |D_j| and C2 = c_dir |D_j| (32 B per
+  pair), built in one pass over the upper triangle in row blocks.  The
+  isotropic part of each block, k^2 g + c_iso, follows from the Helmholtz
+  trace identity k^2 g + c_iso = -2 c_iso - c_dir r^2.  Expanding
+  d = x_m - x_j and r^2 = |x_m|^2 - 2 x_m . x_j + |x_j|^2 in coordinates
+  centred on the layout turns the matvec into C_iso @ A and one (M, M) x
+  (M, 18) product C2 @ [A, x (x) A, x s, |x|^2 A] with s_j = x_j . A_j,
+  plus O(M) contractions.  Since grad g(x_m, x_j) = c_iso (x_m - x_j), the
+  solve then forms the fields at the centres from the same C_iso, as one
+  (M, M) x (M, 6) product C_iso @ [A, x x A], and the solution carries
+  them.
 
-``ManyBodyOperator.to_dense`` builds the blocks from pairwise differences of
-the raw centres on both paths, so it is an independent oracle for both
-matvecs.
+``ManyBodyOperator.to_dense`` builds the blocks k^2 g + c_iso and c_dir from
+pairwise differences of the raw centres on both paths, never from the stored
+C_iso, so it is an independent oracle for both matvecs.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import numpy as np
 
 from .kernels import (
     CoincidentPointsError,
-    gradient_coefficient,
     kernel_hessian_parts,
     moment_fields,
     pair_matrix,
@@ -255,23 +258,16 @@ def layout_from_csv(path, spacing: float, radius: float, box=((0, 0, 0), (1, 1, 
     )
 
 
-def _pair_coefficients(layout: ManyBodyLayout, wavenumber: float) -> np.ndarray:
-    """Pairwise coupling in split form: block (m, j) = c0 I + c2 diff diff^T.
+def _pair_coefficients(layout: ManyBodyLayout, kernel) -> np.ndarray:
+    """pair_matrix of kernel over the centres, with the volumes |D_j| folded in.
 
-    Returns the complex (2, M, M) stack of c0 and c2, with the volumes |D_j|
-    folded in and the self terms zeroed.  Block (m, j) is
-    [k^2 g I + H] |D_j|, H = c_iso I + c_dir diff diff^T, so c0 =
-    (k^2 g + c_iso) |D_j| and c2 = c_dir |D_j|; both are symmetric before
-    the volumes, so pair_matrix evaluates them on the upper triangle.
+    Block (m, j) of the coupling is [k^2 g I + H] |D_j| with
+    H = c_iso I + c_dir diff diff^T; kernel returns scalar parts of it, all
+    symmetric before the volumes, so pair_matrix evaluates them on the upper
+    triangle.  The self terms are zero.
     """
-    k = wavenumber
-
-    def parts(r):
-        g, c_iso, c_dir = kernel_hessian_parts(k, r)
-        return k * k * g + c_iso, c_dir
-
     centers = layout.centers
-    return pair_matrix(centers, centers.mean(axis=0), parts, weights=layout.volumes)
+    return pair_matrix(centers, centers.mean(axis=0), kernel, weights=layout.volumes)
 
 
 #: Unique (p, q) components of a symmetric 3 x 3 block, and the index of
@@ -334,16 +330,20 @@ class ManyBodyOperator:
 
     coupling is "fft" on a grid layout (the FFT of the six unique Hessian
     kernel components is stored, O(M) memory) and "dense" otherwise.  The
-    dense path stores only the complex (2, M, M) stack of the scalar
-    coefficients c0 and c2 of _pair_coefficients (32 B per pair) and the
-    centres x relative to their mean.  With d = x_m - x_j,
+    dense path stores only the complex (2, M, M) stack of C_iso = c_iso |D_j|
+    and C2 = c_dir |D_j| (32 B per pair) and the centres x relative to their
+    mean.  Block (m, j) is (k^2 g + c_iso) |D_j| I + C2_mj d d^T with
+    d = x_m - x_j, and k^2 g + c_iso = -2 c_iso - c_dir r^2 since the
+    Hessian's trace is -k^2 g.  With P = C2 @ A,
+    P~[m, p, q] = sum_j C2_mj x_jp A_jq and S_m = trace P~_m,
 
-        sum_j c2_mj d (d . A_j) = x_m (x_m . P_m - S_m) - P~_m x_m + T_m
+        sum_j C2_mj d (d . A_j) = x_m (x_m . P_m - S_m) - P~_m x_m + C2 @ (x s)
+        sum_j C2_mj r^2 A_j     = |x_m|^2 P_m - 2 x_m . P~_m + C2 @ (|x|^2 A)
 
-    where P = C2 @ A, P~[m, p, q] = sum_j c2_mj x_jp A_jq, S_m = trace P~_m
-    and T = C2 @ (x s), s_j = x_j . A_j: one GEMM of C2 with the 15 columns
-    [A, x (x) A, x s], one of C0 with A, and O(M) contractions.  Centring
-    keeps the terms from cancelling for a cluster far from the origin.
+    with s_j = x_j . A_j: one GEMM of C2 with the 18 columns
+    [A, x (x) A, x s, |x|^2 A], one of C_iso with A, and O(M) contractions.
+    Centring keeps the terms from cancelling for a cluster far from the
+    origin.
     """
 
     def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix):
@@ -353,11 +353,11 @@ class ManyBodyOperator:
         self.count = layout.count
         self.shape = (3 * self.count, 3 * self.count)
         self.coupling = "dense" if layout.grid is None else "fft"
+        k = wavenumber
         if layout.grid is None:
-            self._coeff = _pair_coefficients(layout, wavenumber)
+            self._coeff = _pair_coefficients(layout, lambda r: kernel_hessian_parts(k, r)[1:])
             self._x = layout.centers - layout.centers.mean(axis=0)
             return
-        k = wavenumber
         diff, g, c_iso, c_dir = _grid_kernel_parts(layout.grid, k)
         components = np.stack([
             c_dir * diff[..., p] * diff[..., q] + (k * k * g + c_iso if p == q else 0.0)
@@ -382,23 +382,50 @@ class ManyBodyOperator:
         else:
             x = self._x
             s = np.einsum("jq,jq->j", x, a)
-            columns = np.concatenate([_moment_columns(x, a), x * s[:, None]], axis=1)
+            x2 = np.einsum("jq,jq->j", x, x)
+            columns = np.concatenate(
+                [_moment_columns(x, a), x * s[:, None], x2[:, None] * a], axis=1)
             product = self._coeff[1] @ columns
-            xa = product[:, 3:12].reshape(-1, 3, 3)  # sum_j c2_mj x_jp A_jq
+            p = product[:, :3]
+            xa = product[:, 3:12].reshape(-1, 3, 3)  # sum_j C2_mj x_jp A_jq
             trace = np.einsum("mpp->m", xa)
-            out = (self._coeff[0] @ a
-                   + x * (np.einsum("mq,mq->m", x, product[:, :3]) - trace)[:, None]
-                   - np.einsum("mpq,mq->mp", xa, x) + product[:, 12:])
+            dd = (x * (np.einsum("mq,mq->m", x, p) - trace)[:, None]
+                  - np.einsum("mpq,mq->mp", xa, x) + product[:, 12:15])
+            r2 = x2[:, None] * p - 2.0 * np.einsum("mp,mpq->mq", x, xa) + product[:, 15:]
+            out = dd - r2 - 2.0 * (self._coeff[0] @ a)
         return out @ self._tau.T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(x, dtype=complex).reshape(self.count, 3)
         return (a + self._coupling(a)).reshape(-1)
 
+    def scattered_at_centers(self, a: np.ndarray) -> np.ndarray:
+        """Field of the moments Q_j = -|D_j| A_j at every centre, own term left out.
+
+        sum_{j != m} grad g(x_m, x_j) x Q_j with grad g = c_iso (x_m - x_j)
+        is (C_iso (x x A))_m - x_m x (C_iso A)_m: one product of the stored
+        C_iso with the (M, 6) block [A, x x A].  Dense coupling only.
+        """
+        if self.coupling != "dense":
+            raise ValueError("scattered_at_centers needs the dense coupling")
+        x = self._x
+        product = self._coeff[0] @ np.concatenate([a, np.cross(x, a)], axis=1)
+        return product[:, 3:] - np.cross(x, product[:, :3])
+
     def to_dense(self) -> np.ndarray:
-        """Materialize the full (3M, 3M) matrix pairwise (small systems / oracles)."""
-        c0, c2 = (self._coeff if self.coupling == "dense"
-                  else _pair_coefficients(self._layout, self._wavenumber))
+        """Materialize the full (3M, 3M) matrix pairwise (small systems / oracles).
+
+        The scalar parts k^2 g + c_iso and c_dir are evaluated afresh, not
+        taken from the stored C_iso, so this checks the trace identity the
+        dense matvec relies on.
+        """
+        k = self._wavenumber
+
+        def parts(r):
+            g, c_iso, c_dir = kernel_hessian_parts(k, r)
+            return k * k * g + c_iso, c_dir
+
+        c0, c2 = _pair_coefficients(self._layout, parts)
         centers = self._layout.centers
         diff = centers[:, None, :] - centers[None, :, :]
         m = self.count
@@ -419,6 +446,10 @@ class EffectiveFieldSolution:
 
     coupling ("fft" or "dense") and operator_bytes record the operator that
     produced the solution; None when the solution was not built by a solve.
+    scattered_at_centers is the moments' field at every centre, own term
+    left out (ManyBodyOperator.scattered_at_centers): a dense solve forms it
+    while its coupling matrices are alive; None on a grid layout, whose
+    field effective_field_at_centers forms by FFT.
     """
 
     a_values: np.ndarray
@@ -427,6 +458,7 @@ class EffectiveFieldSolution:
     wave: IncidentWave
     coupling: str | None = None
     operator_bytes: int | None = None
+    scattered_at_centers: np.ndarray | None = None
 
 
 def assemble_many_body(
@@ -450,7 +482,9 @@ def solve_effective_field(
     """Solve for all A_m and attach the moments Q_m = -|D_m| A_m.
 
     method "gmres" (default) or "direct" (LU on to_dense()), as in
-    linalg.solve_operator; raises ConvergenceError if GMRES stalls.
+    linalg.solve_operator; raises ConvergenceError if GMRES stalls.  On the
+    dense coupling the field at the centres is formed here, from the same
+    coupling matrices, and carried by the solution.
     """
     check_method(method)
     operator, rhs = assemble_many_body(layout, wave, gamma)
@@ -464,6 +498,8 @@ def solve_effective_field(
         wave=wave,
         coupling=operator.coupling,
         operator_bytes=operator.nbytes,
+        scattered_at_centers=(operator.scattered_at_centers(a)
+                              if operator.coupling == "dense" else None),
     )
 
 
@@ -493,24 +529,36 @@ def effective_field_at_centers(
     """Field acting on each body: the total field minus the body's own term.
 
     On a grid layout the scattered part is one FFT convolution of the
-    gradient kernel with the moments.  Otherwise grad g(x_m, x_j) =
-    c_mj (x_m - x_j) makes it x_m x (C Q)_m - (C (x x Q))_m: one product of
-    the (M, M) matrix C with the (M, 6) block [Q, x x Q], in coordinates
-    centred on the layout so that the two terms do not cancel.
+    gradient kernel with the moments.  Otherwise it is the field the dense
+    solve carries (EffectiveFieldSolution.scattered_at_centers).  Raises
+    ValueError when layout or wave is not the one the solution belongs to
+    (count or wavenumber differ), or when a solution on a non-grid layout
+    carries no field.
     """
+    if layout.count != len(solution.q_values):
+        raise ValueError(
+            f"layout has {layout.count} centres but the solution "
+            f"{len(solution.q_values)} moments"
+        )
+    if wave.wavenumber != solution.wave.wavenumber:
+        raise ValueError(
+            f"wave has wavenumber {wave.wavenumber:.12g} but the solution was "
+            f"solved at {solution.wave.wavenumber:.12g}"
+        )
     if layout.grid is not None:
         diff, _, c_iso, _ = _grid_kernel_parts(layout.grid, wave.wavenumber)
         grad_hat = np.fft.fftn(np.moveaxis(c_iso[..., None] * diff, -1, 0), axes=(1, 2, 3))
         q_hat = _grid_spectrum(solution.q_values, layout.grid)
         scattered = _grid_values(np.cross(grad_hat, q_hat, axis=0), layout.grid)
-        return wave.field(layout.centers) + scattered
-    center = layout.centers.mean(axis=0)
-    x = layout.centers - center
-    k = wave.wavenumber
-    coeff = pair_matrix(layout.centers, center, lambda r: gradient_coefficient(k, r))
-    q = solution.q_values
-    product = coeff @ np.concatenate([q, np.cross(x, q)], axis=1)
-    return wave.field(layout.centers) + np.cross(x, product[:, :3]) - product[:, 3:]
+    elif solution.scattered_at_centers is None:
+        raise ValueError(
+            "the solution carries no field at the centres of this non-grid layout: "
+            "solve it with solve_effective_field, or set scattered_at_centers from "
+            "ManyBodyOperator.scattered_at_centers"
+        )
+    else:
+        scattered = solution.scattered_at_centers
+    return wave.field(layout.centers) + scattered
 
 
 def field_h_many(

@@ -17,7 +17,6 @@ from emscat.kernels import (
     pair_distances,
     pair_matrix,
 )
-from emscat.linalg import SolveReport
 from emscat.one_body import _static_coefficient
 from emscat.waves import default_wave
 from kernel_oracle import green
@@ -128,6 +127,16 @@ def test_moment_fields_matches_green_pair_sum():
         np.testing.assert_allclose(curl[i], curl_i, rtol=1e-13)
 
 
+def test_kernel_hessian_parts_bits_do_not_depend_on_the_array_size():
+    # numpy reuses large temporaries in place from 16384 complex elements
+    # up, which changed the last bits of a one-expression evaluation
+    r = np.random.default_rng(4).uniform(1e-8, 1e-5, 20_000)
+    whole = kernel_hessian_parts(K, r)
+    for a in range(0, 20_000, 1000):
+        for part, piece in zip(whole, kernel_hessian_parts(K, r[a:a + 1000])):
+            assert np.array_equal(part[a:a + 1000], piece)
+
+
 def test_pair_distances_match_pairwise_norms():
     rng = np.random.default_rng(17)
     points = (1.0, 2.0, 3.0) + rng.normal(size=(30, 3)) * 1e-7
@@ -187,6 +196,19 @@ def test_pair_matrix_equals_full_construction(monkeypatch, kind, p):
     assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
 
 
+@pytest.mark.parametrize("kind", PAIR_KERNELS)
+def test_pair_matrix_equals_full_construction_in_full_blocks(kind):
+    # the default PAIR_BLOCK_BYTES gives row blocks of 218 x 300 and 82 x 82
+    # pairs against the 300 x 300 of the full construction
+    rng = np.random.default_rng(300)
+    points = (1.0, 2.0, 3.0) + rng.normal(size=(300, 3)) * 1e-7
+    kernel, weighted, dtype = PAIR_KERNELS[kind]
+    weights = rng.uniform(0.5, 2.0, 300) if weighted else None
+    center = points.mean(axis=0)
+    got = pair_matrix(points, center, kernel, weights=weights, dtype=dtype)
+    assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
+
+
 def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex):
     """Stand-in for pair_matrix that builds the full distances at once."""
     c = full_pair_matrix(points, center, kernel, weights)
@@ -203,18 +225,16 @@ def _gamma_numeric(mesh, layout):
 
 
 def _fields_at_centers(mesh, layout):
+    # a dense solve forms the fields at the centres from its own coupling
+    # matrices, so the operator's one pair_matrix call feeds both
     wave = default_wave()
-    rng = np.random.default_rng(8)
-    q = (rng.normal(size=(layout.count, 3)) + 1j * rng.normal(size=(layout.count, 3))) * 1e-13
-    solution = many_body.EffectiveFieldSolution(
-        a_values=-q / layout.volumes[:, None], q_values=q,
-        report=SolveReport(0, 0.0, True), wave=wave,
-    )
+    solution = many_body.solve_effective_field(layout, wave, one_body.gamma_sphere_analytic())
+    assert solution.coupling == "dense"
     return many_body.effective_field_at_centers(layout, wave, solution)
 
 
-#: Single-kernel callers of pair_matrix: the module that imports it, and a
-#: function of (mesh, layout) returning the caller's result.
+#: Callers of pair_matrix: the module that imports it, and a function of
+#: (mesh, layout) returning the caller's result.
 PAIR_MATRIX_CALLERS = {
     "one-body-C": (one_body, _one_body_c),
     "gamma-numeric": (one_body, _gamma_numeric),

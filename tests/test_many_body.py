@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import emscat.kernels as kernels
+import emscat.many_body as many_body
 from emscat.kernels import kernel_hessian_parts, pair_distances
 from emscat.linalg import SolveReport
 from emscat.many_body import (
@@ -271,7 +272,9 @@ def test_dense_coefficients_equal_full_construction(wave, monkeypatch):
     k = wave.wavenumber
     g, c_iso, c_dir = kernel_hessian_parts(
         k, pair_distances(layout.centers, layout.centers.mean(axis=0)))
-    expected = np.stack([k * k * g + c_iso, c_dir]) * layout.volumes
+    # the stored isotropic part is c_iso; k^2 g + c_iso comes from the
+    # trace identity in the matvec
+    expected = np.stack([c_iso, c_dir]) * layout.volumes
     for part in expected:
         np.fill_diagonal(part, 0.0)
     assert np.array_equal(operator._coeff, expected)
@@ -382,6 +385,23 @@ def test_effective_field_norm_m27(many27):
     assert abs(fields[0, 2]) <= 1e-12 * np.linalg.norm(fields)
 
 
+def hand_built_solution(layout, wave, q):
+    """A solution with moments q, as a solve would return it.
+
+    On a non-grid layout it carries the field at the centres, formed from
+    the dense operator's own coupling matrices.
+    """
+    a = -q / layout.volumes[:, None]
+    scattered = None
+    if layout.grid is None:
+        operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+        scattered = operator.scattered_at_centers(a)
+    return EffectiveFieldSolution(
+        a_values=a, q_values=q, report=SolveReport(0, 0.0, True), wave=wave,
+        scattered_at_centers=scattered,
+    )
+
+
 @pytest.mark.parametrize("make_layout", [
     grid_345_layout,
     lambda: layout_from_centers(jittered_centers(4)[:60], spacing=SPACING, radius=1e-9),
@@ -396,10 +416,7 @@ def test_effective_field_at_centers_matches_pair_sum(wave, make_layout):
     rng = np.random.default_rng(6)
     # moments sized so that the scattered field is comparable to the incident one
     q = (rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))) * 1e-13
-    solution = EffectiveFieldSolution(
-        a_values=-q / layout.volumes[:, None], q_values=q,
-        report=SolveReport(0, 0.0, True), wave=wave,
-    )
+    solution = hand_built_solution(layout, wave, q)
     expected = wave.field(layout.centers)
     for m, x in enumerate(layout.centers):
         for j, t in enumerate(layout.centers):
@@ -409,6 +426,70 @@ def test_effective_field_at_centers_matches_pair_sum(wave, make_layout):
     np.testing.assert_allclose(
         effective_field_at_centers(layout, wave, solution), expected, rtol=1e-12
     )
+
+
+def test_dense_solution_without_field_at_centers_rejected(wave):
+    layout = unequal_volume_layout()
+    solution = solve_effective_field(layout, wave, SKEW_GAMMA)
+    assert solution.scattered_at_centers is not None
+    with pytest.raises(ValueError, match="carries no field at the centres"):
+        effective_field_at_centers(layout, wave, replace(solution, scattered_at_centers=None))
+
+
+def test_effective_field_at_centers_rejects_another_layout(many27, wave):
+    _, solution = many27
+    with pytest.raises(ValueError, match="layout has 8 centres but the solution 27 moments"):
+        effective_field_at_centers(lattice_layout(8, 1e-7, 1e-9), wave, solution)
+
+
+def test_effective_field_at_centers_rejects_another_wave(many27, wave):
+    layout, solution = many27
+    other = replace(wave, wavenumber=2.0 * wave.wavenumber)
+    with pytest.raises(ValueError,
+                       match="wave has wavenumber 209439.510239 but the solution was solved "
+                             "at 104719.75512"):
+        effective_field_at_centers(layout, other, solution)
+
+
+def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
+    calls = {"pair_matrix": 0, "gradient_coefficient": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (kernels, many_body):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    layout = unequal_volume_layout()
+    solution = solve_effective_field(layout, wave, SKEW_GAMMA)
+    effective_field_at_centers(layout, wave, solution)
+    assert solution.coupling == "dense"
+    assert calls == {"pair_matrix": 1, "gradient_coefficient": 0}
+
+
+def test_dense_path_matches_fft_path_off_the_grid(wave):
+    # moving one centre by 1e-11 of the largest coordinate takes the layout
+    # off the grid (GRID_RTOL is 1e-13) and changes the coupling by ~1e-10;
+    # centre 23 has no neighbour in +x, so no pair comes closer
+    grid = heavy(lattice_layout(64, SPACING, 1e-9))
+    centers = grid.centers.copy()
+    centers[23, 0] += 1e-11 * np.abs(centers).max()
+    moved = replace(grid, centers=centers)
+    gamma = gamma_sphere_analytic()
+    fft = solve_effective_field(grid, wave, gamma, tol=1e-13)
+    dense = solve_effective_field(moved, wave, gamma, tol=1e-13)
+    assert (fft.coupling, dense.coupling) == ("fft", "dense")
+    np.testing.assert_allclose(dense.q_values, fft.q_values, rtol=1e-8)
+    incident = wave.field(grid.centers)
+    scattered = effective_field_at_centers(grid, wave, fft) - incident
+    assert np.linalg.norm(scattered) > 1e-4 * np.linalg.norm(incident)
+    np.testing.assert_allclose(
+        effective_field_at_centers(moved, wave, dense) - wave.field(centers), scattered,
+        rtol=1e-8)
 
 
 def test_lattice_32_cubed_has_no_quadratic_allocation(wave):
