@@ -59,6 +59,7 @@ from .one_body import (
     moment_q_asymptotic,
     moment_q_exact,
     solve_current,
+    solve_currents,
 )
 from .waves import IncidentWave, default_wave
 

@@ -45,10 +45,10 @@ from .many_body import (
     solve_effective_field,
 )
 from .one_body import (
-    assemble_one_body,
     gamma_numeric,
     gamma_sphere_analytic,
     solve_current,
+    solve_currents,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,16 +98,17 @@ def _write_json(path: Path, payload: dict, config: RunConfig) -> None:
 # Pipelines: the computation of one-body and many-body, shared by reproduce
 # ---------------------------------------------------------------------------
 
-def _one_body(config: RunConfig, mesh, operator=None):
+def _one_body(config: RunConfig, mesh, current=None):
     """Solve config's body on mesh and validate it: (current, gamma, report).
 
-    operator, from assemble_one_body on mesh, is reused at config.bie_scale.
+    current, already solved on mesh at config.bie_scale, is validated as it is.
     """
     wave = config.wave()
-    current = solve_current(
-        mesh, wave, tol=config.tol, restart=config.restart,
-        max_iter=config.max_iter, scale=config.bie_scale, operator=operator,
-    )
+    if current is None:
+        current = solve_current(
+            mesh, wave, tol=config.tol, restart=config.restart,
+            max_iter=config.max_iter, scale=config.bie_scale,
+        )
     gamma = gamma_for(config.gamma_mode, mesh)
     report = validate_solution(
         mesh, wave, current, gamma,
@@ -242,17 +243,19 @@ def _e_columns(config: RunConfig, published: dict) -> dict:
 
 def _sweep_columns(config: RunConfig, published: dict) -> dict:
     """sweep-1386: per radius, the E gap at config's scale and distance, then
-    the Q gap at scale 1, both solved on one assembled operator."""
+    the Q gap at scale 1, both solved in one shifted GMRES on one operator."""
     e_gaps, q_gaps = [], []
     for radius in published["radii"]:
         e_config = replace(config, radius=radius)
-        mesh = e_config.mesh()
-        operator, _ = assemble_one_body(mesh, e_config.wave())
-        ((_, e_gap),) = _one_body(e_config, mesh, operator)[2].e_asym_rel
         q_config = replace(e_config, bie_scale=1.0, distances=())
-        q_gaps.append(_one_body(q_config, mesh, operator)[2].q_asym_rel)
+        mesh = e_config.mesh()
+        e_current, q_current = solve_currents(
+            mesh, e_config.wave(), (e_config.bie_scale, q_config.bie_scale),
+            tol=config.tol, restart=config.restart, max_iter=config.max_iter,
+        )
+        ((_, e_gap),) = _one_body(e_config, mesh, e_current)[2].e_asym_rel
+        q_gaps.append(_one_body(q_config, mesh, q_current)[2].q_asym_rel)
         e_gaps.append(e_gap)
-        del operator  # free C before the next mesh is assembled
     return {
         "radius": published["radii"],
         "published_e_error": published["e_errors"], "computed_e_error": e_gaps,

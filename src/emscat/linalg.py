@@ -4,6 +4,13 @@ The discretized boundary and coupling operators are identity-plus-compact,
 so unpreconditioned GMRES converges in a handful of iterations; the LU path
 exists as an independent oracle and for small systems.  Unknown vectors use
 the interleaved layout (X1, Y1, Z1, X2, ...) throughout the package.
+
+solve_gmres also solves shifted systems (A + sigma I) x = b for several
+sigma and one b at once.  The Krylov space of A + sigma I does not depend
+on sigma, so one Arnoldi process on A serves every shift, each shift keeping
+its own Givens rotations of H + sigma I (Frommer and Glaessner, SIAM J. Sci.
+Comput. 19, 15, 1998).  This saves matvecs only when the shifts share the
+right-hand side; several right-hand sides need a block method instead.
 """
 
 from __future__ import annotations
@@ -104,12 +111,126 @@ def _back_substitute(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y
 
 
+class _ShiftRotations:
+    """Givens QR of one shift's Hessenberg matrix H + sigma I, built column by column.
+
+    r holds the rotated columns, cs and sn the rotations and g the rotated
+    right-hand side beta e_1, whose entry j + 1 is the residual estimate.
+    """
+
+    def __init__(self, sigma: complex, restart: int, beta: float):
+        self.sigma = sigma
+        self.r = np.zeros((restart + 1, restart), dtype=complex)
+        self.cs = np.zeros(restart, dtype=complex)
+        self.sn = np.zeros(restart, dtype=complex)
+        self.g = np.zeros(restart + 1, dtype=complex)
+        self.g[0] = beta
+
+    def add_column(self, column: np.ndarray) -> float:
+        """Rotate Arnoldi column j = len(column) - 2, shifted; return |g[j + 1]|."""
+        j = len(column) - 2
+        h, cs, sn, g = self.r, self.cs, self.sn, self.g
+        h[:j + 2, j] = column
+        if self.sigma:
+            h[j, j] += self.sigma
+        for i in range(j):
+            temp = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
+            h[i + 1, j] = -np.conj(sn[i]) * h[i, j] + np.conj(cs[i]) * h[i + 1, j]
+            h[i, j] = temp
+        denom = np.sqrt(np.abs(h[j, j]) ** 2 + np.abs(h[j + 1, j]) ** 2)
+        if denom == 0.0:
+            cs[j], sn[j] = 1.0, 0.0
+        else:
+            cs[j] = np.conj(h[j, j]) / denom
+            sn[j] = np.conj(h[j + 1, j]) / denom
+        h[j, j] = cs[j] * h[j, j] + sn[j] * h[j + 1, j]
+        h[j + 1, j] = 0.0
+        g[j + 1] = -np.conj(sn[j]) * g[j]
+        g[j] = cs[j] * g[j]
+        return abs(g[j + 1])
+
+    def coefficients(self, inner: int) -> np.ndarray:
+        """The basis coefficients y of the update V[:inner].T @ y."""
+        return _back_substitute(self.r[:inner, :inner], self.g[:inner])
+
+
+def _gmres_cycle(apply_a, r, beta, sigmas, restart, budget, b_norm, tol, history):
+    """One restart cycle from residual r for every shift in sigmas at once.
+
+    One Arnoldi process on A serves every shift; each shift rotates its own
+    H + sigma I and stops at the first step whose estimate is below tol.
+    Returns (updates, applications of A), updates None when a basis vector
+    turned non-finite.  history gets the largest estimate of the shifts
+    still running, per step.
+    """
+    v = np.zeros((restart + 1, r.shape[0]), dtype=complex)
+    v[0] = r / beta
+    rotations = [_ShiftRotations(sigma, restart, beta) for sigma in sigmas]
+    inner = [0] * len(sigmas)
+    running = list(range(len(sigmas)))
+    used = 0
+    for j in range(restart):
+        if used >= budget:
+            break
+        # copy: the operator may return its input (identity) or a view
+        w = np.array(apply_a(v[j]), dtype=complex)
+        used += 1
+        column = np.zeros(j + 2, dtype=complex)
+        for i in range(j + 1):
+            column[i] = np.vdot(v[i], w)
+            w -= column[i] * v[i]
+        h_next = float(np.linalg.norm(w))
+        if not np.isfinite(h_next):  # so is every residual estimate
+            history.append(float("nan"))
+            return None, used
+        column[j + 1] = h_next
+
+        estimates = {s: rotations[s].add_column(column) / b_norm for s in running}
+        history.append(max(estimates.values()))
+        for s in running:
+            inner[s] = j + 1
+        running = [s for s in running if not (estimates[s] <= tol or h_next == 0.0)]
+        if not running:
+            break
+        if j + 1 < restart:
+            v[j + 1] = w / h_next
+
+    updates = [v[:k].T @ rot.coefficients(k) for rot, k in zip(rotations, inner)]
+    return updates, used
+
+
+def _residual(apply_a, b, x, sigma):
+    """b - (A + sigma I) x."""
+    ax = apply_a(x)
+    if sigma:
+        ax = ax + sigma * x
+    return b - ax
+
+
+def _check_shifts(shifts) -> list:
+    """The shifts as a list, [0] for None; ValueError unless finite and non-empty."""
+    if shifts is None:
+        return [0]
+    sigmas = np.asarray(shifts, dtype=complex)
+    if sigmas.ndim != 1 or sigmas.size == 0:
+        raise ValueError(f"shifts must be a non-empty sequence of numbers, got {shifts!r}")
+    if not np.all(np.isfinite(sigmas)):
+        raise ValueError(f"shifts hold NaN or inf entries: {shifts!r}")
+    return sigmas.tolist()
+
+
+def _rows(xs: list, shifts) -> np.ndarray:
+    """The one solution when unshifted, else the (len(shifts), n) stack."""
+    return xs[0] if shifts is None else np.stack(xs)
+
+
 def solve_gmres(
     apply_a: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float = 1e-10,
     restart: int = 50,
     max_iter: int = 1000,
+    shifts=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Restarted GMRES for a matrix-free complex linear operator, from x = 0.
 
@@ -124,83 +245,54 @@ def solve_gmres(
     substitution on the small Hessenberg triangle (_back_substitute), which
     raises numpy.linalg.LinAlgError on an exactly zero diagonal entry, as
     for a zero operator.
+
+    shifts, a non-empty sequence of finite numbers, solves (A + sigma I) x = b
+    for every sigma in it and returns x of shape (len(shifts), len(b)).  The
+    first cycle builds one Krylov basis for all of them (the space does not
+    depend on sigma); each shift stops at its own step, and one still above
+    tol after that cycle restarts alone from its own residual.  The report
+    counts each Arnoldi step once, however many shifts it served; its
+    final_residual is the largest over the shifts, and converged means every
+    shift converged.  A zero shift gives the bits of the unshifted solve.
     """
     b = np.asarray(b, dtype=complex)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side holds NaN or inf entries")
+    sigmas = _check_shifts(shifts)
     n = b.shape[0]
     restart = max(1, min(restart, n))
 
     b_norm = float(np.linalg.norm(b))
+    xs = [np.zeros_like(b) for _ in sigmas]
     if b_norm == 0.0:
-        return np.zeros_like(b), SolveReport(0, 0.0, True, [])
+        return _rows(xs, shifts), SolveReport(0, 0.0, True, [])
 
-    x, r = np.zeros_like(b), b
+    finals = [0.0] * len(sigmas)
     history: list[float] = []
     total_iters = 0
-
-    while True:
-        # r is the true residual of x, so on convergence it is final_residual
+    # the first cycle is shared: from x = 0 every shift's residual is b
+    work = [(list(range(len(sigmas))), b)]
+    while work:
+        rows, r = work.pop(0)
+        # r is the true residual of the rows' x, so on convergence it is final_residual
         beta = float(np.linalg.norm(r))
-        final = beta / b_norm
-        if final <= tol or total_iters >= max_iter:
-            break
+        for row in rows:
+            finals[row] = beta / b_norm
+        if beta / b_norm <= tol or total_iters >= max_iter:
+            continue
+        updates, used = _gmres_cycle(apply_a, r, beta, [sigmas[i] for i in rows], restart,
+                                     max_iter - total_iters, b_norm, tol, history)
+        total_iters += used
+        if updates is None:
+            return _rows(xs, shifts), SolveReport(total_iters, float("nan"), False, history)
+        for row, update in zip(rows, updates):
+            xs[row] = xs[row] + update
+            work.append(([row], _residual(apply_a, b, xs[row], sigmas[row])))
 
-        # Arnoldi with Givens rotations on the Hessenberg matrix.
-        v = np.zeros((restart + 1, n), dtype=complex)
-        h = np.zeros((restart + 1, restart), dtype=complex)
-        cs = np.zeros(restart, dtype=complex)
-        sn = np.zeros(restart, dtype=complex)
-        g = np.zeros(restart + 1, dtype=complex)
-        v[0] = r / beta
-        g[0] = beta
-
-        inner = 0
-        for j in range(restart):
-            if total_iters >= max_iter:
-                break
-            # copy: the operator may return its input (identity) or a view
-            w = np.array(apply_a(v[j]), dtype=complex)
-            total_iters += 1
-            for i in range(j + 1):
-                h[i, j] = np.vdot(v[i], w)
-                w -= h[i, j] * v[i]
-            h_next = float(np.linalg.norm(w))
-            if not np.isfinite(h_next):  # so is the residual estimate
-                history.append(float("nan"))
-                return x, SolveReport(total_iters, float("nan"), False, history)
-            h[j + 1, j] = h_next
-
-            for i in range(j):
-                temp = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-                h[i + 1, j] = -np.conj(sn[i]) * h[i, j] + np.conj(cs[i]) * h[i + 1, j]
-                h[i, j] = temp
-            denom = np.sqrt(np.abs(h[j, j]) ** 2 + np.abs(h[j + 1, j]) ** 2)
-            if denom == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
-            else:
-                cs[j] = np.conj(h[j, j]) / denom
-                sn[j] = np.conj(h[j + 1, j]) / denom
-            h[j, j] = cs[j] * h[j, j] + sn[j] * h[j + 1, j]
-            h[j + 1, j] = 0.0
-            g[j + 1] = -np.conj(sn[j]) * g[j]
-            g[j] = cs[j] * g[j]
-
-            inner = j + 1
-            history.append(abs(g[j + 1]) / b_norm)
-            if history[-1] <= tol or h_next == 0.0:
-                break
-            if j + 1 < restart:
-                v[j + 1] = w / h_next
-
-        if inner > 0:
-            x = x + v[:inner].T @ _back_substitute(h[:inner, :inner], g[:inner])
-
-        r = b - apply_a(x)
-
-    return x, SolveReport(
+    final = float(np.max(finals))  # NaN if any shift's is
+    return _rows(xs, shifts), SolveReport(
         iterations=total_iters,
         final_residual=final,
         converged=final <= tol,
@@ -226,23 +318,37 @@ def solve_operator(
     restart: int = 50,
     max_iter: int = 1000,
     what: str = "linear",
+    shifts=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve operator x = rhs for an operator with matvec and to_dense.
 
     method "gmres" never materializes the matrix and raises ConvergenceError
     ("<what> solve stalled ...") when GMRES stalls; "direct" factorizes
     to_dense() with the LU oracle and reports the true relative residual.
+    shifts solves (operator + sigma I) x = rhs for each sigma, as in
+    solve_gmres; "direct" then factorizes to_dense() + sigma I per shift.
     """
     check_method(method)
-    if method == "direct":
-        x = solve_direct(operator.to_dense(), rhs)
-        residual = float(
-            np.linalg.norm(operator.matvec(x) - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        )
-        return x, SolveReport(iterations=1, final_residual=residual, converged=True)
-    x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart, max_iter=max_iter)
-    if not report.converged:
-        raise ConvergenceError(
-            f"{what} solve stalled at residual {report.final_residual:.3e}", report
-        )
-    return x, report
+    if method == "gmres":
+        x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart,
+                                max_iter=max_iter, shifts=shifts)
+        if not report.converged:
+            raise ConvergenceError(
+                f"{what} solve stalled at residual {report.final_residual:.3e}", report
+            )
+        return x, report
+    sigmas = _check_shifts(shifts)
+    dense = operator.to_dense()
+    xs, residuals = [], []
+    for sigma in sigmas:
+        shifted = dense
+        if sigma:
+            shifted = dense.copy()
+            shifted.flat[::len(dense) + 1] += sigma
+        xs.append(solve_direct(shifted, rhs))
+        residuals.append(float(
+            np.linalg.norm(_residual(operator.matvec, rhs, xs[-1], sigma))
+            / max(np.linalg.norm(rhs), 1e-300)
+        ))
+    return _rows(xs, shifts), SolveReport(iterations=len(sigmas),
+                                          final_residual=max(residuals), converged=True)

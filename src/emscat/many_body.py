@@ -449,7 +449,8 @@ class EffectiveFieldSolution:
     scattered_at_centers is the moments' field at every centre, own term
     left out (ManyBodyOperator.scattered_at_centers): a dense solve forms it
     while its coupling matrices are alive; None on a grid layout, whose
-    field effective_field_at_centers forms by FFT.
+    field effective_field_at_centers forms by FFT.  centers are the centres
+    the solve ran on, so that the field is not paired with another layout.
     """
 
     a_values: np.ndarray
@@ -459,6 +460,7 @@ class EffectiveFieldSolution:
     coupling: str | None = None
     operator_bytes: int | None = None
     scattered_at_centers: np.ndarray | None = None
+    centers: np.ndarray | None = None
 
 
 def assemble_many_body(
@@ -500,6 +502,7 @@ def solve_effective_field(
         operator_bytes=operator.nbytes,
         scattered_at_centers=(operator.scattered_at_centers(a)
                               if operator.coupling == "dense" else None),
+        centers=layout.centers,
     )
 
 
@@ -532,8 +535,9 @@ def effective_field_at_centers(
     gradient kernel with the moments.  Otherwise it is the field the dense
     solve carries (EffectiveFieldSolution.scattered_at_centers).  Raises
     ValueError when layout or wave is not the one the solution belongs to
-    (count or wavenumber differ), or when a solution on a non-grid layout
-    carries no field.
+    (count or wavenumber differ, or, on a non-grid layout, the centres the
+    solution records), or when a solution on a non-grid layout carries no
+    field.
     """
     if layout.count != len(solution.q_values):
         raise ValueError(
@@ -555,6 +559,13 @@ def effective_field_at_centers(
             "the solution carries no field at the centres of this non-grid layout: "
             "solve it with solve_effective_field, or set scattered_at_centers from "
             "ManyBodyOperator.scattered_at_centers"
+        )
+    elif solution.centers is not None and not np.array_equal(solution.centers, layout.centers):
+        moved = np.flatnonzero(np.any(solution.centers != layout.centers, axis=1))
+        raise ValueError(
+            f"the solution was solved on other centres: {len(moved)} of {layout.count} "
+            f"differ, first centre {moved[0]} at {solution.centers[moved[0]].tolist()} "
+            f"against {layout.centers[moved[0]].tolist()}"
         )
     else:
         scattered = solution.scattered_at_centers

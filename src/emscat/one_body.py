@@ -28,7 +28,6 @@ s = 2 moment converges to (3/2) |D| |curl E0| while the asymptotic formula
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +44,7 @@ __all__ = [
     "OneBodyOperator",
     "assemble_one_body",
     "solve_current",
+    "solve_currents",
     "moment_q_exact",
     "moment_q_asymptotic",
     "gamma_numeric",
@@ -104,7 +104,7 @@ class OneBodyOperator:
     so only the (P, P) complex matrix C is stored (16 B per point pair).
     C_ij / w_j is symmetric, so kernels.pair_matrix evaluates it on the
     upper triangle in row blocks.  The scale s multiplies only at matvec
-    time: with_scale shares C with a copy at another scale.
+    time.
     Expanding x_i - x_j turns the matvec into one product C @ [J, x (x) J]
     with 12 columns plus O(P) contractions against N_i and x_i . N_i.  The
     coordinates x are taken relative to mesh.center: with raw coordinates the
@@ -125,12 +125,6 @@ class OneBodyOperator:
         self.wavenumber = float(wavenumber)
         self.n_points = mesh.n_points
         self.shape = (3 * self.n_points, 3 * self.n_points)
-
-    def with_scale(self, scale: float) -> "OneBodyOperator":
-        """The operator I + scale A: a shallow copy that shares C."""
-        operator = copy.copy(self)
-        operator._scale = float(scale)
-        return operator
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         p = self.n_points
@@ -185,12 +179,40 @@ def assemble_one_body(
         warnings.warn(
             f"k * radius = {ka:.3g}; outside the small-body regime", stacklevel=2
         )
-    return OneBodyOperator(mesh, wave.wavenumber, scale=scale), _boundary_rhs(mesh, wave, scale)
+    rhs = -scale * np.cross(mesh.normals, wave.field(mesh.points))
+    return OneBodyOperator(mesh, wave.wavenumber, scale=scale), rhs.reshape(-1)
 
 
-def _boundary_rhs(mesh: CollocationMesh, wave: IncidentWave, scale: float) -> np.ndarray:
-    """Right-hand side -s N x E0 of the boundary system, flattened."""
-    return (-scale * np.cross(mesh.normals, wave.field(mesh.points))).reshape(-1)
+def solve_currents(
+    mesh: CollocationMesh,
+    wave: IncidentWave,
+    scales,
+    tol: float = 1e-10,
+    restart: int = 50,
+    max_iter: int = 1000,
+    method: str = "gmres",
+) -> list[SurfaceCurrent]:
+    """Solve the boundary system at every scale on one assembled operator.
+
+    The operator and right-hand side are assembled at s0 = scales[0].  At
+    another scale s, (I + s A) J = -s N x E0 is (s / s0) times
+    (I + s0 A + sigma I) J = -s0 N x E0 with sigma = s0 / s - 1, so every
+    scale is a shift of one system and GMRES solves them on one Krylov
+    basis (linalg.solve_gmres).  method "gmres" (default) never
+    materializes the matrix; "direct" uses the LU oracle once per scale.
+    Raises ConvergenceError if GMRES stalls; every current carries the
+    report of the whole solve.  ValueError for a scale that is 0 or not
+    finite.
+    """
+    check_method(method)
+    scales = [float(s) for s in scales]
+    if not scales or not all(np.isfinite(s) and s != 0.0 for s in scales):
+        raise ValueError(f"scales must be finite and non-zero, got {scales}")
+    operator, rhs = assemble_one_body(mesh, wave, scale=scales[0])
+    x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
+                               max_iter=max_iter, what="boundary",
+                               shifts=[scales[0] / s - 1.0 for s in scales])
+    return [SurfaceCurrent(values=row.reshape(mesh.n_points, 3), report=report) for row in x]
 
 
 def solve_current(
@@ -201,30 +223,14 @@ def solve_current(
     max_iter: int = 1000,
     method: str = "gmres",
     scale: float = DEFAULT_BIE_SCALE,
-    operator: OneBodyOperator | None = None,
 ) -> SurfaceCurrent:
-    """Solve the boundary system for the surface density J.
+    """Solve the boundary system (I + scale A) J = -scale N x E0 for J.
 
     method "gmres" (default) never materializes the matrix; "direct" uses
-    the LU oracle.  Raises ConvergenceError if GMRES stalls.  operator, from
-    assemble_one_body on this mesh and wavenumber at any scale, is reused
-    at this scale instead of assembling a new one; ValueError if its point
-    count or wavenumber differs.
+    the LU oracle.  Raises ConvergenceError if GMRES stalls.
     """
-    check_method(method)
-    if operator is None:
-        operator, rhs = assemble_one_body(mesh, wave, scale=scale)
-    elif operator.n_points != mesh.n_points or operator.wavenumber != wave.wavenumber:
-        raise ValueError(
-            f"operator for {operator.n_points} points at k = {operator.wavenumber:.6g} "
-            f"does not match the mesh ({mesh.n_points} points) and wave "
-            f"(k = {wave.wavenumber:.6g})"
-        )
-    else:
-        operator, rhs = operator.with_scale(scale), _boundary_rhs(mesh, wave, scale)
-    x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
-                               max_iter=max_iter, what="boundary")
-    return SurfaceCurrent(values=x.reshape(mesh.n_points, 3), report=report)
+    return solve_currents(mesh, wave, (scale,), tol=tol, restart=restart,
+                          max_iter=max_iter, method=method)[0]
 
 
 def moment_q_exact(current: SurfaceCurrent, mesh: CollocationMesh) -> np.ndarray:

@@ -477,16 +477,25 @@ def test_reproduce_many_27(tmp_path, capsys):
 
 
 def test_sweep_1386_assembles_one_operator_per_mesh(tmp_path, monkeypatch):
-    built = []
+    built, solves = [], []
 
     class CountingOperator(emscat.one_body.OneBodyOperator):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
+    solve_gmres = emscat.linalg.solve_gmres
+
+    def counting_gmres(*args, **kwargs):
+        solves.append(kwargs.get("shifts"))
+        return solve_gmres(*args, **kwargs)
+
     monkeypatch.setattr(emscat.one_body, "OneBodyOperator", CountingOperator)
+    monkeypatch.setattr(emscat.linalg, "solve_gmres", counting_gmres)
     assert run_cli(["reproduce", "sweep-1386", "--output-dir", str(tmp_path)]) == 0
     assert len(built) == 4
+    # per mesh one GMRES run for both scales: the near field at 2, the moment at 1
+    assert solves == [[0.0, 1.0]] * 4
 
 
 def test_reproduce_q_sphere(tmp_path, capsys):

@@ -19,11 +19,13 @@ from emscat import (
     solve_effective_field,
 )
 from emscat.linalg import (
+    ConvergenceError,
     SingularMatrixError,
     SolveReport,
     _back_substitute,
     solve_direct,
     solve_gmres,
+    solve_operator,
 )
 
 
@@ -164,6 +166,165 @@ def test_gmres_stops_at_first_non_finite_residual_estimate():
     assert np.isnan(report.final_residual)
     assert report.iterations == 1
     np.testing.assert_array_equal(x, 0.0)
+
+
+# --- shifted systems (A + sigma I) x = b on one Krylov basis ----------------
+
+#: A zero shift, one that converges faster, one slower and a complex one.
+SHIFTS = (0.0, 20.0, -30.0, 15.0 + 10.0j)
+
+
+def shifted(a, sigma):
+    return a + sigma * np.eye(len(a))
+
+
+@pytest.mark.parametrize("restart", [50, 3])
+def test_shifted_zero_row_is_the_unshifted_solve(restart):
+    a, b = random_system(60, 9, dominance=1.0)
+    x, report = solve_gmres(lambda v: a @ v, b, tol=1e-11, restart=restart, shifts=SHIFTS)
+    single, single_report = solve_gmres(lambda v: a @ v, b, tol=1e-11, restart=restart)
+    assert x.shape == (len(SHIFTS), 60)
+    assert np.array_equal(x[0], single)
+    assert report.converged and single_report.converged
+
+
+@pytest.mark.parametrize("restart", [50, 3])
+def test_shifted_rows_match_direct_solves(restart):
+    a, b = random_system(60, 9, dominance=1.0)
+    x, report = solve_gmres(lambda v: a @ v, b, tol=1e-12, restart=restart, shifts=SHIFTS)
+    assert report.converged
+    residuals = []
+    for sigma, row in zip(SHIFTS, x):
+        expected = solve_direct(shifted(a, sigma), b)
+        assert np.linalg.norm(row - expected) <= 1e-9 * np.linalg.norm(expected), sigma
+        residuals.append(np.linalg.norm(shifted(a, sigma) @ row - b) / np.linalg.norm(b))
+    assert max(residuals) <= 1e-12
+    assert abs(report.final_residual - max(residuals)) <= 1e-13
+
+
+def test_shifts_share_one_arnoldi_process():
+    a, b = random_system(60, 9, dominance=1.0)
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return a @ v
+
+    _, report = solve_gmres(apply_a, b, tol=1e-11, shifts=SHIFTS)
+    separate = [solve_gmres(lambda v, s=s: a @ v + s * v, b, tol=1e-11)[1].iterations
+                for s in SHIFTS]
+    # one cycle, about as long as the slowest shift's own solve, then one
+    # true residual per shift
+    assert max(separate) <= report.iterations < sum(separate)
+    assert len(calls) == report.iterations + len(SHIFTS)
+
+
+def test_shifts_restart_alone_and_converge():
+    a, b = random_system(60, 9, dominance=1.0)
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return a @ v
+
+    x, report = solve_gmres(apply_a, b, tol=1e-11, restart=3, shifts=SHIFTS)
+    assert report.converged
+    assert report.iterations > 3  # every shift needed more than the shared cycle
+    for sigma, row in zip(SHIFTS, x):
+        assert np.linalg.norm(shifted(a, sigma) @ row - b) <= 1e-11 * np.linalg.norm(b)
+    # each cycle of 3 steps ends with one true residual per shift it served
+    assert len(calls) > report.iterations + len(SHIFTS)
+
+
+def test_shifted_nonconvergence_is_flagged_at_max_iter():
+    a, b = random_system(40, 5)  # not diagonally dominant
+    x, report = solve_gmres(lambda v: a @ v, b, tol=1e-14, restart=3, max_iter=6,
+                            shifts=(0.0, 1.0))
+    single, single_report = solve_gmres(lambda v: a @ v, b, tol=1e-14, restart=3, max_iter=6)
+    assert not report.converged
+    assert report.iterations == 6
+    assert report.final_residual >= single_report.final_residual > 1e-14
+    assert x.shape == (2, 40)
+
+
+def test_shifted_solve_rejects_non_finite_rhs_before_any_matvec():
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return v
+
+    b = np.ones(30, dtype=complex)
+    b[17] = np.inf
+    with pytest.raises(ValueError, match="NaN or inf"):
+        solve_gmres(apply_a, b, shifts=(0.0, 1.0))
+    assert calls == []
+
+
+def test_shifted_solve_stops_at_first_non_finite_estimate():
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return np.full_like(v, np.nan)
+
+    x, report = solve_gmres(apply_a, np.ones(30, dtype=complex), shifts=(0.0, 1.0, -2.0))
+    assert len(calls) == 1
+    assert not report.converged
+    assert np.isnan(report.final_residual)
+    assert report.iterations == 1
+    assert x.shape == (3, 30)
+    np.testing.assert_array_equal(x, 0.0)
+
+
+def test_shifted_solve_of_zero_rhs_is_zero():
+    x, report = solve_gmres(lambda v: v, np.zeros(5, dtype=complex), shifts=(0.0, 1.0))
+    assert x.shape == (2, 5) and np.all(x == 0)
+    assert report.converged and report.iterations == 0
+
+
+@pytest.mark.parametrize("shifts", [(), [], (0.0, np.nan), (np.inf,), [[0.0, 1.0]]])
+def test_bad_shifts_rejected_before_any_matvec(shifts):
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return v
+
+    with pytest.raises(ValueError, match="shifts"):
+        solve_gmres(apply_a, np.ones(4, dtype=complex), shifts=shifts)
+    assert calls == []
+
+
+class DenseOperator:
+    def __init__(self, a):
+        self.a = a
+
+    def matvec(self, v):
+        return self.a @ v
+
+    def to_dense(self):
+        return self.a.copy()
+
+
+@pytest.mark.parametrize("method", ["gmres", "direct"])
+def test_solve_operator_passes_shifts(method):
+    a, b = random_system(40, 3, dominance=1.0)
+    x, report = solve_operator(DenseOperator(a), b, method=method, tol=1e-12,
+                               shifts=(0.0, 2.5))
+    unshifted, _ = solve_operator(DenseOperator(a), b, method=method, tol=1e-12)
+    assert np.array_equal(x[0], unshifted)
+    expected = solve_direct(shifted(a, 2.5), b)
+    assert np.linalg.norm(x[1] - expected) <= 1e-9 * np.linalg.norm(expected)
+    assert report.converged and report.final_residual <= 1e-12
+
+
+def test_shifted_gmres_stall_raises_convergence_error():
+    a, b = random_system(40, 5)
+    with pytest.raises(ConvergenceError, match="boundary solve stalled") as info:
+        solve_operator(DenseOperator(a), b, tol=1e-14, restart=3, max_iter=6,
+                       what="boundary", shifts=(0.0, 1.0))
+    assert info.value.report.iterations == 6
 
 
 def test_back_substitution_matches_scipy_bit_for_bit(monkeypatch, wave, sphere766, cube600):

@@ -398,7 +398,7 @@ def hand_built_solution(layout, wave, q):
         scattered = operator.scattered_at_centers(a)
     return EffectiveFieldSolution(
         a_values=a, q_values=q, report=SolveReport(0, 0.0, True), wave=wave,
-        scattered_at_centers=scattered,
+        scattered_at_centers=scattered, centers=layout.centers,
     )
 
 
@@ -449,6 +449,23 @@ def test_effective_field_at_centers_rejects_another_wave(many27, wave):
                        match="wave has wavenumber 209439.510239 but the solution was solved "
                              "at 104719.75512"):
         effective_field_at_centers(layout, other, solution)
+
+
+def test_effective_field_at_centers_rejects_other_centres_of_the_same_count(wave):
+    first, second = (layout_from_centers(jittered_centers(3, seed=seed), spacing=SPACING,
+                                         radius=1e-9) for seed in (1, 2))
+    solution = solve_effective_field(first, wave, gamma_sphere_analytic())
+    assert (first.grid, second.grid, solution.coupling) == (None, None, "dense")
+    with pytest.raises(ValueError, match="solved on other centres: 27 of 27 differ, "
+                                         "first centre 0 at"):
+        effective_field_at_centers(second, wave, solution)
+    # without the check the first layout's field came back as the second's
+    own = solve_effective_field(second, wave, gamma_sphere_analytic())
+    incident = wave.field(second.centers)
+    carried = effective_field_at_centers(second, wave, replace(solution, centers=None))
+    scattered = effective_field_at_centers(second, wave, own) - incident
+    gap = np.linalg.norm(carried - incident - scattered) / np.linalg.norm(scattered)
+    assert gap == pytest.approx(0.117, abs=1e-3)
 
 
 def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):

@@ -2,7 +2,7 @@
 
 import tracemalloc
 import warnings
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from emscat.one_body import (
     moment_q_asymptotic,
     moment_q_exact,
     solve_current,
+    solve_currents,
     _local_frames,
 )
 from emscat.waves import IncidentWave, default_wave
@@ -173,27 +174,42 @@ def test_operator_assembly_holds_c_plus_one_block(wave):
     assert peak <= 16 * mesh.n_points**2 + 32 * 2**20
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.0])
-def test_reused_operator_solves_bit_identically(wave, scale):
+def test_two_scales_solve_on_one_operator(wave, monkeypatch):
     mesh = mesh_sphere(1e-9, 8)
-    operator, _ = assemble_one_body(mesh, wave, scale=3.0)
-    fresh = solve_current(mesh, wave, scale=scale)
-    reused = solve_current(mesh, wave, scale=scale, operator=operator)
-    assert np.array_equal(reused.values, fresh.values)
-    assert reused.report == fresh.report
-    assert operator.with_scale(scale)._coeff is operator._coeff
+    near_alone = solve_current(mesh, wave, scale=2.0)
+    moment_alone = solve_current(mesh, wave, scale=1.0)
+    built = []
+    monkeypatch.setattr(one_body, "OneBodyOperator",
+                        lambda *a, **k: built.append(1) or OneBodyOperator(*a, **k))
+    near, moment = solve_currents(mesh, wave, (2.0, 1.0))
+    assert built == [1]
+    assert np.array_equal(near.values, near_alone.values)
+    # both converge to a residual of 1e-10, so agree to about that, norm-wise:
+    # single entries near zero differ relatively more
+    assert np.linalg.norm(moment.values - moment_alone.values) <= (
+        1e-9 * np.linalg.norm(moment_alone.values))
+    # one Krylov basis: fewer operator applications than two separate solves
+    assert near.report is moment.report and near.report.converged
+    assert near.report.iterations < near_alone.report.iterations + moment_alone.report.iterations
 
 
-def test_mismatched_operator_rejected_before_solving(wave, monkeypatch):
-    mesh = mesh_sphere(1e-9, 6)
-    operator, _ = assemble_one_body(mesh, wave)
-    calls = []
-    monkeypatch.setattr(one_body, "solve_operator", lambda *a, **k: calls.append(1))
-    with pytest.raises(ValueError, match="does not match"):
-        solve_current(mesh_sphere(1e-9, 8), wave, operator=operator)
-    with pytest.raises(ValueError, match="does not match"):
-        solve_current(mesh, replace(wave, wavenumber=2 * wave.wavenumber), operator=operator)
-    assert calls == []
+def test_direct_method_solves_two_scales(wave):
+    mesh = mesh_sphere(1e-9, 5)
+    near, moment = solve_currents(mesh, wave, (2.0, 1.0), method="direct")
+    assert np.array_equal(near.values, solve_current(mesh, wave, scale=2.0, method="direct").values)
+    moment_alone = solve_current(mesh, wave, scale=1.0, method="direct").values
+    assert np.linalg.norm(moment.values - moment_alone) <= 1e-9 * np.linalg.norm(moment_alone)
+    assert near.report.final_residual <= 1e-12
+
+
+@pytest.mark.parametrize("scales", [(), (2.0, 0.0), (np.nan,), (1.0, np.inf)])
+def test_bad_scales_rejected_before_assembly(wave, monkeypatch, scales):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operator assembled before the scales were checked")
+
+    monkeypatch.setattr(one_body, "OneBodyOperator", no_assembly)
+    with pytest.raises(ValueError, match="scales must be finite and non-zero"):
+        solve_currents(mesh_sphere(1e-9, 4), wave, scales)
 
 
 def test_zero_incident_field_gives_zero_current():
@@ -216,6 +232,23 @@ def test_solve_linearity_in_amplitude(sphere766):
     j1 = solve_current(mesh, wave1, tol=1e-12).values
     j3 = solve_current(mesh, wave3, tol=1e-12).values
     np.testing.assert_allclose(j3, 3.0 * j1, rtol=1e-9, atol=1e-10 * np.abs(j1).max())
+
+
+def test_current_scales_with_the_incident_field_to_the_bit(wave):
+    """GMRES normalises its basis by |b|, so scaling E0 by a power of two
+    scales every step, and J, exactly; a factor 1j swaps the real and
+    imaginary parts of each complex product, whose rounding may then differ
+    in the last bit of a component far below its entry's modulus."""
+    mesh = mesh_sphere(1e-9, 8)
+    current = solve_current(mesh, wave, scale=2.0).values
+
+    def solve_scaled(factor):
+        scaled_wave = SimpleNamespace(wavenumber=wave.wavenumber,
+                                      field=lambda x: factor * wave.field(x))
+        return solve_current(mesh, scaled_wave, scale=2.0).values
+
+    assert np.array_equal(solve_scaled(2.0**-3), 2.0**-3 * current)
+    np.testing.assert_allclose(solve_scaled(1j), 1j * current, rtol=1e-15, atol=0)
 
 
 def test_moment_constant_density(sphere766):
