@@ -193,6 +193,24 @@ def test_two_scales_solve_on_one_operator(wave, monkeypatch):
     assert near.report.iterations < near_alone.report.iterations + moment_alone.report.iterations
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_reused_operator_solves_bit_identically(wave, monkeypatch, scale):
+    """The operator assembled at `scale` also serves scale 3 as a shift; the
+    solve at `scale` itself is bit-identical to a fresh one-scale solve."""
+    mesh = mesh_sphere(1e-9, 8)
+    fresh = solve_current(mesh, wave, scale=scale)
+    other_alone = solve_current(mesh, wave, scale=3.0)
+    built = []
+    monkeypatch.setattr(one_body, "OneBodyOperator",
+                        lambda *a, **k: built.append(k["scale"]) or OneBodyOperator(*a, **k))
+    reused, other = solve_currents(mesh, wave, (scale, 3.0))
+    assert built == [scale]
+    assert np.array_equal(reused.values, fresh.values)
+    assert reused.report is other.report and reused.report.converged
+    assert np.linalg.norm(other.values - other_alone.values) <= (
+        1e-9 * np.linalg.norm(other_alone.values))
+
+
 def test_direct_method_solves_two_scales(wave):
     mesh = mesh_sphere(1e-9, 5)
     near, moment = solve_currents(mesh, wave, (2.0, 1.0), method="direct")
