@@ -44,21 +44,24 @@ def _distances(x_rows: np.ndarray, x_cols: np.ndarray) -> np.ndarray:
     return r
 
 
-def _check_coincident(r: np.ndarray, offset: int, guard: float) -> None:
-    """Guard rows offset.. against columns offset.. and put 1.0 on their diagonal.
+def _check_coincident(r: np.ndarray, rows: np.ndarray, cols: np.ndarray, guard: float) -> None:
+    """Guard a block of distances and put 1.0 on its self pairs.
 
-    Raises CoincidentPointsError naming the global indices of the closest
-    pair when it lies below guard.
+    rows and cols name the points of the block's rows and columns, so that
+    entry (i, i) is a self pair where rows[i] == cols[i]; every other entry
+    is guarded.  Raises CoincidentPointsError naming the closest pair when
+    it lies below guard.
     """
-    np.fill_diagonal(r, np.inf)
+    diag = np.flatnonzero(rows == cols[:len(rows)])
+    r[diag, diag] = np.inf
     r_min = float(r.min())
     if r_min < guard:
         i, j = np.unravel_index(np.argmin(r), r.shape)
         raise CoincidentPointsError(
-            f"points {i + offset} and {j + offset} are coincident: "
+            f"points {rows[i]} and {cols[j]} are coincident: "
             f"|x_i - x_j| = {r_min:.3e}"
         )
-    np.fill_diagonal(r, 1.0)
+    r[diag, diag] = 1.0
 
 
 def pair_distances(points: np.ndarray, center) -> np.ndarray:
@@ -72,7 +75,8 @@ def pair_distances(points: np.ndarray, center) -> np.ndarray:
     """
     x = points - center
     r = _distances(x, x)
-    _check_coincident(r, 0, R_MIN_SCALE * max(1.0, float(np.abs(points).max())))
+    ids = np.arange(len(x))
+    _check_coincident(r, ids, ids, R_MIN_SCALE * max(1.0, float(np.abs(points).max())))
     return r
 
 
@@ -83,7 +87,8 @@ def pair_distances(points: np.ndarray, center) -> np.ndarray:
 PAIR_BLOCK_BYTES = 2**19
 
 
-def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex) -> np.ndarray:
+def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
+                signs=None, ids=None) -> np.ndarray:
     """(P, P) matrix kernel(r_ij) w_j with a zero diagonal, r_ij = |x_i - x_j|.
 
     kernel maps an array of distances to an array of its shape (it may
@@ -97,17 +102,27 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex)
     size of its argument, as for every kernel in this module, the entries
     equal those of kernel(pair_distances(points, center)) * w_j bit for
     bit.  The same CoincidentPointsError guard applies.
+
+    signs, (3,) of +-1, pairs each point with the mirror images of the
+    points instead: r_ij = |x_i - signs * x_j| with x relative to center,
+    still symmetric in (i, j).  ids = (rows, images) then names point i and
+    the image of point j in the mesh they come from: entry (i, i) is a self
+    pair, zero and unguarded, only where rows[i] == images[i] (the mirror
+    fixes the point), and the guard names points by these ids.  Both default
+    to the points themselves.
     """
     x = points - center
     p = x.shape[0]
     w = np.ones(p) if weights is None else np.asarray(weights, dtype=float)
+    images = x if signs is None else x * signs
+    rows, cols = (np.arange(p),) * 2 if ids is None else ids
     guard = R_MIN_SCALE * max(1.0, float(np.abs(points).max()))
     out = None
-    rows = max(1, PAIR_BLOCK_BYTES // (8 * p))
-    for a in range(0, p, rows):
-        b = min(p, a + rows)
-        r = _distances(x[a:b], x[a:])
-        _check_coincident(r, a, guard)
+    block_rows = max(1, PAIR_BLOCK_BYTES // (8 * p))
+    for a in range(0, p, block_rows):
+        b = min(p, a + block_rows)
+        r = _distances(x[a:b], images[a:])
+        _check_coincident(r, rows[a:b], cols[a:], guard)
         blocks = kernel(r)
         stacked = isinstance(blocks, tuple)
         if not stacked:
@@ -117,8 +132,8 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex)
         for block, part in zip(blocks, out):
             np.multiply(block, w[a:], out=part[a:b, a:])
             np.multiply(block[:, b - a:].T, w[a:b], out=part[b:, a:b])
-    for part in out:
-        np.fill_diagonal(part, 0.0)
+    diag = np.flatnonzero(rows == cols)
+    out[:, diag, diag] = 0.0
     return out if stacked else out[0]
 
 

@@ -15,6 +15,7 @@ right-hand side; several right-hand sides need a block method instead.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +28,7 @@ __all__ = [
     "solve_direct",
     "solve_gmres",
     "check_method",
+    "check_dense_bytes",
     "solve_operator",
 ]
 
@@ -308,6 +310,24 @@ def check_method(method: str) -> None:
     """
     if method not in ("gmres", "direct"):
         raise ValueError(f"unknown method {method!r}")
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_dense_bytes(nbytes: int, what: str) -> None:
+    """Raise ValueError, naming what and its size, if nbytes exceed physical memory.
+
+    Callers estimate a dense array before they allocate it, so a body too
+    finely meshed for this machine fails at once with a message instead of a
+    MemoryError traceback or an out-of-memory kill.
+    """
+    limit = physical_memory()
+    if nbytes > limit:
+        raise ValueError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+                         f"{limit / 2**30:.3g} GiB of physical memory")
 
 
 def solve_operator(

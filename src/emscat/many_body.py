@@ -50,7 +50,7 @@ from .kernels import (
     moment_fields,
     pair_matrix,
 )
-from .linalg import SolveReport, check_method, solve_operator
+from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .one_body import GammaMatrix, _moment_columns
 from .waves import IncidentWave
 
@@ -355,6 +355,7 @@ class ManyBodyOperator:
         self.coupling = "dense" if layout.grid is None else "fft"
         k = wavenumber
         if layout.grid is None:
+            check_dense_bytes(32 * self.count**2, "the dense many-body operator")
             self._coeff = _pair_coefficients(layout, lambda r: kernel_hessian_parts(k, r)[1:])
             self._x = layout.centers - layout.centers.mean(axis=0)
             return

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,38 @@ def test_one_body_q_json(one_body_run):
     history = payload["solver"]["residual_history"]
     assert len(history) == payload["solver"]["iterations"]
     assert history[-1] <= payload["config"]["tol"]
+
+
+@pytest.mark.parametrize("args, mirrors, points", [
+    ([], ["y", "z"], 766),
+    (["--shape", "cube"], ["x", "y", "z"], 600),
+], ids=["sphere", "cube"])
+def test_one_body_q_json_records_the_split_operator(tmp_path, args, mirrors, points):
+    assert run_cli(["one-body", *args, "--output-dir", str(tmp_path)]) == 0
+    operator = json.loads((tmp_path / "Q.json").read_text())["operator"]
+    order = 2 ** len(mirrors)
+    assert operator["mirrors"] == mirrors and operator["order"] == order
+    assert points / order <= operator["orbits"] < 1.1 * points / order
+    # |G| (R, R) complex matrices; the orbits on the mirror planes, of fewer
+    # than |G| points, put R above P / |G|
+    assert operator["bytes"] <= 16 * points**2 / order + 256 * points
+
+
+def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monkeypatch,
+                                                                 capsys):
+    # P = 20258: 16 B x 4 x 5087^2 pairs of the split operator, 1.54 GiB
+    monkeypatch.setattr(emscat.linalg, "physical_memory", lambda: 2**30)
+    monkeypatch.setattr(emscat.one_body, "pair_matrix",
+                        lambda *a, **k: pytest.fail("assembled"))
+    tracemalloc.start()
+    try:
+        code = run_cli(["one-body", "--m-phi", "60", "--output-dir", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "the one-body operator needs 1.54 GiB, more than the 1 GiB" in capsys.readouterr().err
+    assert peak <= 16 * 2**20
 
 
 def test_one_body_validation_json(one_body_run):

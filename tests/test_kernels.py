@@ -161,18 +161,27 @@ PAIR_KERNELS = {
 }
 
 
-def full_pair_matrix(points, center, kernel, weights):
+def full_pair_matrix(points, center, kernel, weights, signs=None, ids=None):
     """The one-shot construction: pair_distances, kernel, times w_j, zero diagonal.
 
-    A kernel returning a tuple gives the stack of its matrices.
+    A kernel returning a tuple gives the stack of its matrices.  With signs,
+    the distances are taken to the mirror images signs * (x_j - center) and
+    only the self pairs that ids = (rows, images) name are zeroed.
     """
-    c = kernel(pair_distances(points, center))
+    if signs is None:
+        r = pair_distances(points, center)
+        self_pairs = np.arange(len(points))
+    else:
+        x = points - center
+        r = kernels._distances(x, x * signs)
+        self_pairs = np.flatnonzero(ids[0] == ids[1])
+        r[self_pairs, self_pairs] = 1.0
+    c = kernel(r)
     if isinstance(c, tuple):
         c = np.stack(c)
     if weights is not None:
         c *= weights
-    for part in c.reshape(-1, *c.shape[-2:]):
-        np.fill_diagonal(part, 0.0)
+    c[..., self_pairs, self_pairs] = 0.0
     return c
 
 
@@ -209,15 +218,19 @@ def test_pair_matrix_equals_full_construction_in_full_blocks(kind):
     assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
 
 
-def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex):
+def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex,
+                         signs=None, ids=None):
     """Stand-in for pair_matrix that builds the full distances at once."""
-    c = full_pair_matrix(points, center, kernel, weights)
+    c = full_pair_matrix(points, center, kernel, weights, signs, ids)
     assert c.dtype == dtype
     return c
 
 
-def _one_body_c(mesh, layout):
-    return one_body.OneBodyOperator(mesh, K)._coeff
+def _one_body_d(mesh, layout):
+    # the stored per-character matrices D of the mirror-split operator
+    operator = one_body.OneBodyOperator(mesh, K)
+    assert operator.mirrors == ("y", "z")
+    return operator._d
 
 
 def _gamma_numeric(mesh, layout):
@@ -236,7 +249,7 @@ def _fields_at_centers(mesh, layout):
 #: Callers of pair_matrix: the module that imports it, and a function of
 #: (mesh, layout) returning the caller's result.
 PAIR_MATRIX_CALLERS = {
-    "one-body-C": (one_body, _one_body_c),
+    "one-body-D": (one_body, _one_body_d),
     "gamma-numeric": (one_body, _gamma_numeric),
     "effective-field-at-centers": (many_body, _fields_at_centers),
 }
@@ -257,6 +270,36 @@ def test_pair_matrix_callers_match_one_shot_construction(monkeypatch, caller):
     blocked = run(mesh, layout)
     monkeypatch.setattr(module, "pair_matrix", one_shot_pair_matrix)
     assert np.array_equal(blocked, run(mesh, layout))
+
+
+@pytest.mark.parametrize("p", [1, ROWS + 1, 5 * ROWS + 2])
+def test_mirrored_pair_matrix_equals_full_construction(monkeypatch, p):
+    block_rows(monkeypatch, p)
+    rng = np.random.default_rng(p)
+    points = (1.0, 2.0, 3.0) + rng.normal(size=(p, 3)) * 1e-7
+    weights = rng.uniform(0.5, 2.0, p)
+    center = points.mean(axis=0)
+    signs = np.array([1.0, -1.0, -1.0])
+    # every third point is fixed by the mirror: only its self pair is zeroed
+    ids = (np.arange(p), np.where(np.arange(p) % 3 == 0, np.arange(p), p + np.arange(p)))
+    kernel = lambda r: gradient_coefficient(K, r)
+    got = pair_matrix(points, center, kernel, weights=weights, signs=signs, ids=ids)
+    expected = full_pair_matrix(points, center, kernel, weights, signs, ids)
+    # the one-shot construction evaluates both triangles: |x_i - R x_j| = |x_j - R x_i|
+    assert np.array_equal(got, expected)
+    fixed = np.arange(p) % 3 == 0
+    assert np.all(np.diag(got)[fixed] == 0) and np.all(np.diag(got)[~fixed] != 0)
+
+
+def test_mirrored_pair_matrix_names_coincident_images(monkeypatch):
+    p = 3 * ROWS
+    block_rows(monkeypatch, p)
+    points = np.random.default_rng(2).normal(size=(p, 3)) * 1e-7
+    signs = np.array([1.0, -1.0, 1.0])
+    points[7] = points[2] * signs  # point 7 is the mirror image of point 2
+    ids = (np.arange(p), 100 + np.arange(p))
+    with pytest.raises(CoincidentPointsError, match="points 2 and 107 are coincident"):
+        pair_matrix(points, np.zeros(3), np.reciprocal, dtype=float, signs=signs, ids=ids)
 
 
 @pytest.mark.parametrize("i, j", [(5, 6), (1, 9)], ids=["inside-one-block", "across-blocks"])

@@ -280,6 +280,16 @@ def test_dense_coefficients_equal_full_construction(wave, monkeypatch):
     assert np.array_equal(operator._coeff, expected)
 
 
+def test_dense_operator_beyond_physical_memory_is_refused(wave, monkeypatch):
+    import emscat.linalg as linalg
+
+    layout = unequal_volume_layout()
+    monkeypatch.setattr(linalg, "physical_memory", lambda: 32 * 27**2 - 1)
+    monkeypatch.setattr(many_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match="the dense many-body operator needs"):
+        ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+
+
 def test_dense_matvec_centred_far_from_origin(wave):
     # 0.5 cm is 5e6 spacings: an expansion of x_m - x_j in raw coordinates
     # would cancel to about 1e-3 here

@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import emscat.linalg as linalg
 from emscat import one_body
-from emscat.geometry import CollocationMesh, mesh_sphere
-from emscat.kernels import CoincidentPointsError
+from emscat.geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
+from emscat.kernels import CoincidentPointsError, gradient_coefficient, pair_matrix
 from emscat.linalg import solve_direct
 from emscat.one_body import (
     GammaMatrix,
@@ -21,6 +22,7 @@ from emscat.one_body import (
     field_h,
     gamma_numeric,
     gamma_sphere_analytic,
+    mirror_group,
     moment_q_asymptotic,
     moment_q_exact,
     solve_current,
@@ -135,6 +137,136 @@ def test_operator_matches_pairwise_oracle_off_origin(off_origin_mesh, off_origin
     np.testing.assert_allclose(op.matvec(x), expected @ x, rtol=1e-12, atol=atol)
 
 
+# --- the mirror split ----------------------------------------------------------
+
+#: Meshes of the split oracle: mirrors, and whether points lie on a mirror
+#: plane (orbits of 2 or 4 points: the y = 0 band points, an odd-m_phi
+#: equator, the face centres of an odd-n cube).
+SPLIT_MESHES = {
+    "sphere-12": (lambda: mesh_sphere(1e-9, 12), ("y", "z")),
+    "sphere-13": (lambda: mesh_sphere(1e-9, 13), ("y", "z")),
+    "ellipsoid-1052": (lambda: mesh_ellipsoid(1e-8, 1e-9, 1e-9, 14), ("y", "z")),
+    "cube-9": (lambda: mesh_cube(1e-7, 9), ("x", "y", "z")),
+    "cube-10": (lambda: mesh_cube(1e-7, 10), ("x", "y", "z")),
+    "off-centre-sphere": (lambda: mesh_sphere(1e-9, 8, center=OFF_ORIGIN), ("z",)),
+}
+
+
+def pairwise_rows(mesh, k, rows):
+    """Rows of the unscaled A, one green() call per pair, as in pairwise_coupling."""
+    p = mesh.n_points
+    a = np.zeros((len(rows), 3, p, 3), dtype=complex)
+    for n, i in enumerate(rows):
+        n_i = mesh.normals[i]
+        for j in range(p):
+            if j != i:
+                grad = green(k, mesh.points[i], mesh.points[j]).gradient * mesh.weights[j]
+                a[n, :, j, :] = np.outer(grad, n_i) - np.eye(3) * (grad @ n_i)
+    return a.reshape(3 * len(rows), 3 * p)
+
+
+@pytest.mark.parametrize("name", SPLIT_MESHES)
+def test_split_operator_matches_pairwise_oracle(wave, name):
+    build, mirrors = SPLIT_MESHES[name]
+    mesh = build()
+    op = OneBodyOperator(mesh, wave.wavenumber, scale=2.0)
+    assert op.mirrors == mirrors
+    # points on a mirror plane (fixed by some mirror), and others
+    axes, images = mirror_group(mesh)
+    fixed = np.flatnonzero(np.any(images[1:] == np.arange(mesh.n_points), axis=0))
+    rng = np.random.default_rng(len(fixed))
+    rows = np.union1d(rng.choice(fixed, min(8, len(fixed)), replace=False),
+                      rng.choice(mesh.n_points, 8, replace=False))
+    expected = np.eye(op.shape[0])[np.ravel(3 * rows[:, None] + np.arange(3))]
+    expected = expected + 2.0 * pairwise_rows(mesh, wave.wavenumber, rows)
+    x = rng.normal(size=(2, op.shape[0])).T @ np.array([1.0, 1j])
+    dense = op.to_dense()
+    row_ids = np.ravel(3 * rows[:, None] + np.arange(3))
+    atol = 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(dense[row_ids], expected, rtol=1e-12, atol=atol)
+    got = op.matvec(x)
+    np.testing.assert_allclose(got[row_ids], expected @ x, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected @ x).max())
+    # and on every row against the unsplit to_dense()
+    np.testing.assert_allclose(got, dense @ x, rtol=1e-12, atol=1e-12 * np.abs(dense @ x).max())
+
+
+@pytest.mark.parametrize("name", SPLIT_MESHES)
+def test_split_stores_a_group_order_fraction_of_the_pairs(wave, name):
+    mesh = SPLIT_MESHES[name][0]()
+    op = OneBodyOperator(mesh, wave.wavenumber)
+    order = 2 ** len(op.mirrors)
+    assert op._d.shape == (order, op.orbits, op.orbits)
+    # orbits of fewer than |G| points, on the mirror planes, make R exceed P / |G|
+    assert mesh.n_points / order <= op.orbits <= 1.3 * mesh.n_points / order
+    assert op.nbytes <= 16 * op.orbits**2 * order + 64 * mesh.n_points
+
+
+def test_nudged_point_leaves_the_trivial_group(wave):
+    mesh = mesh_sphere(1e-9, 8)
+    points = mesh.points.copy()
+    points[5, 1] += 1e-6 * 1e-9
+    nudged = CollocationMesh(points=points, normals=mesh.normals, weights=mesh.weights,
+                             volume=mesh.volume, center=mesh.center)
+    assert mirror_group(mesh)[0] == (1, 2)
+    axes, images = mirror_group(nudged)
+    assert axes == () and np.array_equal(images, [np.arange(mesh.n_points)])
+    op = OneBodyOperator(nudged, wave.wavenumber)
+    assert op.mirrors == () and op.orbits == mesh.n_points
+    # the trivial group stores C itself
+    c = pair_matrix(nudged.points, nudged.center,
+                    lambda r: gradient_coefficient(wave.wavenumber, r), weights=nudged.weights)
+    assert np.array_equal(op._d, c[None])
+    x = np.random.default_rng(4).normal(size=op.shape[0]) + 0j
+    np.testing.assert_allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_mirrors_need_equal_normals_and_weights():
+    mesh = mesh_sphere(1e-9, 8)
+    weights = mesh.weights.copy()
+    weights[5] *= 1.0 + 1e-9
+    normals = mesh.normals.copy()
+    normals[7] = [0.0, 0.0, 1.0]
+    for changed in ({"weights": weights}, {"normals": normals}):
+        fields = {"points": mesh.points, "normals": mesh.normals, "weights": mesh.weights,
+                  "volume": mesh.volume, "center": mesh.center, **changed}
+        assert len(mirror_group(CollocationMesh(**fields))[0]) < 2
+
+
+def _rotated(mesh, rotation):
+    return CollocationMesh(points=mesh.points @ rotation.T, normals=mesh.normals @ rotation.T,
+                           weights=mesh.weights, volume=mesh.volume,
+                           center=rotation @ mesh.center)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_current_is_rotation_covariant(wave, scale):
+    """J on a generically rotated mesh (trivial group) is R J of the split solve."""
+    mesh = mesh_sphere(1e-9, 8)
+    rotation, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
+    rotated_wave = IncidentWave(amplitude=rotation @ wave.amplitude,
+                                direction=rotation @ wave.direction,
+                                wavenumber=wave.wavenumber)
+    tol = 1e-12
+    split = solve_current(mesh, wave, tol=tol, scale=scale)
+    turned = solve_current(_rotated(mesh, rotation), rotated_wave, tol=tol, scale=scale)
+    assert split.mirrors == ("y", "z") and turned.mirrors == ()
+    assert turned.report.iterations == split.report.iterations
+    error = np.linalg.norm(turned.values - split.values @ rotation.T)
+    assert error <= 100 * tol * np.linalg.norm(split.values)
+
+
+def test_current_is_translation_invariant(wave):
+    """Moving the body by t only multiplies J by the incident phase exp(ik d . t)."""
+    shift = np.array([3e-9, -2e-9, 5e-9])
+    tol = 1e-12
+    at_origin = solve_current(mesh_sphere(1e-9, 8), wave, tol=tol)
+    moved = solve_current(mesh_sphere(1e-9, 8, center=shift), wave, tol=tol)
+    phase = np.exp(1j * wave.wavenumber * (wave.direction @ shift))
+    error = np.linalg.norm(moved.values - phase * at_origin.values)
+    assert error <= 100 * tol * np.linalg.norm(at_origin.values)
+
+
 def test_coincident_points_rejected():
     mesh = mesh_sphere(1e-9, 4)
     twin = CollocationMesh(
@@ -164,14 +296,30 @@ def test_operator_assembly_peak_memory_per_pair(wave):
 
 
 def test_operator_assembly_holds_c_plus_one_block(wave):
+    # C is stored split by the mirror group, y and z on the sphere: 16 B per pair over |G|
     mesh = mesh_sphere(1e-9, 18)  # P = 1762
     tracemalloc.start()
     try:
-        OneBodyOperator(mesh, wave.wavenumber)
+        op = OneBodyOperator(mesh, wave.wavenumber)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * mesh.n_points**2 + 32 * 2**20
+    assert op.mirrors == ("y", "z")
+    assert peak <= 16 * mesh.n_points**2 / 4 + 32 * 2**20
+
+
+def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch):
+    mesh = mesh_sphere(1e-9, 12)  # P = 766
+    op = OneBodyOperator(mesh, wave.wavenumber)
+    monkeypatch.setattr(linalg, "physical_memory", lambda: 2**20)
+    monkeypatch.setattr(one_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
+    # 16 B x 4 x 197^2 pairs, 8 B x 766^2 and 16 B x 2298^2
+    with pytest.raises(ValueError, match=r"the one-body operator needs 0\.00231 GiB"):
+        OneBodyOperator(mesh, wave.wavenumber)
+    with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.00437 GiB"):
+        gamma_numeric(mesh)
+    with pytest.raises(ValueError, match=r"dense one-body matrix needs 0\.0787 GiB"):
+        op.to_dense()
 
 
 def test_two_scales_solve_on_one_operator(wave, monkeypatch):
