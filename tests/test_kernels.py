@@ -226,8 +226,9 @@ def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex,
     return c
 
 
-def _one_body_d(mesh, layout):
-    # the stored per-character matrices D of the mirror-split operator
+def _one_body_c(mesh, layout):
+    # the stored coefficients: C split into one matrix D per character of
+    # the mesh's mirror group
     operator = one_body.OneBodyOperator(mesh, K)
     assert operator.mirrors == ("y", "z")
     return operator._d
@@ -249,7 +250,7 @@ def _fields_at_centers(mesh, layout):
 #: Callers of pair_matrix: the module that imports it, and a function of
 #: (mesh, layout) returning the caller's result.
 PAIR_MATRIX_CALLERS = {
-    "one-body-D": (one_body, _one_body_d),
+    "one-body-C": (one_body, _one_body_c),
     "gamma-numeric": (one_body, _gamma_numeric),
     "effective-field-at-centers": (many_body, _fields_at_centers),
 }

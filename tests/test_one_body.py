@@ -296,7 +296,9 @@ def test_operator_assembly_peak_memory_per_pair(wave):
 
 
 def test_operator_assembly_holds_c_plus_one_block(wave):
-    # C is stored split by the mirror group, y and z on the sphere: 16 B per pair over |G|
+    # C is stored split by the mirror group, y and z on the sphere: 16 B per
+    # pair over |G| (12.3 MiB), plus one K_g (3.1 MiB) and one row block;
+    # the unsplit C alone would take 47 MiB
     mesh = mesh_sphere(1e-9, 18)  # P = 1762
     tracemalloc.start()
     try:
