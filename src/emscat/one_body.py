@@ -149,6 +149,47 @@ def mirror_group(mesh: CollocationMesh) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(axes), images
 
 
+@dataclass(frozen=True)
+class _Orbits:
+    """A mesh's points as orbits of its mirror group G (mirror_group).
+
+    Element g of G, a bit mask over axes, is the diagonal reflection R_g with
+    signs[g] on its diagonal and moves representative reps[n] to mesh point
+    maps[g, n].  Point i is g_i r_i, row gather[i] of a (|G| R) stack of
+    per-element results, one (R, ...) block per g.  stabiliser[n] counts the
+    elements that fix reps[n], and characters[psi, g] = psi(g) is the +-1
+    character table.
+    """
+
+    axes: tuple[int, ...]
+    reps: np.ndarray  # (R,)
+    maps: np.ndarray  # (|G|, R)
+    gather: np.ndarray  # (P,)
+    signs: np.ndarray  # (|G|, 3)
+    stabiliser: np.ndarray  # (R,)
+    characters: np.ndarray  # (|G|, |G|)
+
+
+def _orbits(mesh: CollocationMesh) -> _Orbits:
+    """The orbit tables of mesh under its mirror group; the lowest index represents."""
+    axes, images = mirror_group(mesh)
+    p = mesh.n_points
+    rep_of = images.min(axis=0)
+    reps = np.flatnonzero(rep_of == np.arange(p))
+    maps = images[:, reps]
+    g_of = np.argmax(images[:, rep_of] == np.arange(p), axis=0)
+    signs = np.ones((1, 3))
+    characters = np.ones((1, 1))
+    for axis in axes:
+        flip = np.ones(3)
+        flip[axis] = -1.0
+        signs = np.concatenate([signs, signs * flip])
+        characters = np.kron([[1.0, 1.0], [1.0, -1.0]], characters)
+    return _Orbits(axes=axes, reps=reps, maps=maps,
+                   gather=g_of * len(reps) + np.searchsorted(reps, rep_of), signs=signs,
+                   stabiliser=np.sum(maps == reps, axis=0), characters=characters)
+
+
 class OneBodyOperator:
     """Matrix-free application of the discretized boundary operator I + s A.
 
@@ -186,43 +227,30 @@ class OneBodyOperator:
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
-        axes, images = mirror_group(mesh)
-        order = len(images)
-        p = mesh.n_points
-        rep_of = images.min(axis=0)
-        reps = np.flatnonzero(rep_of == np.arange(p))
-        self._maps = images[:, reps]  # mesh index of g r
-        # point i is g_i r_i: its row in the (|G| R) stack of per-element results
-        g_of = np.argmax(images[:, rep_of] == np.arange(p), axis=0)
-        self._gather = g_of * len(reps) + np.searchsorted(reps, rep_of)
-        self._signs = np.ones((1, 3))
-        characters = np.ones((1, 1))
-        for axis in axes:
-            flip = np.ones(3)
-            flip[axis] = -1.0
-            self._signs = np.concatenate([self._signs, self._signs * flip])
-            characters = np.kron([[1.0, 1.0], [1.0, -1.0]], characters)
-        self._characters = characters
+        orbits = _orbits(mesh)
+        order = len(orbits.signs)
+        reps = orbits.reps
+        self._maps, self._gather = orbits.maps, orbits.gather
+        self._signs, self._characters = orbits.signs, orbits.characters
         # column c of [J, x (x) J] is a field of character psi ^ chi_c
-        bit = {axis: 1 << n for n, axis in enumerate(axes)}
+        bit = {axis: 1 << n for n, axis in enumerate(orbits.axes)}
         axis_bits = np.array([bit.get(q, 0) for q in range(3)])
         chi = np.concatenate([axis_bits, (axis_bits[:, None] ^ axis_bits).ravel()])
         self._pairing = np.arange(order)[:, None, None] ^ chi
 
         check_dense_bytes(16 * order * len(reps) ** 2, "the one-body operator")
-        stabiliser = np.sum(self._maps == reps, axis=0)
         points = mesh.points[reps]
         self._d = np.empty((order, len(reps), len(reps)), dtype=complex)
         for g in range(order):
             k_g = pair_matrix(
                 points, mesh.center, lambda r: gradient_coefficient(wavenumber, r),
-                weights=mesh.weights[reps] / stabiliser, signs=self._signs[g],
+                weights=mesh.weights[reps] / orbits.stabiliser, signs=self._signs[g],
                 ids=(reps, self._maps[g]),
             )
             for psi in range(order):
                 if g == 0:
                     self._d[psi] = k_g
-                elif characters[psi, g] > 0:
+                elif orbits.characters[psi, g] > 0:
                     self._d[psi] += k_g
                 else:
                     self._d[psi] -= k_g
@@ -231,11 +259,11 @@ class OneBodyOperator:
         self._x_dot_n = np.einsum("ip,ip->i", self._x, self._normals)
         self._mesh = mesh
         self._scale = float(scale)
-        self.mirrors = tuple("xyz"[axis] for axis in axes)
+        self.mirrors = tuple("xyz"[axis] for axis in orbits.axes)
         self.orbits = len(reps)
         self.wavenumber = float(wavenumber)
-        self.n_points = p
-        self.shape = (3 * p, 3 * p)
+        self.n_points = mesh.n_points
+        self.shape = (3 * mesh.n_points,) * 2
 
     @property
     def nbytes(self) -> int:
@@ -409,18 +437,35 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
     third axis is the source normal (frame="local", the frame in which the
     sphere value diag(-1/3, -1/3, 1/6) is stated) or in laboratory axes
     (frame="lab").
+
+    The sum is split by the mesh's mirror group as in OneBodyOperator: with
+    d g0 / d s = c_st (x_s - x_t), c_st = -1 / (4 pi r_st^3), G is formed at
+    the R orbit representatives only, one real (R, R) block
+    K_g[r, s] = c(|x_r - R_g x_s|) w_s / |Stab s| per group element, and
+    G(g r) = R_g G(r) R_g gives it at every point.  A mesh without mirrors
+    is the trivial group: the plain sum over all P^2 pairs.
     """
     if frame not in ("local", "lab"):
         raise ValueError(f"unknown frame {frame!r}")
-    p = mesh.n_points
-    check_dense_bytes(8 * p * p, "the static coupling matrix")
-    x = mesh.points - mesh.center
-    # d g0 / d s = c_st (x_s - x_t) with c_st = -1 / (4 pi r^3); c is symmetric.
-    c = pair_matrix(mesh.points, mesh.center, _static_coefficient, dtype=float)
+    orbits = _orbits(mesh)
+    reps = orbits.reps
+    check_dense_bytes(8 * len(reps) ** 2, "the static coupling matrix")
+    points = mesh.points[reps]
+    x = points - mesh.center
+    columns = _moment_columns(x, mesh.normals[reps])
+    weights = mesh.weights[reps] / orbits.stabiliser
+    # sum_s c_rs [N_s, x_s (x) N_s] w_s; the image g s has R_g x_s and R_g N_s
+    product = np.zeros(columns.shape)
+    for signs, images in zip(orbits.signs, orbits.maps):
+        product += pair_matrix(
+            points, mesh.center, _static_coefficient, weights=weights,
+            dtype=float, signs=signs, ids=(reps, images),
+        ) @ columns * _moment_columns(signs[None], signs[None])
 
-    # per_source[t, p, q] = sum_s c_ts (x_sp - x_tp) N_sq w_s
-    product = c @ _moment_columns(x, mesh.normals * mesh.weights[:, None])
-    per_source = product[:, 3:].reshape(p, 3, 3) - x[:, :, None] * product[:, None, :3]
+    # per_source[r, p, q] = sum_s c_rs (x_sp - x_rp) N_sq w_s
+    per_source = product[:, 3:].reshape(-1, 3, 3) - x[:, :, None] * product[:, None, :3]
+    mirrored = orbits.signs[:, None, :, None] * per_source * orbits.signs[:, None, None, :]
+    per_source = mirrored.reshape(-1, 3, 3)[orbits.gather]
 
     if frame == "local":
         basis = _local_frames(mesh.normals)  # (t, 3, 3), columns u, v, n

@@ -202,12 +202,17 @@ def test_split_stores_a_group_order_fraction_of_the_pairs(wave, name):
     assert op.nbytes <= 16 * op.orbits**2 * order + 64 * mesh.n_points
 
 
-def test_nudged_point_leaves_the_trivial_group(wave):
-    mesh = mesh_sphere(1e-9, 8)
+def _nudged(mesh):
+    """mesh with point 5 moved by 1e-6 of the radius along y: no mirror is left."""
     points = mesh.points.copy()
     points[5, 1] += 1e-6 * 1e-9
-    nudged = CollocationMesh(points=points, normals=mesh.normals, weights=mesh.weights,
-                             volume=mesh.volume, center=mesh.center)
+    return CollocationMesh(points=points, normals=mesh.normals, weights=mesh.weights,
+                           volume=mesh.volume, center=mesh.center)
+
+
+def test_nudged_point_leaves_the_trivial_group(wave):
+    mesh = mesh_sphere(1e-9, 8)
+    nudged = _nudged(mesh)
     assert mirror_group(mesh)[0] == (1, 2)
     axes, images = mirror_group(nudged)
     assert axes == () and np.array_equal(images, [np.arange(mesh.n_points)])
@@ -315,13 +320,17 @@ def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch)
     op = OneBodyOperator(mesh, wave.wavenumber)
     monkeypatch.setattr(linalg, "physical_memory", lambda: 2**20)
     monkeypatch.setattr(one_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
-    # 16 B x 4 x 197^2 pairs, 8 B x 766^2 and 16 B x 2298^2
+    # 16 B x 4 x 197^2 pairs, 8 B x 766^2 (no mirror) and 16 B x 2298^2
     with pytest.raises(ValueError, match=r"the one-body operator needs 0\.00231 GiB"):
         OneBodyOperator(mesh, wave.wavenumber)
     with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.00437 GiB"):
-        gamma_numeric(mesh)
+        gamma_numeric(_nudged(mesh))
     with pytest.raises(ValueError, match=r"dense one-body matrix needs 0\.0787 GiB"):
         op.to_dense()
+    # gamma_numeric holds one K_g at a time: 8 B x 197^2 pairs
+    monkeypatch.setattr(linalg, "physical_memory", lambda: 2**18)
+    with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.000289 GiB"):
+        gamma_numeric(mesh)
 
 
 def test_two_scales_solve_on_one_operator(wave, monkeypatch):
@@ -488,8 +497,22 @@ def test_gamma_numeric_lab_frame_trace(sphere766):
     assert np.trace(gamma.gamma).real == pytest.approx(-0.5, abs=0.03)
 
 
-def test_gamma_numeric_matches_pair_sum_off_origin(off_origin_mesh):
-    mesh = off_origin_mesh
+#: Meshes of the split-gamma oracle and their mirror group orders: the
+#: trivial group, the z mirror alone, y and z, and all three (face centres
+#: on the mirror planes), each P <= 150.
+GAMMA_MESHES = {
+    "nudged-sphere": (lambda: _nudged(mesh_sphere(1e-9, 5)), 1),
+    "off-centre-sphere": (lambda: mesh_sphere(1e-9, 5, center=OFF_ORIGIN), 2),
+    "sphere": (lambda: mesh_sphere(1e-9, 5), 4),
+    "cube": (lambda: mesh_cube(1e-7, 5), 8),
+}
+
+
+@pytest.mark.parametrize("name", GAMMA_MESHES)
+def test_gamma_numeric_matches_pair_sum(name):
+    build, order = GAMMA_MESHES[name]
+    mesh = build()
+    assert len(mirror_group(mesh)[1]) == order
     # per_source[t] = sum_{s != t} grad_s g0(s, t) N_s^T w_s
     per_source = np.zeros((mesh.n_points, 3, 3))
     for t in range(mesh.n_points):
@@ -504,6 +527,46 @@ def test_gamma_numeric_matches_pair_sum_off_origin(off_origin_mesh):
         np.testing.assert_allclose(
             gamma_numeric(mesh, frame=frame).gamma, expected, rtol=1e-12, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("name", ["sphere", "ellipsoid"])
+def test_gamma_numeric_is_rotation_covariant(name):
+    """Lab gamma of a generically rotated mesh (trivial group) is Rot gamma Rot^T."""
+    mesh = mesh_sphere(1e-9, 8) if name == "sphere" else mesh_ellipsoid(1e-8, 1e-9, 1e-9, 8)
+    rotation, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
+    turned = _rotated(mesh, rotation)
+    assert mirror_group(mesh)[0] == (1, 2) and mirror_group(turned)[0] == ()
+    split = gamma_numeric(mesh, frame="lab").gamma
+    expected = rotation @ split @ rotation.T
+    np.testing.assert_allclose(gamma_numeric(turned, frame="lab").gamma, expected,
+                               rtol=1e-12, atol=1e-12 * np.abs(split).max())
+
+
+@pytest.mark.parametrize("name", ["off-centre-sphere", "sphere", "cube"])
+def test_mirrors_zero_the_lab_gamma_entries_they_flip(name):
+    """gamma = R_g gamma R_g: entry (p, q) vanishes when a mirror flips one of p, q."""
+    mesh = GAMMA_MESHES[name][0]()
+    axes = mirror_group(mesh)[0]
+    gamma = gamma_numeric(mesh, frame="lab").gamma
+    on_axis = np.isin(np.arange(3), axes)
+    flipped = (on_axis[:, None] | on_axis) & ~np.eye(3, dtype=bool)
+    assert flipped.sum() == {1: 4, 2: 6, 3: 6}[len(axes)]
+    assert np.abs(gamma[flipped]).max() <= 1e-14 * np.abs(gamma).max()
+
+
+def test_gamma_numeric_holds_one_static_block():
+    # one real (R, R) block K_g at a time, 1.5 MiB at R = 449, plus row blocks
+    # and O(P) arrays; the unsplit (P, P) matrix alone would take 23.7 MiB
+    mesh = mesh_sphere(1e-9, 18)  # P = 1762
+    orbits = len(np.unique(mirror_group(mesh)[1].min(axis=0)))
+    tracemalloc.start()
+    try:
+        gamma_numeric(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orbits == 449
+    assert peak <= 8 * orbits**2 + 4 * 2**20
 
 
 @pytest.mark.parametrize("frame", ["local", "lab"])
