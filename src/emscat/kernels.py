@@ -156,6 +156,25 @@ def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:
     return c
 
 
+def _moment_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (P, 12) block [v, x (x) v]: column 3 + 3p + q holds x_p v_q.
+
+    A pair sum sum_j c_ij (x_i - x_j)_p v_jq is then x_ip (c @ v)_iq minus
+    column 3 + 3p + q of c @ [v, x (x) v]: one GEMM for all nine (p, q).
+    """
+    return np.concatenate([v, (x[:, :, None] * v[:, None, :]).reshape(-1, 9)], axis=1)
+
+
+def _cross_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (..., P, 6) block [v, x x v], one per leading index of v."""
+    return np.concatenate([v, np.cross(x, v)], axis=-1)
+
+
+def _cross_sum(x: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """sum_j c_ij (x_i - x_j) x v_j = x_i x (c v)_i - (c (x x v))_i, given c @ [v, x x v]."""
+    return np.cross(x, product[..., :3]) - product[..., 3:]
+
+
 def _scale(z: np.ndarray, s: np.ndarray) -> None:
     """z *= s in place for complex z and real s, one real part at a time.
 

@@ -44,14 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (
-    CoincidentPointsError,
-    kernel_hessian_parts,
-    moment_fields,
-    pair_matrix,
-)
+from .kernels import (CoincidentPointsError, _cross_columns, _cross_sum, _moment_columns,
+                      kernel_hessian_parts, moment_fields, pair_matrix)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
-from .one_body import GammaMatrix, _moment_columns
+from .one_body import GammaMatrix
 from .waves import IncidentWave
 
 __all__ = [
@@ -403,15 +399,13 @@ class ManyBodyOperator:
     def scattered_at_centers(self, a: np.ndarray) -> np.ndarray:
         """Field of the moments Q_j = -|D_j| A_j at every centre, own term left out.
 
-        sum_{j != m} grad g(x_m, x_j) x Q_j with grad g = c_iso (x_m - x_j)
-        is (C_iso (x x A))_m - x_m x (C_iso A)_m: one product of the stored
-        C_iso with the (M, 6) block [A, x x A].  Dense coupling only.
+        sum_{j != m} grad g(x_m, x_j) x Q_j with grad g = c_iso (x_m - x_j) is
+        minus the cross sum (kernels._cross_sum) of the stored C_iso with A: one
+        product of C_iso with the (M, 6) block [A, x x A].  Dense coupling only.
         """
         if self.coupling != "dense":
             raise ValueError("scattered_at_centers needs the dense coupling")
-        x = self._x
-        product = self._coeff[0] @ np.concatenate([a, np.cross(x, a)], axis=1)
-        return product[:, 3:] - np.cross(x, product[:, :3])
+        return -_cross_sum(self._x, self._coeff[0] @ _cross_columns(self._x, a))
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full (3M, 3M) matrix pairwise (small systems / oracles).

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import gradient_coefficient, moment_fields, pair_matrix
+from .kernels import (_cross_columns, _cross_sum, _moment_columns, gradient_coefficient,
+                      moment_fields, pair_matrix)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .waves import IncidentWave
 
@@ -89,17 +90,6 @@ class SurfaceCurrent:
     mirrors: tuple[str, ...] | None = None
     orbits: int | None = None
     operator_bytes: int | None = None
-
-
-def _moment_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The (..., P, 12) block [v, x (x) v]: column 3 + 3p + q holds x_p v_q.
-
-    A pair sum sum_j c_ij (x_i - x_j)_p v_jq is then x_ip (c @ v)_iq minus
-    column 3 + 3p + q of c @ [v, x (x) v]: one GEMM for all nine (p, q).
-    v may carry leading axes, one (P, 3) block each.
-    """
-    outer = (x[:, :, None] * v[..., None, :]).reshape(*v.shape[:-1], 9)
-    return np.concatenate([v, outer], axis=-1)
 
 
 #: A mirror maps a mesh onto itself when every image lands on a mesh point,
@@ -199,11 +189,12 @@ class OneBodyOperator:
 
         C_ij = g(r_ij) (ik - 1/r_ij) / r_ij * w_j,   C_ii = 0.
 
-    Expanding x_i - x_j turns the matvec into one product C @ [J, x (x) J]
-    with 12 columns plus O(P) contractions against N_i and x_i . N_i.  The
-    coordinates x are taken relative to mesh.center: with raw coordinates the
-    expansion cancels catastrophically for a small body far from the origin.
-    Unknowns are interleaved (X1, Y1, Z1, X2, ...).
+    With d = x_i - x_j the pair term d (N_i . J_j) - J_j (d . N_i) is N_i x (d x J_j),
+    so the coupling is N_i x [x_i x (C J)_i - (C (x x J))_i] (kernels._cross_sum):
+    one product of C with the 6 columns [J, x x J].  The coordinates x are taken
+    relative to mesh.center: with raw coordinates the expansion cancels
+    catastrophically for a small body far from the origin.  Unknowns are
+    interleaved (X1, Y1, Z1, X2, ...).
 
     C is not stored: it commutes with the mirror group G of the mesh
     (mirror_group), so it splits into one block per character psi of G
@@ -218,12 +209,12 @@ class OneBodyOperator:
     the upper triangle.  A scalar field f with f(g i) = psi(g) f(i) has
     (C f)_r = (D_psi f)_r.  J(g i) = R_g J(i) psi(g) makes its component q a
     field of character psi sigma_q, sigma_q(g) the sign R_g puts on axis q,
-    and its column x_p J_q one of psi sigma_p sigma_q.  So the matvec
-    projects J on the characters, runs one GEMM per character of D with the
-    12 columns of every character that it pairs with, contracts at the
-    representatives as above, and maps the result back.  A mesh without
-    mirrors is the trivial group, D = C.  The scale s multiplies only at
-    matvec time.
+    and its column (x x J)_p = x_q J_r - x_r J_q one of psi sigma_q sigma_r,
+    that is psi sigma_0 sigma_1 sigma_2 sigma_p.  So the matvec projects J on
+    the characters, runs one (R, R) @ (R, 6) GEMM per character of D with the
+    6 columns of every character that it pairs with, takes the cross products
+    at the representatives as above, and maps the result back.  A mesh without
+    mirrors is the trivial group, D = C.  The scale s multiplies at matvec time.
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
@@ -232,10 +223,10 @@ class OneBodyOperator:
         reps = orbits.reps
         self._maps, self._gather = orbits.maps, orbits.gather
         self._signs, self._characters = orbits.signs, orbits.characters
-        # column c of [J, x (x) J] is a field of character psi ^ chi_c
+        # column c of [J, x x J] is a field of character psi ^ chi_c
         bit = {axis: 1 << n for n, axis in enumerate(orbits.axes)}
         axis_bits = np.array([bit.get(q, 0) for q in range(3)])
-        chi = np.concatenate([axis_bits, (axis_bits[:, None] ^ axis_bits).ravel()])
+        chi = np.concatenate([axis_bits, np.bitwise_xor.reduce(axis_bits) ^ axis_bits])
         self._pairing = np.arange(order)[:, None, None] ^ chi
 
         check_dense_bytes(16 * order * len(reps) ** 2, "the one-body operator")
@@ -256,7 +247,6 @@ class OneBodyOperator:
                     self._d[psi] -= k_g
         self._x = points - mesh.center
         self._normals = mesh.normals[reps]
-        self._x_dot_n = np.einsum("ip,ip->i", self._x, self._normals)
         self._mesh = mesh
         self._scale = float(scale)
         self.mirrors = tuple("xyz"[axis] for axis in orbits.axes)
@@ -276,19 +266,13 @@ class OneBodyOperator:
         # J_psi(r) = sum_g psi(g) R_g J(g r) / |G|, one (R, 3) block per psi
         j_psi = np.einsum("hg,grq->hrq", self._characters / order,
                           j[self._maps] * self._signs[:, None, :])
-        columns = _moment_columns(self._x, j_psi)
         # GEMM phi takes column c of character phi ^ chi_c, and gives it back
-        columns = np.take_along_axis(columns, self._pairing, axis=0)
+        columns = np.take_along_axis(_cross_columns(self._x, j_psi), self._pairing, axis=0)
         product = np.take_along_axis(self._d @ columns, self._pairing, axis=0)
-        cj = product[..., :3]  # sum_j C_ij J(j, q), per character
-        cxj = product[..., 3:].reshape(*cj.shape, 3)  # sum_j C_ij x(j, p) J(j, q)
-        # term1(i) = sum_j C_ij (x_i - x_j) (N_i . J_j)
-        n_dot_cj = np.einsum("iq,hiq->hi", self._normals, cj)
-        term1 = self._x * n_dot_cj[..., None] - np.einsum("hipq,iq->hip", cxj, self._normals)
-        # term2(i) = sum_j C_ij ((x_i - x_j) . N_i) J_j
-        term2 = self._x_dot_n[:, None] * cj - np.einsum("ip,hipq->hiq", self._normals, cxj)
+        # (A J_psi)(r) = N_r x sum_s D_psi[r, s] (x_r - x_s) x J_psi(s)
+        coupling = np.cross(self._normals, _cross_sum(self._x, product))
         # back to the points: (A J)(g r) = sum_psi psi(g) R_g (A J_psi)(r)
-        coupling = np.einsum("gh,hrq->grq", self._characters, term1 - term2)
+        coupling = np.einsum("gh,hrq->grq", self._characters, coupling)
         coupling *= self._signs[:, None, :]
         return (j + self._scale * coupling.reshape(-1, 3)[self._gather]).reshape(-1)
 
