@@ -2,17 +2,16 @@
 
 Every `computed*` column is pinned, as captured at the default BLAS thread
 count of a 2-vCPU box (two OpenBLAS threads).  e-cube, many-27 and many-1000
-come out string-identical with one and two BLAS threads, and q-sphere with
-two and with OPENBLAS_NUM_THREADS=4 on that box, so they are compared as
-strings.  At one thread q-sphere's
-computed[0] and computed[2] differ by 5e-16 and 5e-14: OpenBLAS rounds a
-complex GEMM of its 197-orbit blocks differently on one thread, which moves
-J by about 1e-13 (it did so before the mirror split too, at the full 766
-points, where the printed digits happened to absorb it).  e-sphere,
-e-ellipsoid and sweep-1386 move in the last digits with the BLAS thread
-count (measured spreads 1.1e-13, 3.1e-13 and 1.2e-11), so they are compared
-at rtol 1e-10.  A change to this ledger is a change to the paper's
-reproduced numbers and must be deliberate.
+come out string-identical with one, two and four BLAS threads, and q-sphere
+with two and four on that box, so they are compared as strings.  At one
+thread q-sphere's computed[2] differs by 1.6e-14: OpenBLAS rounds a complex
+GEMM of its 197-orbit blocks differently on one thread, which moves J by
+about 1e-13 (it did so before the mirror split too, at the full 766 points,
+where the printed digits happened to absorb it).  e-sphere, e-ellipsoid and
+sweep-1386 move in the last digits with the BLAS thread count (measured
+spreads between one and two threads 4.1e-14, 1.3e-12 and 2.9e-13), so they
+are compared at rtol 1e-10.  A change to this ledger is a change to the
+paper's reproduced numbers and must be deliberate.
 
 sweep-1386's last computed_e_error cell, 5.8e-16 at radius 1e-10, is the
 most sensitive one: the mirror split moved J by 6.1e-13 there and this cell
@@ -38,12 +37,12 @@ from emscat.cli import main
 
 EXACT = {
     "q-sphere": {
-        "computed": ["3.730515158508325e-22", "3.759849295653089e-22",
-                     "0.007863293914745379"],
+        "computed": ["3.730515158508323e-22", "3.759849295653089e-22",
+                     "0.007863293914745887"],
     },
     "e-cube": {
-        "computed_error": ["9.848832654486783e-09", "9.871662806635808e-08",
-                           "1.347523237021037e-06", "0.0006329215427809777"],
+        "computed_error": ["9.84883265448673e-09", "9.871662806635872e-08",
+                           "1.347523237021048e-06", "0.0006329215427809755"],
     },
     "many-27": {
         "computed_norm": ["5.196151602690342", "5.196152421885643",
@@ -61,18 +60,18 @@ EXACT = {
 
 CLOSE = {
     "e-sphere": {
-        "computed_error": [2.704333715288105e-04, 2.704682109820238e-07,
-                           2.720259328464554e-10],
+        "computed_error": [2.704333715288127e-04, 2.704682109820293e-07,
+                           2.720259328463796e-10],
     },
     "e-ellipsoid": {
-        "computed_error": [3.657194242228696e-03, 3.636279031197396e-06,
-                           5.258427233230405e-09],
+        "computed_error": [3.657194242234312e-03, 3.636279031197536e-06,
+                           5.258427233229397e-09],
     },
     "sweep-1386": {
-        "computed_e_error": [5.800610518857866e-07, 5.800279618722509e-10,
-                             5.800649318260828e-13, 5.835559059793377e-16],
-        "computed_q_error": [6.17590969073437e-03, 6.146349249046453e-03,
-                             6.14607938982479e-03, 6.140281490209186e-03],
+        "computed_e_error": [5.800610518857867e-07, 5.800279618722106e-10,
+                             5.800649318267642e-13, 5.835559059792472e-16],
+        "computed_q_error": [6.175909690733971e-03, 6.146349249046972e-03,
+                             6.146079389824537e-03, 6.140281490208814e-03],
     },
 }
 
