@@ -501,10 +501,22 @@ def solve_effective_field(
     )
 
 
+def _check_wave(wave: IncidentWave, solution: EffectiveFieldSolution) -> None:
+    """Raise ValueError naming the first field in which wave differs from the solved one."""
+    for name in ("wavenumber", "amplitude", "direction", "frequency", "permeability"):
+        given, solved = getattr(wave, name), getattr(solution.wave, name)
+        if not np.array_equal(given, solved):
+            shown = [", ".join(f"{v:.12g}" for v in np.ravel(value)) for value in (given, solved)]
+            raise ValueError(
+                f"wave has {name} {shown[0]} but the solution was solved at {shown[1]}"
+            )
+
+
 def _moment_fields(
     layout: ManyBodyLayout, wave: IncidentWave, solution: EffectiveFieldSolution, x
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scattered E and curl E of all the moments at x; refuses x at a center."""
+    """Scattered E and curl E of all the moments at x; refuses x at a center and another wave."""
+    _check_wave(wave, solution)
     try:
         return moment_fields(wave.wavenumber, layout.centers, solution.q_values, x)
     except CoincidentPointsError:
@@ -516,7 +528,8 @@ def field_e_many(
 ) -> np.ndarray:
     """Asymptotic total field E(x) = E0(x) + sum_m grad g(x, x_m) x Q_m.
 
-    x is (3,) or (n, 3); the result has the same shape.
+    x is (3,) or (n, 3); the result has the same shape.  Raises ValueError
+    when wave differs from the solved one in any field.
     """
     return wave.field(x) + _moment_fields(layout, wave, solution, x)[0]
 
@@ -530,20 +543,16 @@ def effective_field_at_centers(
     gradient kernel with the moments.  Otherwise it is the field the dense
     solve carries (EffectiveFieldSolution.scattered_at_centers).  Raises
     ValueError when layout or wave is not the one the solution belongs to
-    (count or wavenumber differ, or, on a non-grid layout, the centres the
-    solution records), or when a solution on a non-grid layout carries no
-    field.
+    (the count or a field of the wave differs, or, on a non-grid layout, the
+    centres the solution records), or when a solution on a non-grid layout
+    carries no field.
     """
     if layout.count != len(solution.q_values):
         raise ValueError(
             f"layout has {layout.count} centres but the solution "
             f"{len(solution.q_values)} moments"
         )
-    if wave.wavenumber != solution.wave.wavenumber:
-        raise ValueError(
-            f"wave has wavenumber {wave.wavenumber:.12g} but the solution was "
-            f"solved at {solution.wave.wavenumber:.12g}"
-        )
+    _check_wave(wave, solution)
     if layout.grid is not None:
         diff, _, c_iso, _ = _grid_kernel_parts(layout.grid, wave.wavenumber)
         grad_hat = np.fft.fftn(np.moveaxis(c_iso[..., None] * diff, -1, 0), axes=(1, 2, 3))
@@ -573,7 +582,8 @@ def field_h_many(
     """Magnetic field of the many-body solution, H = curl E / (i omega mu).
 
     Each moment contributes curl(grad g x Q) = k^2 g Q + H Q, H the kernel
-    Hessian; x is (3,) or (n, 3).
+    Hessian; x is (3,) or (n, 3).  Raises ValueError when wave differs from
+    the solved one in any field.
     """
     curl_scattered = _moment_fields(layout, wave, solution, x)[1]
     return (wave.curl(x) + curl_scattered) / (1j * wave.frequency * wave.permeability)

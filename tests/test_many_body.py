@@ -452,13 +452,37 @@ def test_effective_field_at_centers_rejects_another_layout(many27, wave):
         effective_field_at_centers(lattice_layout(8, 1e-7, 1e-9), wave, solution)
 
 
-def test_effective_field_at_centers_rejects_another_wave(many27, wave):
+#: Each field of the default wave changed on its own, and the message naming it.
+OTHER_WAVES = {
+    "wavenumber": (dict(wavenumber=2.0 * default_wave().wavenumber),
+                   "wave has wavenumber 209439.510239 but the solution was solved "
+                   "at 104719.75512"),
+    "amplitude": (dict(amplitude=np.array([0.0, 0.0, 1.0])),
+                  "wave has amplitude 0, 0, 1 but the solution was solved at 1, 0, 0"),
+    "direction": (dict(direction=np.array([0.0, 0.0, 1.0])),
+                  "wave has direction 0, 0, 1 but the solution was solved at 0, 1, 0"),
+    "frequency": (dict(frequency=1e15),
+                  "wave has frequency 1e[+]15 but the solution was solved at 5e[+]14"),
+    "permeability": (dict(permeability=2.0),
+                     "wave has permeability 2 but the solution was solved at 1"),
+}
+
+#: The three many-body field functions, each taking (layout, wave, solution).
+FIELD_FUNCTIONS = {
+    "effective_field_at_centers": effective_field_at_centers,
+    "field_e_many": lambda *args: field_e_many(*args, np.array([5e-7, 5e-7, 5e-7])),
+    "field_h_many": lambda *args: field_h_many(*args, np.array([5e-7, 5e-7, 5e-7])),
+}
+
+
+@pytest.mark.parametrize("function", sorted(FIELD_FUNCTIONS))
+@pytest.mark.parametrize("field", sorted(OTHER_WAVES))
+def test_field_functions_reject_another_wave(many27, wave, field, function):
+    # without the check the x solve's moments came back under another wave
     layout, solution = many27
-    other = replace(wave, wavenumber=2.0 * wave.wavenumber)
-    with pytest.raises(ValueError,
-                       match="wave has wavenumber 209439.510239 but the solution was solved "
-                             "at 104719.75512"):
-        effective_field_at_centers(layout, other, solution)
+    changes, message = OTHER_WAVES[field]
+    with pytest.raises(ValueError, match=message):
+        FIELD_FUNCTIONS[function](layout, replace(wave, **changes), solution)
 
 
 def test_effective_field_at_centers_rejects_other_centres_of_the_same_count(wave):
