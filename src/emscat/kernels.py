@@ -270,7 +270,9 @@ def _moment_fields_block(k, sources, moments, x, guard):
         raise CoincidentPointsError(f"field evaluation point lies on source {index}")
     g, c_iso, c_dir = kernel_hessian_parts(k, r)
     # Sums over the sources as matrix products: a[n, p, q] =
-    # sum_j grad_p g(x_n, s_j) m_jq, whose antisymmetric part is E.
+    # sum_j grad_p g(x_n, s_j) m_jq, whose antisymmetric part is E.  Not the
+    # GEMM _cross_sum form: a batch of rows rounds differently from one point
+    # there (3.7e-13), and test_batch_matches_per_point_loop pins them equal.
     a = np.swapaxes(c_iso[..., None] * diff, -1, -2) @ moments
     e = np.stack([a[:, 1, 2] - a[:, 2, 1], a[:, 2, 0] - a[:, 0, 2],
                   a[:, 0, 1] - a[:, 1, 0]], axis=-1)
