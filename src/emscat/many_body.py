@@ -17,7 +17,7 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   kernel components are sampled once on the (2n-1)^3 offsets, embedded in a
   zero-padded (2n)^3 circulant and applied by FFT in O(M log M) time and
   O(M) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198, 1991).  The
-  fields at the centres are the same convolution with the gradient kernel.
+  field at the centres is the same convolution with the gradient kernel.
 * dense -- any other layout stores the coupling as two complex (M, M)
   scalar matrices, C_iso = c_iso |D_j| and C2 = c_dir |D_j| (32 B per
   pair), built in one pass over the upper triangle in row blocks.  The
@@ -27,9 +27,10 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   centred on the layout turns the matvec into C_iso @ A and one (M, M) x
   (M, 18) product C2 @ [A, x (x) A, x s, |x|^2 A] with s_j = x_j . A_j,
   plus O(M) contractions.  Since grad g(x_m, x_j) = c_iso (x_m - x_j), the
-  solve then forms the fields at the centres from the same C_iso, as one
-  (M, M) x (M, 6) product C_iso @ [A, x x A], and the solution carries
-  them.
+  field at the centres is one (M, M) x (M, 6) product C_iso @ [A, x x A].
+
+The solve forms that field with its own operator; the solution carries it
+with its centres and wave, which every field function checks it is given.
 
 ``ManyBodyOperator.to_dense`` builds the blocks k^2 g + c_iso and c_dir from
 pairwise differences of the raw centres on both paths, never from the stored
@@ -399,12 +400,17 @@ class ManyBodyOperator:
     def scattered_at_centers(self, a: np.ndarray) -> np.ndarray:
         """Field of the moments Q_j = -|D_j| A_j at every centre, own term left out.
 
-        sum_{j != m} grad g(x_m, x_j) x Q_j with grad g = c_iso (x_m - x_j) is
-        minus the cross sum (kernels._cross_sum) of the stored C_iso with A: one
-        product of C_iso with the (M, 6) block [A, x x A].  Dense coupling only.
+        sum_{j != m} grad g(x_m, x_j) x Q_j.  On the fft coupling: one convolution
+        of the gradient kernel, its spectrum formed here and not stored, with Q.
+        On the dense one, grad g = c_iso (x_m - x_j): minus the cross sum
+        (kernels._cross_sum) of the stored C_iso with A, one (M, 6) product.
         """
-        if self.coupling != "dense":
-            raise ValueError("scattered_at_centers needs the dense coupling")
+        if self.coupling == "fft":
+            grid = self._layout.grid
+            diff, _, c_iso, _ = _grid_kernel_parts(grid, self._wavenumber)
+            grad_hat = np.fft.fftn(np.moveaxis(c_iso[..., None] * diff, -1, 0), axes=(1, 2, 3))
+            q_hat = _grid_spectrum(-self._layout.volumes[:, None] * a, grid)
+            return _grid_values(np.cross(grad_hat, q_hat, axis=0), grid)
         return -_cross_sum(self._x, self._coeff[0] @ _cross_columns(self._x, a))
 
     def to_dense(self) -> np.ndarray:
@@ -414,6 +420,8 @@ class ManyBodyOperator:
         taken from the stored C_iso, so this checks the trace identity the
         dense matvec relies on.
         """
+        m = self.count
+        check_dense_bytes(16 * (3 * m) ** 2, "the dense many-body matrix")
         k = self._wavenumber
 
         def parts(r):
@@ -423,7 +431,6 @@ class ManyBodyOperator:
         c0, c2 = _pair_coefficients(self._layout, parts)
         centers = self._layout.centers
         diff = centers[:, None, :] - centers[None, :, :]
-        m = self.count
         eye = np.eye(3)
         blocks = (
             c0[:, :, None, None] * eye[None, None, :, :]
@@ -442,10 +449,9 @@ class EffectiveFieldSolution:
     coupling ("fft" or "dense") and operator_bytes record the operator that
     produced the solution; None when the solution was not built by a solve.
     scattered_at_centers is the moments' field at every centre, own term
-    left out (ManyBodyOperator.scattered_at_centers): a dense solve forms it
-    while its coupling matrices are alive; None on a grid layout, whose
-    field effective_field_at_centers forms by FFT.  centers are the centres
-    the solve ran on, so that the field is not paired with another layout.
+    left out (ManyBodyOperator.scattered_at_centers), formed by the solve.
+    centers are the centres the solve ran on; the field functions refuse
+    another layout.
     """
 
     a_values: np.ndarray
@@ -479,9 +485,9 @@ def solve_effective_field(
     """Solve for all A_m and attach the moments Q_m = -|D_m| A_m.
 
     method "gmres" (default) or "direct" (LU on to_dense()), as in
-    linalg.solve_operator; raises ConvergenceError if GMRES stalls.  On the
-    dense coupling the field at the centres is formed here, from the same
-    coupling matrices, and carried by the solution.
+    linalg.solve_operator; raises ConvergenceError if GMRES stalls.  The
+    field at the centres is formed here, by the same operator, and carried
+    by the solution.
     """
     check_method(method)
     operator, rhs = assemble_many_body(layout, wave, gamma)
@@ -495,14 +501,28 @@ def solve_effective_field(
         wave=wave,
         coupling=operator.coupling,
         operator_bytes=operator.nbytes,
-        scattered_at_centers=(operator.scattered_at_centers(a)
-                              if operator.coupling == "dense" else None),
+        scattered_at_centers=operator.scattered_at_centers(a),
         centers=layout.centers,
     )
 
 
-def _check_wave(wave: IncidentWave, solution: EffectiveFieldSolution) -> None:
-    """Raise ValueError naming the first field in which wave differs from the solved one."""
+def _check_solution(
+    layout: ManyBodyLayout, wave: IncidentWave, solution: EffectiveFieldSolution
+) -> None:
+    """Raise ValueError naming the first of the count, a recorded centre or a
+    wave field in which layout or wave differs from what solution was solved on."""
+    if layout.count != len(solution.q_values):
+        raise ValueError(
+            f"layout has {layout.count} centres but the solution "
+            f"{len(solution.q_values)} moments"
+        )
+    if solution.centers is not None and not np.array_equal(solution.centers, layout.centers):
+        moved = np.flatnonzero(np.any(solution.centers != layout.centers, axis=1))
+        raise ValueError(
+            f"the solution was solved on other centres: {len(moved)} of {layout.count} "
+            f"differ, first centre {moved[0]} at {solution.centers[moved[0]].tolist()} "
+            f"against {layout.centers[moved[0]].tolist()}"
+        )
     for name in ("wavenumber", "amplitude", "direction", "frequency", "permeability"):
         given, solved = getattr(wave, name), getattr(solution.wave, name)
         if not np.array_equal(given, solved):
@@ -515,8 +535,8 @@ def _check_wave(wave: IncidentWave, solution: EffectiveFieldSolution) -> None:
 def _moment_fields(
     layout: ManyBodyLayout, wave: IncidentWave, solution: EffectiveFieldSolution, x
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scattered E and curl E of all the moments at x; refuses x at a center and another wave."""
-    _check_wave(wave, solution)
+    """Scattered E and curl E of all the moments at x; refuses x at a center."""
+    _check_solution(layout, wave, solution)
     try:
         return moment_fields(wave.wavenumber, layout.centers, solution.q_values, x)
     except CoincidentPointsError:
@@ -529,7 +549,7 @@ def field_e_many(
     """Asymptotic total field E(x) = E0(x) + sum_m grad g(x, x_m) x Q_m.
 
     x is (3,) or (n, 3); the result has the same shape.  Raises ValueError
-    when wave differs from the solved one in any field.
+    when layout or wave is not the one the solution was solved on.
     """
     return wave.field(x) + _moment_fields(layout, wave, solution, x)[0]
 
@@ -539,41 +559,18 @@ def effective_field_at_centers(
 ) -> np.ndarray:
     """Field acting on each body: the total field minus the body's own term.
 
-    On a grid layout the scattered part is one FFT convolution of the
-    gradient kernel with the moments.  Otherwise it is the field the dense
-    solve carries (EffectiveFieldSolution.scattered_at_centers).  Raises
-    ValueError when layout or wave is not the one the solution belongs to
-    (the count or a field of the wave differs, or, on a non-grid layout, the
-    centres the solution records), or when a solution on a non-grid layout
-    carries no field.
+    The scattered part is the one the solve carries
+    (EffectiveFieldSolution.scattered_at_centers).  Raises ValueError when
+    layout or wave is not the one the solution was solved on (the count, a
+    centre or a field of the wave differs), or when the solution carries
+    no field.
     """
-    if layout.count != len(solution.q_values):
-        raise ValueError(
-            f"layout has {layout.count} centres but the solution "
-            f"{len(solution.q_values)} moments"
-        )
-    _check_wave(wave, solution)
-    if layout.grid is not None:
-        diff, _, c_iso, _ = _grid_kernel_parts(layout.grid, wave.wavenumber)
-        grad_hat = np.fft.fftn(np.moveaxis(c_iso[..., None] * diff, -1, 0), axes=(1, 2, 3))
-        q_hat = _grid_spectrum(solution.q_values, layout.grid)
-        scattered = _grid_values(np.cross(grad_hat, q_hat, axis=0), layout.grid)
-    elif solution.scattered_at_centers is None:
-        raise ValueError(
-            "the solution carries no field at the centres of this non-grid layout: "
-            "solve it with solve_effective_field, or set scattered_at_centers from "
-            "ManyBodyOperator.scattered_at_centers"
-        )
-    elif solution.centers is not None and not np.array_equal(solution.centers, layout.centers):
-        moved = np.flatnonzero(np.any(solution.centers != layout.centers, axis=1))
-        raise ValueError(
-            f"the solution was solved on other centres: {len(moved)} of {layout.count} "
-            f"differ, first centre {moved[0]} at {solution.centers[moved[0]].tolist()} "
-            f"against {layout.centers[moved[0]].tolist()}"
-        )
-    else:
-        scattered = solution.scattered_at_centers
-    return wave.field(layout.centers) + scattered
+    _check_solution(layout, wave, solution)
+    if solution.scattered_at_centers is None:
+        raise ValueError("the solution carries no field at the centres: solve it with "
+                         "solve_effective_field, or set scattered_at_centers from "
+                         "ManyBodyOperator.scattered_at_centers")
+    return wave.field(layout.centers) + solution.scattered_at_centers
 
 
 def field_h_many(
@@ -582,8 +579,8 @@ def field_h_many(
     """Magnetic field of the many-body solution, H = curl E / (i omega mu).
 
     Each moment contributes curl(grad g x Q) = k^2 g Q + H Q, H the kernel
-    Hessian; x is (3,) or (n, 3).  Raises ValueError when wave differs from
-    the solved one in any field.
+    Hessian; x is (3,) or (n, 3).  Raises ValueError when layout or wave is
+    not the one the solution was solved on.
     """
     curl_scattered = _moment_fields(layout, wave, solution, x)[1]
     return (wave.curl(x) + curl_scattered) / (1j * wave.frequency * wave.permeability)
@@ -595,8 +592,10 @@ def error_estimate_many(
     """A-priori bound on the point-moment approximation error at x.
 
     (1 / 4 pi) (a k^2 / d + a k / d^2 + a / d^3) sum_m |Q_m| with a the body
-    radius and d the distance from x to the nearest center.
+    radius and d the distance from x to the nearest center.  Raises
+    ValueError when layout is not the one the solution was solved on.
     """
+    _check_solution(layout, solution.wave, solution)
     x = np.asarray(x, dtype=float)
     d = float(np.linalg.norm(layout.centers - x[None, :], axis=1).min())
     if d <= 0:

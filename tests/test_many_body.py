@@ -290,6 +290,21 @@ def test_dense_operator_beyond_physical_memory_is_refused(wave, monkeypatch):
         ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
 
 
+def test_dense_matrix_beyond_physical_memory_is_refused(wave, monkeypatch):
+    import emscat.linalg as linalg
+
+    # the (81, 81) complex matrix of 27 bodies, 16 B x 81^2, is refused on
+    # either coupling before to_dense() evaluates any pair
+    lattice, scattered = lattice_layout(27, SPACING, 1e-9), unequal_volume_layout()
+    dense = ManyBodyOperator(scattered, wave.wavenumber, SKEW_GAMMA)
+    monkeypatch.setattr(linalg, "physical_memory", lambda: 16 * 81**2 - 1)
+    monkeypatch.setattr(many_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match=r"the dense many-body matrix needs 9\.78e-05 GiB"):
+        solve_effective_field(lattice, wave, SKEW_GAMMA, method="direct")
+    with pytest.raises(ValueError, match="the dense many-body matrix needs"):
+        dense.to_dense()
+
+
 def test_dense_matvec_centred_far_from_origin(wave):
     # 0.5 cm is 5e6 spacings: an expansion of x_m - x_j in raw coordinates
     # would cancel to about 1e-3 here
@@ -398,14 +413,11 @@ def test_effective_field_norm_m27(many27):
 def hand_built_solution(layout, wave, q):
     """A solution with moments q, as a solve would return it.
 
-    On a non-grid layout it carries the field at the centres, formed from
-    the dense operator's own coupling matrices.
+    It carries the field at the centres that the operator forms: by FFT on
+    a grid layout, from the dense coupling matrices otherwise.
     """
     a = -q / layout.volumes[:, None]
-    scattered = None
-    if layout.grid is None:
-        operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
-        scattered = operator.scattered_at_centers(a)
+    scattered = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA).scattered_at_centers(a)
     return EffectiveFieldSolution(
         a_values=a, q_values=q, report=SolveReport(0, 0.0, True), wave=wave,
         scattered_at_centers=scattered, centers=layout.centers,
@@ -438,8 +450,10 @@ def test_effective_field_at_centers_matches_pair_sum(wave, make_layout):
     )
 
 
-def test_dense_solution_without_field_at_centers_rejected(wave):
-    layout = unequal_volume_layout()
+@pytest.mark.parametrize("make_layout", [grid_345_layout, unequal_volume_layout],
+                         ids=["grid", "dense"])
+def test_solution_without_field_at_centers_rejected(wave, make_layout):
+    layout = make_layout()
     solution = solve_effective_field(layout, wave, SKEW_GAMMA)
     assert solution.scattered_at_centers is not None
     with pytest.raises(ValueError, match="carries no field at the centres"):
@@ -473,6 +487,37 @@ FIELD_FUNCTIONS = {
     "field_e_many": lambda *args: field_e_many(*args, np.array([5e-7, 5e-7, 5e-7])),
     "field_h_many": lambda *args: field_h_many(*args, np.array([5e-7, 5e-7, 5e-7])),
 }
+
+
+#: The field functions and error_estimate_many, each taking (layout, wave, solution).
+SOLUTION_FUNCTIONS = {
+    **FIELD_FUNCTIONS,
+    "error_estimate_many": lambda layout, wave, solution: error_estimate_many(
+        layout, solution, np.array([5e-7, 5e-7, 5e-7])),
+}
+
+#: Two layouts of 27 centres each, the second refused for a solve on the first,
+#: and the start of the message naming the first centre that differs.
+OTHER_CENTRES = {
+    "grid": (lambda: (lattice_layout(27, 1e-7, 1e-9), lattice_layout(27, 2e-7, 1e-9)),
+             "solved on other centres: 26 of 27 differ, first centre 1 at "
+             r"\[1e-07, 0.0, 0.0\] against \[2e-07, 0.0, 0.0\]"),
+    "jittered": (lambda: tuple(layout_from_centers(jittered_centers(3, seed=seed),
+                                                   spacing=SPACING, radius=1e-9)
+                               for seed in (1, 2)),
+                 "solved on other centres: 27 of 27 differ, first centre 0 at"),
+}
+
+
+@pytest.mark.parametrize("function", sorted(SOLUTION_FUNCTIONS))
+@pytest.mark.parametrize("pair", sorted(OTHER_CENTRES))
+def test_solution_functions_reject_other_centres_of_the_same_count(wave, pair, function):
+    # without the check a grid solution came back on another grid, 1.3% off
+    make_pair, message = OTHER_CENTRES[pair]
+    first, second = make_pair()
+    solution = solve_effective_field(first, wave, gamma_sphere_analytic())
+    with pytest.raises(ValueError, match=message):
+        SOLUTION_FUNCTIONS[function](second, wave, solution)
 
 
 @pytest.mark.parametrize("function", sorted(FIELD_FUNCTIONS))
