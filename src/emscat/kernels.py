@@ -137,25 +137,6 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
     return out if stacked else out[0]
 
 
-def gradient_coefficient(k: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized scalar c = g (ik - 1/r) / r, so that grad g = c (x - t).
-
-    Evaluated in place as exp(ikr) (ikr - 1) / (4 pi r^3), with at most two
-    complex arrays of the shape of r alive at once: pair_matrix calls it on
-    each row block of point pairs.  No coincidence guard.
-    """
-    c = np.multiply(r, 1j * k)
-    phase = np.exp(c)
-    c -= 1.0
-    c *= phase
-    del phase
-    factor = r**3
-    factor *= FOUR_PI
-    np.reciprocal(factor, out=factor)
-    c *= factor
-    return c
-
-
 def _moment_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The (P, 12) block [v, x (x) v]: column 3 + 3p + q holds x_p v_q.
 
@@ -185,6 +166,37 @@ def _scale(z: np.ndarray, s: np.ndarray) -> None:
     np.multiply(z.imag, s, out=z.imag)
 
 
+def kernel_gradient_parts(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized value of g and the scalar c_iso with grad g = c_iso diff.
+
+    Evaluated in explicit steps as
+
+        g     = exp(ikr) / (4 pi r)
+        c_iso = g (ik - 1/r) / r
+
+    with exp(ikr) formed once as cos kr + i sin kr, the complex product
+    written to a fresh array with g as its first operand, and no ufunc that
+    casts a real array to complex.  Every element therefore has the same
+    bits whatever the size of r (see kernel_hessian_parts).  No coincidence
+    guard.
+    """
+    r = np.asarray(r, dtype=float)
+    g = np.empty(r.shape, dtype=complex)
+    work = np.multiply(k, r)
+    np.cos(work, out=g.real)
+    np.sin(work, out=g.imag)
+    np.multiply(FOUR_PI, r, out=work)
+    np.reciprocal(work, out=work)
+    _scale(g, work)
+    inv_r = np.reciprocal(r, out=work)
+    bracket = np.empty(r.shape, dtype=complex)
+    np.negative(inv_r, out=bracket.real)
+    bracket.imag = k
+    c_iso = np.multiply(g, bracket)
+    _scale(c_iso, inv_r)
+    return g, c_iso
+
+
 def kernel_hessian_parts(
     k: float, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,44 +204,27 @@ def kernel_hessian_parts(
 
     Returns (g, c_iso, c_dir) with hess_pq = c_iso delta_pq + c_dir diff_p diff_q
     and grad g = c_iso diff, so large batches never materialize (..., 3, 3)
-    arrays.  c_iso is formed from g, not with gradient_coefficient: that
-    would cost a second complex exp per pair.
+    arrays.  g and c_iso are those of kernel_gradient_parts; then
 
-    Evaluated in explicit steps as
-
-        g     = exp(ikr) / (4 pi r)
-        c_iso = g (ik - 1/r) / r
         c_dir = g (-k^2 - 3ik/r + 3/r^2) / r^2
 
-    with exp(ikr) formed once as cos kr + i sin kr, each complex product
-    written to a fresh array with g as its first operand, and no ufunc that
-    casts a real array to complex.  Every element therefore has the same
-    bits whatever the size of r; numpy's in-place reuse of large temporaries
-    swaps the operands of a fused complex multiply, so the one-expression
-    form changed the last bits from 16384 elements up.  The bits are those
-    of that form on arrays of 1 to 16383 elements.
+    in the same explicit steps: its bracket in a fresh array, the product
+    with g as its first operand into another.  Every element therefore has
+    the same bits whatever the size of r; numpy's in-place reuse of large
+    temporaries swaps the operands of a fused complex multiply, so the
+    one-expression form changed the last bits from 16384 elements up.  The
+    bits are those of that form on arrays of 1 to 16383 elements.
     """
     r = np.asarray(r, dtype=float)
-    g, c_iso, c_dir, bracket = (np.empty(r.shape, dtype=complex) for _ in range(4))
-    work = np.empty(r.shape)
-    np.multiply(k, r, out=work)
-    np.cos(work, out=g.real)
-    np.sin(work, out=g.imag)
-    np.multiply(FOUR_PI, r, out=work)
-    np.reciprocal(work, out=work)
-    _scale(g, work)
-    inv_r = np.reciprocal(r, out=np.empty(r.shape))
-    np.negative(inv_r, out=bracket.real)
-    bracket.imag = k
-    np.multiply(g, bracket, out=c_iso)
-    _scale(c_iso, inv_r)
-    np.multiply(r, r, out=work)
+    g, c_iso = kernel_gradient_parts(k, r)
+    work = np.multiply(r, r)
+    bracket = np.empty(r.shape, dtype=complex)
     np.divide(3.0, work, out=bracket.real)
     np.add(bracket.real, -k * k, out=bracket.real)
-    np.multiply(3.0 * k, inv_r, out=bracket.imag)
-    del inv_r
+    np.reciprocal(r, out=bracket.imag)
+    np.multiply(3.0 * k, bracket.imag, out=bracket.imag)
     np.negative(bracket.imag, out=bracket.imag)
-    np.multiply(g, bracket, out=c_dir)
+    c_dir = np.multiply(g, bracket)
     del bracket
     np.reciprocal(work, out=work)
     _scale(c_dir, work)

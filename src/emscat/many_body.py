@@ -20,14 +20,14 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   field at the centres is the same convolution with the gradient kernel.
 * dense -- any other layout stores the coupling as two complex (M, M)
   scalar matrices, C_iso = c_iso |D_j| and C2 = c_dir |D_j| (32 B per
-  pair), built in one pass over the upper triangle in row blocks.  The
-  isotropic part of each block, k^2 g + c_iso, follows from the Helmholtz
-  trace identity k^2 g + c_iso = -2 c_iso - c_dir r^2.  Expanding
-  d = x_m - x_j and r^2 = |x_m|^2 - 2 x_m . x_j + |x_j|^2 in coordinates
+  pair), built in one pass over the upper triangle in row blocks.  By the
+  Helmholtz trace identity k^2 g + c_iso = -2 c_iso - c_dir r^2 and
+  d x (d x A) = d (d . A) - r^2 A, block (m, j) is
+  -2 C_iso I + C2 [d]x^2 with d = x_m - x_j.  Expanding d in coordinates
   centred on the layout turns the matvec into C_iso @ A and one (M, M) x
-  (M, 18) product C2 @ [A, x (x) A, x s, |x|^2 A] with s_j = x_j . A_j,
-  plus O(M) contractions.  Since grad g(x_m, x_j) = c_iso (x_m - x_j), the
-  field at the centres is one (M, M) x (M, 6) product C_iso @ [A, x x A].
+  (M, 15) product C2 @ [A, x (x) A, x x (x x A)], plus O(M) contractions.
+  Since grad g(x_m, x_j) = c_iso (x_m - x_j), the field at the centres is
+  one (M, M) x (M, 6) product C_iso @ [A, x x A].
 
 The solve forms that field with its own operator; the solution carries it
 with its centres and wave, which every field function checks it is given.
@@ -255,18 +255,6 @@ def layout_from_csv(path, spacing: float, radius: float, box=((0, 0, 0), (1, 1, 
     )
 
 
-def _pair_coefficients(layout: ManyBodyLayout, kernel) -> np.ndarray:
-    """pair_matrix of kernel over the centres, with the volumes |D_j| folded in.
-
-    Block (m, j) of the coupling is [k^2 g I + H] |D_j| with
-    H = c_iso I + c_dir diff diff^T; kernel returns scalar parts of it, all
-    symmetric before the volumes, so pair_matrix evaluates them on the upper
-    triangle.  The self terms are zero.
-    """
-    centers = layout.centers
-    return pair_matrix(centers, centers.mean(axis=0), kernel, weights=layout.volumes)
-
-
 #: Unique (p, q) components of a symmetric 3 x 3 block, and the index of
 #: component (p, q) in that list.
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -329,18 +317,20 @@ class ManyBodyOperator:
     kernel components is stored, O(M) memory) and "dense" otherwise.  The
     dense path stores only the complex (2, M, M) stack of C_iso = c_iso |D_j|
     and C2 = c_dir |D_j| (32 B per pair) and the centres x relative to their
-    mean.  Block (m, j) is (k^2 g + c_iso) |D_j| I + C2_mj d d^T with
-    d = x_m - x_j, and k^2 g + c_iso = -2 c_iso - c_dir r^2 since the
-    Hessian's trace is -k^2 g.  With P = C2 @ A,
-    P~[m, p, q] = sum_j C2_mj x_jp A_jq and S_m = trace P~_m,
+    mean.  Both come from one pair_matrix pass over the centres: the scalar
+    parts are symmetric before the volumes, so only the upper triangle is
+    evaluated, and the self terms are zero.  Block (m, j) is
+    (k^2 g + c_iso) |D_j| I + C2_mj d d^T with d = x_m - x_j; since the
+    Hessian's trace is -k^2 g, k^2 g + c_iso = -2 c_iso - c_dir r^2, so the
+    block is -2 C_iso_mj I + C2_mj [d]x^2, [d]x^2 v = d x (d x v).  With
+    P = C2 @ A and X[m, p, q] = sum_j C2_mj x_jp A_jq,
 
-        sum_j C2_mj d (d . A_j) = x_m (x_m . P_m - S_m) - P~_m x_m + C2 @ (x s)
-        sum_j C2_mj r^2 A_j     = |x_m|^2 P_m - 2 x_m . P~_m + C2 @ (|x|^2 A)
+        sum_j C2_mj d x (d x A_j) = x_m x (x_m x P_m) - x_m tr X_m - X_m x_m
+                                    + 2 X_m^T x_m + (C2 @ (x x (x x A)))_m
 
-    with s_j = x_j . A_j: one GEMM of C2 with the 18 columns
-    [A, x (x) A, x s, |x|^2 A], one of C_iso with A, and O(M) contractions.
-    Centring keeps the terms from cancelling for a cluster far from the
-    origin.
+    one GEMM of C2 with the 15 columns [A, x (x) A, x x (x x A)], one of
+    C_iso with A, and O(M) contractions.  Centring keeps the terms from
+    cancelling for a cluster far from the origin.
     """
 
     def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix):
@@ -353,8 +343,11 @@ class ManyBodyOperator:
         k = wavenumber
         if layout.grid is None:
             check_dense_bytes(32 * self.count**2, "the dense many-body operator")
-            self._coeff = _pair_coefficients(layout, lambda r: kernel_hessian_parts(k, r)[1:])
-            self._x = layout.centers - layout.centers.mean(axis=0)
+            center = layout.centers.mean(axis=0)
+            self._coeff = pair_matrix(layout.centers, center,
+                                      lambda r: kernel_hessian_parts(k, r)[1:],
+                                      weights=layout.volumes)
+            self._x = layout.centers - center
             return
         diff, g, c_iso, c_dir = _grid_kernel_parts(layout.grid, k)
         components = np.stack([
@@ -379,18 +372,16 @@ class ManyBodyOperator:
             out = _grid_values(out_hat, grid)
         else:
             x = self._x
-            s = np.einsum("jq,jq->j", x, a)
-            x2 = np.einsum("jq,jq->j", x, x)
             columns = np.concatenate(
-                [_moment_columns(x, a), x * s[:, None], x2[:, None] * a], axis=1)
+                [_moment_columns(x, a), np.cross(x, np.cross(x, a))], axis=1)
             product = self._coeff[1] @ columns
-            p = product[:, :3]
-            xa = product[:, 3:12].reshape(-1, 3, 3)  # sum_j C2_mj x_jp A_jq
-            trace = np.einsum("mpp->m", xa)
-            dd = (x * (np.einsum("mq,mq->m", x, p) - trace)[:, None]
-                  - np.einsum("mpq,mq->mp", xa, x) + product[:, 12:15])
-            r2 = x2[:, None] * p - 2.0 * np.einsum("mp,mpq->mq", x, xa) + product[:, 15:]
-            out = dd - r2 - 2.0 * (self._coeff[0] @ a)
+            xa = product[:, 3:12].reshape(-1, 3, 3)  # X[m, p, q] = sum_j C2_mj x_jp A_jq
+            out = (np.cross(x, np.cross(x, product[:, :3]))
+                   - x * np.einsum("mpp->m", xa)[:, None]
+                   - np.einsum("mpq,mq->mp", xa, x)
+                   + 2.0 * np.einsum("mp,mpq->mq", x, xa)
+                   + product[:, 12:]
+                   - 2.0 * (self._coeff[0] @ a))
         return out @ self._tau.T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -428,8 +419,8 @@ class ManyBodyOperator:
             g, c_iso, c_dir = kernel_hessian_parts(k, r)
             return k * k * g + c_iso, c_dir
 
-        c0, c2 = _pair_coefficients(self._layout, parts)
         centers = self._layout.centers
+        c0, c2 = pair_matrix(centers, centers.mean(axis=0), parts, weights=self._layout.volumes)
         diff = centers[:, None, :] - centers[None, :, :]
         eye = np.eye(3)
         blocks = (

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import (_cross_columns, _cross_sum, _moment_columns, gradient_coefficient,
+from .kernels import (_cross_columns, _cross_sum, _moment_columns, kernel_gradient_parts,
                       moment_fields, pair_matrix)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .waves import IncidentWave
@@ -234,7 +234,7 @@ class OneBodyOperator:
         self._d = np.empty((order, len(reps), len(reps)), dtype=complex)
         for g in range(order):
             k_g = pair_matrix(
-                points, mesh.center, lambda r: gradient_coefficient(wavenumber, r),
+                points, mesh.center, lambda r: kernel_gradient_parts(wavenumber, r)[1],
                 weights=mesh.weights[reps] / orbits.stabiliser, signs=self._signs[g],
                 ids=(reps, self._maps[g]),
             )
@@ -288,7 +288,7 @@ class OneBodyOperator:
         p = self.n_points
         check_dense_bytes(16 * (3 * p) ** 2, "the dense one-body matrix")
         coeff = pair_matrix(
-            mesh.points, mesh.center, lambda r: gradient_coefficient(self.wavenumber, r),
+            mesh.points, mesh.center, lambda r: kernel_gradient_parts(self.wavenumber, r)[1],
             weights=mesh.weights,
         )
         x = mesh.points - mesh.center

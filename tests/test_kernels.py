@@ -11,7 +11,7 @@ import emscat.one_body as one_body
 from emscat.geometry import mesh_sphere
 from emscat.kernels import (
     CoincidentPointsError,
-    gradient_coefficient,
+    kernel_gradient_parts,
     kernel_hessian_parts,
     moment_fields,
     pair_distances,
@@ -129,12 +129,19 @@ def test_moment_fields_matches_green_pair_sum():
 
 def test_kernel_hessian_parts_bits_do_not_depend_on_the_array_size():
     # numpy reuses large temporaries in place from 16384 complex elements
-    # up, which changed the last bits of a one-expression evaluation
+    # up, which changed the last bits of a one-expression evaluation;
+    # kernel_gradient_parts is the first stage and gives the first two parts
     r = np.random.default_rng(4).uniform(1e-8, 1e-5, 20_000)
     whole = kernel_hessian_parts(K, r)
+    for part, stage in zip(whole, kernel_gradient_parts(K, r)):
+        assert np.array_equal(part, stage)
     for a in range(0, 20_000, 1000):
-        for part, piece in zip(whole, kernel_hessian_parts(K, r[a:a + 1000])):
-            assert np.array_equal(part[a:a + 1000], piece)
+        for size in (1, 1000):
+            piece = r[a:a + size]
+            for part, block in zip(whole, kernel_hessian_parts(K, piece)):
+                assert np.array_equal(part[a:a + size], block)
+            for part, block in zip(whole, kernel_gradient_parts(K, piece)):
+                assert np.array_equal(part[a:a + size], block)
 
 
 def test_pair_distances_match_pairwise_norms():
@@ -154,9 +161,9 @@ def test_pair_distances_match_pairwise_norms():
 ROWS = 4
 
 PAIR_KERNELS = {
-    "weighted-complex": (lambda r: gradient_coefficient(K, r), True, complex),
+    "weighted-complex": (lambda r: kernel_gradient_parts(K, r)[1], True, complex),
     "real-static": (_static_coefficient, False, float),
-    "unweighted-complex": (lambda r: gradient_coefficient(K, r), False, complex),
+    "unweighted-complex": (lambda r: kernel_gradient_parts(K, r)[1], False, complex),
     "weighted-tuple": (lambda r: kernel_hessian_parts(K, r), True, complex),
 }
 
@@ -283,7 +290,7 @@ def test_mirrored_pair_matrix_equals_full_construction(monkeypatch, p):
     signs = np.array([1.0, -1.0, -1.0])
     # every third point is fixed by the mirror: only its self pair is zeroed
     ids = (np.arange(p), np.where(np.arange(p) % 3 == 0, np.arange(p), p + np.arange(p)))
-    kernel = lambda r: gradient_coefficient(K, r)
+    kernel = lambda r: kernel_gradient_parts(K, r)[1]
     got = pair_matrix(points, center, kernel, weights=weights, signs=signs, ids=ids)
     expected = full_pair_matrix(points, center, kernel, weights, signs, ids)
     # the one-shot construction evaluates both triangles: |x_i - R x_j| = |x_j - R x_i|

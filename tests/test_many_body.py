@@ -553,7 +553,7 @@ def test_effective_field_at_centers_rejects_other_centres_of_the_same_count(wave
 
 
 def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
-    calls = {"pair_matrix": 0, "gradient_coefficient": 0}
+    calls = {"pair_matrix": 0, "kernel_hessian_parts": 0, "kernel_gradient_parts": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -569,7 +569,9 @@ def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
     solution = solve_effective_field(layout, wave, SKEW_GAMMA)
     effective_field_at_centers(layout, wave, solution)
     assert solution.coupling == "dense"
-    assert calls == {"pair_matrix": 1, "gradient_coefficient": 0}
+    # the gradient stage runs only inside the Hessian kernel of that one pass
+    assert calls["pair_matrix"] == 1
+    assert calls["kernel_gradient_parts"] == calls["kernel_hessian_parts"] > 0
 
 
 def test_dense_path_matches_fft_path_off_the_grid(wave):

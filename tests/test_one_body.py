@@ -10,7 +10,7 @@ import pytest
 import emscat.linalg as linalg
 from emscat import one_body
 from emscat.geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
-from emscat.kernels import CoincidentPointsError, gradient_coefficient, pair_matrix
+from emscat.kernels import CoincidentPointsError, kernel_gradient_parts, pair_matrix
 from emscat.linalg import solve_direct
 from emscat.one_body import (
     GammaMatrix,
@@ -220,7 +220,7 @@ def test_nudged_point_leaves_the_trivial_group(wave):
     assert op.mirrors == () and op.orbits == mesh.n_points
     # the trivial group stores C itself
     c = pair_matrix(nudged.points, nudged.center,
-                    lambda r: gradient_coefficient(wave.wavenumber, r), weights=nudged.weights)
+                    lambda r: kernel_gradient_parts(wave.wavenumber, r)[1], weights=nudged.weights)
     assert np.array_equal(op._d, c[None])
     x = np.random.default_rng(4).normal(size=op.shape[0]) + 0j
     np.testing.assert_allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-12, atol=1e-12)
