@@ -4,12 +4,13 @@ Every `computed*` column is pinned, as captured at the default BLAS thread
 count of a 2-vCPU box (two OpenBLAS threads).  e-cube, many-27 and many-1000
 come out string-identical with one, two and four BLAS threads, and q-sphere
 with two and four on that box, so they are compared as strings.  At one
-thread q-sphere's computed[2] differs by 1.6e-14: OpenBLAS rounds a complex
-GEMM of its 197-orbit blocks differently on one thread, which moves J by
-about 1e-13 (it did so before the mirror split too, at the full 766 points,
-where the printed digits happened to absorb it).  e-sphere, e-ellipsoid and
+thread q-sphere's computed[0] differs by 6.3e-16 and computed[2] by
+6.5e-14: OpenBLAS rounds a complex GEMM of its 197-orbit blocks differently
+on one thread, which moves J by about 9e-14 relative to its largest entry
+(it did so before the mirror split too, at the full 766 points, where the
+printed digits happened to absorb it).  e-sphere, e-ellipsoid and
 sweep-1386 move in the last digits with the BLAS thread count (measured
-spreads between one and two threads 4.1e-14, 1.3e-12 and 2.9e-13), so they
+spreads between one and two threads 1.5e-13, 1.8e-12 and 8.9e-13), so they
 are compared at rtol 1e-10.  A change to this ledger is a change to the
 paper's reproduced numbers and must be deliberate.
 
@@ -38,11 +39,11 @@ from emscat.cli import main
 EXACT = {
     "q-sphere": {
         "computed": ["3.730515158508323e-22", "3.759849295653089e-22",
-                     "0.007863293914745887"],
+                     "0.00786329391474576"],
     },
     "e-cube": {
-        "computed_error": ["9.84883265448673e-09", "9.871662806635872e-08",
-                           "1.347523237021048e-06", "0.0006329215427809755"],
+        "computed_error": ["9.848832654486854e-09", "9.87166280663586e-08",
+                           "1.347523237021053e-06", "0.0006329215427809769"],
     },
     "many-27": {
         "computed_norm": ["5.196151602690342", "5.196152421885643",
@@ -60,18 +61,18 @@ EXACT = {
 
 CLOSE = {
     "e-sphere": {
-        "computed_error": [2.704333715288127e-04, 2.704682109820293e-07,
-                           2.720259328463796e-10],
+        "computed_error": [2.704333715288125e-04, 2.704682109820247e-07,
+                           2.720259328463975e-10],
     },
     "e-ellipsoid": {
-        "computed_error": [3.657194242234312e-03, 3.636279031197536e-06,
-                           5.258427233229397e-09],
+        "computed_error": [3.657194242236249e-03, 3.636279031197648e-06,
+                           5.258427233229669e-09],
     },
     "sweep-1386": {
-        "computed_e_error": [5.800610518857867e-07, 5.800279618722106e-10,
-                             5.800649318267642e-13, 5.835559059792472e-16],
-        "computed_q_error": [6.175909690733971e-03, 6.146349249046972e-03,
-                             6.146079389824537e-03, 6.140281490208814e-03],
+        "computed_e_error": [5.800610518857878e-07, 5.800279618722440e-10,
+                             5.800649318267795e-13, 5.835559059841814e-16],
+        "computed_q_error": [6.175909690733706e-03, 6.146349249046972e-03,
+                             6.146079389824537e-03, 6.140281490208319e-03],
     },
 }
 
