@@ -175,9 +175,10 @@ def kernel_gradient_parts(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
         c_iso = g (ik - 1/r) / r
 
     with exp(ikr) formed once as cos kr + i sin kr, the complex product
-    written to a fresh array with g as its first operand, and no ufunc that
-    casts a real array to complex.  Every element therefore has the same
-    bits whatever the size of r (see kernel_hessian_parts).  No coincidence
+    written to a fresh array with g as its first operand (written over its
+    bracket, it changed the bits at one element), and no ufunc that casts a
+    real array to complex.  Every element therefore has the same bits
+    whatever the size of r (see kernel_hessian_parts).  No coincidence
     guard.
     """
     r = np.asarray(r, dtype=float)
