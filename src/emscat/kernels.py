@@ -12,11 +12,14 @@ Closed forms are used throughout; with r = |x - t| and u = (x - t)/r,
     grad_p g  = g (ik - 1/r) u_p
     hess_pq g = g [ (ik - 1/r)/r delta_pq + (-k^2 - 3ik/r + 3/r^2) u_p u_q ]
 
-Away from r = 0 the Hessian trace equals -k^2 g.  All lengths are in cm,
-k in 1/cm.
+Away from r = 0 the Hessian trace equals -k^2 g.  The imaginary parts of
+g and of the scalar coefficients of its derivatives are entire in r^2, and
+plane_wave_rule separates them.  All lengths are in cm, k in 1/cm.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -230,6 +233,70 @@ def kernel_hessian_parts(
     np.reciprocal(work, out=work)
     _scale(c_dir, work)
     return g, c_iso, c_dir
+
+
+#: Truncation target of plane_wave_rule: half a unit in the last place.
+PLANE_WAVE_TOL = np.finfo(float).eps / 2
+
+
+def _plane_wave_orders(k: float, x: np.ndarray) -> tuple[int, int]:
+    """(n_theta, n_phi) of plane_wave_rule for wavenumber k and points x (M, 3).
+
+    With D the diagonal of the points' bounding box, no pair is farther
+    apart than D, and e^{ik s.d} = sum_l (2l + 1) i^l j_l(k r) P_l(s.d/r)
+    with |j_l(x)| <= x^l / (2l + 1)!! and |P_l| <= 1.  Once l >= kD these
+    bounds t_l fall by half from one l to the next, so the terms past degree
+    L sum to at most 2 t_{L+1}; the rule and the integral each see that
+    tail, and L is the smallest degree from floor(kD) up with
+    4 t_{L+1} < PLANE_WAVE_TOL.  t_l is formed in logs: (2l + 1)!! overflows
+    a float from l = 150, which kD passes for a layout 15 um across at the
+    default k.  The rule integrates degree L + 2 exactly, for the factor
+    s s^T: Gauss-Legendre with n_theta = floor(L / 2) + 2 nodes in cos theta
+    and n_phi = 2 n_theta even, so the rule is antipodal.
+    """
+    kd = k * float(np.linalg.norm(np.ptp(x, axis=0)))
+    degree = 0
+    if kd > 0.0:
+        degree = math.floor(kd)
+        log_kd, log_tol = math.log(kd), math.log(PLANE_WAVE_TOL / 4.0)
+        while True:
+            l = degree + 1
+            log_double_factorial = math.lgamma(2 * l + 2) - l * math.log(2.0) - math.lgamma(l + 1)
+            if math.log(2 * l + 1) + l * log_kd - log_double_factorial < log_tol:
+                break
+            degree = l
+    n_theta = degree // 2 + 2
+    return n_theta, 2 * n_theta
+
+
+def plane_wave_rule(k: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plane-wave table of the Funk-Hecke rule on the points x (M, 3).
+
+    sin(k r) / (k r) = (1 / 4 pi) int_{S^2} exp(ik s.(x_m - x_j)) ds, r = |x_m - x_j|,
+    and its derivatives in x_m follow under the integral, so every entire
+    part of the kernel is separable:
+    Im g = (k / 16 pi^2) int exp(ik s.d) ds, Im grad g its gradient and
+    Im (k^2 g I + H) = (k^3 / 16 pi^2) int (I - s s^T) exp(ik s.d) ds.
+    The rule is a Gauss-Legendre in cos theta x uniform phi product whose
+    degree _plane_wave_orders sets, so its truncation error for every pair
+    of x is below double rounding.  Returns (phases (M, Q) = exp(ik x_m.s_q),
+    directions (Q, 3), weights (Q,) summing to 4 pi).  Pass x centred on the
+    points, so that the phases keep their precision far from the origin.
+    """
+    x = np.asarray(x, dtype=float)
+    n_theta, n_phi = _plane_wave_orders(k, x)
+    cos_theta, w_theta = np.polynomial.legendre.leggauss(n_theta)
+    sin_theta = np.sqrt(1.0 - cos_theta * cos_theta)
+    phi = 2.0 * np.pi / n_phi * np.arange(n_phi)
+    directions = np.stack([np.outer(sin_theta, np.cos(phi)), np.outer(sin_theta, np.sin(phi)),
+                           np.outer(cos_theta, np.ones(n_phi))], axis=-1).reshape(-1, 3)
+    weights = np.repeat(w_theta * (2.0 * np.pi / n_phi), n_phi)
+    work = x @ directions.T
+    work *= k
+    phases = np.empty(work.shape, dtype=complex)
+    np.cos(work, out=phases.real)
+    np.sin(work, out=phases.imag)
+    return phases, directions, weights
 
 
 def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray]:

@@ -18,16 +18,22 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   zero-padded (2n)^3 circulant and applied by FFT in O(M log M) time and
   O(M) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198, 1991).  The
   field at the centres is the same convolution with the gradient kernel.
-* dense -- any other layout stores the coupling as two complex (M, M)
-  scalar matrices, C_iso = c_iso |D_j| and C2 = c_dir |D_j| (32 B per
-  pair), built in one pass over the upper triangle in row blocks.  By the
-  Helmholtz trace identity k^2 g + c_iso = -2 c_iso - c_dir r^2 and
-  d x (d x A) = d (d . A) - r^2 A, block (m, j) is
-  -2 C_iso I + C2 [d]x^2 with d = x_m - x_j.  Expanding d in coordinates
-  centred on the layout turns the matvec into C_iso @ A and one (M, M) x
-  (M, 15) product C2 @ [A, x (x) A, x x (x x A)], plus O(M) contractions.
-  Since grad g(x_m, x_j) = c_iso (x_m - x_j), the field at the centres is
-  one (M, M) x (M, 6) product C_iso @ [A, x x A].
+* dense -- any other layout stores the coupling as two (M, M) scalar
+  matrices, C_iso = c_iso |D_j| and C2 = c_dir |D_j|, built in one pass
+  over the upper triangle in row blocks.  By the Helmholtz trace identity
+  k^2 g + c_iso = -2 c_iso - c_dir r^2 and d x (d x A) = d (d . A) - r^2 A,
+  block (m, j) is -2 C_iso I + C2 [d]x^2 with d = x_m - x_j.  Expanding d
+  in coordinates centred on the layout turns the matvec into C_iso @ A and
+  one (M, M) x (M, 15) product C2 @ [A, x (x) A, x x (x x A)], plus O(M)
+  contractions.  Since grad g(x_m, x_j) = c_iso (x_m - x_j), the field at
+  the centres is one (M, M) x (M, 6) product C_iso @ [A, x x A].
+  The imaginary part of the kernel is entire in r^2 and, in the paper's
+  regime a << d << lambda, close to low rank.  So when the plane-wave rule
+  of kernels.plane_wave_rule needs fewer directions Q than there are
+  bodies, C_iso and C2 are stored real (16 B per pair, one real GEMM per
+  product) and the imaginary part is applied exactly through the rule's
+  (M, Q) phases in O(M Q); otherwise, as for a layout many wavelengths
+  across, they stay complex (32 B per pair).
 
 The solve forms that field with its own operator; the solution carries it
 with its centres and wave, which every field function checks it is given.
@@ -46,7 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (CoincidentPointsError, _cross_columns, _cross_sum, _moment_columns,
-                      kernel_hessian_parts, moment_fields, pair_matrix)
+                      _plane_wave_orders, kernel_hessian_parts, moment_fields, pair_matrix,
+                      plane_wave_rule)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .one_body import GammaMatrix
 from .waves import IncidentWave
@@ -315,11 +322,11 @@ class ManyBodyOperator:
 
     coupling is "fft" on a grid layout (the FFT of the six unique Hessian
     kernel components is stored, O(M) memory) and "dense" otherwise.  The
-    dense path stores only the complex (2, M, M) stack of C_iso = c_iso |D_j|
-    and C2 = c_dir |D_j| (32 B per pair) and the centres x relative to their
-    mean.  Both come from one pair_matrix pass over the centres: the scalar
-    parts are symmetric before the volumes, so only the upper triangle is
-    evaluated, and the self terms are zero.  Block (m, j) is
+    dense path stores the (2, M, M) stack of C_iso = c_iso |D_j| and
+    C2 = c_dir |D_j| and the centres x relative to their mean.  Both come
+    from one pair_matrix pass over the centres: the scalar parts are
+    symmetric before the volumes, so only the upper triangle is evaluated,
+    and the self terms are zero.  Block (m, j) is
     (k^2 g + c_iso) |D_j| I + C2_mj d d^T with d = x_m - x_j; since the
     Hessian's trace is -k^2 g, k^2 g + c_iso = -2 c_iso - c_dir r^2, so the
     block is -2 C_iso_mj I + C2_mj [d]x^2, [d]x^2 v = d x (d x v).  With
@@ -331,6 +338,20 @@ class ManyBodyOperator:
     one GEMM of C2 with the 15 columns [A, x (x) A, x x (x x A)], one of
     C_iso with A, and O(M) contractions.  Centring keeps the terms from
     cancelling for a cluster far from the origin.
+
+    The stack is real, Re C_iso and Re C2 at 16 B per pair, when the
+    plane-wave rule (kernels.plane_wave_rule) on the centres has fewer
+    directions Q than there are bodies; the rule's (M, Q) phases, directions
+    and weights are stored with it.  Each real matrix multiplies a complex
+    (M, c) block viewed as a real (M, 2c) one, and the imaginary part,
+
+        Im (k^2 g I + H) = (k^3 / 16 pi^2) int (I - s s^T) exp(ik s.d) ds,
+
+    is summed over every j by two (M, Q) products, less its self term
+    (k^3 / 6 pi) |D_m| at j = m; the field at the centres gains
+    i (k^2 / 16 pi^2) int i s exp(ik s.d) ds x Q_j.  Otherwise the stack is
+    complex (32 B per pair) and holds both parts.  The choice is made once,
+    from the centres and k alone.
     """
 
     def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix):
@@ -342,12 +363,23 @@ class ManyBodyOperator:
         self.coupling = "dense" if layout.grid is None else "fft"
         k = wavenumber
         if layout.grid is None:
-            check_dense_bytes(32 * self.count**2, "the dense many-body operator")
+            m = self.count
             center = layout.centers.mean(axis=0)
-            self._coeff = pair_matrix(layout.centers, center,
-                                      lambda r: kernel_hessian_parts(k, r)[1:],
-                                      weights=layout.volumes)
             self._x = layout.centers - center
+            n_theta, n_phi = _plane_wave_orders(k, self._x)
+            n_directions = n_theta * n_phi
+            real = n_directions < m
+            check_dense_bytes(16 * m * m + 16 * m * n_directions if real else 32 * m * m,
+                              "the dense many-body operator")
+
+            def parts(r):
+                c_iso, c_dir = kernel_hessian_parts(k, r)[1:]
+                return (c_iso.real, c_dir.real) if real else (c_iso, c_dir)
+
+            self._coeff = pair_matrix(layout.centers, center, parts, weights=layout.volumes,
+                                      dtype=float if real else complex)
+            if real:
+                self._phases, self._directions, self._weights = plane_wave_rule(k, self._x)
             return
         diff, g, c_iso, c_dir = _grid_kernel_parts(layout.grid, k)
         components = np.stack([
@@ -374,15 +406,50 @@ class ManyBodyOperator:
             x = self._x
             columns = np.concatenate(
                 [_moment_columns(x, a), np.cross(x, np.cross(x, a))], axis=1)
-            product = self._coeff[1] @ columns
+            product = self._product(1, columns)
             xa = product[:, 3:12].reshape(-1, 3, 3)  # X[m, p, q] = sum_j C2_mj x_jp A_jq
             out = (np.cross(x, np.cross(x, product[:, :3]))
                    - x * np.einsum("mpp->m", xa)[:, None]
                    - np.einsum("mpq,mq->mp", xa, x)
                    + 2.0 * np.einsum("mp,mpq->mq", x, xa)
                    + product[:, 12:]
-                   - 2.0 * (self._coeff[0] @ a))
+                   - 2.0 * self._product(0, a))
+            if self._coeff.dtype == float:
+                out += self._radiative(a)
         return out @ self._tau.T
+
+    def _product(self, index: int, z: np.ndarray) -> np.ndarray:
+        """Stored coefficient matrix index (0: C_iso, 1: C2) times a complex (M, c) block.
+
+        A real matrix multiplies z viewed as a float64 (M, 2c) block: one real
+        GEMM, without a copy of z when z is complex and C-contiguous.
+        """
+        coeff = self._coeff[index]
+        if coeff.dtype == complex:
+            return coeff @ z
+        return (coeff @ np.ascontiguousarray(z, dtype=complex).view(float)).view(complex)
+
+    def _plane_wave_sums(self, u: np.ndarray) -> np.ndarray:
+        """(Q, 3) sums over the bodies, sum_j exp(-ik s_q.x_j) u_j."""
+        return (self._phases.T @ u.conj()).conj()
+
+    def _radiative(self, a: np.ndarray) -> np.ndarray:
+        """i Im C applied to A by the plane-wave table, the self terms left out.
+
+        Im (k^2 g I + H) = (k^3 / 16 pi^2) int (I - s s^T) exp(ik s.d) ds
+        (kernels.plane_wave_rule) sums over every j, the self pair j = m
+        included, where it equals its r -> 0 limit (k^3 / 6 pi) I.
+        """
+        k = self._wavenumber
+        u = self._layout.volumes[:, None] * a
+        b = self._plane_wave_sums(u)
+        s = self._directions
+        b -= s * np.einsum("qp,qp->q", s, b)[:, None]
+        b *= self._weights[:, None]
+        full = self._phases @ b
+        full *= k**3 / (16.0 * np.pi**2)
+        full -= (k**3 / (6.0 * np.pi)) * u
+        return 1j * full
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(x, dtype=complex).reshape(self.count, 3)
@@ -394,7 +461,8 @@ class ManyBodyOperator:
         sum_{j != m} grad g(x_m, x_j) x Q_j.  On the fft coupling: one convolution
         of the gradient kernel, its spectrum formed here and not stored, with Q.
         On the dense one, grad g = c_iso (x_m - x_j): minus the cross sum
-        (kernels._cross_sum) of the stored C_iso with A, one (M, 6) product.
+        (kernels._cross_sum) of the stored C_iso with A, one (M, 6) product,
+        plus the plane-wave imaginary part when C_iso is stored real.
         """
         if self.coupling == "fft":
             grid = self._layout.grid
@@ -402,7 +470,14 @@ class ManyBodyOperator:
             grad_hat = np.fft.fftn(np.moveaxis(c_iso[..., None] * diff, -1, 0), axes=(1, 2, 3))
             q_hat = _grid_spectrum(-self._layout.volumes[:, None] * a, grid)
             return _grid_values(np.cross(grad_hat, q_hat, axis=0), grid)
-        return -_cross_sum(self._x, self._coeff[0] @ _cross_columns(self._x, a))
+        field = -_cross_sum(self._x, self._product(0, _cross_columns(self._x, a)))
+        if self._coeff.dtype == float:
+            k = self._wavenumber
+            b = np.cross(self._directions,
+                         self._plane_wave_sums(self._layout.volumes[:, None] * a))
+            b *= self._weights[:, None]
+            field += (k * k / (16.0 * np.pi**2)) * (self._phases @ b)
+        return field
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full (3M, 3M) matrix pairwise (small systems / oracles).

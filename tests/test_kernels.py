@@ -16,6 +16,7 @@ from emscat.kernels import (
     moment_fields,
     pair_distances,
     pair_matrix,
+    plane_wave_rule,
 )
 from emscat.one_body import _static_coefficient
 from emscat.waves import default_wave
@@ -125,6 +126,74 @@ def test_moment_fields_matches_green_pair_sum():
         curl_i = sum(K * K * ker.value * m + ker.hessian @ m for ker, m in zip(kers, moments))
         np.testing.assert_allclose(e[i], e_i, rtol=1e-13)
         np.testing.assert_allclose(curl[i], curl_i, rtol=1e-13)
+
+
+@pytest.mark.parametrize("kd", [0.5, 3.0, 12.0])
+def test_plane_wave_rule_matches_the_closed_form_radiative_parts(kd):
+    # points in a cube of diagonal kd / K; pairs with k r >= 0.1, where the
+    # closed forms cancel mildly
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.5, 0.5, size=(12, 3)) * kd / (np.sqrt(3.0) * K)
+    phases, s, w = plane_wave_rule(K, x)
+    assert phases.shape == (12, len(w)) and s.shape == (len(w), 3)
+    scale = K**3 / (6.0 * np.pi)  # the r -> 0 limit of Im (k^2 g + H)
+    for m, j in zip(*np.triu_indices(12, 1)):
+        if K * np.linalg.norm(x[m] - x[j]) < 0.1:
+            continue
+        ker = green(K, x[m], x[j])
+        e = w * phases[m] * phases[j].conj()
+        value = K / (16.0 * np.pi**2) * e.sum()
+        gradient = K * K / (16.0 * np.pi**2) * (1j * e) @ s
+        curl = K**3 / (16.0 * np.pi**2) * (e.sum() * np.eye(3) - (s.T * e) @ s)
+        assert abs(value - ker.value.imag) <= 1e-14 * K / (4.0 * np.pi)
+        np.testing.assert_allclose(gradient, ker.gradient.imag, rtol=0,
+                                   atol=1e-14 * K * K / (4.0 * np.pi))
+        np.testing.assert_allclose(
+            curl, (K * K * ker.value * np.eye(3) + ker.hessian).imag, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("kd", [0.2, 3.0, 12.0])
+def test_plane_wave_rule_is_converged_to_rounding(kd):
+    # the corners of a cube of diagonal kd / K, whose opposite corners are
+    # the farthest pair the rule is built for, and points inside it; a point
+    # one and a half diagonals away makes the rule several degrees finer on
+    # the same points.  Every pair's three integrals agree with it to the
+    # rounding of sums over the directions, at every k r, zero included.
+    corners = np.stack(np.meshgrid(*[[-0.5, 0.5]] * 3), axis=-1).reshape(-1, 3)
+    inside = np.random.default_rng(13).uniform(-0.5, 0.5, size=(4, 3))
+    x = np.vstack([corners, inside]) * kd / (np.sqrt(3.0) * K)
+    phases, s, w = plane_wave_rule(K, x)
+    fine = plane_wave_rule(K, np.vstack([x, [1.5 * kd / K] * 3]))
+    assert len(fine[2]) > len(w)
+
+    def integrals(phases, s, w):
+        e = w * phases[:, None, :] * phases[None, :, :].conj()
+        return e.sum(axis=-1), e @ s, np.einsum("mjq,qp,qr->mjpr", e, s, s)
+
+    for coarse, exact in zip(integrals(phases, s, w), integrals(fine[0][:12], *fine[1:])):
+        np.testing.assert_allclose(coarse, exact, rtol=0, atol=32 * np.finfo(float).eps * 4 * np.pi)
+
+
+def test_plane_wave_rule_is_antipodal_with_the_exact_self_term():
+    x = np.random.default_rng(12).normal(size=(5, 3)) / K
+    _, s, w = plane_wave_rule(K, x)
+    # s -> -s maps the rule onto itself, so the separable parts come out real
+    opposite = np.abs(s[:, None, :] + s[None, :, :]).sum(axis=-1).argmin(axis=1)
+    np.testing.assert_allclose(s[opposite], -s, atol=1e-15)
+    np.testing.assert_array_equal(w[opposite], w)
+    assert w.sum() == pytest.approx(4.0 * np.pi, rel=1e-15)
+    # the r -> 0 limits: int ds = 4 pi, int s ds = 0, int s s^T ds = 4 pi / 3 I
+    np.testing.assert_allclose(w @ s, 0.0, atol=1e-14)
+    np.testing.assert_allclose((s.T * w) @ s, 4.0 * np.pi / 3.0 * np.eye(3), rtol=1e-14,
+                               atol=1e-14)
+
+
+def test_plane_wave_orders_of_a_cm_size_layout_are_finite():
+    # k D = 1.8e5: the double factorial in the truncation bound is far past
+    # the float range, so the bound is taken in logs
+    n_theta, n_phi = kernels._plane_wave_orders(K, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    assert n_theta * n_phi > 1e10
+    assert kernels._plane_wave_orders(0.0, np.zeros((3, 3))) == (2, 4)
 
 
 def test_kernel_hessian_parts_bits_do_not_depend_on_the_array_size():

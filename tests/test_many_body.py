@@ -8,7 +8,7 @@ import pytest
 
 import emscat.kernels as kernels
 import emscat.many_body as many_body
-from emscat.kernels import kernel_hessian_parts, pair_distances
+from emscat.kernels import kernel_hessian_parts, moment_fields, pair_distances
 from emscat.linalg import SolveReport
 from emscat.many_body import (
     EffectiveFieldSolution,
@@ -243,51 +243,79 @@ def test_fft_matvec_matches_dense(wave, make_layout):
     np.testing.assert_allclose(operator.matvec(x), y, rtol=1e-12)
 
 
+#: (n, dtype) of the two dense branches on n^3 jittered bodies at the default
+#: wave: 27 bodies need more plane-wave directions than bodies and keep
+#: complex coefficients, 216 need fewer and store real ones plus the
+#: plane-wave table.  The tests of the dense path loop over both.
+DENSE_BRANCHES = [(3, complex), (6, float)]
+
+
 def test_jittered_layout_takes_dense_path(wave):
-    layout = heavy(layout_from_centers(jittered_centers(3), spacing=SPACING, radius=1e-9))
-    operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
-    assert operator.coupling == "dense"
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=81) + 1j * rng.normal(size=81)
-    np.testing.assert_allclose(operator.matvec(x), operator.to_dense() @ x, rtol=1e-12)
+    for n, dtype in DENSE_BRANCHES:
+        layout = heavy(layout_from_centers(jittered_centers(n), spacing=SPACING, radius=1e-9))
+        operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
+        assert (operator.coupling, operator._coeff.dtype) == ("dense", dtype)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=3 * n**3) + 1j * rng.normal(size=3 * n**3)
+        np.testing.assert_allclose(operator.matvec(x), operator.to_dense() @ x, rtol=1e-12)
 
 
-def unequal_volume_layout(shift=0.0):
-    """Jittered 27-body layout with unequal volumes, moved by shift cm per axis.
+def unequal_volume_layout(shift=0.0, n=3):
+    """Jittered n^3-body layout with unequal volumes, moved by shift cm per axis.
 
     The centres are whole multiples of 2^-53 cm, so adding a shift below
     0.5 cm is exact and the shifted layout has the same pairwise differences.
     """
-    centers = np.round(jittered_centers(3, seed=7) * 2.0**53) / 2.0**53
-    volumes = np.random.default_rng(7).uniform(0.5, 2.0, size=27) * 1e-22
+    centers = np.round(jittered_centers(n, seed=7) * 2.0**53) / 2.0**53
+    volumes = np.random.default_rng(7).uniform(0.5, 2.0, size=n**3) * 1e-22
     return layout_from_centers(centers + shift, spacing=SPACING, radius=1e-9,
                                volumes=volumes)
 
 
 def test_dense_coefficients_equal_full_construction(wave, monkeypatch):
-    layout = unequal_volume_layout()
-    # 4 rows per block: seven row blocks, the last one ragged
-    monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * layout.count * 4)
-    operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
     k = wave.wavenumber
-    g, c_iso, c_dir = kernel_hessian_parts(
-        k, pair_distances(layout.centers, layout.centers.mean(axis=0)))
-    # the stored isotropic part is c_iso; k^2 g + c_iso comes from the
-    # trace identity in the matvec
-    expected = np.stack([c_iso, c_dir]) * layout.volumes
-    for part in expected:
-        np.fill_diagonal(part, 0.0)
-    assert np.array_equal(operator._coeff, expected)
+    for n, dtype in DENSE_BRANCHES:
+        layout = unequal_volume_layout(n=n)
+        # 4 rows per block: many row blocks, the last one ragged
+        monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * layout.count * 4)
+        operator = ManyBodyOperator(layout, k, SKEW_GAMMA)
+        g, c_iso, c_dir = kernel_hessian_parts(
+            k, pair_distances(layout.centers, layout.centers.mean(axis=0)))
+        # the stored isotropic part is c_iso; k^2 g + c_iso comes from the
+        # trace identity in the matvec
+        expected = np.stack([c_iso, c_dir]) * layout.volumes
+        for part in expected:
+            np.fill_diagonal(part, 0.0)
+        if dtype is float:
+            # the real branch keeps the real parts' bits; the plane-wave
+            # table carries the imaginary ones
+            expected = expected.real
+        assert operator._coeff.dtype == dtype
+        assert np.array_equal(operator._coeff, expected)
 
 
 def test_dense_operator_beyond_physical_memory_is_refused(wave, monkeypatch):
     import emscat.linalg as linalg
 
-    layout = unequal_volume_layout()
-    monkeypatch.setattr(linalg, "physical_memory", lambda: 32 * 27**2 - 1)
-    monkeypatch.setattr(many_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
-    with pytest.raises(ValueError, match="the dense many-body operator needs"):
-        ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+    for n, dtype in DENSE_BRANCHES:
+        layout = unequal_volume_layout(n=n)
+        m = layout.count
+        if dtype is complex:
+            need = 32 * m**2
+        else:
+            # C_iso and C2 at 8 B per pair each, and the (M, Q) complex phases
+            q = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)._phases.shape[1]
+            need = 16 * m**2 + 16 * m * q
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "physical_memory", lambda: need - 1)
+            patch.setattr(many_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
+            patch.setattr(many_body, "plane_wave_rule", lambda *a, **k: pytest.fail("allocated"))
+            with pytest.raises(ValueError, match="the dense many-body operator needs"):
+                ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+            # and the exact need passes the guard
+            patch.setattr(linalg, "physical_memory", lambda: need)
+            with pytest.raises(pytest.fail.Exception, match="allocated"):
+                ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
 
 
 def test_dense_matrix_beyond_physical_memory_is_refused(wave, monkeypatch):
@@ -307,19 +335,21 @@ def test_dense_matrix_beyond_physical_memory_is_refused(wave, monkeypatch):
 
 def test_dense_matvec_centred_far_from_origin(wave):
     # 0.5 cm is 5e6 spacings: an expansion of x_m - x_j in raw coordinates
-    # would cancel to about 1e-3 here
-    near, far = unequal_volume_layout(), unequal_volume_layout(shift=0.5)
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=81) + 1j * rng.normal(size=81)
-    results = []
-    for layout in (near, far):
-        operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
-        assert operator.coupling == "dense"
-        y = operator.matvec(x)
-        assert np.linalg.norm(y - x) > 1e-2 * np.linalg.norm(x)
-        np.testing.assert_allclose(y, operator.to_dense() @ x, rtol=1e-12)
-        results.append(y)
-    np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
+    # would cancel to about 1e-3 here, and so would plane-wave phases
+    # k s.x_m taken in raw coordinates
+    for n, dtype in DENSE_BRANCHES:
+        near, far = unequal_volume_layout(n=n), unequal_volume_layout(shift=0.5, n=n)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=3 * n**3) + 1j * rng.normal(size=3 * n**3)
+        results = []
+        for layout in (near, far):
+            operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
+            assert (operator.coupling, operator._coeff.dtype) == ("dense", dtype)
+            y = operator.matvec(x)
+            assert np.linalg.norm(y - x) > 1e-2 * np.linalg.norm(x)
+            np.testing.assert_allclose(y, operator.to_dense() @ x, rtol=1e-12)
+            results.append(y)
+        np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
 
 
 def test_dense_operator_holds_two_scalar_matrices(wave):
@@ -331,11 +361,65 @@ def test_dense_operator_holds_two_scalar_matrices(wave):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert operator.coupling == "dense"
-    # c0 and c2 at 16 B per pair each, the centres and tau: no (M, M, 3) array
-    assert operator.nbytes <= 32 * m * m + 64 * m
-    # the coefficients plus one row block of kernel temporaries
-    assert peak <= 32 * m * m + 16 * 2**20
+    assert (operator.coupling, operator._coeff.dtype) == ("dense", float)
+    q = operator._phases.shape[1]
+    assert q < m
+    # real C_iso and C2 at 8 B per pair each, the complex (M, Q) phases, the
+    # centres, directions, weights and tau: no (M, M, 3) array
+    assert operator.nbytes <= 16 * m * m + 16 * m * q + 64 * m
+    # the operator plus one row block of kernel temporaries
+    assert peak <= 16 * m * m + 16 * m * q + 16 * 2**20
+
+
+#: k L of the radiative-part oracles, L the largest side of the layout's box.
+RADIATIVE_KL = [0.2, 1.0, 3.0]
+
+
+def radiative_layout():
+    """512 jittered bodies: fewer plane-wave directions than bodies up to k L = 3."""
+    return heavy(layout_from_centers(jittered_centers(8), spacing=SPACING, radius=1e-9))
+
+
+def radiative_wavenumber(layout, kl):
+    return kl / np.ptp(layout.centers, axis=0).max()
+
+
+@pytest.mark.parametrize("kl", RADIATIVE_KL)
+def test_dense_radiative_part_matches_full_construction(kl):
+    layout = radiative_layout()
+    operator = ManyBodyOperator(layout, radiative_wavenumber(layout, kl), SKEW_GAMMA)
+    assert operator._coeff.dtype == float
+    # on a real vector the identity and the stored real parts are real, so
+    # the imaginary part of the matvec is the plane-wave part alone
+    x = np.random.default_rng(9).normal(size=3 * layout.count)
+    y, expected = operator.matvec(x).imag, (operator.to_dense() @ x).imag
+    assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kl", RADIATIVE_KL)
+def test_dense_radiative_field_at_centers_matches_pair_sum(kl):
+    layout = radiative_layout()
+    k = radiative_wavenumber(layout, kl)
+    operator = ManyBodyOperator(layout, k, SKEW_GAMMA)
+    assert operator._coeff.dtype == float
+    a = np.random.default_rng(10).normal(size=(layout.count, 3))
+    q = -layout.volumes[:, None] * a
+    expected = np.array([
+        moment_fields(k, np.delete(layout.centers, m, axis=0), np.delete(q, m, axis=0), x)[0]
+        for m, x in enumerate(layout.centers)
+    ]).imag
+    field = operator.scattered_at_centers(a).imag
+    assert np.linalg.norm(field - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_wide_layout_keeps_complex_coefficients(wave):
+    # 216 bodies 10 um apart: k D is about 300, and the plane-wave rule would
+    # need some 10^5 directions, far more than bodies
+    layout = layout_from_centers(jittered_centers(6) * 1e2, spacing=1e2 * SPACING,
+                                 radius=1e-9)
+    operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+    assert (operator.coupling, operator._coeff.dtype) == ("dense", complex)
+    assert not hasattr(operator, "_phases")
 
 
 def test_sphere_tau_scales_pair_blocks_row_wise(wave):
