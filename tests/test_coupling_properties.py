@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from emscat.many_body import ManyBodyOperator, layout_from_centers  # noqa: E402
 from emscat.one_body import GammaMatrix  # noqa: E402
@@ -53,6 +53,9 @@ def test_cases_cover_both_branches():
     assert dtypes == {np.dtype(complex), np.dtype(float)}
 
 
+# the first example of each case builds its operator; no deadline, so that
+# the build is not taken for an unreliable timing
+@settings(deadline=None)
 @given(cases, seeds)
 def test_coupling_is_reciprocal(case, seed):
     # C_mj = K(x_m - x_j) |D| with K even and symmetric: u.(C v) = v.(C u),
@@ -65,6 +68,7 @@ def test_coupling_is_reciprocal(case, seed):
     assert abs(u @ cv - v @ cu) <= 1e-13 * scale
 
 
+@settings(deadline=None)
 @given(cases, seeds, st.booleans())
 def test_radiated_power_is_not_negative(case, seed, centred):
     # Im (k^2 g I + H) with its r -> 0 limit (k^3 / 6 pi) I put back is
