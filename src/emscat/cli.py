@@ -156,6 +156,7 @@ def cmd_one_body(config: RunConfig) -> int:
         "operator": {
             "mirrors": list(current.mirrors), "order": 2 ** len(current.mirrors),
             "orbits": current.orbits, "bytes": current.operator_bytes,
+            "directions": current.directions,
         },
     }, config)
     distances, gaps = np.reshape(report.e_asym_rel, (-1, 2)).T
@@ -188,6 +189,7 @@ def cmd_many_body(config: RunConfig) -> int:
             "operator": {
                 "coupling": solution.coupling,
                 "bytes": solution.operator_bytes,
+                "directions": solution.directions,
             },
         },
         config,

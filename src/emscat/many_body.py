@@ -30,10 +30,11 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   The imaginary part of the kernel is entire in r^2 and, in the paper's
   regime a << d << lambda, close to low rank.  So when the plane-wave rule
   of kernels.plane_wave_rule needs fewer directions Q than there are
-  bodies, C_iso and C2 are stored real (16 B per pair, one real GEMM per
-  product) and the imaginary part is applied exactly through the rule's
-  (M, Q) phases in O(M Q); otherwise, as for a layout many wavelengths
-  across, they stay complex (32 B per pair).
+  bodies (kernels.coefficient_storage), C_iso and C2 are stored real
+  (16 B per pair, one real GEMM per product) and the imaginary part is
+  applied exactly through the rule's (M, Q) phases in O(M Q); otherwise,
+  as for a layout many wavelengths across, they stay complex (32 B per
+  pair).
 
 The solve forms that field with its own operator; the solution carries it
 with its centres and wave, which every field function checks it is given.
@@ -51,9 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (CoincidentPointsError, _cross_columns, _cross_sum, _moment_columns,
-                      _plane_wave_orders, kernel_hessian_parts, moment_fields, pair_matrix,
-                      plane_wave_rule)
+from .kernels import (CoincidentPointsError, _cross, _cross_columns, _cross_sum,
+                      _moment_columns, _plane_wave_sums, _product, coefficient_storage,
+                      kernel_hessian_parts, moment_fields, pair_matrix, plane_wave_rule)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .one_body import GammaMatrix
 from .waves import IncidentWave
@@ -341,9 +342,11 @@ class ManyBodyOperator:
 
     The stack is real, Re C_iso and Re C2 at 16 B per pair, when the
     plane-wave rule (kernels.plane_wave_rule) on the centres has fewer
-    directions Q than there are bodies; the rule's (M, Q) phases, directions
-    and weights are stored with it.  Each real matrix multiplies a complex
-    (M, c) block viewed as a real (M, 2c) one, and the imaginary part,
+    directions Q than there are bodies, the rule kernels.coefficient_storage
+    states for both dense operators; the rule's (M, Q) phases, directions
+    and weights are stored with it, and directions is Q (None otherwise).
+    Each real matrix multiplies a complex (M, c) block viewed as a real
+    (M, 2c) one (kernels._product), and the imaginary part,
 
         Im (k^2 g I + H) = (k^3 / 16 pi^2) int (I - s s^T) exp(ik s.d) ds,
 
@@ -361,16 +364,15 @@ class ManyBodyOperator:
         self.count = layout.count
         self.shape = (3 * self.count, 3 * self.count)
         self.coupling = "dense" if layout.grid is None else "fft"
+        self.directions = None
         k = wavenumber
         if layout.grid is None:
             m = self.count
             center = layout.centers.mean(axis=0)
             self._x = layout.centers - center
-            n_theta, n_phi = _plane_wave_orders(k, self._x)
-            n_directions = n_theta * n_phi
-            real = n_directions < m
-            check_dense_bytes(16 * m * m + 16 * m * n_directions if real else 32 * m * m,
-                              "the dense many-body operator")
+            self.directions, nbytes = coefficient_storage(k, self._x, 2 * m * m)
+            check_dense_bytes(nbytes, "the dense many-body operator")
+            real = self.directions is not None
 
             def parts(r):
                 c_iso, c_dir = kernel_hessian_parts(k, r)[1:]
@@ -404,34 +406,18 @@ class ManyBodyOperator:
             out = _grid_values(out_hat, grid)
         else:
             x = self._x
-            columns = np.concatenate(
-                [_moment_columns(x, a), np.cross(x, np.cross(x, a))], axis=1)
-            product = self._product(1, columns)
+            columns = np.concatenate([_moment_columns(x, a), _cross(x, _cross(x, a))], axis=1)
+            product = _product(self._coeff[1], columns)
             xa = product[:, 3:12].reshape(-1, 3, 3)  # X[m, p, q] = sum_j C2_mj x_jp A_jq
-            out = (np.cross(x, np.cross(x, product[:, :3]))
+            out = (_cross(x, _cross(x, product[:, :3]))
                    - x * np.einsum("mpp->m", xa)[:, None]
                    - np.einsum("mpq,mq->mp", xa, x)
                    + 2.0 * np.einsum("mp,mpq->mq", x, xa)
                    + product[:, 12:]
-                   - 2.0 * self._product(0, a))
-            if self._coeff.dtype == float:
+                   - 2.0 * _product(self._coeff[0], a))
+            if self.directions is not None:
                 out += self._radiative(a)
         return out @ self._tau.T
-
-    def _product(self, index: int, z: np.ndarray) -> np.ndarray:
-        """Stored coefficient matrix index (0: C_iso, 1: C2) times a complex (M, c) block.
-
-        A real matrix multiplies z viewed as a float64 (M, 2c) block: one real
-        GEMM, without a copy of z when z is complex and C-contiguous.
-        """
-        coeff = self._coeff[index]
-        if coeff.dtype == complex:
-            return coeff @ z
-        return (coeff @ np.ascontiguousarray(z, dtype=complex).view(float)).view(complex)
-
-    def _plane_wave_sums(self, u: np.ndarray) -> np.ndarray:
-        """(Q, 3) sums over the bodies, sum_j exp(-ik s_q.x_j) u_j."""
-        return (self._phases.T @ u.conj()).conj()
 
     def _radiative(self, a: np.ndarray) -> np.ndarray:
         """i Im C applied to A by the plane-wave table, the self terms left out.
@@ -442,7 +428,7 @@ class ManyBodyOperator:
         """
         k = self._wavenumber
         u = self._layout.volumes[:, None] * a
-        b = self._plane_wave_sums(u)
+        b = _plane_wave_sums(self._phases, u)
         s = self._directions
         b -= s * np.einsum("qp,qp->q", s, b)[:, None]
         b *= self._weights[:, None]
@@ -470,11 +456,11 @@ class ManyBodyOperator:
             grad_hat = np.fft.fftn(np.moveaxis(c_iso[..., None] * diff, -1, 0), axes=(1, 2, 3))
             q_hat = _grid_spectrum(-self._layout.volumes[:, None] * a, grid)
             return _grid_values(np.cross(grad_hat, q_hat, axis=0), grid)
-        field = -_cross_sum(self._x, self._product(0, _cross_columns(self._x, a)))
-        if self._coeff.dtype == float:
+        field = -_cross_sum(self._x, _product(self._coeff[0], _cross_columns(self._x, a)))
+        if self.directions is not None:
             k = self._wavenumber
-            b = np.cross(self._directions,
-                         self._plane_wave_sums(self._layout.volumes[:, None] * a))
+            b = _cross(self._directions,
+                       _plane_wave_sums(self._phases, self._layout.volumes[:, None] * a))
             b *= self._weights[:, None]
             field += (k * k / (16.0 * np.pi**2)) * (self._phases @ b)
         return field
@@ -484,10 +470,14 @@ class ManyBodyOperator:
 
         The scalar parts k^2 g + c_iso and c_dir are evaluated afresh, not
         taken from the stored C_iso, so this checks the trace identity the
-        dense matvec relies on.
+        dense matvec relies on.  Row p of tau times block (m, j) is
+        tau_pq C0 + C2 (tau_p . d) d_q with C0 = (k^2 g + c_iso) |D_j| and
+        d = x_m - x_j, written component by component into the output.  It
+        needs 232 B per pair of bodies: the 144 B of the matrix, C0 and C2,
+        the three coordinate differences and two complex work matrices.
         """
         m = self.count
-        check_dense_bytes(16 * (3 * m) ** 2, "the dense many-body matrix")
+        check_dense_bytes(232 * m * m, "the dense many-body matrix")
         k = self._wavenumber
 
         def parts(r):
@@ -496,15 +486,19 @@ class ManyBodyOperator:
 
         centers = self._layout.centers
         c0, c2 = pair_matrix(centers, centers.mean(axis=0), parts, weights=self._layout.volumes)
-        diff = centers[:, None, :] - centers[None, :, :]
-        eye = np.eye(3)
-        blocks = (
-            c0[:, :, None, None] * eye[None, None, :, :]
-            + c2[:, :, None, None] * diff[:, :, :, None] * diff[:, :, None, :]
-        )  # (m, j, p, q)
-        out = np.einsum("pr,mjrq->mpjq", self._tau, blocks)
+        diff = [np.subtract.outer(centers[:, p], centers[:, p]) for p in range(3)]
+        out = np.empty((m, 3, m, 3), dtype=complex)
+        for p, tau in enumerate(self._tau):
+            work = tau[0] * diff[0]
+            work += tau[1] * diff[1]
+            work += tau[2] * diff[2]
+            work *= c2
+            for q in range(3):
+                block = out[:, p, :, q]
+                np.multiply(work, diff[q], out=block)
+                block += tau[q] * c0
         for i in range(m):
-            out[i, :, i, :] += eye
+            out[i, :, i, :] += np.eye(3)
         return out.reshape(3 * m, 3 * m)
 
 
@@ -512,8 +506,10 @@ class ManyBodyOperator:
 class EffectiveFieldSolution:
     """Solved per-body vectors A_m, moments Q_m = -|D_m| A_m and the wave.
 
-    coupling ("fft" or "dense") and operator_bytes record the operator that
-    produced the solution; None when the solution was not built by a solve.
+    coupling ("fft" or "dense"), operator_bytes and directions (the
+    plane-wave rule's Q when the dense coefficients are real, else None)
+    record the operator that produced the solution; None when the solution
+    was not built by a solve.
     scattered_at_centers is the moments' field at every centre, own term
     left out (ManyBodyOperator.scattered_at_centers), formed by the solve.
     centers are the centres the solve ran on; the field functions refuse
@@ -528,6 +524,7 @@ class EffectiveFieldSolution:
     operator_bytes: int | None = None
     scattered_at_centers: np.ndarray | None = None
     centers: np.ndarray | None = None
+    directions: int | None = None
 
 
 def assemble_many_body(
@@ -569,6 +566,7 @@ def solve_effective_field(
         operator_bytes=operator.nbytes,
         scattered_at_centers=operator.scattered_at_centers(a),
         centers=layout.centers,
+        directions=operator.directions,
     )
 
 

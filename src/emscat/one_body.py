@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import (_cross_columns, _cross_sum, _moment_columns, kernel_gradient_parts,
-                      moment_fields, pair_matrix)
+from .kernels import (_cross, _cross_columns, _cross_sum, _moment_columns, _plane_wave_sums,
+                      _product, coefficient_storage, kernel_gradient_parts, moment_fields,
+                      pair_matrix, plane_wave_rule)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .waves import IncidentWave
 
@@ -80,9 +81,10 @@ class GammaMatrix:
 class SurfaceCurrent:
     """Solved surface density, one complex 3-vector per collocation point.
 
-    mirrors (the mirrored axes, "x", "y", "z"), orbits and operator_bytes
-    record the operator that produced the current (OneBodyOperator); None
-    when the current was not built by a solve.
+    mirrors (the mirrored axes, "x", "y", "z"), orbits, operator_bytes and
+    directions (the plane-wave rule's Q when the operator's coefficients are
+    real, else None) record the operator that produced the current
+    (OneBodyOperator); None when the current was not built by a solve.
     """
 
     values: np.ndarray
@@ -90,6 +92,7 @@ class SurfaceCurrent:
     mirrors: tuple[str, ...] | None = None
     orbits: int | None = None
     operator_bytes: int | None = None
+    directions: int | None = None
 
 
 #: A mirror maps a mesh onto itself when every image lands on a mesh point,
@@ -200,21 +203,42 @@ class OneBodyOperator:
     (mirror_group), so it splits into one block per character psi of G
     (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 534,
     1992).  With one representative r per orbit (R ~ P / |G| of them), the
-    operator stores the |G| complex (R, R) matrices
+    operator stores the |G| (R, R) matrices
 
         D_psi[r, s] = sum_g psi(g) K_g[r, s] w_s / |Stab s|,
 
-    K_g[r, s] = c(|x_r - R_g x_s|), zero where g fixes r = s: 16 B per pair
-    over |G|.  Each K_g is symmetric, so kernels.pair_matrix evaluates it on
-    the upper triangle.  A scalar field f with f(g i) = psi(g) f(i) has
-    (C f)_r = (D_psi f)_r.  J(g i) = R_g J(i) psi(g) makes its component q a
-    field of character psi sigma_q, sigma_q(g) the sign R_g puts on axis q,
-    and its column (x x J)_p = x_q J_r - x_r J_q one of psi sigma_q sigma_r,
-    that is psi sigma_0 sigma_1 sigma_2 sigma_p.  So the matvec projects J on
-    the characters, runs one (R, R) @ (R, 6) GEMM per character of D with the
-    6 columns of every character that it pairs with, takes the cross products
-    at the representatives as above, and maps the result back.  A mesh without
-    mirrors is the trivial group, D = C.  The scale s multiplies at matvec time.
+    K_g[r, s] = c(|x_r - R_g x_s|), zero where g fixes r = s.  Each K_g is
+    symmetric, so kernels.pair_matrix evaluates it on the upper triangle.  A
+    scalar field f with f(g i) = psi(g) f(i) has (C f)_r = (D_psi f)_r.
+    J(g i) = R_g J(i) psi(g) makes its component q a field of character
+    psi sigma_q, sigma_q(g) the sign R_g puts on axis q, and its column
+    (x x J)_p = x_q J_r - x_r J_q one of psi sigma_q sigma_r, that is
+    psi sigma_0 sigma_1 sigma_2 sigma_p.  So the matvec projects J on the
+    characters, runs one (R, R) @ (R, 6) GEMM per character of D with the 6
+    columns of every character that it pairs with, takes the cross products
+    at the representatives as above, and maps the result back.  A mesh
+    without mirrors is the trivial group, D = C.  The scale s multiplies at
+    matvec time.
+
+    D is stored real, Re D at 8 B per pair over |G|, whenever that and the
+    (P, Q) phases of the plane-wave rule (kernels.plane_wave_rule) on the
+    mesh take fewer bytes than complex D at 16 B per pair over |G|:
+    8 |G| R^2 + 16 P Q < 16 |G| R^2 (kernels.coefficient_storage, the rule
+    of the many-body operator too), as on the bundled spheres and ellipsoid
+    at the default k (Q = 32).  Each GEMM is then one real (R, R) @ (R, 12)
+    product on the complex columns viewed as float64 (kernels._product),
+    directions is Q, and i Im C is applied on all P points by the rule:
+    Im grad g(d) = (k / 16 pi^2) int ik s exp(ik s.d) ds (Rokhlin, Appl.
+    Comput. Harmon. Anal. 1, 82, 1993), so the coupling gains
+
+        N_i x [(-k^2 / 16 pi^2) sum_q w_q exp(ik s_q.x_i) s_q x B_q],
+        B_q = sum_j w_j exp(-ik s_q.x_j) J_j,
+
+    in O(P Q); the integrand is odd in s, so the self pair adds nothing.  A
+    body many wavelengths across, or a coarse mesh such as the 600-point
+    cube of side 2e-7 cm (Q = 50, |G| = 8), whose table would outweigh the
+    halved blocks, keeps complex D (directions None).  The choice is made
+    once, from the mesh and k alone.
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
@@ -229,12 +253,21 @@ class OneBodyOperator:
         chi = np.concatenate([axis_bits, np.bitwise_xor.reduce(axis_bits) ^ axis_bits])
         self._pairing = np.arange(order)[:, None, None] ^ chi
 
-        check_dense_bytes(16 * order * len(reps) ** 2, "the one-body operator")
+        x = mesh.points - mesh.center
+        self.directions, nbytes = coefficient_storage(wavenumber, x, order * len(reps) ** 2)
+        check_dense_bytes(nbytes, "the one-body operator")
+        real = self.directions is not None
+
+        def coefficient(r):
+            c_iso = kernel_gradient_parts(wavenumber, r)[1]
+            return c_iso.real if real else c_iso
+
         points = mesh.points[reps]
-        self._d = np.empty((order, len(reps), len(reps)), dtype=complex)
+        dtype = float if real else complex
+        self._d = np.empty((order, len(reps), len(reps)), dtype=dtype)
         for g in range(order):
             k_g = pair_matrix(
-                points, mesh.center, lambda r: kernel_gradient_parts(wavenumber, r)[1],
+                points, mesh.center, coefficient, dtype=dtype,
                 weights=mesh.weights[reps] / orbits.stabiliser, signs=self._signs[g],
                 ids=(reps, self._maps[g]),
             )
@@ -245,7 +278,10 @@ class OneBodyOperator:
                     self._d[psi] += k_g
                 else:
                     self._d[psi] -= k_g
-        self._x = points - mesh.center
+            del k_g  # so that the next K_g is not built beside this one
+        if real:
+            self._phases, self._directions, self._weights = plane_wave_rule(wavenumber, x)
+        self._x = x[reps]
         self._normals = mesh.normals[reps]
         self._mesh = mesh
         self._scale = float(scale)
@@ -268,13 +304,24 @@ class OneBodyOperator:
                           j[self._maps] * self._signs[:, None, :])
         # GEMM phi takes column c of character phi ^ chi_c, and gives it back
         columns = np.take_along_axis(_cross_columns(self._x, j_psi), self._pairing, axis=0)
-        product = np.take_along_axis(self._d @ columns, self._pairing, axis=0)
+        product = np.take_along_axis(_product(self._d, columns), self._pairing, axis=0)
         # (A J_psi)(r) = N_r x sum_s D_psi[r, s] (x_r - x_s) x J_psi(s)
-        coupling = np.cross(self._normals, _cross_sum(self._x, product))
+        coupling = _cross(self._normals, _cross_sum(self._x, product))
         # back to the points: (A J)(g r) = sum_psi psi(g) R_g (A J_psi)(r)
         coupling = np.einsum("gh,hrq->grq", self._characters, coupling)
         coupling *= self._signs[:, None, :]
-        return (j + self._scale * coupling.reshape(-1, 3)[self._gather]).reshape(-1)
+        coupling = coupling.reshape(-1, 3)[self._gather]
+        if self.directions is not None:
+            coupling += self._radiative(j)
+        return (j + self._scale * coupling).reshape(-1)
+
+    def _radiative(self, j: np.ndarray) -> np.ndarray:
+        """i Im A J on every point by the plane-wave rule (see the class docstring)."""
+        k = self.wavenumber
+        mesh = self._mesh
+        b = _cross(self._directions, _plane_wave_sums(self._phases, mesh.weights[:, None] * j))
+        b *= (-k * k / (16.0 * np.pi**2)) * self._weights[:, None]
+        return _cross(mesh.normals, self._phases @ b)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full (3P, 3P) matrix (small systems / oracles).
@@ -282,22 +329,27 @@ class OneBodyOperator:
         Block (i, j) is s C_ij [(x_i - x_j) N_i^T - I (x_i - x_j) . N_i],
         plus the identity on the diagonal blocks.  C is evaluated afresh on
         every pair of the mesh, not taken from the stored D, so this is an
-        independent oracle for the matvec.
+        independent oracle for the matvec.  It needs 200 B per pair of
+        points: the 144 B of the matrix, which the blocks are written into,
+        and C, the normal term, one gradient component and one coordinate
+        difference while they are built.
         """
         mesh = self._mesh
         p = self.n_points
-        check_dense_bytes(16 * (3 * p) ** 2, "the dense one-body matrix")
+        check_dense_bytes(200 * p * p, "the dense one-body matrix")
         coeff = pair_matrix(
             mesh.points, mesh.center, lambda r: kernel_gradient_parts(self.wavenumber, r)[1],
             weights=mesh.weights,
         )
         x = mesh.points - mesh.center
-        a = np.zeros((p, 3, p, 3), dtype=complex)
+        a = np.empty((p, 3, p, 3), dtype=complex)
         normal_dot = np.zeros((p, p), dtype=complex)
+        grad = np.empty((p, p), dtype=complex)
         for comp in range(3):
-            grad = coeff * np.subtract.outer(x[:, comp], x[:, comp])
-            a[:, comp, :, :] = grad[:, :, None] * mesh.normals[:, None, :]
-            normal_dot += grad * mesh.normals[:, comp, None]
+            np.multiply(coeff, np.subtract.outer(x[:, comp], x[:, comp]), out=grad)
+            np.multiply(grad[:, :, None], mesh.normals[:, None, :], out=a[:, comp])
+            grad *= mesh.normals[:, comp, None]
+            normal_dot += grad
         for comp in range(3):
             a[:, comp, :, comp] -= normal_dot
         a *= self._scale
@@ -360,7 +412,8 @@ def solve_currents(
                                shifts=[scales[0] / s - 1.0 for s in scales])
     return [SurfaceCurrent(values=row.reshape(mesh.n_points, 3), report=report,
                            mirrors=operator.mirrors, orbits=operator.orbits,
-                           operator_bytes=operator.nbytes) for row in x]
+                           operator_bytes=operator.nbytes, directions=operator.directions)
+            for row in x]
 
 
 def solve_current(

@@ -138,16 +138,32 @@ def test_one_body_q_json_records_the_split_operator(tmp_path, args, mirrors, poi
     order = 2 ** len(mirrors)
     assert operator["mirrors"] == mirrors and operator["order"] == order
     assert points / order <= operator["orbits"] < 1.1 * points / order
-    # |G| (R, R) complex matrices; the orbits on the mirror planes, of fewer
-    # than |G| points, put R above P / |G|
-    assert operator["bytes"] <= 16 * points**2 / order + 256 * points
+    # |G| (R, R) real matrices and the complex (P, Q) plane-wave phases at
+    # both bodies' size; the orbits on the mirror planes, of fewer than |G|
+    # points, put R above P / |G|
+    assert operator["directions"] == 32
+    assert operator["bytes"] <= (8 * order * operator["orbits"]**2 + 16 * points * 32
+                                 + 256 * points)
+
+
+def test_one_body_q_json_records_complex_coefficients_as_no_directions(tmp_path):
+    # the 600-point cube of side 2e-7 cm needs Q = 50 directions, too many
+    # for real coefficients to save bytes
+    assert run_cli(["one-body", "--shape", "cube", "--radius", "1e-7", "--distances", "1.73e-5",
+                    "--output-dir", str(tmp_path)]) == 0
+    operator = json.loads((tmp_path / "Q.json").read_text())["operator"]
+    assert operator["directions"] is None
+    assert operator["bytes"] <= 16 * 8 * operator["orbits"]**2 + 256 * 600
 
 
 def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monkeypatch,
                                                                  capsys):
-    # P = 20258: 16 B x 4 x 5087^2 pairs of the split operator, 1.54 GiB
-    monkeypatch.setattr(emscat.linalg, "physical_memory", lambda: 2**30)
+    # P = 20258: 8 B x 4 x 5087^2 pairs of the split operator and 16 B x
+    # 20258 x 32 plane-wave phases, 0.781 GiB
+    monkeypatch.setattr(emscat.linalg, "physical_memory", lambda: 2**29)
     monkeypatch.setattr(emscat.one_body, "pair_matrix",
+                        lambda *a, **k: pytest.fail("assembled"))
+    monkeypatch.setattr(emscat.one_body, "plane_wave_rule",
                         lambda *a, **k: pytest.fail("assembled"))
     tracemalloc.start()
     try:
@@ -156,7 +172,7 @@ def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monke
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "the one-body operator needs 1.54 GiB, more than the 1 GiB" in capsys.readouterr().err
+    assert "the one-body operator needs 0.781 GiB, more than the 0.5 GiB" in capsys.readouterr().err
     assert peak <= 16 * 2**20
 
 
@@ -440,6 +456,7 @@ def test_many_body_summary(many_body_run):
     assert payload["operator"]["coupling"] == "fft"
     # six kernel spectra on the zero-padded 6^3 grid plus the 3 x 3 tau
     assert payload["operator"]["bytes"] == (6 * 6**3 + 9) * 16
+    assert payload["operator"]["directions"] is None
     assert (many_body_run / "centers.csv").exists()
     assert (many_body_run / "E_centers.csv").exists()
     lines = (many_body_run / "solution.csv").read_text().splitlines()

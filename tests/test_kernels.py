@@ -1,5 +1,6 @@
 """Kernel values and derivatives against finite-difference oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,28 @@ def test_plane_wave_orders_of_a_cm_size_layout_are_finite():
     n_theta, n_phi = kernels._plane_wave_orders(K, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
     assert n_theta * n_phi > 1e10
     assert kernels._plane_wave_orders(0.0, np.zeros((3, 3))) == (2, 4)
+
+
+def test_plane_wave_orders_match_a_degree_by_degree_search():
+    # the smallest degree L from floor(kD) up with 4 t_{L+1} below the
+    # tolerance, found one degree at a time, against the doubling search
+    log_tol = math.log(kernels.PLANE_WAVE_TOL / 4.0)
+
+    def degree_by_degree(kd):
+        degree = math.floor(kd)
+        while True:
+            l = degree + 1
+            log_t = (math.log(2 * l + 1) + l * math.log(kd)
+                     - math.lgamma(2 * l + 2) + l * math.log(2.0) + math.lgamma(l + 1))
+            if log_t < log_tol:
+                return degree
+            degree = l
+
+    pair = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    kds = [*np.logspace(-8, 3, 300), *range(1, 60), *(n - 1e-12 for n in range(1, 60))]
+    for kd in kds:
+        n_theta = degree_by_degree(kd) // 2 + 2
+        assert kernels._plane_wave_orders(kd, pair) == (n_theta, 2 * n_theta), kd
 
 
 def test_kernel_hessian_parts_bits_do_not_depend_on_the_array_size():

@@ -321,16 +321,32 @@ def test_dense_operator_beyond_physical_memory_is_refused(wave, monkeypatch):
 def test_dense_matrix_beyond_physical_memory_is_refused(wave, monkeypatch):
     import emscat.linalg as linalg
 
-    # the (81, 81) complex matrix of 27 bodies, 16 B x 81^2, is refused on
-    # either coupling before to_dense() evaluates any pair
+    # the (81, 81) complex matrix of 27 bodies, 16 B x 81^2, and its work
+    # arrays, 232 B x 27^2 in all, are refused on either coupling before
+    # to_dense() evaluates any pair
     lattice, scattered = lattice_layout(27, SPACING, 1e-9), unequal_volume_layout()
     dense = ManyBodyOperator(scattered, wave.wavenumber, SKEW_GAMMA)
     monkeypatch.setattr(linalg, "physical_memory", lambda: 16 * 81**2 - 1)
     monkeypatch.setattr(many_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
-    with pytest.raises(ValueError, match=r"the dense many-body matrix needs 9\.78e-05 GiB"):
+    with pytest.raises(ValueError, match=r"the dense many-body matrix needs 0\.000158 GiB"):
         solve_effective_field(lattice, wave, SKEW_GAMMA, method="direct")
     with pytest.raises(ValueError, match="the dense many-body matrix needs"):
         dense.to_dense()
+
+
+def test_dense_matrix_peak_is_what_its_guard_asks(wave, monkeypatch):
+    operator = ManyBodyOperator(unequal_volume_layout(n=6), wave.wavenumber, SKEW_GAMMA)
+    asked = []
+    monkeypatch.setattr(many_body, "check_dense_bytes", lambda nbytes, what: asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        operator.to_dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 10.3 MiB asked for 216 bodies; one row block of kernel temporaries on top
+    assert asked == [232 * operator.count**2]
+    assert peak <= asked[0] + 2**20
 
 
 def test_dense_matvec_centred_far_from_origin(wave):
@@ -420,6 +436,19 @@ def test_wide_layout_keeps_complex_coefficients(wave):
     operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
     assert (operator.coupling, operator._coeff.dtype) == ("dense", complex)
     assert not hasattr(operator, "_phases")
+
+
+def test_solution_records_the_plane_wave_directions(wave):
+    # real coefficients on 512 bodies, complex on 27, none on a lattice
+    layouts = (radiative_layout(), unequal_volume_layout(), lattice_layout(27, SPACING, 1e-9))
+    for layout in layouts:
+        operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+        solution = solve_effective_field(layout, wave, SKEW_GAMMA)
+        assert solution.directions == operator.directions
+        if hasattr(operator, "_phases"):
+            assert operator.directions == operator._phases.shape[1] < layout.count
+    assert [ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA).directions is None
+            for layout in layouts] == [False, True, True]
 
 
 def test_sphere_tau_scales_pair_blocks_row_wise(wave):

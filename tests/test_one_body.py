@@ -199,7 +199,15 @@ def test_split_stores_a_group_order_fraction_of_the_pairs(wave, name):
     assert op._d.shape == (order, op.orbits, op.orbits)
     # orbits of fewer than |G| points, on the mirror planes, make R exceed P / |G|
     assert mesh.n_points / order <= op.orbits <= 1.3 * mesh.n_points / order
-    assert op.nbytes <= 16 * op.orbits**2 * order + 64 * mesh.n_points
+    if op.directions is None:
+        # complex D: 16 B per pair over |G|
+        assert op._d.dtype == complex
+        assert op.nbytes <= 16 * op.orbits**2 * order + 64 * mesh.n_points
+    else:
+        # real D at 8 B per pair over |G|, and the complex (P, Q) phases
+        assert op._d.dtype == float
+        assert op.nbytes <= (8 * op.orbits**2 * order + 16 * mesh.n_points * op.directions
+                             + 64 * mesh.n_points)
 
 
 def _nudged(mesh):
@@ -218,12 +226,85 @@ def test_nudged_point_leaves_the_trivial_group(wave):
     assert axes == () and np.array_equal(images, [np.arange(mesh.n_points)])
     op = OneBodyOperator(nudged, wave.wavenumber)
     assert op.mirrors == () and op.orbits == mesh.n_points
-    # the trivial group stores C itself
+    # the trivial group stores C itself, real on this small body
     c = pair_matrix(nudged.points, nudged.center,
                     lambda r: kernel_gradient_parts(wave.wavenumber, r)[1], weights=nudged.weights)
-    assert np.array_equal(op._d, c[None])
+    assert op.directions is not None
+    assert np.array_equal(op._d, c.real[None])
     x = np.random.default_rng(4).normal(size=op.shape[0]) + 0j
     np.testing.assert_allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-12, atol=1e-12)
+
+
+def _wavenumber(mesh, kd):
+    """The wavenumber at which k D = kd, D the diagonal of the mesh's bounding box."""
+    return kd / float(np.linalg.norm(np.ptp(mesh.points, axis=0)))
+
+
+def pairwise_radiative(mesh, k, j):
+    """i Im A J from Im c_iso on every pair of points: N_i x sum_j i Im C_ij d x J_j."""
+    x = mesh.points - mesh.center
+    c = pair_matrix(mesh.points, mesh.center,
+                    lambda r: kernel_gradient_parts(k, r)[1].imag, weights=mesh.weights,
+                    dtype=float)
+    # sum_j C_ij (x_i - x_j) x J_j = x_i x (C J)_i - (C (x x J))_i
+    return 1j * np.cross(mesh.normals, np.cross(x, c @ j) - c @ np.cross(x, j))
+
+
+@pytest.mark.parametrize("build, kd", [
+    (lambda: _nudged(mesh_sphere(1e-9, 12)), 0.2),
+    (lambda: _nudged(mesh_sphere(1e-9, 12)), 1.0),
+    (lambda: mesh_sphere(1e-9, 18), 0.2),
+], ids=["nudged-766-0.2", "nudged-766-1", "split-1762-0.2"])
+def test_radiative_part_matches_pairwise_imaginary_coupling(build, kd):
+    mesh = build()
+    k = _wavenumber(mesh, kd)
+    op = OneBodyOperator(mesh, k)
+    assert op.directions is not None and op._d.dtype == float
+    rng = np.random.default_rng(12)
+    j = rng.normal(size=(mesh.n_points, 3)) + 1j * rng.normal(size=(mesh.n_points, 3))
+    expected = pairwise_radiative(mesh, k, j)
+    assert np.linalg.norm(op._radiative(j) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _complex_operator(mesh, k, monkeypatch):
+    """OneBodyOperator(mesh, k) made to keep complex D."""
+    with monkeypatch.context() as patch:
+        patch.setattr(one_body, "coefficient_storage", lambda k, x, entries: (None, 16 * entries))
+        op = OneBodyOperator(mesh, k)
+    assert op.directions is None and op._d.dtype == complex
+    return op
+
+
+@pytest.mark.parametrize("build, kd", [
+    (lambda: mesh_sphere(1e-9, 12), 0.2),
+    (lambda: _nudged(mesh_sphere(1e-9, 12)), 0.2),
+    # at k D = 1 the split sphere's Q exceeds |G| R^2 / 2 P and D stays complex
+    (lambda: _nudged(mesh_sphere(1e-9, 12)), 1.0),
+], ids=["split-0.2", "nudged-0.2", "nudged-1"])
+def test_real_blocks_are_the_real_part_of_the_complex_blocks(build, kd, monkeypatch):
+    mesh = build()
+    k = _wavenumber(mesh, kd)
+    real = OneBodyOperator(mesh, k)
+    full = _complex_operator(mesh, k, monkeypatch)
+    assert real.directions is not None
+    assert np.array_equal(real._d, full._d.real)
+    # and the plane-wave rule carries the imaginary part of the matvec
+    x = np.random.default_rng(13).normal(size=(2, real.shape[0])).T @ np.array([1.0, 1j])
+    expected = full.matvec(x)
+    assert np.linalg.norm(real.matvec(x) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_wide_body_and_coarse_cube_keep_complex_blocks(wave):
+    # a 1 cm sphere is some 10^5 wavelengths across at the default k: the
+    # rule would need far more directions than D has entries
+    wide = OneBodyOperator(mesh_sphere(1.0, 8), wave.wavenumber)
+    # the 600-point cube of side 2e-7 cm needs Q = 50: its table, 16 P Q,
+    # would outweigh what real D saves, 8 |G| R^2
+    cube = OneBodyOperator(mesh_cube(1e-7, 10), wave.wavenumber)
+    for op in (wide, cube):
+        assert op.directions is None and op._d.dtype == complex
+        assert not hasattr(op, "_phases")
+    assert 8 * 8 * cube.orbits**2 < 16 * 600 * 50
 
 
 def test_mirrors_need_equal_normals_and_weights():
@@ -301,9 +382,10 @@ def test_operator_assembly_peak_memory_per_pair(wave):
 
 
 def test_operator_assembly_holds_c_plus_one_block(wave):
-    # C is stored split by the mirror group, y and z on the sphere: 16 B per
-    # pair over |G| (12.3 MiB), plus one K_g (3.1 MiB) and one row block;
-    # the unsplit C alone would take 47 MiB
+    # C is stored split by the mirror group, y and z on the sphere, and real:
+    # 8 B per pair over |G| (5.9 MiB) and the (P, Q) phases (0.9 MiB), plus
+    # one K_g (1.5 MiB) and one row block of kernel temporaries; complex D
+    # alone would take 12.3 MiB and the unsplit C 47 MiB
     mesh = mesh_sphere(1e-9, 18)  # P = 1762
     tracemalloc.start()
     try:
@@ -311,8 +393,9 @@ def test_operator_assembly_holds_c_plus_one_block(wave):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert op.mirrors == ("y", "z")
-    assert peak <= 16 * mesh.n_points**2 / 4 + 32 * 2**20
+    assert op.mirrors == ("y", "z") and op.directions == 32
+    p = mesh.n_points
+    assert peak <= 8 * p**2 / 4 + 16 * p * op.directions + 8 * 2**20
 
 
 def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch):
@@ -320,17 +403,34 @@ def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch)
     op = OneBodyOperator(mesh, wave.wavenumber)
     monkeypatch.setattr(linalg, "physical_memory", lambda: 2**20)
     monkeypatch.setattr(one_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
-    # 16 B x 4 x 197^2 pairs, 8 B x 766^2 (no mirror) and 16 B x 2298^2
-    with pytest.raises(ValueError, match=r"the one-body operator needs 0\.00231 GiB"):
+    monkeypatch.setattr(one_body, "plane_wave_rule", lambda *a, **k: pytest.fail("allocated"))
+    # 8 B x 4 x 197^2 pairs and 16 B x 766 x 32 phases, 8 B x 766^2 (no
+    # mirror) and 200 B x 766^2 (the 144 B of the matrix and its work arrays)
+    with pytest.raises(ValueError, match=r"the one-body operator needs 0\.00152 GiB"):
         OneBodyOperator(mesh, wave.wavenumber)
     with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.00437 GiB"):
         gamma_numeric(_nudged(mesh))
-    with pytest.raises(ValueError, match=r"dense one-body matrix needs 0\.0787 GiB"):
+    with pytest.raises(ValueError, match=r"dense one-body matrix needs 0\.109 GiB"):
         op.to_dense()
     # gamma_numeric holds one K_g at a time: 8 B x 197^2 pairs
     monkeypatch.setattr(linalg, "physical_memory", lambda: 2**18)
     with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.000289 GiB"):
         gamma_numeric(mesh)
+
+
+def test_dense_matrix_peak_is_what_its_guard_asks(wave, monkeypatch):
+    op = OneBodyOperator(mesh_sphere(1e-9, 8), wave.wavenumber)  # P = 330
+    asked = []
+    monkeypatch.setattr(one_body, "check_dense_bytes", lambda nbytes, what: asked.append(nbytes))
+    tracemalloc.start()
+    try:
+        op.to_dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 20.8 MiB asked; one row block of kernel temporaries on top
+    assert asked == [200 * op.n_points**2]
+    assert peak <= asked[0] + 2**20
 
 
 def test_two_scales_solve_on_one_operator(wave, monkeypatch):
