@@ -1,18 +1,18 @@
 """Golden ledger of the seven `emscat reproduce` tables.
 
 Every `computed*` column is pinned, as captured at the default BLAS thread
-count of a 2-vCPU box (two OpenBLAS threads).  e-cube, many-27 and many-1000
-come out string-identical with one, two and four BLAS threads, and q-sphere
-with two and four on that box, so they are compared as strings.  At one
-thread q-sphere's computed[0] differs by 6.3e-16 and computed[2] by
-6.5e-14: OpenBLAS rounds a complex GEMM of its 197-orbit blocks differently
-on one thread, which moves J by about 9e-14 relative to its largest entry
-(it did so before the mirror split too, at the full 766 points, where the
-printed digits happened to absorb it).  e-sphere, e-ellipsoid and
-sweep-1386 move in the last digits with the BLAS thread count (measured
-spreads between one and two threads 1.5e-13, 1.8e-12 and 8.9e-13), so they
-are compared at rtol 1e-10.  A change to this ledger is a change to the
-paper's reproduced numbers and must be deliberate.
+count of a 2-vCPU box (two OpenBLAS threads).  q-sphere, e-cube, many-27
+and many-1000 come out string-identical with one, two and four BLAS
+threads on that box, so they are compared as strings.  q-sphere held at
+one thread only once the one-body operator stored its coefficients real:
+OpenBLAS had rounded the complex GEMM of its 197-orbit blocks differently
+on one thread, and the real GEMM that replaced it gives the same bits at
+all three counts.  e-sphere and sweep-1386 are identical at the three
+counts too, and e-ellipsoid moves by up to 4.1e-15 at one thread (its
+one-body matvec on 269-orbit blocks differs in the last bits there); the
+three are compared at rtol 1e-10, since their last digits have moved with
+the thread count before (spreads up to 1.8e-12).  A change to this ledger
+is a change to the paper's reproduced numbers and must be deliberate.
 
 sweep-1386's last computed_e_error cell, 5.8e-16 at radius 1e-10, is the
 most sensitive one: the mirror split moved J by 6.1e-13 there and this cell
@@ -38,8 +38,8 @@ from emscat.cli import main
 
 EXACT = {
     "q-sphere": {
-        "computed": ["3.730515158508323e-22", "3.759849295653089e-22",
-                     "0.00786329391474576"],
+        "computed": ["3.730515158508326e-22", "3.759849295653089e-22",
+                     "0.007863293914745125"],
     },
     "e-cube": {
         "computed_error": ["9.848832654486854e-09", "9.87166280663586e-08",
@@ -61,18 +61,18 @@ EXACT = {
 
 CLOSE = {
     "e-sphere": {
-        "computed_error": [2.704333715288125e-04, 2.704682109820247e-07,
-                           2.720259328463975e-10],
+        "computed_error": [2.704333715288117e-04, 2.704682109820213e-07,
+                           2.720259328463337e-10],
     },
     "e-ellipsoid": {
-        "computed_error": [3.657194242236249e-03, 3.636279031197648e-06,
-                           5.258427233229669e-09],
+        "computed_error": [3.657194242237845e-03, 3.636279031197726e-06,
+                           5.258427233230158e-09],
     },
     "sweep-1386": {
-        "computed_e_error": [5.800610518857878e-07, 5.800279618722440e-10,
-                             5.800649318267795e-13, 5.835559059841814e-16],
-        "computed_q_error": [6.175909690733706e-03, 6.146349249046972e-03,
-                             6.146079389824537e-03, 6.140281490208319e-03],
+        "computed_e_error": [5.800610518857751e-07, 5.800279618722614e-10,
+                             5.800649318264166e-13, 5.835559059805147e-16],
+        "computed_q_error": [6.175909690733176e-03, 6.146349249045676e-03,
+                             6.146079389825676e-03, 6.140281490210668e-03],
     },
 }
 
