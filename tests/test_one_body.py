@@ -266,15 +266,6 @@ def test_radiative_part_matches_pairwise_imaginary_coupling(build, kd):
     assert np.linalg.norm(op._radiative(j) - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def _complex_operator(mesh, k, monkeypatch):
-    """OneBodyOperator(mesh, k) made to keep complex D."""
-    with monkeypatch.context() as patch:
-        patch.setattr(one_body, "coefficient_storage", lambda k, x, entries: (None, 16 * entries))
-        op = OneBodyOperator(mesh, k)
-    assert op.directions is None and op._d.dtype == complex
-    return op
-
-
 @pytest.mark.parametrize("build, kd", [
     (lambda: mesh_sphere(1e-9, 12), 0.2),
     (lambda: _nudged(mesh_sphere(1e-9, 12)), 0.2),
@@ -285,8 +276,10 @@ def test_real_blocks_are_the_real_part_of_the_complex_blocks(build, kd, monkeypa
     mesh = build()
     k = _wavenumber(mesh, kd)
     real = OneBodyOperator(mesh, k)
-    full = _complex_operator(mesh, k, monkeypatch)
-    assert real.directions is not None
+    # the same mesh and k made to keep complex D
+    monkeypatch.setattr(one_body, "coefficient_storage", lambda k, x, entries: (None, 16 * entries))
+    full = OneBodyOperator(mesh, k)
+    assert real.directions is not None and full._d.dtype == complex
     assert np.array_equal(real._d, full._d.real)
     # and the plane-wave rule carries the imaginary part of the matvec
     x = np.random.default_rng(13).normal(size=(2, real.shape[0])).T @ np.array([1.0, 1j])
