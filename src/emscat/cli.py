@@ -152,12 +152,7 @@ def cmd_one_body(config: RunConfig) -> int:
     _write_json(outdir / "Q.json", {
         "q_exact": _pairs(report.q_exact), "q_asym": _pairs(report.q_asym),
         "gamma": _pairs(gamma.gamma), "tau": _pairs(gamma.tau),
-        "solver": asdict(current.report),
-        "operator": {
-            "mirrors": list(current.mirrors), "order": 2 ** len(current.mirrors),
-            "orbits": current.orbits, "bytes": current.operator_bytes,
-            "directions": current.directions,
-        },
+        "solver": asdict(current.report), "operator": current.operator,
     }, config)
     distances, gaps = np.reshape(report.e_asym_rel, (-1, 2)).T
     _write_csv(outdir / "E_table.csv", {"distance": distances, "Ee": report.e_exact,
@@ -186,11 +181,7 @@ def cmd_many_body(config: RunConfig) -> int:
             "error_estimate": estimate,
             "error_probe_point": [float(v) for v in probe],
             "solver": asdict(solution.report),
-            "operator": {
-                "coupling": solution.coupling,
-                "bytes": solution.operator_bytes,
-                "directions": solution.directions,
-            },
+            "operator": solution.operator,
         },
         config,
     )

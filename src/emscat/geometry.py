@@ -53,11 +53,26 @@ class CollocationMesh:
     center: np.ndarray
 
     def __post_init__(self):
+        """Raise ValueError, naming the field, on any broken mesh invariant."""
         for name in ("points", "normals", "weights", "center"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        for name in ("points", "normals", "weights", "center", "volume"):
+        p = len(self.points) if self.points.ndim else 0
+        shapes = {"points": (p, 3), "normals": (p, 3), "weights": (p,), "center": (3,)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"mesh {name} must have shape {shape}, "
+                                 f"got {getattr(self, name).shape}")
+        if p == 0:
+            raise ValueError("mesh points must hold at least one point, got none")
+        for name in (*shapes, "volume"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"mesh {name} must be finite")
+        if np.any(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) > 1e-12):
+            raise ValueError("mesh normals must be unit vectors")
+        if np.any(self.weights <= 0):
+            raise ValueError("mesh weights must be positive")
+        if not self.volume > 0:
+            raise ValueError(f"mesh volume must be positive, got {self.volume:.6g}")
 
     @property
     def n_points(self) -> int:
@@ -71,19 +86,6 @@ class CollocationMesh:
     def radius(self) -> float:
         """Circumscribed radius: max distance of a collocation point from center."""
         return float(np.max(np.linalg.norm(self.points - self.center, axis=1)))
-
-    def validate(self) -> None:
-        """Raise ValueError on any broken mesh invariant."""
-        p = self.n_points
-        if self.normals.shape != (p, 3) or self.weights.shape != (p,):
-            raise ValueError("points/normals/weights size mismatch")
-        norms = np.linalg.norm(self.normals, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("normals are not unit vectors")
-        if np.any(self.weights <= 0):
-            raise ValueError("non-positive quadrature weight")
-        if not self.volume > 0:
-            raise ValueError("non-positive volume")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@ Closed forms are used throughout; with r = |x - t| and u = (x - t)/r,
 
 Away from r = 0 the Hessian trace equals -k^2 g.  The imaginary parts of
 g and of the scalar coefficients of its derivatives are entire in r^2, and
-plane_wave_rule separates them.  All lengths are in cm, k in 1/cm.
+plane_wave_rule separates them.  This module owns the format of the dense
+operators built on it: coefficient_storage picks real or complex
+coefficients, pair_matrix keeps the real parts for a float dtype, and
+radiative_field and radiative_curl add the imaginary parts back through the
+rule's table.  All lengths are in cm, k in 1/cm.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .linalg import check_dense_bytes
 
 FOUR_PI = 4.0 * np.pi
 
@@ -104,7 +110,8 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
     output plus one block.  For a kernel whose bits do not depend on the
     size of its argument, as for every kernel in this module, the entries
     equal those of kernel(pair_distances(points, center)) * w_j bit for
-    bit.  The same CoincidentPointsError guard applies.
+    bit; a float dtype keeps the real part of a complex kernel.  The same
+    CoincidentPointsError guard applies.
 
     signs, (3,) of +-1, pairs each point with the mirror images of the
     points instead: r_ij = |x_i - signs * x_j| with x relative to center,
@@ -133,6 +140,8 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
         if out is None:
             out = np.empty((len(blocks), p, p), dtype=dtype)
         for block, part in zip(blocks, out):
+            if not np.iscomplexobj(part):
+                block = block.real
             np.multiply(block, w[a:], out=part[a:b, a:])
             np.multiply(block[:, b - a:].T, w[a:b], out=part[b:, a:b])
     diag = np.flatnonzero(rows == cols)
@@ -340,7 +349,39 @@ def _plane_wave_sums(phases: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (phases.T @ u.conj()).conj()
 
 
-def coefficient_storage(k: float, x, entries: int) -> tuple[int | None, int]:
+def radiative_field(k: float, table, u: np.ndarray) -> np.ndarray:
+    """sum_j i Im grad g(x_m - x_j) x u_j at every point m, u (M, 3) complex.
+
+    table is plane_wave_rule(k, x).  Im grad g(d) = (k / 16 pi^2) int ik s
+    exp(ik s.d) ds (Rokhlin, Appl. Comput. Harmon. Anal. 1, 82, 1993), so
+    the sum is (-k^2 / 16 pi^2) sum_q w_q exp(ik s_q.x_m) s_q x B_q with
+    B_q = sum_j exp(-ik s_q.x_j) u_j, in O(M Q).  The integrand is odd in s,
+    so the self pair j = m adds nothing.
+    """
+    phases, directions, weights = table
+    b = _cross(directions, _plane_wave_sums(phases, u))
+    b *= (-k * k / (16.0 * np.pi**2)) * weights[:, None]
+    return phases @ b
+
+
+def radiative_curl(k: float, table, u: np.ndarray) -> np.ndarray:
+    """sum_j i Im (k^2 g I + H)(x_m - x_j) u_j at every point m, u (M, 3) complex.
+
+    table is plane_wave_rule(k, x), and
+    Im (k^2 g I + H) = (k^3 / 16 pi^2) int (I - s s^T) exp(ik s.d) ds sums
+    over every j in O(M Q), the self pair j = m included, where it equals
+    its r -> 0 limit (k^3 / 6 pi) I.
+    """
+    phases, s, weights = table
+    b = _plane_wave_sums(phases, u)
+    b -= s * np.einsum("qp,qp->q", s, b)[:, None]
+    b *= weights[:, None]
+    full = phases @ b
+    full *= k**3 / (16.0 * np.pi**2)
+    return 1j * full
+
+
+def coefficient_storage(k: float, x, entries: int, what: str) -> int | None:
     """How a dense operator stores `entries` coefficients of the kernel on points x (M, 3).
 
     The imaginary parts are entire in r^2 and plane_wave_rule(k, x)
@@ -348,15 +389,21 @@ def coefficient_storage(k: float, x, entries: int) -> tuple[int | None, int]:
     alone are stored, 8 B each, with the rule's (M, Q) complex phases when
     that takes fewer bytes than the complex coefficients, 16 B each:
     8 entries + 16 M Q < 16 entries.  Otherwise, as for points many
-    wavelengths apart, the coefficients stay complex.  Returns (Q, bytes)
-    on the real branch and (None, bytes) on the complex one.
+    wavelengths apart, the coefficients stay complex.  The bytes of the
+    chosen branch pass linalg.check_dense_bytes for `what` before anything
+    is allocated.  Returns Q on the real branch and None on the complex one.
     """
     x = np.asarray(x, dtype=float)
     n_theta, n_phi = _plane_wave_orders(k, x)
     real_bytes = 8 * entries + 16 * len(x) * n_theta * n_phi
-    if real_bytes < 16 * entries:
-        return n_theta * n_phi, real_bytes
-    return None, 16 * entries
+    directions = n_theta * n_phi if real_bytes < 16 * entries else None
+    check_dense_bytes(16 * entries if directions is None else real_bytes, what)
+    return directions
+
+
+def array_bytes(owner) -> int:
+    """Bytes of the arrays an object holds as attributes: an operator's nbytes."""
+    return sum(v.nbytes for v in vars(owner).values() if isinstance(v, np.ndarray))
 
 
 def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray]:

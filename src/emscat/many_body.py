@@ -53,8 +53,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (CoincidentPointsError, _cross, _cross_columns, _cross_sum,
-                      _moment_columns, _plane_wave_sums, _product, coefficient_storage,
-                      kernel_hessian_parts, moment_fields, pair_matrix, plane_wave_rule)
+                      _moment_columns, _product, array_bytes, coefficient_storage,
+                      kernel_hessian_parts, moment_fields, pair_matrix, plane_wave_rule,
+                      radiative_curl, radiative_field)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .one_body import GammaMatrix
 from .waves import IncidentWave
@@ -346,15 +347,12 @@ class ManyBodyOperator:
     states for both dense operators; the rule's (M, Q) phases, directions
     and weights are stored with it, and directions is Q (None otherwise).
     Each real matrix multiplies a complex (M, c) block viewed as a real
-    (M, 2c) one (kernels._product), and the imaginary part,
-
-        Im (k^2 g I + H) = (k^3 / 16 pi^2) int (I - s s^T) exp(ik s.d) ds,
-
-    is summed over every j by two (M, Q) products, less its self term
-    (k^3 / 6 pi) |D_m| at j = m; the field at the centres gains
-    i (k^2 / 16 pi^2) int i s exp(ik s.d) ds x Q_j.  Otherwise the stack is
-    complex (32 B per pair) and holds both parts.  The choice is made once,
-    from the centres and k alone.
+    (M, 2c) one (kernels._product), and the imaginary part i Im (k^2 g I + H)
+    is summed over every j by two (M, Q) products (kernels.radiative_curl),
+    less its self term (k^3 / 6 pi) |D_m| at j = m; the field at the centres
+    gains sum_j i Im grad g x Q_j (kernels.radiative_field).  Otherwise the
+    stack is complex (32 B per pair) and holds both parts.  The choice is
+    made once, from the centres and k alone.
     """
 
     def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix):
@@ -370,17 +368,13 @@ class ManyBodyOperator:
             m = self.count
             center = layout.centers.mean(axis=0)
             self._x = layout.centers - center
-            self.directions, nbytes = coefficient_storage(k, self._x, 2 * m * m)
-            check_dense_bytes(nbytes, "the dense many-body operator")
-            real = self.directions is not None
-
-            def parts(r):
-                c_iso, c_dir = kernel_hessian_parts(k, r)[1:]
-                return (c_iso.real, c_dir.real) if real else (c_iso, c_dir)
-
-            self._coeff = pair_matrix(layout.centers, center, parts, weights=layout.volumes,
-                                      dtype=float if real else complex)
-            if real:
+            self.directions = coefficient_storage(k, self._x, 2 * m * m,
+                                                  "the dense many-body operator")
+            self._coeff = pair_matrix(layout.centers, center,
+                                      lambda r: kernel_hessian_parts(k, r)[1:],
+                                      weights=layout.volumes,
+                                      dtype=complex if self.directions is None else float)
+            if self.directions is not None:
                 self._phases, self._directions, self._weights = plane_wave_rule(k, self._x)
             return
         diff, g, c_iso, c_dir = _grid_kernel_parts(layout.grid, k)
@@ -390,10 +384,13 @@ class ManyBodyOperator:
         ])
         self._kernel_hat = np.fft.fftn(components, axes=(1, 2, 3))
 
+    nbytes = property(array_bytes, doc="Bytes held by the operator's stored arrays.")
+
     @property
-    def nbytes(self) -> int:
-        """Bytes held by the operator's stored arrays."""
-        return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+    def record(self) -> dict:
+        """What the operator is, as the artifacts write it: its coupling path,
+        bytes and plane-wave directions (None unless the dense stack is real)."""
+        return {"coupling": self.coupling, "bytes": self.nbytes, "directions": self.directions}
 
     def _coupling(self, a: np.ndarray) -> np.ndarray:
         if self.coupling == "fft":
@@ -416,26 +413,12 @@ class ManyBodyOperator:
                    + product[:, 12:]
                    - 2.0 * _product(self._coeff[0], a))
             if self.directions is not None:
-                out += self._radiative(a)
+                # radiative_curl includes the self pairs: take their limit out
+                u = self._layout.volumes[:, None] * a
+                k = self._wavenumber
+                table = (self._phases, self._directions, self._weights)
+                out += radiative_curl(k, table, u) - 1j * ((k**3 / (6.0 * np.pi)) * u)
         return out @ self._tau.T
-
-    def _radiative(self, a: np.ndarray) -> np.ndarray:
-        """i Im C applied to A by the plane-wave table, the self terms left out.
-
-        Im (k^2 g I + H) = (k^3 / 16 pi^2) int (I - s s^T) exp(ik s.d) ds
-        (kernels.plane_wave_rule) sums over every j, the self pair j = m
-        included, where it equals its r -> 0 limit (k^3 / 6 pi) I.
-        """
-        k = self._wavenumber
-        u = self._layout.volumes[:, None] * a
-        b = _plane_wave_sums(self._phases, u)
-        s = self._directions
-        b -= s * np.einsum("qp,qp->q", s, b)[:, None]
-        b *= self._weights[:, None]
-        full = self._phases @ b
-        full *= k**3 / (16.0 * np.pi**2)
-        full -= (k**3 / (6.0 * np.pi)) * u
-        return 1j * full
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(x, dtype=complex).reshape(self.count, 3)
@@ -458,11 +441,8 @@ class ManyBodyOperator:
             return _grid_values(np.cross(grad_hat, q_hat, axis=0), grid)
         field = -_cross_sum(self._x, _product(self._coeff[0], _cross_columns(self._x, a)))
         if self.directions is not None:
-            k = self._wavenumber
-            b = _cross(self._directions,
-                       _plane_wave_sums(self._phases, self._layout.volumes[:, None] * a))
-            b *= self._weights[:, None]
-            field += (k * k / (16.0 * np.pi**2)) * (self._phases @ b)
+            table = (self._phases, self._directions, self._weights)
+            field += radiative_field(self._wavenumber, table, -self._layout.volumes[:, None] * a)
         return field
 
     def to_dense(self) -> np.ndarray:
@@ -506,10 +486,9 @@ class ManyBodyOperator:
 class EffectiveFieldSolution:
     """Solved per-body vectors A_m, moments Q_m = -|D_m| A_m and the wave.
 
-    coupling ("fft" or "dense"), operator_bytes and directions (the
-    plane-wave rule's Q when the dense coefficients are real, else None)
-    record the operator that produced the solution; None when the solution
-    was not built by a solve.
+    operator is the record of the operator that produced the solution
+    (ManyBodyOperator.record); None when the solution was not built by a
+    solve.
     scattered_at_centers is the moments' field at every centre, own term
     left out (ManyBodyOperator.scattered_at_centers), formed by the solve.
     centers are the centres the solve ran on; the field functions refuse
@@ -520,11 +499,9 @@ class EffectiveFieldSolution:
     q_values: np.ndarray
     report: SolveReport
     wave: IncidentWave
-    coupling: str | None = None
-    operator_bytes: int | None = None
+    operator: dict | None = None
     scattered_at_centers: np.ndarray | None = None
     centers: np.ndarray | None = None
-    directions: int | None = None
 
 
 def assemble_many_body(
@@ -562,11 +539,9 @@ def solve_effective_field(
         q_values=-layout.volumes[:, None] * a,
         report=report,
         wave=wave,
-        coupling=operator.coupling,
-        operator_bytes=operator.nbytes,
+        operator=operator.record,
         scattered_at_centers=operator.scattered_at_centers(a),
         centers=layout.centers,
-        directions=operator.directions,
     )
 
 

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import (_cross, _cross_columns, _cross_sum, _moment_columns, _plane_wave_sums,
-                      _product, coefficient_storage, kernel_gradient_parts, moment_fields,
-                      pair_matrix, plane_wave_rule)
+from .kernels import (_cross, _cross_columns, _cross_sum, _moment_columns, _product,
+                      array_bytes, coefficient_storage, kernel_gradient_parts, moment_fields,
+                      pair_matrix, plane_wave_rule, radiative_field)
 from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
 from .waves import IncidentWave
 
@@ -81,18 +81,13 @@ class GammaMatrix:
 class SurfaceCurrent:
     """Solved surface density, one complex 3-vector per collocation point.
 
-    mirrors (the mirrored axes, "x", "y", "z"), orbits, operator_bytes and
-    directions (the plane-wave rule's Q when the operator's coefficients are
-    real, else None) record the operator that produced the current
-    (OneBodyOperator); None when the current was not built by a solve.
+    operator is the record of the operator that produced the current
+    (OneBodyOperator.record); None when the current was not built by a solve.
     """
 
     values: np.ndarray
     report: SolveReport
-    mirrors: tuple[str, ...] | None = None
-    orbits: int | None = None
-    operator_bytes: int | None = None
-    directions: int | None = None
+    operator: dict | None = None
 
 
 #: A mirror maps a mesh onto itself when every image lands on a mesh point,
@@ -162,6 +157,16 @@ class _Orbits:
     stabiliser: np.ndarray  # (R,)
     characters: np.ndarray  # (|G|, |G|)
 
+    def block(self, mesh: CollocationMesh, g: int, kernel, dtype) -> np.ndarray:
+        """K_g[r, s] = kernel(|x_r - R_g x_s|) w_s / |Stab s|, zero where g fixes r = s.
+
+        One (R, R) block of kernels.pair_matrix, evaluated on its upper
+        triangle.  Callers hold one K_g at a time.
+        """
+        return pair_matrix(mesh.points[self.reps], mesh.center, kernel, dtype=dtype,
+                           weights=mesh.weights[self.reps] / self.stabiliser,
+                           signs=self.signs[g], ids=(self.reps, self.maps[g]))
+
 
 def _orbits(mesh: CollocationMesh) -> _Orbits:
     """The orbit tables of mesh under its mirror group; the lowest index represents."""
@@ -227,18 +232,12 @@ class OneBodyOperator:
     of the many-body operator too), as on the bundled spheres and ellipsoid
     at the default k (Q = 32).  Each GEMM is then one real (R, R) @ (R, 12)
     product on the complex columns viewed as float64 (kernels._product),
-    directions is Q, and i Im C is applied on all P points by the rule:
-    Im grad g(d) = (k / 16 pi^2) int ik s exp(ik s.d) ds (Rokhlin, Appl.
-    Comput. Harmon. Anal. 1, 82, 1993), so the coupling gains
-
-        N_i x [(-k^2 / 16 pi^2) sum_q w_q exp(ik s_q.x_i) s_q x B_q],
-        B_q = sum_j w_j exp(-ik s_q.x_j) J_j,
-
-    in O(P Q); the integrand is odd in s, so the self pair adds nothing.  A
-    body many wavelengths across, or a coarse mesh such as the 600-point
-    cube of side 2e-7 cm (Q = 50, |G| = 8), whose table would outweigh the
-    halved blocks, keeps complex D (directions None).  The choice is made
-    once, from the mesh and k alone.
+    directions is Q, and i Im C is applied on all P points by the rule: the
+    coupling gains N_i x sum_j i Im grad g(x_i - x_j) x w_j J_j
+    (kernels.radiative_field), in O(P Q).  A body many wavelengths across,
+    or a coarse mesh such as the 600-point cube of side 2e-7 cm (Q = 50,
+    |G| = 8), whose table would outweigh the halved blocks, keeps complex D
+    (directions None).  The choice is made once, from the mesh and k alone.
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
@@ -254,23 +253,12 @@ class OneBodyOperator:
         self._pairing = np.arange(order)[:, None, None] ^ chi
 
         x = mesh.points - mesh.center
-        self.directions, nbytes = coefficient_storage(wavenumber, x, order * len(reps) ** 2)
-        check_dense_bytes(nbytes, "the one-body operator")
-        real = self.directions is not None
-
-        def coefficient(r):
-            c_iso = kernel_gradient_parts(wavenumber, r)[1]
-            return c_iso.real if real else c_iso
-
-        points = mesh.points[reps]
-        dtype = float if real else complex
+        self.directions = coefficient_storage(wavenumber, x, order * len(reps) ** 2,
+                                              "the one-body operator")
+        dtype = complex if self.directions is None else float
         self._d = np.empty((order, len(reps), len(reps)), dtype=dtype)
         for g in range(order):
-            k_g = pair_matrix(
-                points, mesh.center, coefficient, dtype=dtype,
-                weights=mesh.weights[reps] / orbits.stabiliser, signs=self._signs[g],
-                ids=(reps, self._maps[g]),
-            )
+            k_g = orbits.block(mesh, g, lambda r: kernel_gradient_parts(wavenumber, r)[1], dtype)
             for psi in range(order):
                 if g == 0:
                     self._d[psi] = k_g
@@ -279,7 +267,7 @@ class OneBodyOperator:
                 else:
                     self._d[psi] -= k_g
             del k_g  # so that the next K_g is not built beside this one
-        if real:
+        if self.directions is not None:
             self._phases, self._directions, self._weights = plane_wave_rule(wavenumber, x)
         self._x = x[reps]
         self._normals = mesh.normals[reps]
@@ -291,10 +279,14 @@ class OneBodyOperator:
         self.n_points = mesh.n_points
         self.shape = (3 * mesh.n_points,) * 2
 
+    nbytes = property(array_bytes, doc="Bytes held by the operator's stored arrays.")
+
     @property
-    def nbytes(self) -> int:
-        """Bytes held by the operator's stored arrays."""
-        return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+    def record(self) -> dict:
+        """What the operator is, as the artifacts write it: its mirrors, group
+        order, orbits, bytes and plane-wave directions (None for complex D)."""
+        return {"mirrors": list(self.mirrors), "order": len(self._d), "orbits": self.orbits,
+                "bytes": self.nbytes, "directions": self.directions}
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         order = len(self._d)
@@ -312,16 +304,10 @@ class OneBodyOperator:
         coupling *= self._signs[:, None, :]
         coupling = coupling.reshape(-1, 3)[self._gather]
         if self.directions is not None:
-            coupling += self._radiative(j)
+            u = self._mesh.weights[:, None] * j
+            table = (self._phases, self._directions, self._weights)
+            coupling += _cross(self._mesh.normals, radiative_field(self.wavenumber, table, u))
         return (j + self._scale * coupling).reshape(-1)
-
-    def _radiative(self, j: np.ndarray) -> np.ndarray:
-        """i Im A J on every point by the plane-wave rule (see the class docstring)."""
-        k = self.wavenumber
-        mesh = self._mesh
-        b = _cross(self._directions, _plane_wave_sums(self._phases, mesh.weights[:, None] * j))
-        b *= (-k * k / (16.0 * np.pi**2)) * self._weights[:, None]
-        return _cross(mesh.normals, self._phases @ b)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full (3P, 3P) matrix (small systems / oracles).
@@ -411,9 +397,7 @@ def solve_currents(
                                max_iter=max_iter, what="boundary",
                                shifts=[scales[0] / s - 1.0 for s in scales])
     return [SurfaceCurrent(values=row.reshape(mesh.n_points, 3), report=report,
-                           mirrors=operator.mirrors, orbits=operator.orbits,
-                           operator_bytes=operator.nbytes, directions=operator.directions)
-            for row in x]
+                           operator=operator.record) for row in x]
 
 
 def solve_current(
@@ -487,17 +471,13 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
     orbits = _orbits(mesh)
     reps = orbits.reps
     check_dense_bytes(8 * len(reps) ** 2, "the static coupling matrix")
-    points = mesh.points[reps]
-    x = points - mesh.center
+    x = mesh.points[reps] - mesh.center
     columns = _moment_columns(x, mesh.normals[reps])
-    weights = mesh.weights[reps] / orbits.stabiliser
     # sum_s c_rs [N_s, x_s (x) N_s] w_s; the image g s has R_g x_s and R_g N_s
     product = np.zeros(columns.shape)
-    for signs, images in zip(orbits.signs, orbits.maps):
-        product += pair_matrix(
-            points, mesh.center, _static_coefficient, weights=weights,
-            dtype=float, signs=signs, ids=(reps, images),
-        ) @ columns * _moment_columns(signs[None], signs[None])
+    for g, signs in enumerate(orbits.signs):
+        product += (orbits.block(mesh, g, _static_coefficient, float) @ columns
+                    * _moment_columns(signs[None], signs[None]))
 
     # per_source[r, p, q] = sum_s c_rs (x_sp - x_rp) N_sq w_s
     per_source = product[:, 3:].reshape(-1, 3, 3) - x[:, :, None] * product[:, None, :3]

@@ -10,8 +10,9 @@ import pytest
 import emscat.cli
 from emscat.cli import main
 from emscat.config import ConfigError, RunConfig
-from emscat.many_body import lattice_layout, layout_from_csv
-from emscat.one_body import field_e_asymptotic, field_e_exact
+from emscat.many_body import ManyBodyOperator, lattice_layout, layout_from_csv
+from emscat.one_body import (OneBodyOperator, field_e_asymptotic, field_e_exact,
+                             gamma_sphere_analytic)
 
 
 def run_cli(args):
@@ -154,6 +155,19 @@ def test_one_body_q_json_records_complex_coefficients_as_no_directions(tmp_path)
     operator = json.loads((tmp_path / "Q.json").read_text())["operator"]
     assert operator["directions"] is None
     assert operator["bytes"] <= 16 * 8 * operator["orbits"]**2 + 256 * 600
+
+
+@pytest.mark.parametrize("args", [[], ["--shape", "cube", "--radius", "1e-7"]],
+                         ids=["sphere", "cube"])
+def test_q_json_operator_is_the_operator_record(tmp_path, args):
+    # the real sphere operator and the complex cube one, written as they are
+    assert run_cli(["one-body", *args, "--distances", "1.73e-5",
+                    "--output-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "Q.json").read_text())
+    config = RunConfig.from_dict(payload["config"])
+    record = OneBodyOperator(config.mesh(), config.wave().wavenumber).record
+    assert payload["operator"] == record
+    assert (record["directions"] is None) == bool(args)
 
 
 def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monkeypatch,
@@ -464,6 +478,14 @@ def test_many_body_summary(many_body_run):
     assert json.loads(lines[0].split(": ", 1)[1])["count"] == 27
     assert lines[1].startswith("index,Ax_re")
     assert len(lines) == 2 + 27
+
+
+def test_summary_json_operator_is_the_operator_record(many_body_run):
+    payload = json.loads((many_body_run / "summary.json").read_text())
+    config = RunConfig.from_dict(payload["config"])
+    layout = lattice_layout(config.count, config.spacing, config.particle_radius, box=config.box)
+    operator = ManyBodyOperator(layout, config.wave().wavenumber, gamma_sphere_analytic())
+    assert payload["operator"] == operator.record
 
 
 def test_many_body_solution_csv_values(many_body_run, many27):

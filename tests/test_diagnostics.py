@@ -1,5 +1,7 @@
 """Validation checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,16 +58,10 @@ def test_q_residual_rejects_zero_rhs(sphere766):
     wave = default_wave()
     gamma = gamma_sphere_analytic()
     # propagation along z with amplitude x: curl at origin is along y... use
-    # a wave whose curl vanishes nowhere; instead fake a zero-volume mesh
-    from emscat.geometry import CollocationMesh
-
-    degenerate = CollocationMesh(
-        points=sphere766.points,
-        normals=sphere766.normals,
-        weights=sphere766.weights,
-        volume=0.0,
-        center=sphere766.center,
-    )
+    # a wave whose curl vanishes nowhere; instead fake a zero-volume mesh,
+    # which CollocationMesh refuses to build, by setting it on a copy
+    degenerate = replace(sphere766)
+    object.__setattr__(degenerate, "volume", 0.0)
     with pytest.raises(ValueError, match="zero"):
         check_q_residual(np.ones(3, dtype=complex), gamma, degenerate, wave)
 

@@ -1,5 +1,7 @@
 """Mesh builders: point placement, normals, weights, volumes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_sphere_area_and_volume(sphere766):
     area = 4.0 * np.pi * 1e-18
     assert abs(sphere766.area - area) / area < 0.02
     assert sphere766.volume == pytest.approx(4.0 / 3.0 * np.pi * 1e-27, rel=1e-12)
-    sphere766.validate()
+    replace(sphere766)  # construction checks every invariant
 
 
 def test_sphere_weights_positive(sphere766):
@@ -339,7 +341,7 @@ def test_parametric_sphere_geometry():
     np.testing.assert_allclose(
         mesh.normals, (mesh.points - mesh.center) / radii[:, None], atol=1e-6
     )
-    mesh.validate()
+    replace(mesh)  # construction checks every invariant
 
 
 def test_parametric_sphere_volume_and_area():
@@ -375,7 +377,7 @@ def test_parametric_star_body_solves_with_a_tangential_density():
     surface = ParametricSurface(star, u_range=(0.0, 2.0 * np.pi), v_range=(0.0, np.pi),
                                 n_u=40, n_v=20)
     body = mesh_parametric(surface)
-    body.validate()
+    replace(body)  # construction checks every invariant
     current = solve_current(body, default_wave())
     assert body.n_points == 800 and current.report.converged
     assert check_tangentiality(current, body) <= 1e-12
@@ -416,15 +418,41 @@ def test_run_config_mesh_dispatch():
 
 
 def test_mesh_validate_catches_bad_normals(cube600):
-    bad = CollocationMesh(
-        points=cube600.points,
-        normals=cube600.normals * 2.0,
-        weights=cube600.weights,
-        volume=cube600.volume,
-        center=cube600.center,
-    )
-    with pytest.raises(ValueError, match="unit"):
-        bad.validate()
+    with pytest.raises(ValueError, match="mesh normals must be unit vectors"):
+        CollocationMesh(
+            points=cube600.points,
+            normals=cube600.normals * 2.0,
+            weights=cube600.weights,
+            volume=cube600.volume,
+            center=cube600.center,
+        )
+
+
+#: A field of the 600-point cube made to break one invariant, and the message
+#: (doubled normals: test_mesh_validate_catches_bad_normals).
+BROKEN_MESH_FIELDS = {
+    "zero-weight": (lambda m: {"weights": np.where(np.arange(600) == 7, 0.0, m.weights)},
+                    "mesh weights must be positive"),
+    "short-normals": (lambda m: {"normals": m.normals[:-1]},
+                      r"mesh normals must have shape \(600, 3\), got \(599, 3\)"),
+    "short-weights": (lambda m: {"weights": m.weights[1:]},
+                      r"mesh weights must have shape \(600,\), got \(599,\)"),
+    "flat-points": (lambda m: {"points": m.points.ravel()},
+                    r"mesh points must have shape \(1800, 3\), got \(1800,\)"),
+    "center-shape": (lambda m: {"center": np.zeros(2)},
+                     r"mesh center must have shape \(3,\), got \(2,\)"),
+    "zero-volume": (lambda m: {"volume": 0.0}, "mesh volume must be positive, got 0"),
+    "no-points": (lambda m: {"points": np.zeros((0, 3)), "normals": np.zeros((0, 3)),
+                             "weights": np.zeros(0)},
+                  "mesh points must hold at least one point, got none"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_MESH_FIELDS)
+def test_mesh_rejects_a_broken_invariant_naming_the_field(cube600, case):
+    change, message = BROKEN_MESH_FIELDS[case]
+    with pytest.raises(ValueError, match=message):
+        replace(cube600, **change(cube600))
 
 
 @pytest.mark.parametrize("name", ["points", "normals", "weights", "volume", "center"])

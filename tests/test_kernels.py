@@ -18,6 +18,8 @@ from emscat.kernels import (
     pair_distances,
     pair_matrix,
     plane_wave_rule,
+    radiative_curl,
+    radiative_field,
 )
 from emscat.one_body import _static_coefficient
 from emscat.waves import default_wave
@@ -175,6 +177,38 @@ def test_plane_wave_rule_is_converged_to_rounding(kd):
         np.testing.assert_allclose(coarse, exact, rtol=0, atol=32 * np.finfo(float).eps * 4 * np.pi)
 
 
+@pytest.mark.parametrize("kd", [0.2, 1.0, 3.0])
+def test_radiative_sums_match_green_pair_sums(kd):
+    # a jittered 3 x 3 x 3 grid whose bounding box has diagonal kd / K, off
+    # the origin: its pairs keep k r above a tenth of kd, where the closed
+    # forms of green() cancel mildly.  The curl sum takes the self pair at its
+    # r -> 0 limit (k^3 / 6 pi) I, the field sum has none.
+    rng = np.random.default_rng(14)
+    grid = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    x = grid + rng.uniform(-0.2, 0.2, grid.shape)
+    x = (2.0, -1.0, 3.0) + x * kd / (K * np.linalg.norm(np.ptp(x, axis=0)))
+    u = rng.normal(size=(27, 3)) + 1j * rng.normal(size=(27, 3))
+    table = plane_wave_rule(K, x - x.mean(axis=0))
+    field = np.zeros((27, 3), dtype=complex)
+    curl = 1j * K**3 / (6.0 * np.pi) * u
+    for m, j in zip(*np.nonzero(~np.eye(27, dtype=bool))):
+        ker = green(K, x[m], x[j])
+        field[m] += 1j * np.cross(ker.gradient.imag, u[j])
+        curl[m] += 1j * (K * K * ker.value * np.eye(3) + ker.hessian).imag @ u[j]
+    for got, expected in ((radiative_field(K, table, u), field), (radiative_curl(K, table, u), curl)):
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_pair_matrix_keeps_the_real_part_for_a_float_dtype():
+    rng = np.random.default_rng(6)
+    points = rng.normal(size=(40, 3)) * 1e-7
+    weights = rng.uniform(0.5, 2.0, 40)
+    for kernel in (lambda r: kernel_gradient_parts(K, r)[1], lambda r: kernel_hessian_parts(K, r)):
+        full = pair_matrix(points, points.mean(axis=0), kernel, weights=weights)
+        real = pair_matrix(points, points.mean(axis=0), kernel, weights=weights, dtype=float)
+        assert real.dtype == float and np.array_equal(real, full.real)
+
+
 def test_plane_wave_rule_is_antipodal_with_the_exact_self_term():
     x = np.random.default_rng(12).normal(size=(5, 3)) / K
     _, s, w = plane_wave_rule(K, x)
@@ -321,6 +355,8 @@ def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex,
                          signs=None, ids=None):
     """Stand-in for pair_matrix that builds the full distances at once."""
     c = full_pair_matrix(points, center, kernel, weights, signs, ids)
+    if dtype is float:
+        c = c.real  # a float dtype keeps the real part of a complex kernel
     assert c.dtype == dtype
     return c
 
@@ -342,7 +378,7 @@ def _fields_at_centers(mesh, layout):
     # matrices, so the operator's one pair_matrix call feeds both
     wave = default_wave()
     solution = many_body.solve_effective_field(layout, wave, one_body.gamma_sphere_analytic())
-    assert solution.coupling == "dense"
+    assert solution.operator["coupling"] == "dense"
     return many_body.effective_field_at_centers(layout, wave, solution)
 
 

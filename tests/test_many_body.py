@@ -31,7 +31,7 @@ from emscat.one_body import (
     gamma_sphere_analytic,
     moment_q_asymptotic,
 )
-from emscat.waves import default_wave
+from emscat.waves import IncidentWave, default_wave
 from kernel_oracle import green
 
 SPACING = 1e-7
@@ -444,11 +444,43 @@ def test_solution_records_the_plane_wave_directions(wave):
     for layout in layouts:
         operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
         solution = solve_effective_field(layout, wave, SKEW_GAMMA)
-        assert solution.directions == operator.directions
+        assert solution.operator["directions"] == operator.directions
         if hasattr(operator, "_phases"):
             assert operator.directions == operator._phases.shape[1] < layout.count
     assert [ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA).directions is None
             for layout in layouts] == [False, True, True]
+
+
+@pytest.mark.parametrize("factor, directions", [(1.0, True), (30.0, False)],
+                         ids=["real", "complex"])
+def test_solution_is_rotation_covariant(wave, factor, directions):
+    """Rotating the layout, the wave and gamma rotates Q and the field at the centres.
+
+    tau is not isotropic, so the rotated system takes R gamma R^T.  At the
+    default k both layouts store real coefficients, each with its own
+    plane-wave rule; at 30 times that k both keep complex ones.
+    """
+    rotation, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
+    rotation *= np.linalg.det(rotation)  # proper, so that curl E0 rotates too
+    k = factor * wave.wavenumber
+    box = ((-1.0,) * 3, (1.0,) * 3)
+    layout = heavy(layout_from_centers(jittered_centers(6), SPACING, 1e-9, box=box))
+    turned = replace(layout, centers=layout.centers @ rotation.T)
+    gamma = GammaMatrix.from_gamma(rotation @ SKEW_GAMMA.gamma @ rotation.T)
+    solution = solve_effective_field(
+        layout, IncidentWave(amplitude=wave.amplitude, direction=wave.direction, wavenumber=k),
+        SKEW_GAMMA, tol=1e-13)
+    rotated = solve_effective_field(
+        turned, IncidentWave(amplitude=rotation @ wave.amplitude,
+                             direction=rotation @ wave.direction, wavenumber=k),
+        gamma, tol=1e-13)
+    rules = [s.operator["directions"] for s in (solution, rotated)]
+    assert (turned.grid, rules[0] is not None) == (None, directions)
+    assert directions == (rules[0] != rules[1])  # two different rules agree
+    for name in ("q_values", "scattered_at_centers"):
+        expected = getattr(solution, name) @ rotation.T
+        error = np.linalg.norm(getattr(rotated, name) - expected)
+        assert error <= 1e-12 * np.linalg.norm(expected), name
 
 
 def test_sphere_tau_scales_pair_blocks_row_wise(wave):
@@ -652,7 +684,7 @@ def test_effective_field_at_centers_rejects_other_centres_of_the_same_count(wave
     first, second = (layout_from_centers(jittered_centers(3, seed=seed), spacing=SPACING,
                                          radius=1e-9) for seed in (1, 2))
     solution = solve_effective_field(first, wave, gamma_sphere_analytic())
-    assert (first.grid, second.grid, solution.coupling) == (None, None, "dense")
+    assert (first.grid, second.grid, solution.operator["coupling"]) == (None, None, "dense")
     with pytest.raises(ValueError, match="solved on other centres: 27 of 27 differ, "
                                          "first centre 0 at"):
         effective_field_at_centers(second, wave, solution)
@@ -681,7 +713,7 @@ def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
     layout = unequal_volume_layout()
     solution = solve_effective_field(layout, wave, SKEW_GAMMA)
     effective_field_at_centers(layout, wave, solution)
-    assert solution.coupling == "dense"
+    assert solution.operator["coupling"] == "dense"
     # the gradient stage runs only inside the Hessian kernel of that one pass
     assert calls["pair_matrix"] == 1
     assert calls["kernel_gradient_parts"] == calls["kernel_hessian_parts"] > 0
@@ -698,7 +730,7 @@ def test_dense_path_matches_fft_path_off_the_grid(wave):
     gamma = gamma_sphere_analytic()
     fft = solve_effective_field(grid, wave, gamma, tol=1e-13)
     dense = solve_effective_field(moved, wave, gamma, tol=1e-13)
-    assert (fft.coupling, dense.coupling) == ("fft", "dense")
+    assert (fft.operator["coupling"], dense.operator["coupling"]) == ("fft", "dense")
     np.testing.assert_allclose(dense.q_values, fft.q_values, rtol=1e-8)
     incident = wave.field(grid.centers)
     scattered = effective_field_at_centers(grid, wave, fft) - incident
@@ -717,7 +749,7 @@ def test_lattice_32_cubed_has_no_quadratic_allocation(wave):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert solution.coupling == "fft"
+    assert solution.operator["coupling"] == "fft"
     assert np.all(np.isfinite(fields))
     assert peak < 300 * 2**20
 

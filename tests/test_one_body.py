@@ -10,7 +10,8 @@ import pytest
 import emscat.linalg as linalg
 from emscat import one_body
 from emscat.geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
-from emscat.kernels import CoincidentPointsError, kernel_gradient_parts, pair_matrix
+from emscat.kernels import (CoincidentPointsError, kernel_gradient_parts, pair_matrix,
+                            radiative_field)
 from emscat.linalg import solve_direct
 from emscat.one_body import (
     GammaMatrix,
@@ -263,7 +264,9 @@ def test_radiative_part_matches_pairwise_imaginary_coupling(build, kd):
     rng = np.random.default_rng(12)
     j = rng.normal(size=(mesh.n_points, 3)) + 1j * rng.normal(size=(mesh.n_points, 3))
     expected = pairwise_radiative(mesh, k, j)
-    assert np.linalg.norm(op._radiative(j) - expected) <= 1e-10 * np.linalg.norm(expected)
+    table = (op._phases, op._directions, op._weights)
+    got = np.cross(mesh.normals, radiative_field(k, table, mesh.weights[:, None] * j))
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("build, kd", [
@@ -277,7 +280,7 @@ def test_real_blocks_are_the_real_part_of_the_complex_blocks(build, kd, monkeypa
     k = _wavenumber(mesh, kd)
     real = OneBodyOperator(mesh, k)
     # the same mesh and k made to keep complex D
-    monkeypatch.setattr(one_body, "coefficient_storage", lambda k, x, entries: (None, 16 * entries))
+    monkeypatch.setattr(one_body, "coefficient_storage", lambda k, x, entries, what: None)
     full = OneBodyOperator(mesh, k)
     assert real.directions is not None and full._d.dtype == complex
     assert np.array_equal(real._d, full._d.real)
@@ -329,7 +332,7 @@ def test_current_is_rotation_covariant(wave, scale):
     tol = 1e-12
     split = solve_current(mesh, wave, tol=tol, scale=scale)
     turned = solve_current(_rotated(mesh, rotation), rotated_wave, tol=tol, scale=scale)
-    assert split.mirrors == ("y", "z") and turned.mirrors == ()
+    assert split.operator["mirrors"] == ["y", "z"] and turned.operator["mirrors"] == []
     assert turned.report.iterations == split.report.iterations
     error = np.linalg.norm(turned.values - split.values @ rotation.T)
     assert error <= 100 * tol * np.linalg.norm(split.values)
@@ -379,16 +382,28 @@ def test_operator_assembly_holds_c_plus_one_block(wave):
     # 8 B per pair over |G| (5.9 MiB) and the (P, Q) phases (0.9 MiB), plus
     # one K_g (1.5 MiB) and one row block of kernel temporaries; complex D
     # alone would take 12.3 MiB and the unsplit C 47 MiB
+    def assembly_peak(mesh):
+        tracemalloc.start()
+        try:
+            op = OneBodyOperator(mesh, wave.wavenumber)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.mirrors == ("y", "z") and op.directions == 32
+        return op, peak
+
     mesh = mesh_sphere(1e-9, 18)  # P = 1762
-    tracemalloc.start()
-    try:
-        op = OneBodyOperator(mesh, wave.wavenumber)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert op.mirrors == ("y", "z") and op.directions == 32
+    op, peak = assembly_peak(mesh)
     p = mesh.n_points
     assert peak <= 8 * p**2 / 4 + 16 * p * op.directions + 8 * 2**20
+    # at P = 3174 (R = 801) one K_g takes 4.9 MiB, more than the slack of 4
+    # MiB beside D, the phases and that one block: a second K_g built beside
+    # the first fails here (29.2 MiB measured, 34.1 MiB with two blocks)
+    mesh = mesh_sphere(1e-9, 24)
+    op, peak = assembly_peak(mesh)
+    p, r = mesh.n_points, op.orbits
+    assert r == 801
+    assert peak <= 8 * 4 * r**2 + 16 * p * op.directions + 8 * r**2 + 4 * 2**20
 
 
 def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch):
@@ -650,15 +665,22 @@ def test_mirrors_zero_the_lab_gamma_entries_they_flip(name):
 def test_gamma_numeric_holds_one_static_block():
     # one real (R, R) block K_g at a time, 1.5 MiB at R = 449, plus row blocks
     # and O(P) arrays; the unsplit (P, P) matrix alone would take 23.7 MiB
-    mesh = mesh_sphere(1e-9, 18)  # P = 1762
-    orbits = len(np.unique(mirror_group(mesh)[1].min(axis=0)))
-    tracemalloc.start()
-    try:
-        gamma_numeric(mesh)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    def gamma_peak(mesh):
+        tracemalloc.start()
+        try:
+            gamma_numeric(mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return len(np.unique(mirror_group(mesh)[1].min(axis=0))), peak
+
+    orbits, peak = gamma_peak(mesh_sphere(1e-9, 18))  # P = 1762
     assert orbits == 449
+    assert peak <= 8 * orbits**2 + 4 * 2**20
+    # at P = 3174 one K_g (4.9 MiB at R = 801) exceeds the 4 MiB slack, so a
+    # second block held beside it fails here (7.1 MiB measured, 12.0 with two)
+    orbits, peak = gamma_peak(mesh_sphere(1e-9, 24))
+    assert orbits == 801
     assert peak <= 8 * orbits**2 + 4 * 2**20
 
 
