@@ -244,12 +244,12 @@ def mesh_cube(a_half: float, n_per_face: int, center=(0.0, 0.0, 0.0)) -> Colloca
 class ParametricSurface:
     """Closed star-shaped surface given by a map f(u, v) -> point.
 
-    func maps scalars (u, v) to a length-3 sequence; the (u, v) rectangle is
-    sampled at n_u x n_v cell centers.  Tangents default to central finite
-    differences of func.
+    func maps arrays u, v of one shape to three arrays x, y, z of that shape
+    (wrap a scalar-only function in np.vectorize); the (u, v) rectangle is
+    sampled at n_u x n_v cell centers.
     """
 
-    func: Callable[[float, float], Sequence[float]]
+    func: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]]
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     n_u: int
@@ -259,9 +259,10 @@ class ParametricSurface:
 def mesh_parametric(surface: ParametricSurface) -> CollocationMesh:
     """Mesh a parametric surface: FD tangents, outward-oriented normals.
 
-    Weights are |f_u x f_v| du dv; the volume uses the divergence theorem,
-    V = (1/3) sum (p - centroid) . N * w.  Raises ValueError when the
-    parametrization degenerates (vanishing tangent cross product).
+    func is called five times, each on all cell centers (u index slowest) or
+    their +-hu, +-hv shifts.  Weights are |f_u x f_v| du dv; the volume uses
+    the divergence theorem, V = (1/3) sum (p - centroid) . N * w.  Raises
+    ValueError naming the first cell where the tangent cross product vanishes.
     """
     if surface.n_u < 2 or surface.n_v < 2:
         raise ValueError("need at least 2 cells per parameter direction")
@@ -270,28 +271,22 @@ def mesh_parametric(surface: ParametricSurface) -> CollocationMesh:
     du = (u1 - u0) / surface.n_u
     dv = (v1 - v0) / surface.n_v
     hu, hv = du * 1e-4, dv * 1e-4
+    u, v = np.meshgrid(u0 + (np.arange(surface.n_u) + 0.5) * du,
+                       v0 + (np.arange(surface.n_v) + 0.5) * dv, indexing="ij")
+    f = lambda u, v: np.stack(surface.func(u, v), axis=-1, dtype=float).reshape(-1, 3)
 
-    f = lambda u, v: np.asarray(surface.func(u, v), dtype=float)
-
-    pts, nrm, wts = [], [], []
-    for i in range(surface.n_u):
-        u = u0 + (i + 0.5) * du
-        for j in range(surface.n_v):
-            v = v0 + (j + 0.5) * dv
-            p = f(u, v)
-            t_u = (f(u + hu, v) - f(u - hu, v)) / (2 * hu)
-            t_v = (f(u, v + hv) - f(u, v - hv)) / (2 * hv)
-            cross = np.cross(t_u, t_v)
-            jac = np.linalg.norm(cross)
-            if jac <= 1e-30 * max(1.0, np.linalg.norm(t_u) * np.linalg.norm(t_v)):
-                raise ValueError(f"degenerate parametrization at (u, v)=({u}, {v})")
-            pts.append(p)
-            nrm.append(cross / jac)
-            wts.append(jac * du * dv)
-
-    points = np.array(pts)
-    normals = np.array(nrm)
-    weights = np.array(wts)
+    points = f(u, v)
+    t_u = (f(u + hu, v) - f(u - hu, v)) / (2 * hu)
+    t_v = (f(u, v + hv) - f(u, v - hv)) / (2 * hv)
+    cross = np.cross(t_u, t_v)
+    jac = np.linalg.norm(cross, axis=1)
+    scale = np.linalg.norm(t_u, axis=1) * np.linalg.norm(t_v, axis=1)
+    bad = np.flatnonzero(jac <= 1e-30 * np.maximum(1.0, scale))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"degenerate parametrization at (u, v)=({u.flat[i]}, {v.flat[i]})")
+    normals = cross / jac[:, None]
+    weights = jac * du * dv
 
     centroid = points.mean(axis=0)
     outward = np.einsum("ij,ij->i", points - centroid, normals)

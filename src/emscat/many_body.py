@@ -104,7 +104,8 @@ class ManyBodyLayout:
     """Particle centers, common radius/spacing and per-body volumes.
 
     box is ((xmin, ymin, zmin), (xmax, ymax, zmax)) in cm; every center must
-    lie inside it and pairwise distances must respect the nominal spacing.
+    be finite and lie inside it, pairwise distances must respect the nominal
+    spacing, and volumes must be finite and not negative.
     grid is derived from the centers: the regular grid they form, or None.
     """
 
@@ -125,6 +126,15 @@ class ManyBodyLayout:
             raise ValueError("a layout needs at least 1 center, got 0")
         if self.volumes.shape != (centers.shape[0],):
             raise ValueError("one volume per center required")
+        bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
+        if bad.size:
+            raise ValueError(f"layout centers must be finite, got {centers[bad[0]]} "
+                             f"at center {bad[0]}")
+        # zero is the vanishing-body limit, whose moments are zero
+        bad = np.flatnonzero(~(np.isfinite(self.volumes) & (self.volumes >= 0)))
+        if bad.size:
+            raise ValueError(f"layout volumes must be finite and not negative, got "
+                             f"{self.volumes[bad[0]]} at center {bad[0]}")
         lo, hi = np.asarray(self.box[0]), np.asarray(self.box[1])
         if np.any(centers < lo - 1e-12) or np.any(centers > hi + 1e-12):
             raise ValueError("centers must lie inside the box")
@@ -187,11 +197,18 @@ def _detect_grid(centers: np.ndarray) -> LatticeGrid | None:
 
 
 def _min_pairwise_distance(centers: np.ndarray) -> float:
-    # imported here: scipy.spatial adds ~0.16 s to every import of emscat
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(centers).query(centers, k=2)
-    return float(dist[:, 1].min())
+    """Smallest center distance: sorted along the widest axis, each center meets
+    the one t = 1, 2, ... places later until the smallest gap along that axis,
+    which only grows with t, reaches the best distance; O(M^(5/3)) in a cube."""
+    axis = int(np.ptp(centers, axis=0).argmax())
+    c = np.ascontiguousarray(centers[np.argsort(centers[:, axis], kind="stable")].T)
+    best = np.inf
+    for t in range(1, c.shape[1]):
+        d = c[:, t:] - c[:, :-t]
+        if d[axis].min() >= best:
+            break
+        best = min(best, float(np.sqrt((d * d).sum(axis=0).min())))
+    return best
 
 
 def lattice_layout(
@@ -247,15 +264,31 @@ def layout_from_centers(
 def layout_from_csv(path, spacing: float, radius: float, box=((0, 0, 0), (1, 1, 1))):
     """Read centers from an x,y,z[,volume] CSV, skipping lines that start with #.
 
-    Reads the centers.csv written by `emscat many-body`.
+    Reads the centers.csv written by `emscat many-body`.  Raises ValueError
+    naming the file and line for a missing x, y or z column, a short row or a
+    cell that is not a number.
     """
-    rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
-            rows.append(
-                (float(row["x"]), float(row["y"]), float(row["z"]),
-                 float(row.get("volume", SPHERE_VOLUME_COEFF * radius**3)))
-            )
+        lines = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in lines)
+    header = reader.fieldnames or []
+    columns = [name for name in ("x", "y", "z", "volume") if name in header]
+    missing = [name for name in "xyz" if name not in columns]
+    if header and missing:
+        raise ValueError(f"{path} line {lines[reader.line_num - 1][0]}: "
+                         f"no {', '.join(missing)} column in the header")
+    rows = []
+    for row in reader:
+        where = f"{path} line {lines[reader.line_num - 1][0]}"
+        values = []
+        for name in columns:
+            if row[name] is None:
+                raise ValueError(f"{where}: short row, no {name} cell")
+            try:
+                values.append(float(row[name]))
+            except ValueError:
+                raise ValueError(f"{where}: {name} cell {row[name]!r} is not a number") from None
+        rows.append(values + [SPHERE_VOLUME_COEFF * radius**3] * (4 - len(values)))
     if not rows:
         raise ValueError(f"{path} holds no center rows")
     data = np.array(rows)

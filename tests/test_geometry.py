@@ -367,16 +367,70 @@ def test_parametric_ellipsoid_volume():
     assert abs(mesh.volume - expected) / expected < 0.02
 
 
-def test_parametric_star_body_solves_with_a_tangential_density():
-    # the README quick start's body, r = a (1 + 0.3 sin^2 v cos 4u); its
-    # finite-difference normals are not mirror-exact, so no group is asserted
-    def star(u, v, a=1e-9):
-        r = a * (1.0 + 0.3 * np.sin(v) ** 2 * np.cos(4.0 * u))
-        return (r * np.cos(u) * np.sin(v), r * np.sin(u) * np.sin(v), r * np.cos(v))
+def star(u, v, a=1e-9):
+    """The README quick start's body, r = a (1 + 0.3 sin^2 v cos 4u)."""
+    r = a * (1.0 + 0.3 * np.sin(v) ** 2 * np.cos(4.0 * u))
+    return (r * np.cos(u) * np.sin(v), r * np.sin(u) * np.sin(v), r * np.cos(v))
 
-    surface = ParametricSurface(star, u_range=(0.0, 2.0 * np.pi), v_range=(0.0, np.pi),
-                                n_u=40, n_v=20)
-    body = mesh_parametric(surface)
+
+STAR = ParametricSurface(star, u_range=(0.0, 2.0 * np.pi), v_range=(0.0, np.pi),
+                         n_u=40, n_v=20)
+
+
+def _loop_parametric(surface):
+    """mesh_parametric as a per-point loop: five scalar calls of func per cell."""
+    u0, u1 = surface.u_range
+    v0, v1 = surface.v_range
+    du = (u1 - u0) / surface.n_u
+    dv = (v1 - v0) / surface.n_v
+    hu, hv = du * 1e-4, dv * 1e-4
+    f = lambda u, v: np.asarray(surface.func(u, v), dtype=float)
+    pts, nrm, wts = [], [], []
+    for i in range(surface.n_u):
+        u = u0 + (i + 0.5) * du
+        for j in range(surface.n_v):
+            v = v0 + (j + 0.5) * dv
+            p = f(u, v)
+            t_u = (f(u + hu, v) - f(u - hu, v)) / (2 * hu)
+            t_v = (f(u, v + hv) - f(u, v - hv)) / (2 * hv)
+            cross = np.cross(t_u, t_v)
+            jac = np.linalg.norm(cross)
+            if jac <= 1e-30 * max(1.0, np.linalg.norm(t_u) * np.linalg.norm(t_v)):
+                raise ValueError(f"degenerate parametrization at (u, v)=({u}, {v})")
+            pts.append(p)
+            nrm.append(cross / jac)
+            wts.append(jac * du * dv)
+    points, normals = np.array(pts), np.array(nrm)
+    centroid = points.mean(axis=0)
+    normals[np.einsum("ij,ij->i", points - centroid, normals) < 0] *= -1.0
+    return points, normals, np.array(wts), centroid
+
+
+def test_parametric_star_body_matches_loop_oracle():
+    # the row-wise norm of the array code rounds unlike the 1-D one, so normals
+    # and weights may differ in the last bits
+    mesh = mesh_parametric(STAR)
+    points, normals, weights, centroid = _loop_parametric(STAR)
+    assert np.array_equal(mesh.points, points)
+    assert np.array_equal(mesh.center, centroid)
+    assert np.abs(mesh.normals - normals).max() <= 4e-16
+    assert np.abs(mesh.weights - weights).max() <= 4e-16 * weights.max()
+
+
+def test_parametric_calls_func_five_times_on_all_cells():
+    shapes = []
+
+    def counted(u, v):
+        shapes.append(np.shape(u))
+        return star(u, v)
+
+    mesh_parametric(replace(STAR, func=counted))
+    assert shapes == [(40, 20)] * 5
+
+
+def test_parametric_star_body_solves_with_a_tangential_density():
+    # finite-difference normals are not mirror-exact, so no group is asserted
+    body = mesh_parametric(STAR)
     replace(body)  # construction checks every invariant
     current = solve_current(body, default_wave())
     assert body.n_points == 800 and current.report.converged
@@ -389,6 +443,20 @@ def test_parametric_degenerate_raises():
     )
     with pytest.raises(ValueError, match="degenerate"):
         mesh_parametric(flat)
+
+
+def test_parametric_degenerate_message_names_the_first_such_cell():
+    # non-degenerate for u < 0.5; the first degenerate cell is (0.625, 0.125)
+    half = ParametricSurface(
+        func=lambda u, v: (u, v * (u < 0.5), 0.0 * u), u_range=(0, 1), v_range=(0, 1),
+        n_u=4, n_v=4,
+    )
+    with pytest.raises(ValueError) as oracle:
+        _loop_parametric(half)
+    with pytest.raises(ValueError) as err:
+        mesh_parametric(half)
+    assert str(err.value) == str(oracle.value) == (
+        "degenerate parametrization at (u, v)=(0.625, 0.125)")
 
 
 # --- misc --------------------------------------------------------------------

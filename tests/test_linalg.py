@@ -385,6 +385,7 @@ def test_gmres_zero_operator_raises_linalg_error():
 
 ISOLATION_SCRIPT = """
 import sys
+import numpy as np
 import emscat
 
 def scipy_modules():
@@ -395,6 +396,11 @@ current = emscat.solve_current(emscat.mesh_sphere(1e-9, 4), wave)
 assert current.report.converged
 emscat.solve_effective_field(
     emscat.lattice_layout(27, 1e-7, 1e-9), wave, emscat.gamma_sphere_analytic())
+jittered = emscat.lattice_layout(27, 1.5e-7, 1e-9).centers + 1e-7
+jittered += np.random.default_rng(0).uniform(-2e-8, 2e-8, jittered.shape)
+layout = emscat.layout_from_centers(jittered, 1e-7, 1e-9)
+assert layout.grid is None
+emscat.solve_effective_field(layout, wave, emscat.gamma_sphere_analytic())
 assert scipy_modules() == [], scipy_modules()
 
 direct = emscat.solve_current(emscat.mesh_sphere(1e-9, 4), wave, method="direct")

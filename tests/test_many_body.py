@@ -137,6 +137,65 @@ def test_jittered_pair_below_spacing_rejected():
         layout_from_centers(centers, spacing=SPACING, radius=1e-9)
 
 
+def brute_min_distance(centers):
+    """Smallest distance over all ordered pairs of distinct indices."""
+    d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
+    return d[~np.eye(len(centers), dtype=bool)].min()
+
+
+def spacing_check_centers(name):
+    rng = np.random.default_rng(3)
+    if name == "plane":  # x = 3e-7 for all, widest along z
+        return np.insert(rng.uniform(0.0, 1.0, (256, 2)) * [4e-6, 9e-6], 0, 3e-7, axis=1)
+    if name == "line":  # along y, unsorted
+        return np.insert(rng.uniform(0.0, 1e-5, (200, 1)), [0, 1], [2e-7, 5e-7], axis=1)
+    if name == "duplicate":
+        centers = jittered_centers(3)
+        centers[5] = centers[17]
+        return centers
+    return jittered_centers(int(name.split("-")[1]))
+
+
+@pytest.mark.parametrize("name", ["jittered-3", "jittered-9", "plane", "line", "duplicate"])
+def test_min_pairwise_distance_equals_brute_force(name):
+    centers = spacing_check_centers(name)
+    if name == "plane":
+        assert np.ptp(centers, axis=0).argmax() == 2
+    if name == "line":
+        assert not np.ptp(centers[:, [0, 2]], axis=0).any()
+    assert many_body._min_pairwise_distance(centers) == brute_min_distance(centers)
+
+
+@pytest.mark.parametrize("scale", [0.999, 1.0])
+def test_pair_at_the_spacing_passes_and_closer_is_refused(scale):
+    centers = jittered_centers(3)
+    centers = np.vstack([centers, centers[-1] + [scale * SPACING, 0.0, 0.0]])
+    if scale < 1.0:
+        with pytest.raises(ValueError, match="below spacing"):
+            layout_from_centers(centers, spacing=SPACING, radius=1e-9)
+        return
+    layout = layout_from_centers(centers, spacing=SPACING, radius=1e-9)
+    assert layout.grid is None
+    assert many_body._min_pairwise_distance(centers) == pytest.approx(SPACING, rel=1e-14)
+
+
+def test_non_finite_center_rejected():
+    # before the check, NaN comparisons made this layout a 4 x 1 x 1 grid
+    centers = [[1e-7, 1e-7, 1e-7], [2e-7, 1e-7, 1e-7], [1e-7, 3e-7, 1e-7],
+               [np.nan, 1e-7, 4e-7]]
+    with pytest.raises(ValueError, match=r"layout centers must be finite.* at center 3$"):
+        layout_from_centers(centers, spacing=SPACING, radius=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -1e-27])
+def test_non_finite_or_negative_volume_rejected(bad):
+    volumes = np.full(27, 1e-27)
+    volumes[4] = bad
+    with pytest.raises(ValueError, match=r"layout volumes must be finite.* at center 4$"):
+        layout_from_centers(jittered_centers(3), spacing=SPACING, radius=1e-9,
+                            volumes=volumes)
+
+
 def test_grid_detected_from_centers(tmp_path):
     layout = lattice_layout(27, SPACING, 1e-9)
     assert layout.grid == LatticeGrid(counts=(3, 3, 3), steps=(SPACING,) * 3)
@@ -187,6 +246,19 @@ def test_layout_csv_without_rows_rejected(tmp_path):
     path.write_text("# config: {}\nx,y,z,volume\n")
     with pytest.raises(ValueError, match="empty.csv holds no center rows"):
         layout_from_csv(path, spacing=1e-7, radius=1e-9)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("# config: {}\ny,z,volume\n0,0,1e-27\n", 2, "no x column in the header"),
+    ("# config: {}\nx,y,z,volume\n0,0,0,1e-27\n1e-7,0\n", 4, "short row, no z cell"),
+    ("x,y,z,volume\n0,0,0,1e-27\n\n1e-7,0,0,\n", 4, "volume cell '' is not a number"),
+], ids=["missing-column", "short-row", "blank-cell"])
+def test_layout_csv_names_the_file_and_line_of_a_bad_row(tmp_path, text, line, message):
+    path = tmp_path / "centers.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        layout_from_csv(path, spacing=1e-7, radius=1e-9)
+    assert str(err.value) == f"{path} line {line}: {message}"
 
 
 # --- assembly ----------------------------------------------------------------
