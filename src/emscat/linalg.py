@@ -1,8 +1,8 @@
 """Dense complex linear solvers: LU factorization oracle and restarted GMRES.
 
 The discretized boundary and coupling operators are identity-plus-compact,
-so unpreconditioned GMRES converges in a handful of iterations; the LU path
-exists as an independent oracle and for small systems.  Unknown vectors use
+so unpreconditioned GMRES, which every solver runs, converges in a handful
+of iterations; the LU path is the tests' oracle only.  Unknown vectors use
 the interleaved layout (X1, Y1, Z1, X2, ...) throughout the package.
 
 solve_gmres also solves shifted systems (A + sigma I) x = b for several
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
     "SolveReport",
     "solve_direct",
     "solve_gmres",
-    "check_method",
+    "check_solver",
     "check_dense_bytes",
     "solve_operator",
 ]
@@ -240,9 +241,10 @@ def solve_gmres(
     relative residual |Ax - b| / |b| dropped below tol.  Non-convergence is
     reported through SolveReport.converged, never raised, so callers can
     attach context.  max_iter caps the total number of inner iterations.
-    A non-finite b raises ValueError before apply_a is called; a non-finite
-    residual estimate (apply_a returned NaN or inf) ends the solve at once,
-    unconverged, with final_residual NaN and x the last finite iterate.
+    A bad knob (check_solver) or a non-finite b raises ValueError before
+    apply_a is called; a non-finite residual estimate (apply_a returned NaN
+    or inf) ends the solve at once, unconverged, with final_residual NaN and
+    x the last finite iterate.
     The solver needs numpy only: each restart cycle ends in a back
     substitution on the small Hessenberg triangle (_back_substitute), which
     raises numpy.linalg.LinAlgError on an exactly zero diagonal entry, as
@@ -257,14 +259,13 @@ def solve_gmres(
     final_residual is the largest over the shifts, and converged means every
     shift converged.  A zero shift gives the bits of the unshifted solve.
     """
+    check_solver(tol, restart, max_iter)
     b = np.asarray(b, dtype=complex)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side holds NaN or inf entries")
     sigmas = _check_shifts(shifts)
     n = b.shape[0]
-    restart = max(1, min(restart, n))
+    restart = min(restart, n)
 
     b_norm = float(np.linalg.norm(b))
     xs = [np.zeros_like(b) for _ in sigmas]
@@ -302,14 +303,19 @@ def solve_gmres(
     )
 
 
-def check_method(method: str) -> None:
-    """Raise ValueError unless method is "gmres" or "direct".
+def check_solver(tol, restart, max_iter) -> None:
+    """Raise ValueError naming the knob unless tol is a finite number > 0 and
+    restart and max_iter are integers >= 1 (RunConfig's rules: no bool).
 
-    The solvers call it before they assemble their operator, so a typo
+    The solvers call it before they assemble their operator, so a bad knob
     fails before any O(N^2) work.
     """
-    if method not in ("gmres", "direct"):
-        raise ValueError(f"unknown method {method!r}")
+    if (isinstance(tol, bool) or not isinstance(tol, Real)
+            or not (np.isfinite(tol) and tol > 0)):
+        raise ValueError(f"tol must be a finite number greater than 0, got {tol!r}")
+    for name, value in (("restart", restart), ("max_iter", max_iter)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def physical_memory() -> int:
@@ -333,42 +339,22 @@ def check_dense_bytes(nbytes: int, what: str) -> None:
 def solve_operator(
     operator,
     rhs: np.ndarray,
-    method: str = "gmres",
     tol: float = 1e-10,
     restart: int = 50,
     max_iter: int = 1000,
     what: str = "linear",
     shifts=None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Solve operator x = rhs for an operator with matvec and to_dense.
+    """Solve operator x = rhs by GMRES on operator.matvec.
 
-    method "gmres" never materializes the matrix and raises ConvergenceError
-    ("<what> solve stalled ...") when GMRES stalls; "direct" factorizes
-    to_dense() with the LU oracle and reports the true relative residual.
-    shifts solves (operator + sigma I) x = rhs for each sigma, as in
-    solve_gmres; "direct" then factorizes to_dense() + sigma I per shift.
+    The matrix is never materialized.  Raises ConvergenceError ("<what>
+    solve stalled ...") when GMRES stalls.  shifts solves
+    (operator + sigma I) x = rhs for each sigma, as in solve_gmres.
     """
-    check_method(method)
-    if method == "gmres":
-        x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart,
-                                max_iter=max_iter, shifts=shifts)
-        if not report.converged:
-            raise ConvergenceError(
-                f"{what} solve stalled at residual {report.final_residual:.3e}", report
-            )
-        return x, report
-    sigmas = _check_shifts(shifts)
-    dense = operator.to_dense()
-    xs, residuals = [], []
-    for sigma in sigmas:
-        shifted = dense
-        if sigma:
-            shifted = dense.copy()
-            shifted.flat[::len(dense) + 1] += sigma
-        xs.append(solve_direct(shifted, rhs))
-        residuals.append(float(
-            np.linalg.norm(_residual(operator.matvec, rhs, xs[-1], sigma))
-            / max(np.linalg.norm(rhs), 1e-300)
-        ))
-    return _rows(xs, shifts), SolveReport(iterations=len(sigmas),
-                                          final_residual=max(residuals), converged=True)
+    x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart,
+                            max_iter=max_iter, shifts=shifts)
+    if not report.converged:
+        raise ConvergenceError(
+            f"{what} solve stalled at residual {report.final_residual:.3e}", report
+        )
+    return x, report

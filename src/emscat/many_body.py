@@ -56,7 +56,7 @@ from .kernels import (CoincidentPointsError, _cross, _cross_columns, _cross_sum,
                       _moment_columns, _product, array_bytes, coefficient_storage,
                       kernel_hessian_parts, moment_fields, pair_matrix, plane_wave_rule,
                       radiative_curl, radiative_field)
-from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
+from .linalg import SolveReport, check_dense_bytes, check_solver, solve_operator
 from .one_body import GammaMatrix
 from .waves import IncidentWave
 
@@ -103,9 +103,9 @@ class LatticeGrid:
 class ManyBodyLayout:
     """Particle centers, common radius/spacing and per-body volumes.
 
-    box is ((xmin, ymin, zmin), (xmax, ymax, zmax)) in cm; every center must
-    be finite and lie inside it, pairwise distances must respect the nominal
-    spacing, and volumes must be finite and not negative.
+    box is ((xmin, ymin, zmin), (xmax, ymax, zmax)) in cm.  box, spacing
+    (> 0), radius and volumes (>= 0) and the centers must be finite, and the
+    centers must lie inside the box and at least spacing apart.
     grid is derived from the centers: the regular grid they form, or None.
     """
 
@@ -117,6 +117,13 @@ class ManyBodyLayout:
     grid: LatticeGrid | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        box = np.asarray(self.box, dtype=float)
+        for name, ok, what in (
+                ("spacing", np.isfinite(self.spacing) and self.spacing > 0, "finite and > 0"),
+                ("radius", np.isfinite(self.radius) and self.radius >= 0, "finite and >= 0"),
+                ("box", box.shape == (2, 3) and np.isfinite(box).all(), "two finite corners")):
+            if not ok:
+                raise ValueError(f"layout {name} must be {what}, got {getattr(self, name)!r}")
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "volumes", np.asarray(self.volumes, dtype=float))
@@ -135,8 +142,7 @@ class ManyBodyLayout:
         if bad.size:
             raise ValueError(f"layout volumes must be finite and not negative, got "
                              f"{self.volumes[bad[0]]} at center {bad[0]}")
-        lo, hi = np.asarray(self.box[0]), np.asarray(self.box[1])
-        if np.any(centers < lo - 1e-12) or np.any(centers > hi + 1e-12):
+        if np.any(centers < box[0] - 1e-12) or np.any(centers > box[1] + 1e-12):
             raise ValueError("centers must lie inside the box")
         grid = _detect_grid(centers)
         object.__setattr__(self, "grid", grid)
@@ -553,18 +559,16 @@ def solve_effective_field(
     tol: float = 1e-10,
     restart: int = 50,
     max_iter: int = 1000,
-    method: str = "gmres",
 ) -> EffectiveFieldSolution:
-    """Solve for all A_m and attach the moments Q_m = -|D_m| A_m.
+    """Solve for all A_m by GMRES and attach the moments Q_m = -|D_m| A_m.
 
-    method "gmres" (default) or "direct" (LU on to_dense()), as in
-    linalg.solve_operator; raises ConvergenceError if GMRES stalls.  The
-    field at the centres is formed here, by the same operator, and carried
-    by the solution.
+    Raises ConvergenceError if GMRES stalls, and ValueError for a bad knob
+    (linalg.check_solver) before assembly.  The field at the centres is
+    formed here, by the same operator, and carried by the solution.
     """
-    check_method(method)
+    check_solver(tol, restart, max_iter)
     operator, rhs = assemble_many_body(layout, wave, gamma)
-    x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
+    x, report = solve_operator(operator, rhs, tol=tol, restart=restart,
                                max_iter=max_iter, what="effective-field")
     a = x.reshape(layout.count, 3)
     return EffectiveFieldSolution(

@@ -37,7 +37,7 @@ from .geometry import CollocationMesh
 from .kernels import (_cross, _cross_columns, _cross_sum, _moment_columns, _product,
                       array_bytes, coefficient_storage, kernel_gradient_parts, moment_fields,
                       pair_matrix, plane_wave_rule, radiative_field)
-from .linalg import SolveReport, check_dense_bytes, check_method, solve_operator
+from .linalg import SolveReport, check_dense_bytes, check_solver, solve_operator
 from .waves import IncidentWave
 
 __all__ = [
@@ -374,7 +374,6 @@ def solve_currents(
     tol: float = 1e-10,
     restart: int = 50,
     max_iter: int = 1000,
-    method: str = "gmres",
 ) -> list[SurfaceCurrent]:
     """Solve the boundary system at every scale on one assembled operator.
 
@@ -382,18 +381,17 @@ def solve_currents(
     another scale s, (I + s A) J = -s N x E0 is (s / s0) times
     (I + s0 A + sigma I) J = -s0 N x E0 with sigma = s0 / s - 1, so every
     scale is a shift of one system and GMRES solves them on one Krylov
-    basis (linalg.solve_gmres).  method "gmres" (default) never
-    materializes the matrix; "direct" uses the LU oracle once per scale.
+    basis (linalg.solve_gmres), which never materializes the matrix.
     Raises ConvergenceError if GMRES stalls; every current carries the
-    report of the whole solve.  ValueError for a scale that is 0 or not
-    finite.
+    report of the whole solve.  ValueError, before assembly, for a bad knob
+    (linalg.check_solver) or a scale that is 0 or not finite.
     """
-    check_method(method)
+    check_solver(tol, restart, max_iter)
     scales = [float(s) for s in scales]
     if not scales or not all(np.isfinite(s) and s != 0.0 for s in scales):
         raise ValueError(f"scales must be finite and non-zero, got {scales}")
     operator, rhs = assemble_one_body(mesh, wave, scale=scales[0])
-    x, report = solve_operator(operator, rhs, method=method, tol=tol, restart=restart,
+    x, report = solve_operator(operator, rhs, tol=tol, restart=restart,
                                max_iter=max_iter, what="boundary",
                                shifts=[scales[0] / s - 1.0 for s in scales])
     return [SurfaceCurrent(values=row.reshape(mesh.n_points, 3), report=report,
@@ -406,16 +404,14 @@ def solve_current(
     tol: float = 1e-10,
     restart: int = 50,
     max_iter: int = 1000,
-    method: str = "gmres",
     scale: float = DEFAULT_BIE_SCALE,
 ) -> SurfaceCurrent:
     """Solve the boundary system (I + scale A) J = -scale N x E0 for J.
 
-    method "gmres" (default) never materializes the matrix; "direct" uses
-    the LU oracle.  Raises ConvergenceError if GMRES stalls.
+    Raises ConvergenceError if GMRES stalls.
     """
     return solve_currents(mesh, wave, (scale,), tol=tol, restart=restart,
-                          max_iter=max_iter, method=method)[0]
+                          max_iter=max_iter)[0]
 
 
 def moment_q_exact(current: SurfaceCurrent, mesh: CollocationMesh) -> np.ndarray:

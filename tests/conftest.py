@@ -28,6 +28,18 @@ else:
     settings.load_profile("emscat")
 
 
+#: One bad value per rule of linalg.check_solver, as (knob, value).
+BAD_KNOBS = [("tol", np.nan), ("tol", np.inf), ("tol", 0.0), ("tol", -1e-10), ("tol", True),
+             ("restart", 0), ("restart", 2.5), ("max_iter", 0), ("max_iter", -1),
+             ("max_iter", np.inf)]
+
+
+@pytest.fixture(params=BAD_KNOBS, ids=lambda knob: f"{knob[0]}={knob[1]}")
+def bad_knob(request):
+    """A (name, value) solver knob that linalg.check_solver refuses."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def wave():
     return default_wave()

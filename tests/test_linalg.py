@@ -303,16 +303,11 @@ class DenseOperator:
     def matvec(self, v):
         return self.a @ v
 
-    def to_dense(self):
-        return self.a.copy()
 
-
-@pytest.mark.parametrize("method", ["gmres", "direct"])
-def test_solve_operator_passes_shifts(method):
+def test_solve_operator_passes_shifts():
     a, b = random_system(40, 3, dominance=1.0)
-    x, report = solve_operator(DenseOperator(a), b, method=method, tol=1e-12,
-                               shifts=(0.0, 2.5))
-    unshifted, _ = solve_operator(DenseOperator(a), b, method=method, tol=1e-12)
+    x, report = solve_operator(DenseOperator(a), b, tol=1e-12, shifts=(0.0, 2.5))
+    unshifted, _ = solve_operator(DenseOperator(a), b, tol=1e-12)
     assert np.array_equal(x[0], unshifted)
     expected = solve_direct(shifted(a, 2.5), b)
     assert np.linalg.norm(x[1] - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -403,9 +398,10 @@ assert layout.grid is None
 emscat.solve_effective_field(layout, wave, emscat.gamma_sphere_analytic())
 assert scipy_modules() == [], scipy_modules()
 
-direct = emscat.solve_current(emscat.mesh_sphere(1e-9, 4), wave, method="direct")
+operator, rhs = emscat.assemble_one_body(emscat.mesh_sphere(1e-9, 4), wave)
+direct = emscat.solve_direct(operator.to_dense(), rhs).reshape(-1, 3)
 assert "scipy.linalg" in sys.modules
-error = abs(direct.values - current.values).max() / abs(direct.values).max()
+error = abs(direct - current.values).max() / abs(direct).max()
 assert error < 1e-8, error
 """
 

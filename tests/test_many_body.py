@@ -401,7 +401,7 @@ def test_dense_matrix_beyond_physical_memory_is_refused(wave, monkeypatch):
     monkeypatch.setattr(linalg, "physical_memory", lambda: 16 * 81**2 - 1)
     monkeypatch.setattr(many_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
     with pytest.raises(ValueError, match=r"the dense many-body matrix needs 0\.000158 GiB"):
-        solve_effective_field(lattice, wave, SKEW_GAMMA, method="direct")
+        assemble_many_body(lattice, wave, SKEW_GAMMA)[0].to_dense()
     with pytest.raises(ValueError, match="the dense many-body matrix needs"):
         dense.to_dense()
 
@@ -585,14 +585,16 @@ def test_coincident_centers_rejected(wave):
 
 # --- solving -----------------------------------------------------------------
 
-def test_unknown_method_rejected(wave, monkeypatch):
+def test_bad_solver_knob_rejected_before_assembly(wave, monkeypatch, bad_knob):
+    name, value = bad_knob
+
     def no_assembly(*args, **kwargs):
-        raise AssertionError("operator assembled before the method was checked")
+        raise AssertionError(f"operator assembled before {name} was checked")
 
     monkeypatch.setattr("emscat.many_body.ManyBodyOperator", no_assembly)
-    with pytest.raises(ValueError, match="unknown method 'lu'"):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         solve_effective_field(lattice_layout(8, 1e-7, 1e-9), wave, gamma_sphere_analytic(),
-                              method="lu")
+                              **{name: value})
 
 
 def test_moments_tied_to_a_values(many27):

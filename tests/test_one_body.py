@@ -478,13 +478,19 @@ def test_reused_operator_solves_bit_identically(wave, monkeypatch, scale):
         1e-9 * np.linalg.norm(other_alone.values))
 
 
-def test_direct_method_solves_two_scales(wave):
+def lu_current(mesh, wave, scale):
+    """The LU oracle's current: solve_direct on the dense boundary matrix."""
+    operator, rhs = assemble_one_body(mesh, wave, scale)
+    return solve_direct(operator.to_dense(), rhs).reshape(-1, 3)
+
+
+def test_shifted_gmres_matches_lu_at_two_scales(wave):
     mesh = mesh_sphere(1e-9, 5)
-    near, moment = solve_currents(mesh, wave, (2.0, 1.0), method="direct")
-    assert np.array_equal(near.values, solve_current(mesh, wave, scale=2.0, method="direct").values)
-    moment_alone = solve_current(mesh, wave, scale=1.0, method="direct").values
-    assert np.linalg.norm(moment.values - moment_alone) <= 1e-9 * np.linalg.norm(moment_alone)
-    assert near.report.final_residual <= 1e-12
+    currents = solve_currents(mesh, wave, (2.0, 1.0), tol=1e-12)
+    for current, scale in zip(currents, (2.0, 1.0)):
+        expected = lu_current(mesh, wave, scale)
+        assert np.linalg.norm(current.values - expected) <= 1e-9 * np.linalg.norm(expected)
+    assert currents[0].report.final_residual <= 1e-12
 
 
 @pytest.mark.parametrize("scales", [(), (2.0, 0.0), (np.nan,), (1.0, np.inf)])
@@ -564,19 +570,21 @@ def test_direct_and_gmres_solutions_agree():
     mesh = mesh_sphere(1e-9, 5)
     wave = default_wave()
     j_gmres = solve_current(mesh, wave, tol=1e-12).values
-    j_direct = solve_current(mesh, wave, method="direct").values
+    j_direct = lu_current(mesh, wave, 1.0)
     assert (
         np.linalg.norm(j_gmres - j_direct) / np.linalg.norm(j_direct) < 1e-8
     )
 
 
-def test_unknown_method_rejected(monkeypatch):
+def test_bad_solver_knob_rejected_before_assembly(monkeypatch, bad_knob):
+    name, value = bad_knob
+
     def no_assembly(*args, **kwargs):
-        raise AssertionError("operator assembled before the method was checked")
+        raise AssertionError(f"operator assembled before {name} was checked")
 
     monkeypatch.setattr("emscat.one_body.OneBodyOperator", no_assembly)
-    with pytest.raises(ValueError, match="unknown method 'lu'"):
-        solve_current(mesh_sphere(1e-9, 4), default_wave(), method="lu")
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solve_current(mesh_sphere(1e-9, 4), default_wave(), **{name: value})
 
 
 # --- gamma -------------------------------------------------------------------
