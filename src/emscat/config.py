@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
+from .linalg import check_count, check_positive
 from .waves import FREQUENCY, IncidentWave, WAVELENGTH, WAVE_SPEED
 
 
@@ -30,17 +31,6 @@ GAMMA_MODES = ("sphere", "numeric-local", "numeric-lab")
 def _check_number(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    _check_number(name, value)
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be a finite number greater than 0, got {value}")
-
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _numbers(name: str, value, shape: tuple, what: str, valid=np.isfinite) -> tuple:
@@ -96,12 +86,19 @@ class RunConfig:
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
+        try:
+            self._check_fields()
+        except ValueError as exc:  # the rules of linalg and IncidentWave name the field
+            raise ConfigError(str(exc)) from None
+        self._check_consistency()
+
+    def _check_fields(self):
         # the wave parameters are checked before any of them divides another
         for name in ("wavelength", "wave_speed", "frequency", "permeability", "permittivity"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if self.wavenumber is None:
             self.wavenumber = 2.0 * np.pi / self.wavelength
-        _check_positive("wavenumber", self.wavenumber)
+        check_positive("wavenumber", self.wavenumber)
         for name, shape, what, valid in (
             ("direction", (3,), "3 finite numbers", np.isfinite),
             ("amplitude", (3,), "3 finite numbers", np.isfinite),
@@ -117,22 +114,18 @@ class RunConfig:
                                       valid=np.isreal)
         if not any(self.eval_direction):
             raise ConfigError("eval_direction must be nonzero")
-        try:
-            self.wave()
-        except ValueError as exc:  # direction not a unit vector transverse to amplitude
-            raise ConfigError(str(exc)) from None
+        self.wave()  # direction a unit vector transverse to amplitude
         _check_number("radius", self.radius)
         for name in ("tol", "spacing", "particle_radius"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         for name in ("count", "restart", "max_iter", "m_phi", "n_per_face"):
-            _check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name), 1)
         _check_number("bie_scale", self.bie_scale)
         if not (np.isfinite(self.bie_scale) and self.bie_scale != 0):
             raise ConfigError(f"bie_scale must be a finite nonzero number, got {self.bie_scale}")
         for name, choices in (("shape", SHAPES), ("gamma_mode", GAMMA_MODES)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; choose from {choices}")
-        self._check_consistency()
 
     def _check_consistency(self):
         """Warn (never fail) when k, wavelength and frequency disagree.

@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .linalg import check_count, check_positive
+
 __all__ = [
     "CollocationMesh",
     "ParametricSurface",
@@ -94,8 +96,7 @@ class CollocationMesh:
 
 def sphere_band_counts(m_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Polar angles phi_j and per-band azimuthal counts m_theta(phi_j)."""
-    if m_phi < 2:
-        raise ValueError(f"m_phi must be >= 2, got {m_phi}")
+    check_count("m_phi", m_phi, 2)
     j = np.arange(1, m_phi + 1)
     phi = j * np.pi / (m_phi + 1)
     m_theta = np.floor(m_phi + np.abs(phi - np.pi / 2) * 6 * m_phi).astype(int)
@@ -145,8 +146,7 @@ def mesh_sphere(radius: float, m_phi: int, center=(0.0, 0.0, 0.0)) -> Collocatio
     d_theta d_phi; the two pole points absorb the residual so the weights
     sum to the exact area 4 pi radius^2.
     """
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    check_positive("radius", radius)
     center = np.asarray(center, dtype=float)
     theta, phi, d_theta, d_phi = _band_grid(m_phi)
     sp = np.sin(phi)
@@ -178,8 +178,8 @@ def mesh_ellipsoid(
     (cos t sin p / a, sin t sin p / b, cos p / c); weights are the parametric
     surface element |f_theta x f_phi| d_theta d_phi.
     """
-    if not (np.all(np.isfinite([a, b, c])) and min(a, b, c) > 0):
-        raise ValueError(f"semi-axes must be positive and finite, got {(a, b, c)}")
+    for name, value in zip("abc", (a, b, c)):
+        check_positive(f"semi-axes {name}", value)
     center = np.asarray(center, dtype=float)
     theta, phi, d_theta, d_phi = _band_grid(m_phi)
     ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
@@ -213,10 +213,8 @@ def mesh_cube(a_half: float, n_per_face: int, center=(0.0, 0.0, 0.0)) -> Colloca
     Points sit at face-cell centers, normals are the axis unit vectors of
     the face, every weight is the exact cell area (2 a_half / n)^2.
     """
-    if not (np.isfinite(a_half) and a_half > 0):
-        raise ValueError(f"a_half must be positive and finite, got {a_half}")
-    if n_per_face < 2:
-        raise ValueError("n_per_face must be >= 2")
+    check_positive("a_half", a_half)
+    check_count("n_per_face", n_per_face, 2)
     center = np.asarray(center, dtype=float)
     n = n_per_face
     h = 2.0 * a_half / n
@@ -246,7 +244,7 @@ class ParametricSurface:
 
     func maps arrays u, v of one shape to three arrays x, y, z of that shape
     (wrap a scalar-only function in np.vectorize); the (u, v) rectangle is
-    sampled at n_u x n_v cell centers.
+    sampled at n_u x n_v cell centers, each count an integer of at least 2.
     """
 
     func: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]]
@@ -254,6 +252,10 @@ class ParametricSurface:
     v_range: tuple[float, float]
     n_u: int
     n_v: int
+
+    def __post_init__(self):
+        for name in ("n_u", "n_v"):
+            check_count(name, getattr(self, name), 2)
 
 
 def mesh_parametric(surface: ParametricSurface) -> CollocationMesh:
@@ -264,8 +266,6 @@ def mesh_parametric(surface: ParametricSurface) -> CollocationMesh:
     the divergence theorem, V = (1/3) sum (p - centroid) . N * w.  Raises
     ValueError naming the first cell where the tangent cross product vanishes.
     """
-    if surface.n_u < 2 or surface.n_v < 2:
-        raise ValueError("need at least 2 cells per parameter direction")
     u0, u1 = surface.u_range
     v0, v1 = surface.v_range
     du = (u1 - u0) / surface.n_u

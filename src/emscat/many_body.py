@@ -56,7 +56,8 @@ from .kernels import (CoincidentPointsError, _cross, _cross_columns, _cross_sum,
                       _moment_columns, _product, array_bytes, coefficient_storage,
                       kernel_hessian_parts, moment_fields, pair_matrix, plane_wave_rule,
                       radiative_curl, radiative_field)
-from .linalg import SolveReport, check_dense_bytes, check_solver, solve_operator
+from .linalg import (SolveReport, check_dense_bytes, check_positive, check_solver,
+                     solve_operator)
 from .one_body import GammaMatrix
 from .waves import IncidentWave
 
@@ -117,13 +118,14 @@ class ManyBodyLayout:
     grid: LatticeGrid | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        box = np.asarray(self.box, dtype=float)
-        for name, ok, what in (
-                ("spacing", np.isfinite(self.spacing) and self.spacing > 0, "finite and > 0"),
-                ("radius", np.isfinite(self.radius) and self.radius >= 0, "finite and >= 0"),
-                ("box", box.shape == (2, 3) and np.isfinite(box).all(), "two finite corners")):
-            if not ok:
-                raise ValueError(f"layout {name} must be {what}, got {getattr(self, name)!r}")
+        check_positive("layout spacing", self.spacing)
+        check_positive("layout radius", self.radius, zero=True)
+        try:
+            box = np.asarray(self.box)
+        except ValueError:  # a ragged nesting
+            box = np.asarray(None)
+        if box.dtype.kind not in "iuf" or box.shape != (2, 3) or not np.isfinite(box).all():
+            raise ValueError(f"layout box must be two finite corners, got {self.box!r}")
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "volumes", np.asarray(self.volumes, dtype=float))
@@ -229,6 +231,8 @@ def lattice_layout(
     with i (the x index) varying fastest.  Each body has the volume of a
     sphere of the given radius.
     """
+    check_positive("layout spacing", spacing)  # before they place and size the bodies
+    check_positive("layout radius", radius, zero=True)
     n = round(abs(count) ** (1.0 / 3.0))
     if n**3 != count:
         raise ValueError(
@@ -260,6 +264,7 @@ def layout_from_centers(
     """Layout from an explicit center list (general counts allowed)."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if volumes is None:
+        check_positive("layout radius", radius, zero=True)  # before it sizes the volumes
         volumes = np.full(centers.shape[0], SPHERE_VOLUME_COEFF * radius**3)
     return ManyBodyLayout(
         centers=centers, radius=radius, spacing=spacing, volumes=np.asarray(volumes),

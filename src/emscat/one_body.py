@@ -63,18 +63,23 @@ KA_WARN_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class GammaMatrix:
-    """Shape coupling matrix and its inverse shift tau = (I + gamma)^-1."""
+    """Shape coupling matrix gamma, finite and 3 x 3, and tau = (I + gamma)^-1."""
 
     gamma: np.ndarray
     tau: np.ndarray
 
     @classmethod
     def from_gamma(cls, gamma: np.ndarray) -> "GammaMatrix":
-        gamma = np.asarray(gamma, dtype=complex)
-        shifted = np.eye(3) + gamma
+        try:
+            matrix = np.asarray(gamma, dtype=complex)
+        except (TypeError, ValueError):  # a string or a ragged nesting
+            matrix = np.empty(0)
+        if matrix.shape != (3, 3) or not np.isfinite(matrix).all():
+            raise ValueError(f"gamma must be a finite 3 x 3 matrix, got {gamma!r}")
+        shifted = np.eye(3) + matrix
         if abs(np.linalg.det(shifted)) < 1e-12:
             raise np.linalg.LinAlgError("I + gamma is singular")
-        return cls(gamma=gamma, tau=np.linalg.inv(shifted))
+        return cls(gamma=matrix, tau=np.linalg.inv(shifted))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_positive
+
 #: Default physical parameters shared by all bundled experiments:
 #: speed of light in cm/s, source frequency in Hz and wavelength in cm.
 WAVE_SPEED = 3.0e10
@@ -18,8 +20,8 @@ class IncidentWave:
     """Transverse plane wave amplitude * exp(ik direction . x).
 
     amplitude and direction are real 3-vectors with amplitude . direction = 0
-    and |direction| = 1; wavenumber k is in 1/cm.  frequency (Hz) and
-    permeability only enter the magnetic-field formulas.
+    and |direction| = 1.  wavenumber k (1/cm), frequency (Hz) and permeability
+    are finite numbers > 0; the last two only enter the magnetic-field formulas.
     """
 
     amplitude: np.ndarray
@@ -44,8 +46,8 @@ class IncidentWave:
         scale = max(1.0, float(np.linalg.norm(amp)))
         if abs(float(amp @ direc)) > 1e-12 * scale:
             raise ValueError("wave is not transverse: amplitude . direction != 0")
-        if not 0 < self.wavenumber < np.inf:
-            raise ValueError(f"wavenumber must be positive and finite, got {self.wavenumber!r}")
+        for name in ("wavenumber", "frequency", "permeability"):
+            check_positive(name, getattr(self, name))
 
     def field(self, x) -> np.ndarray:
         """Incident electric field at x; x may be (3,) or (..., 3)."""
@@ -69,6 +71,7 @@ def default_wave(
     permeability: float = 1.0,
 ) -> IncidentWave:
     """Wave with the default experiment parameters (k = 2 pi / wavelength)."""
+    check_positive("wavelength", wavelength)
     return IncidentWave(
         amplitude=np.asarray(amplitude, dtype=float),
         direction=np.asarray(direction, dtype=float),

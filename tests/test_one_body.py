@@ -479,7 +479,7 @@ def test_reused_operator_solves_bit_identically(wave, monkeypatch, scale):
 
 
 def lu_current(mesh, wave, scale):
-    """The LU oracle's current: solve_direct on the dense boundary matrix."""
+    """The dense oracle's current: solve_direct on the dense boundary matrix."""
     operator, rhs = assemble_one_body(mesh, wave, scale)
     return solve_direct(operator.to_dense(), rhs).reshape(-1, 3)
 

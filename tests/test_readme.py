@@ -1,10 +1,13 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's library quick start runs and prints what its comments say, and
+its dense-oracle recipe gives the GMRES current."""
 
 import contextlib
 import io
 import re
 from decimal import Decimal
 from pathlib import Path
+
+import numpy as np
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +25,15 @@ def test_quick_start_prints_its_commented_values():
         # equal to the comment's last stated digit
         unit = Decimal(10) ** Decimal(comment).as_tuple().exponent
         assert abs(Decimal(value) - Decimal(comment)) <= unit / 2, (comment, value)
+
+
+def test_oracle_recipe_matches_the_gmres_current():
+    quick_start, recipe = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[:2]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(quick_start, str(README), "exec"), namespace)
+    exec(compile(recipe, str(README), "exec"), namespace)
+    es, mesh, wave = namespace["es"], namespace["mesh"], namespace["wave"]
+    gmres = es.solve_current(mesh, wave).values
+    error = np.linalg.norm(namespace["j_dense"] - gmres) / np.linalg.norm(gmres)
+    assert mesh.n_points == 766 and error <= 1e-8, error

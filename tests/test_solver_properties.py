@@ -1,4 +1,4 @@
-"""Property test of the two one-body solvers: GMRES equals the LU oracle on
+"""Property test of the two one-body solvers: GMRES equals the dense QR oracle on
 generated small sphere meshes, waves and boundary-equation scales."""
 
 import numpy as np
@@ -15,7 +15,7 @@ K = 2.0 * np.pi / 6.0e-5  # default experiment wavenumber, 1/cm
 #: GMRES stops once the true relative residual is below TOL, so its relative
 #: error against the exact solution, in norm, is at most cond(A) * TOL.  The
 #: boundary systems of these meshes have cond(A) below 6 at both scales and
-#: LU is accurate to a few ulps, so RTOL leaves a margin of more than a
+#: the QR solve is accurate to a few ulps, so RTOL leaves a margin of more than a
 #: hundred.  Single entries may be near zero, hence the norm-wise check.
 TOL = 1e-12
 RTOL = 1e-9
