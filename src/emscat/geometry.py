@@ -135,6 +135,17 @@ def _band_grid(m_phi: int):
     return i * d_theta, np.repeat(phi, m_theta), d_theta, np.pi / (m_phi + 1)
 
 
+def _check_center(center) -> np.ndarray:
+    """center as a float (3,) array; ValueError naming it unless 3 finite numbers."""
+    try:
+        array = np.asarray(center)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.shape != (3,) or not np.isfinite(array).all():
+        raise ValueError(f"center must be 3 finite numbers, got {center!r}")
+    return array.astype(float)
+
+
 #: Outward normals of the north and south pole points.
 _POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
@@ -147,7 +158,7 @@ def mesh_sphere(radius: float, m_phi: int, center=(0.0, 0.0, 0.0)) -> Collocatio
     sum to the exact area 4 pi radius^2.
     """
     check_positive("radius", radius)
-    center = np.asarray(center, dtype=float)
+    center = _check_center(center)
     theta, phi, d_theta, d_phi = _band_grid(m_phi)
     sp = np.sin(phi)
     normals = np.vstack([
@@ -180,7 +191,7 @@ def mesh_ellipsoid(
     """
     for name, value in zip("abc", (a, b, c)):
         check_positive(f"semi-axes {name}", value)
-    center = np.asarray(center, dtype=float)
+    center = _check_center(center)
     theta, phi, d_theta, d_phi = _band_grid(m_phi)
     ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
     grad = np.stack([ct * sp / a, st * sp / b, cp / c], axis=1)
@@ -215,7 +226,7 @@ def mesh_cube(a_half: float, n_per_face: int, center=(0.0, 0.0, 0.0)) -> Colloca
     """
     check_positive("a_half", a_half)
     check_count("n_per_face", n_per_face, 2)
-    center = np.asarray(center, dtype=float)
+    center = _check_center(center)
     n = n_per_face
     h = 2.0 * a_half / n
     grid = -a_half + h * (np.arange(n) + 0.5)

@@ -15,10 +15,12 @@ Closed forms are used throughout; with r = |x - t| and u = (x - t)/r,
 Away from r = 0 the Hessian trace equals -k^2 g.  The imaginary parts of
 g and of the scalar coefficients of its derivatives are entire in r^2, and
 plane_wave_rule separates them.  This module owns the format of the dense
-operators built on it: coefficient_storage picks real or complex
-coefficients, pair_matrix keeps the real parts for a float dtype, and
-radiative_field and radiative_curl add the imaginary parts back through the
-rule's table.  All lengths are in cm, k in 1/cm.
+operators built on it: pair_blocks is the one pass over the pairs of
+points, pair_matrix writes it out as full matrices and packed_pairs as the
+packed upper block rows of symmetric ones, which packed_product applies;
+coefficient_storage picks real or complex coefficients, a float dtype keeps
+the real parts, and radiative_field and radiative_curl add the imaginary
+parts back through the rule's table.  All lengths are in cm, k in 1/cm.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _check_coincident(r: np.ndarray, rows: np.ndarray, cols: np.ndarray, guard: 
     rows and cols name the points of the block's rows and columns, so that
     entry (i, i) is a self pair where rows[i] == cols[i]; every other entry
     is guarded.  Raises CoincidentPointsError naming the closest pair when
-    it lies below guard.
+    it lies below guard.  Returns the indices i of the self pairs.
     """
     diag = np.flatnonzero(rows == cols[:len(rows)])
     r[diag, diag] = np.inf
@@ -71,6 +73,7 @@ def _check_coincident(r: np.ndarray, rows: np.ndarray, cols: np.ndarray, guard: 
             f"|x_i - x_j| = {r_min:.3e}"
         )
     r[diag, diag] = 1.0
+    return diag
 
 
 def pair_distances(points: np.ndarray, center) -> np.ndarray:
@@ -89,51 +92,72 @@ def pair_distances(points: np.ndarray, center) -> np.ndarray:
     return r
 
 
-#: Distances evaluated per row block of pair_matrix: 512 KiB of r, so the
+#: Distances evaluated per row block of pair_blocks: 512 KiB of r, so the
 #: kernel's temporaries stay a few MiB whatever the point count.  Smaller
 #: blocks also evaluate fewer pairs twice and stay in cache; assembly was
 #: fastest near this size from P = 729 to 3174 (one BLAS thread).
 PAIR_BLOCK_BYTES = 2**19
 
 
+def _block_rows(p: int) -> int:
+    """Rows per block of PAIR_BLOCK_BYTES of distances against p columns."""
+    return max(1, PAIR_BLOCK_BYTES // (8 * max(1, p)))
+
+
+def pair_blocks(points: np.ndarray, center, kernel, signs=None, ids=None):
+    """Yield (a, b, blocks): kernel on rows [a, b) against columns [a, P) of r_ij.
+
+    r_ij = |x_i - x_j| with x = points - center, so the distances keep full
+    precision for a small cluster far from the origin.  Since r is
+    symmetric, the blocks cover its upper triangle: row blocks of at most
+    PAIR_BLOCK_BYTES of distances, each (b - a, P - a), so a caller holds
+    one block of kernel temporaries whatever P.  kernel maps an array of
+    distances to an array of its shape (it may overwrite its argument), or
+    to a tuple of such arrays; blocks is its output, unweighted, with the
+    self pairs set to zero.  Raises CoincidentPointsError when two points
+    lie closer than R_MIN_SCALE * max(1, max |points|).
+
+    signs, (3,) of +-1, pairs each point with the mirror images of the
+    points instead: r_ij = |x_i - signs * x_j|, still symmetric in (i, j).
+    ids = (rows, images) then names point i and the image of point j in the
+    mesh they come from: entry (i, i) is a self pair, zero and unguarded,
+    only where rows[i] == images[i] (the mirror fixes the point), and the
+    guard names points by these ids.  Both default to the points themselves.
+    """
+    x = points - center
+    p = x.shape[0]
+    images = x if signs is None else x * signs
+    rows, cols = (np.arange(p),) * 2 if ids is None else ids
+    guard = R_MIN_SCALE * max(1.0, float(np.abs(points).max()))
+    step = _block_rows(p)
+    for a in range(0, p, step):
+        b = min(p, a + step)
+        r = _distances(x[a:b], images[a:])
+        diag = _check_coincident(r, rows[a:b], cols[a:], guard)
+        blocks = kernel(r)
+        for block in blocks if isinstance(blocks, tuple) else (blocks,):
+            block[diag, diag] = 0.0
+        yield a, b, blocks
+
+
 def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
                 signs=None, ids=None) -> np.ndarray:
     """(P, P) matrix kernel(r_ij) w_j with a zero diagonal, r_ij = |x_i - x_j|.
 
-    kernel maps an array of distances to an array of its shape (it may
-    overwrite its argument), or to a tuple of n such arrays; the result is
-    then the (n, P, P) stack of their matrices.  w_j = 1 when weights is
-    None.  Since r is symmetric, kernel is evaluated on the upper triangle
-    only, one row block at a time: rows [a, b) against columns [a, P), each
-    block at most PAIR_BLOCK_BYTES of distances.  The block and its weighted
-    transpose are written straight into the output, so assembly holds the
-    output plus one block.  For a kernel whose bits do not depend on the
-    size of its argument, as for every kernel in this module, the entries
-    equal those of kernel(pair_distances(points, center)) * w_j bit for
-    bit; a float dtype keeps the real part of a complex kernel.  The same
-    CoincidentPointsError guard applies.
-
-    signs, (3,) of +-1, pairs each point with the mirror images of the
-    points instead: r_ij = |x_i - signs * x_j| with x relative to center,
-    still symmetric in (i, j).  ids = (rows, images) then names point i and
-    the image of point j in the mesh they come from: entry (i, i) is a self
-    pair, zero and unguarded, only where rows[i] == images[i] (the mirror
-    fixes the point), and the guard names points by these ids.  Both default
-    to the points themselves.
+    One pass of pair_blocks(points, center, kernel, signs, ids), whose
+    arguments and guard it shares; for a kernel returning a tuple of n
+    arrays the result is the (n, P, P) stack of their matrices.  w_j = 1
+    when weights is None.  Each block and its weighted transpose are
+    written straight into the output, so assembly holds the output plus one
+    block.  For a kernel whose bits do not depend on the size of its
+    argument, as for every kernel in this module, the entries equal those
+    of kernel(pair_distances(points, center)) * w_j bit for bit; a float
+    dtype keeps the real part of a complex kernel.
     """
-    x = points - center
-    p = x.shape[0]
+    p = len(points)
     w = np.ones(p) if weights is None else np.asarray(weights, dtype=float)
-    images = x if signs is None else x * signs
-    rows, cols = (np.arange(p),) * 2 if ids is None else ids
-    guard = R_MIN_SCALE * max(1.0, float(np.abs(points).max()))
     out = None
-    block_rows = max(1, PAIR_BLOCK_BYTES // (8 * p))
-    for a in range(0, p, block_rows):
-        b = min(p, a + block_rows)
-        r = _distances(x[a:b], images[a:])
-        _check_coincident(r, rows[a:b], cols[a:], guard)
-        blocks = kernel(r)
+    for a, b, blocks in pair_blocks(points, center, kernel, signs, ids):
         stacked = isinstance(blocks, tuple)
         if not stacked:
             blocks = (blocks,)
@@ -144,9 +168,63 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
                 block = block.real
             np.multiply(block, w[a:], out=part[a:b, a:])
             np.multiply(block[:, b - a:].T, w[a:b], out=part[b:, a:b])
-    diag = np.flatnonzero(rows == cols)
-    out[:, diag, diag] = 0.0
     return out if stacked else out[0]
+
+
+def packed_entries(p: int) -> int:
+    """Entries of one symmetric (p, p) matrix in packed_pairs' upper block rows."""
+    step = _block_rows(p)
+    a = np.arange(0, p, step)
+    return int(np.sum(np.minimum(step, p - a) * (p - a)))
+
+
+def packed_pairs(points: np.ndarray, center, kernel, dtype=complex) -> tuple[np.ndarray, list]:
+    """The symmetric matrices S = kernel(r_ij), stored once: packed upper block rows.
+
+    kernel returns a tuple of n arrays, as for pair_matrix; the n matrices
+    are unweighted, so each is symmetric, and their self pairs are zero.
+    One pair_blocks pass writes each block as it comes into one flat buffer
+    of n packed_entries(P) entries (a float dtype keeps the real part), a
+    cousin of LAPACK's packed symmetric storage that keeps whole row blocks
+    for level-3 BLAS (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS
+    37(2), 2010).  Block row [a, b) is an (n, b - a, P - a) C-contiguous
+    view of the buffer holding rows [a, b) against columns [a, P), the
+    full diagonal block included.  Returns (buffer, blocks), blocks the list
+    of (a, b, view) that packed_product reads; an owner keeps both, so that
+    array_bytes counts the buffer once.  Each matrix takes at most
+    P (P + b) / 2 entries for b rows per block, about half of a full one.
+    """
+    p = len(points)
+    buffer, blocks, offset = None, [], 0
+    for a, b, parts in pair_blocks(points, center, kernel):
+        if buffer is None:
+            buffer = np.empty(len(parts) * packed_entries(p), dtype=dtype)
+        size = len(parts) * (b - a) * (p - a)
+        view = buffer[offset:offset + size].reshape(len(parts), b - a, p - a)
+        for stored, part in zip(view, parts):
+            stored[...] = part if np.iscomplexobj(stored) else part.real
+        blocks.append((a, b, view))
+        offset += size
+    return buffer, blocks
+
+
+def packed_product(blocks: list, part: int, z: np.ndarray) -> np.ndarray:
+    """S @ z for matrix `part` of packed_pairs' blocks and a complex (P, c) block z.
+
+    By symmetry, two GEMMs per block row: out[a:b] += S[a:b, a:] @ z[a:]
+    and out[b:] += S[a:b, b:]^T @ z[a:b].  Real blocks multiply z viewed as
+    a float64 (P, 2c) block, as _product does.
+    """
+    real = not np.iscomplexobj(blocks[0][2])
+    w = np.ascontiguousarray(z, dtype=complex)
+    if real:
+        w = w.view(float)
+    out = np.zeros(w.shape, dtype=w.dtype)
+    for a, b, block in blocks:
+        s = block[part]
+        out[a:b] += s @ w[a:]
+        out[b:] += s[:, b - a:].T @ w[a:b]
+    return out.view(complex) if real else out
 
 
 def _moment_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -381,7 +459,7 @@ def radiative_curl(k: float, table, u: np.ndarray) -> np.ndarray:
     return 1j * full
 
 
-def coefficient_storage(k: float, x, entries: int, what: str) -> int | None:
+def coefficient_storage(k: float, x, entries: int, what: str, stored=None) -> int | None:
     """How a dense operator stores `entries` coefficients of the kernel on points x (M, 3).
 
     The imaginary parts are entire in r^2 and plane_wave_rule(k, x)
@@ -389,15 +467,20 @@ def coefficient_storage(k: float, x, entries: int, what: str) -> int | None:
     alone are stored, 8 B each, with the rule's (M, Q) complex phases when
     that takes fewer bytes than the complex coefficients, 16 B each:
     8 entries + 16 M Q < 16 entries.  Otherwise, as for points many
-    wavelengths apart, the coefficients stay complex.  The bytes of the
-    chosen branch pass linalg.check_dense_bytes for `what` before anything
-    is allocated.  Returns Q on the real branch and None on the complex one.
+    wavelengths apart, the coefficients stay complex.  stored is the
+    number of coefficients the operator allocates, when it keeps fewer than
+    entries (packed_pairs keeps about half of each symmetric matrix); the
+    branch is chosen on entries all the same.  The bytes the chosen branch
+    allocates, 8 or 16 per stored coefficient plus the phases on the real
+    one, pass linalg.check_dense_bytes for `what` before anything is
+    allocated.  Returns Q on the real branch and None on the complex one.
     """
     x = np.asarray(x, dtype=float)
     n_theta, n_phi = _plane_wave_orders(k, x)
-    real_bytes = 8 * entries + 16 * len(x) * n_theta * n_phi
-    directions = n_theta * n_phi if real_bytes < 16 * entries else None
-    check_dense_bytes(16 * entries if directions is None else real_bytes, what)
+    phase_bytes = 16 * len(x) * n_theta * n_phi
+    directions = n_theta * n_phi if 8 * entries + phase_bytes < 16 * entries else None
+    stored = entries if stored is None else stored
+    check_dense_bytes(16 * stored if directions is None else 8 * stored + phase_bytes, what)
     return directions
 
 
@@ -413,7 +496,7 @@ def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray
     with H the kernel Hessian.  sources is real (m, 3), moments complex
     (m, 3); x is (3,) or (n, 3), n = 0 included, and both results have the
     leading shape of x.  The points are evaluated in row blocks of
-    PAIR_BLOCK_BYTES of distances, as in pair_matrix, so memory does not
+    PAIR_BLOCK_BYTES of distances, as in pair_blocks, so memory does not
     grow with n.  Raises CoincidentPointsError when x lies on a source
     (closer than R_MIN_SCALE * max(1, max |x|)).
     """
@@ -423,7 +506,7 @@ def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray
     guard = R_MIN_SCALE * max(1.0, float(np.abs(x).max())) if x.size else 0.0
     e = np.empty(points.shape, dtype=complex)
     curl = np.empty(points.shape, dtype=complex)
-    rows = max(1, PAIR_BLOCK_BYTES // (8 * max(1, len(sources))))
+    rows = _block_rows(len(sources))
     for a in range(0, len(points), rows):
         e[a:a + rows], curl[a:a + rows] = _moment_fields_block(
             k, sources, moments, points[a:a + rows], guard

@@ -18,30 +18,34 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   zero-padded (2n)^3 circulant and applied by FFT in O(M log M) time and
   O(M) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198, 1991).  The
   field at the centres is the same convolution with the gradient kernel.
-* dense -- any other layout stores the coupling as two (M, M) scalar
-  matrices, C_iso = c_iso |D_j| and C2 = c_dir |D_j|, built in one pass
-  over the upper triangle in row blocks.  By the Helmholtz trace identity
+* dense -- any other layout stores the coupling once: the two symmetric
+  (M, M) scalar matrices S_iso = c_iso and S2 = c_dir, unweighted, as the
+  packed upper block rows of kernels.packed_pairs, built in one pass over
+  the upper triangle in row blocks and applied by kernels.packed_product
+  (two GEMMs per block row); C = S diag(|D|), so each product scales its
+  columns by the volumes first.  By the Helmholtz trace identity
   k^2 g + c_iso = -2 c_iso - c_dir r^2 and d x (d x A) = d (d . A) - r^2 A,
-  block (m, j) is -2 C_iso I + C2 [d]x^2 with d = x_m - x_j.  Expanding d
-  in coordinates centred on the layout turns the matvec into C_iso @ A and
-  one (M, M) x (M, 15) product C2 @ [A, x (x) A, x x (x x A)], plus O(M)
-  contractions.  Since grad g(x_m, x_j) = c_iso (x_m - x_j), the field at
-  the centres is one (M, M) x (M, 6) product C_iso @ [A, x x A].
+  block (m, j) is (-2 S_iso I + S2 [d]x^2) |D_j| with d = x_m - x_j.
+  Expanding d in coordinates centred on the layout turns the matvec into
+  S_iso @ U and one (M, M) x (M, 15) product S2 @ [U, x (x) U, x x (x x U)]
+  with U = |D| A, plus O(M) contractions.  Since grad g(x_m, x_j) =
+  c_iso (x_m - x_j), the field at the centres is one (M, M) x (M, 6)
+  product S_iso @ [Q, x x Q].
   The imaginary part of the kernel is entire in r^2 and, in the paper's
   regime a << d << lambda, close to low rank.  So when the plane-wave rule
   of kernels.plane_wave_rule needs fewer directions Q than there are
-  bodies (kernels.coefficient_storage), C_iso and C2 are stored real
-  (16 B per pair, one real GEMM per product) and the imaginary part is
-  applied exactly through the rule's (M, Q) phases in O(M Q); otherwise,
-  as for a layout many wavelengths across, they stay complex (32 B per
-  pair).
+  bodies (kernels.coefficient_storage), S_iso and S2 are stored real
+  (8 B per pair of bodies plus one block row, real GEMMs) and
+  the imaginary part is applied exactly through the rule's (M, Q) phases
+  in O(M Q); otherwise, as for a layout many wavelengths across, they stay
+  complex (16 B per pair).
 
 The solve forms that field with its own operator; the solution carries it
 with its centres and wave, which every field function checks it is given.
 
 ``ManyBodyOperator.to_dense`` builds the blocks k^2 g + c_iso and c_dir from
 pairwise differences of the raw centres on both paths, never from the stored
-C_iso, so it is an independent oracle for both matvecs.
+S_iso, so it is an independent oracle for both matvecs.
 """
 
 from __future__ import annotations
@@ -53,11 +57,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (CoincidentPointsError, _cross, _cross_columns, _cross_sum,
-                      _moment_columns, _product, array_bytes, coefficient_storage,
-                      kernel_hessian_parts, moment_fields, pair_matrix, plane_wave_rule,
-                      radiative_curl, radiative_field)
-from .linalg import (SolveReport, check_dense_bytes, check_positive, check_solver,
-                     solve_operator)
+                      _moment_columns, array_bytes, coefficient_storage, kernel_hessian_parts,
+                      moment_fields, packed_entries, packed_pairs, packed_product,
+                      pair_matrix, plane_wave_rule, radiative_curl, radiative_field)
+from .linalg import (SolveReport, check_count, check_dense_bytes, check_positive,
+                     check_solver, solve_operator)
 from .one_body import GammaMatrix
 from .waves import IncidentWave
 
@@ -231,9 +235,11 @@ def lattice_layout(
     with i (the x index) varying fastest.  Each body has the volume of a
     sphere of the given radius.
     """
+    # least 0: an empty lattice is refused as an empty layout
+    check_count("count", count, 0)
     check_positive("layout spacing", spacing)  # before they place and size the bodies
     check_positive("layout radius", radius, zero=True)
-    n = round(abs(count) ** (1.0 / 3.0))
+    n = round(count ** (1.0 / 3.0))
     if n**3 != count:
         raise ValueError(
             f"count must be a positive perfect cube for lattice placement, got {count}; "
@@ -368,34 +374,37 @@ class ManyBodyOperator:
 
     coupling is "fft" on a grid layout (the FFT of the six unique Hessian
     kernel components is stored, O(M) memory) and "dense" otherwise.  The
-    dense path stores the (2, M, M) stack of C_iso = c_iso |D_j| and
-    C2 = c_dir |D_j| and the centres x relative to their mean.  Both come
-    from one pair_matrix pass over the centres: the scalar parts are
-    symmetric before the volumes, so only the upper triangle is evaluated,
-    and the self terms are zero.  Block (m, j) is
-    (k^2 g + c_iso) |D_j| I + C2_mj d d^T with d = x_m - x_j; since the
-    Hessian's trace is -k^2 g, k^2 g + c_iso = -2 c_iso - c_dir r^2, so the
-    block is -2 C_iso_mj I + C2_mj [d]x^2, [d]x^2 v = d x (d x v).  With
-    P = C2 @ A and X[m, p, q] = sum_j C2_mj x_jp A_jq,
+    dense path stores the symmetric scalar matrices S_iso = c_iso and
+    S2 = c_dir once, unweighted and with zero self terms, as the packed
+    upper block rows of one kernels.packed_pairs pass over the centres: one
+    flat buffer _packed, whose (2, b - a, M - a) block rows _blocks views,
+    and the centres x relative to their mean.  The coupling is
+    C = S diag(|D|), so every product applies S to columns already scaled
+    by the volumes.  Block (m, j) is (k^2 g + c_iso) |D_j| I + c_dir |D_j| d d^T
+    with d = x_m - x_j; since the Hessian's trace is -k^2 g,
+    k^2 g + c_iso = -2 c_iso - c_dir r^2, so the block is
+    (-2 S_iso_mj I + S2_mj [d]x^2) |D_j|, [d]x^2 v = d x (d x v).  With
+    U = |D| A, P = S2 @ U and X[m, p, q] = sum_j S2_mj x_jp U_jq,
 
-        sum_j C2_mj d x (d x A_j) = x_m x (x_m x P_m) - x_m tr X_m - X_m x_m
-                                    + 2 X_m^T x_m + (C2 @ (x x (x x A)))_m
+        sum_j S2_mj d x (d x U_j) = x_m x (x_m x P_m) - x_m tr X_m - X_m x_m
+                                    + 2 X_m^T x_m + (S2 @ (x x (x x U)))_m
 
-    one GEMM of C2 with the 15 columns [A, x (x) A, x x (x x A)], one of
-    C_iso with A, and O(M) contractions.  Centring keeps the terms from
-    cancelling for a cluster far from the origin.
+    one product of S2 with the 15 columns [U, x (x) U, x x (x x U)], one of
+    S_iso with U (kernels.packed_product, two GEMMs per block row), and
+    O(M) contractions.  Centring keeps the terms from cancelling for a
+    cluster far from the origin.
 
-    The stack is real, Re C_iso and Re C2 at 16 B per pair, when the
-    plane-wave rule (kernels.plane_wave_rule) on the centres has fewer
-    directions Q than there are bodies, the rule kernels.coefficient_storage
-    states for both dense operators; the rule's (M, Q) phases, directions
-    and weights are stored with it, and directions is Q (None otherwise).
-    Each real matrix multiplies a complex (M, c) block viewed as a real
-    (M, 2c) one (kernels._product), and the imaginary part i Im (k^2 g I + H)
+    The blocks are real, Re S_iso and Re S2 at 8 B per pair of bodies plus
+    one block row, when the plane-wave rule (kernels.plane_wave_rule) on
+    the centres has fewer directions Q than there are bodies, the rule
+    kernels.coefficient_storage states for both dense operators; the rule's
+    (M, Q) phases, directions and weights are stored with them, and
+    directions is Q (None otherwise).  Each real block multiplies complex
+    columns viewed as real ones, and the imaginary part i Im (k^2 g I + H)
     is summed over every j by two (M, Q) products (kernels.radiative_curl),
     less its self term (k^3 / 6 pi) |D_m| at j = m; the field at the centres
     gains sum_j i Im grad g x Q_j (kernels.radiative_field).  Otherwise the
-    stack is complex (32 B per pair) and holds both parts.  The choice is
+    blocks are complex (16 B per pair) and hold both parts.  The choice is
     made once, from the centres and k alone.
     """
 
@@ -413,11 +422,11 @@ class ManyBodyOperator:
             center = layout.centers.mean(axis=0)
             self._x = layout.centers - center
             self.directions = coefficient_storage(k, self._x, 2 * m * m,
-                                                  "the dense many-body operator")
-            self._coeff = pair_matrix(layout.centers, center,
-                                      lambda r: kernel_hessian_parts(k, r)[1:],
-                                      weights=layout.volumes,
-                                      dtype=complex if self.directions is None else float)
+                                                  "the dense many-body operator",
+                                                  stored=2 * packed_entries(m))
+            self._packed, self._blocks = packed_pairs(
+                layout.centers, center, lambda r: kernel_hessian_parts(k, r)[1:],
+                dtype=complex if self.directions is None else float)
             if self.directions is not None:
                 self._phases, self._directions, self._weights = plane_wave_rule(k, self._x)
             return
@@ -433,7 +442,7 @@ class ManyBodyOperator:
     @property
     def record(self) -> dict:
         """What the operator is, as the artifacts write it: its coupling path,
-        bytes and plane-wave directions (None unless the dense stack is real)."""
+        bytes and plane-wave directions (None unless the dense blocks are real)."""
         return {"coupling": self.coupling, "bytes": self.nbytes, "directions": self.directions}
 
     def _coupling(self, a: np.ndarray) -> np.ndarray:
@@ -447,18 +456,18 @@ class ManyBodyOperator:
             out = _grid_values(out_hat, grid)
         else:
             x = self._x
-            columns = np.concatenate([_moment_columns(x, a), _cross(x, _cross(x, a))], axis=1)
-            product = _product(self._coeff[1], columns)
-            xa = product[:, 3:12].reshape(-1, 3, 3)  # X[m, p, q] = sum_j C2_mj x_jp A_jq
+            u = self._layout.volumes[:, None] * a
+            columns = np.concatenate([_moment_columns(x, u), _cross(x, _cross(x, u))], axis=1)
+            product = packed_product(self._blocks, 1, columns)
+            xu = product[:, 3:12].reshape(-1, 3, 3)  # X[m, p, q] = sum_j S2_mj x_jp U_jq
             out = (_cross(x, _cross(x, product[:, :3]))
-                   - x * np.einsum("mpp->m", xa)[:, None]
-                   - np.einsum("mpq,mq->mp", xa, x)
-                   + 2.0 * np.einsum("mp,mpq->mq", x, xa)
+                   - x * np.einsum("mpp->m", xu)[:, None]
+                   - np.einsum("mpq,mq->mp", xu, x)
+                   + 2.0 * np.einsum("mp,mpq->mq", x, xu)
                    + product[:, 12:]
-                   - 2.0 * _product(self._coeff[0], a))
+                   - 2.0 * packed_product(self._blocks, 0, u))
             if self.directions is not None:
                 # radiative_curl includes the self pairs: take their limit out
-                u = self._layout.volumes[:, None] * a
                 k = self._wavenumber
                 table = (self._phases, self._directions, self._weights)
                 out += radiative_curl(k, table, u) - 1j * ((k**3 / (6.0 * np.pi)) * u)
@@ -473,9 +482,9 @@ class ManyBodyOperator:
 
         sum_{j != m} grad g(x_m, x_j) x Q_j.  On the fft coupling: one convolution
         of the gradient kernel, its spectrum formed here and not stored, with Q.
-        On the dense one, grad g = c_iso (x_m - x_j): minus the cross sum
-        (kernels._cross_sum) of the stored C_iso with A, one (M, 6) product,
-        plus the plane-wave imaginary part when C_iso is stored real.
+        On the dense one, grad g = c_iso (x_m - x_j): the cross sum
+        (kernels._cross_sum) of the stored S_iso with Q, one (M, 6) product,
+        plus the plane-wave imaginary part when S_iso is stored real.
         """
         if self.coupling == "fft":
             grid = self._layout.grid
@@ -483,20 +492,21 @@ class ManyBodyOperator:
             grad_hat = np.fft.fftn(np.moveaxis(c_iso[..., None] * diff, -1, 0), axes=(1, 2, 3))
             q_hat = _grid_spectrum(-self._layout.volumes[:, None] * a, grid)
             return _grid_values(np.cross(grad_hat, q_hat, axis=0), grid)
-        field = -_cross_sum(self._x, _product(self._coeff[0], _cross_columns(self._x, a)))
+        q = -self._layout.volumes[:, None] * a
+        field = _cross_sum(self._x, packed_product(self._blocks, 0, _cross_columns(self._x, q)))
         if self.directions is not None:
             table = (self._phases, self._directions, self._weights)
-            field += radiative_field(self._wavenumber, table, -self._layout.volumes[:, None] * a)
+            field += radiative_field(self._wavenumber, table, q)
         return field
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full (3M, 3M) matrix pairwise (small systems / oracles).
 
         The scalar parts k^2 g + c_iso and c_dir are evaluated afresh, not
-        taken from the stored C_iso, so this checks the trace identity the
+        taken from the stored S_iso, so this checks the trace identity the
         dense matvec relies on.  Row p of tau times block (m, j) is
-        tau_pq C0 + C2 (tau_p . d) d_q with C0 = (k^2 g + c_iso) |D_j| and
-        d = x_m - x_j, written component by component into the output.  It
+        tau_pq C0 + C2 (tau_p . d) d_q with C0 = (k^2 g + c_iso) |D_j|,
+        C2 = c_dir |D_j| and d = x_m - x_j, written component by component into the output.  It
         needs 232 B per pair of bodies: the 144 B of the matrix, C0 and C2,
         the three coordinate differences and two complex work matrices.
         """

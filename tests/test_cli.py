@@ -383,6 +383,40 @@ def test_bad_number_exits_2_before_building(tmp_path, monkeypatch, capsys, args,
     assert field in capsys.readouterr().err
 
 
+#: Every scalar number of RunConfig, and the bad values a --config file may
+#: give it: NaN, +-inf, 0, a negative number, a bool and a string.
+CONFIG_NUMBERS = ["wave_speed", "frequency", "wavelength", "wavenumber", "permeability",
+                  "permittivity", "radius", "m_phi", "n_per_face", "bie_scale", "count",
+                  "spacing", "particle_radius", "tol", "restart", "max_iter"]
+BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), 0, -1, True, "1"]
+
+
+def refused(command, field, value):
+    """Whether command refuses value for field; all do, except that bie_scale
+    takes either sign, and radius sizes the one-body mesh, which many-body
+    does not build: there RunConfig refuses only a bool or a string."""
+    if field == "bie_scale" and value == -1:
+        return False
+    return (field, command) != ("radius", "many-body") or isinstance(value, (bool, str))
+
+
+@pytest.mark.parametrize("field", CONFIG_NUMBERS)
+def test_bad_config_number_exits_2_naming_it(tmp_path, monkeypatch, capsys, field):
+    # the CLI twin of tests/test_input_contract.py: exit 2, the field named
+    for name in ("solve_current", "solve_effective_field"):
+        monkeypatch.setattr(emscat.cli, name, lambda *a, **k: pytest.fail("solved"))
+    config_path = tmp_path / "c.json"
+    for command in ("one-body", "many-body"):
+        for value in BAD_NUMBERS:
+            if not refused(command, field, value):
+                continue
+            config_path.write_text(json.dumps({field: value}))
+            code = run_cli([command, "--config", str(config_path), "--output-dir", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 2, (command, value)
+            assert field in err and "Traceback" not in err, (command, value, err)
+
+
 def test_cube_reports_600_points(tmp_path, capsys):
     code = run_cli(
         ["one-body", "--shape", "cube", "--radius", "1e-7",

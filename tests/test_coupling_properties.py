@@ -49,7 +49,7 @@ def apply_coupling(operator, v):
 
 
 def test_cases_cover_both_branches():
-    dtypes = {coupling(*case)._coeff.dtype for case in CASES}
+    dtypes = {coupling(*case)._packed.dtype for case in CASES}
     assert dtypes == {np.dtype(complex), np.dtype(float)}
 
 

@@ -54,7 +54,12 @@ POSITIVE = {"spacing": "layout", "radius": "mesh_sphere", "a": "mesh_ellipsoid",
             "wavenumber": "IncidentWave", "frequency": "IncidentWave",
             "permeability": "IncidentWave", "wavelength": "default_wave", "tol": None}
 COUNTS = {"m_phi": "mesh_sphere", "n_per_face": "mesh_cube", "n_u": "ParametricSurface",
-          "n_v": "ParametricSurface", "restart": None, "max_iter": None}
+          "n_v": "ParametricSurface", "restart": None, "max_iter": None,
+          "count": "lattice_layout"}
+#: A count's value below its least, 0 unless listed: a lattice's least count
+#: is 0, and lattice_layout(0) is refused as an empty layout (see
+#: tests/test_many_body.py::test_empty_layout_rejected).
+BELOW_LEAST = {"count": -1}
 NOT_NUMBERS = [True, "1"]  # a bool and a str are refused, whatever they read as
 
 
@@ -79,7 +84,7 @@ CASES = [(where, name, st.just(value)) for name, where in POSITIVE.items()
          for value in NON_FINITE + [0.0] + NOT_NUMBERS]
 CASES += [(where, name, NEGATIVE) for name, where in POSITIVE.items()]
 CASES += [(where, name, st.just(value)) for name, where in COUNTS.items()
-          for value in NON_FINITE + [0] + NOT_NUMBERS]
+          for value in NON_FINITE + [BELOW_LEAST.get(name, 0)] + NOT_NUMBERS]
 CASES += [(where, name, st.integers(max_value=-1)) for name, where in COUNTS.items()]
 CASES += [(where, name, st.floats(2, 1e9)) for name, where in COUNTS.items()]
 CASES += [(where, "m_phi", st.just(1)) for where in ("mesh_sphere", "mesh_ellipsoid")]
@@ -91,6 +96,10 @@ CASES += [("layout", "radius", NEGATIVE)]
 CASES += [("lattice_layout", name, NEGATIVE) for name in ("spacing", "radius")]
 CASES += [("layout", "box", corner(value)) for value in NON_FINITE + ["1"]]
 CASES += [("layout", "box", st.just(((0.0, 0.0, 0.0), (1.0, 1.0))))]  # ragged
+CASES += [(where, "center", st.just(value)) for where in ("mesh_sphere", "mesh_ellipsoid",
+                                                          "mesh_cube")
+          for value in [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0),
+                        (0.0, np.inf, 0.0), ("0", "0", "0"), ((0.0,), (0.0, 0.0))]]
 CASES += [("GammaMatrix.from_gamma", "gamma", entry(value)) for value in NON_FINITE]
 CASES += [("GammaMatrix.from_gamma", "gamma", st.just(value))
           for value in [np.zeros((2, 2)), True, "x", [[0.0] * 3] * 2 + [[0.0] * 2]]]

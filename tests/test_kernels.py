@@ -408,6 +408,51 @@ def test_pair_matrix_callers_match_one_shot_construction(monkeypatch, caller):
     assert np.array_equal(blocked, run(mesh, layout))
 
 
+def packed(s):
+    """A symmetric (n, P, P) stack s laid out as packed_pairs' upper block rows."""
+    p = s.shape[-1]
+    step = kernels._block_rows(p)
+    return [(a, min(p, a + step), np.ascontiguousarray(s[:, a:a + step, a:]))
+            for a in range(0, p, step)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("p", [2, ROWS - 1, ROWS + 1, 5 * ROWS + 2])
+def test_packed_product_equals_full_product(monkeypatch, dtype, p):
+    # ROWS rows per block: P = 2 and ROWS - 1 lie below one block, the
+    # others end in a ragged one
+    block_rows(monkeypatch, p)
+    rng = np.random.default_rng(p)
+    s = rng.normal(size=(2, p, p))
+    if dtype is complex:
+        s = s + 1j * rng.normal(size=(2, p, p))
+    s = s + np.swapaxes(s, 1, 2)  # symmetric, not Hermitian, diagonal included
+    blocks = packed(s)
+    assert [b for _, b, _ in blocks][-1] == p and len(blocks) == -(-p // ROWS)
+    z = rng.normal(size=(p, 5)) + 1j * rng.normal(size=(p, 5))
+    for part in range(2):
+        got = kernels.packed_product(blocks, part, z)
+        assert got.shape == z.shape and got.dtype == complex
+        error = np.linalg.norm(got - s[part] @ z)
+        assert error <= 1e-14 * np.linalg.norm(s[part]) * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("p", [1, ROWS - 1, 5 * ROWS + 2])
+def test_packed_pairs_are_the_upper_block_rows_of_pair_matrix(monkeypatch, dtype, p):
+    block_rows(monkeypatch, p)
+    rng = np.random.default_rng(p)
+    points = (1.0, 2.0, 3.0) + rng.normal(size=(p, 3)) * 1e-7
+    center = points.mean(axis=0)
+    kernel = lambda r: kernel_hessian_parts(K, r)[1:]
+    buffer, blocks = kernels.packed_pairs(points, center, kernel, dtype=dtype)
+    assert buffer.dtype == dtype and buffer.size == 2 * kernels.packed_entries(p)
+    full = pair_matrix(points, center, kernel, dtype=dtype)
+    assert [(a, b) for a, b, _ in blocks] == [(a, b) for a, b, _ in packed(full)]
+    for (_, _, view), (_, _, expected) in zip(blocks, packed(full)):
+        assert np.shares_memory(view, buffer) and np.array_equal(view, expected)
+
+
 @pytest.mark.parametrize("p", [1, ROWS + 1, 5 * ROWS + 2])
 def test_mirrored_pair_matrix_equals_full_construction(monkeypatch, p):
     block_rows(monkeypatch, p)

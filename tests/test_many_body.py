@@ -326,7 +326,7 @@ def test_jittered_layout_takes_dense_path(wave):
     for n, dtype in DENSE_BRANCHES:
         layout = heavy(layout_from_centers(jittered_centers(n), spacing=SPACING, radius=1e-9))
         operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
-        assert (operator.coupling, operator._coeff.dtype) == ("dense", dtype)
+        assert (operator.coupling, operator._packed.dtype) == ("dense", dtype)
         rng = np.random.default_rng(4)
         x = rng.normal(size=3 * n**3) + 1j * rng.normal(size=3 * n**3)
         np.testing.assert_allclose(operator.matvec(x), operator.to_dense() @ x, rtol=1e-12)
@@ -348,22 +348,31 @@ def test_dense_coefficients_equal_full_construction(wave, monkeypatch):
     k = wave.wavenumber
     for n, dtype in DENSE_BRANCHES:
         layout = unequal_volume_layout(n=n)
+        m = layout.count
         # 4 rows per block: many row blocks, the last one ragged
-        monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * layout.count * 4)
+        monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * m * 4)
         operator = ManyBodyOperator(layout, k, SKEW_GAMMA)
         g, c_iso, c_dir = kernel_hessian_parts(
             k, pair_distances(layout.centers, layout.centers.mean(axis=0)))
-        # the stored isotropic part is c_iso; k^2 g + c_iso comes from the
-        # trace identity in the matvec
-        expected = np.stack([c_iso, c_dir]) * layout.volumes
+        # the stored isotropic part is c_iso, unweighted; k^2 g + c_iso comes
+        # from the trace identity in the matvec, the volumes from its columns
+        expected = np.stack([c_iso, c_dir])
         for part in expected:
             np.fill_diagonal(part, 0.0)
         if dtype is float:
             # the real branch keeps the real parts' bits; the plane-wave
             # table carries the imaginary ones
             expected = expected.real
-        assert operator._coeff.dtype == dtype
-        assert np.array_equal(operator._coeff, expected)
+        assert operator._packed.dtype == dtype
+        # the upper block rows tile the buffer in order, 4 rows each
+        bounds = [(a, b) for a, b, _ in operator._blocks]
+        assert bounds == [(a, min(m, a + 4)) for a in range(0, m, 4)]
+        assert operator._packed.size == sum(view.size for _, _, view in operator._blocks)
+        offset = 0
+        for a, b, view in operator._blocks:
+            assert np.shares_memory(view, operator._packed[offset:offset + view.size])
+            assert np.array_equal(view, expected[:, a:b, a:])
+            offset += view.size
 
 
 def test_dense_operator_beyond_physical_memory_is_refused(wave, monkeypatch):
@@ -372,15 +381,19 @@ def test_dense_operator_beyond_physical_memory_is_refused(wave, monkeypatch):
     for n, dtype in DENSE_BRANCHES:
         layout = unequal_volume_layout(n=n)
         m = layout.count
+        # the packed upper block rows of S_iso and S2, and on the real branch
+        # the (M, Q) complex phases: the bytes the operator allocates
+        operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
+        need = operator._packed.nbytes
         if dtype is complex:
-            need = 32 * m**2
+            assert need == 32 * kernels.packed_entries(m)
         else:
-            # C_iso and C2 at 8 B per pair each, and the (M, Q) complex phases
-            q = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)._phases.shape[1]
-            need = 16 * m**2 + 16 * m * q
+            q = operator._phases.shape[1]
+            assert need == 16 * kernels.packed_entries(m)
+            need += 16 * m * q
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "physical_memory", lambda: need - 1)
-            patch.setattr(many_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
+            patch.setattr(many_body, "packed_pairs", lambda *a, **k: pytest.fail("allocated"))
             patch.setattr(many_body, "plane_wave_rule", lambda *a, **k: pytest.fail("allocated"))
             with pytest.raises(ValueError, match="the dense many-body operator needs"):
                 ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
@@ -432,7 +445,7 @@ def test_dense_matvec_centred_far_from_origin(wave):
         results = []
         for layout in (near, far):
             operator, _ = assemble_many_body(layout, wave, SKEW_GAMMA)
-            assert (operator.coupling, operator._coeff.dtype) == ("dense", dtype)
+            assert (operator.coupling, operator._packed.dtype) == ("dense", dtype)
             y = operator.matvec(x)
             assert np.linalg.norm(y - x) > 1e-2 * np.linalg.norm(x)
             np.testing.assert_allclose(y, operator.to_dense() @ x, rtol=1e-12)
@@ -449,14 +462,16 @@ def test_dense_operator_holds_two_scalar_matrices(wave):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (operator.coupling, operator._coeff.dtype) == ("dense", float)
+    assert (operator.coupling, operator._packed.dtype) == ("dense", float)
     q = operator._phases.shape[1]
     assert q < m
-    # real C_iso and C2 at 8 B per pair each, the complex (M, Q) phases, the
-    # centres, directions, weights and tau: no (M, M, 3) array
-    assert operator.nbytes <= 16 * m * m + 16 * m * q + 64 * m
+    # real S_iso and S2 in packed upper block rows, 4 B per pair each plus
+    # half a block row, the complex (M, Q) phases, the centres, directions,
+    # weights and tau: no (M, M) array
+    rows = operator._blocks[0][1]
+    assert operator.nbytes <= 8 * m * (m + rows) + 16 * m * q + 64 * m
     # the operator plus one row block of kernel temporaries
-    assert peak <= 16 * m * m + 16 * m * q + 16 * 2**20
+    assert peak <= 8 * m * (m + rows) + 16 * m * q + 16 * 2**20
 
 
 #: k L of the radiative-part oracles, L the largest side of the layout's box.
@@ -476,7 +491,7 @@ def radiative_wavenumber(layout, kl):
 def test_dense_radiative_part_matches_full_construction(kl):
     layout = radiative_layout()
     operator = ManyBodyOperator(layout, radiative_wavenumber(layout, kl), SKEW_GAMMA)
-    assert operator._coeff.dtype == float
+    assert operator._packed.dtype == float
     # on a real vector the identity and the stored real parts are real, so
     # the imaginary part of the matvec is the plane-wave part alone
     x = np.random.default_rng(9).normal(size=3 * layout.count)
@@ -489,7 +504,7 @@ def test_dense_radiative_field_at_centers_matches_pair_sum(kl):
     layout = radiative_layout()
     k = radiative_wavenumber(layout, kl)
     operator = ManyBodyOperator(layout, k, SKEW_GAMMA)
-    assert operator._coeff.dtype == float
+    assert operator._packed.dtype == float
     a = np.random.default_rng(10).normal(size=(layout.count, 3))
     q = -layout.volumes[:, None] * a
     expected = np.array([
@@ -506,7 +521,7 @@ def test_wide_layout_keeps_complex_coefficients(wave):
     layout = layout_from_centers(jittered_centers(6) * 1e2, spacing=1e2 * SPACING,
                                  radius=1e-9)
     operator = ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
-    assert (operator.coupling, operator._coeff.dtype) == ("dense", complex)
+    assert (operator.coupling, operator._packed.dtype) == ("dense", complex)
     assert not hasattr(operator, "_phases")
 
 
@@ -772,7 +787,7 @@ def test_effective_field_at_centers_rejects_other_centres_of_the_same_count(wave
 
 
 def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
-    calls = {"pair_matrix": 0, "kernel_hessian_parts": 0, "kernel_gradient_parts": 0}
+    calls = {"pair_blocks": 0, "kernel_hessian_parts": 0, "kernel_gradient_parts": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -789,7 +804,7 @@ def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
     effective_field_at_centers(layout, wave, solution)
     assert solution.operator["coupling"] == "dense"
     # the gradient stage runs only inside the Hessian kernel of that one pass
-    assert calls["pair_matrix"] == 1
+    assert calls["pair_blocks"] == 1
     assert calls["kernel_gradient_parts"] == calls["kernel_hessian_parts"] > 0
 
 
