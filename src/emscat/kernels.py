@@ -18,8 +18,9 @@ plane_wave_rule separates them.  This module owns the format of the dense
 operators built on it: pair_blocks is the one pass over the pairs of
 points, pair_matrix writes it out as full matrices and packed_pairs as the
 packed upper block rows of symmetric ones, which packed_product applies;
-coefficient_storage picks real or complex coefficients, a float dtype keeps
-the real parts, and radiative_field and radiative_curl add the imaginary
+coefficient_storage picks real or complex coefficients by their bytes,
+plane_wave_directions counts the rule's directions, a float dtype keeps the
+real parts, and radiative_field and radiative_curl add the imaginary
 parts back through the rule's table.  All lengths are in cm, k in 1/cm.
 """
 
@@ -459,7 +460,13 @@ def radiative_curl(k: float, table, u: np.ndarray) -> np.ndarray:
     return 1j * full
 
 
-def coefficient_storage(k: float, x, entries: int, what: str, stored=None) -> int | None:
+def plane_wave_directions(k: float, x) -> int:
+    """Q, the number of directions plane_wave_rule(k, x) takes, without building it."""
+    n_theta, n_phi = _plane_wave_orders(k, np.asarray(x, dtype=float))
+    return n_theta * n_phi
+
+
+def coefficient_storage(k: float, x, entries: int, what: str) -> int | None:
     """How a dense operator stores `entries` coefficients of the kernel on points x (M, 3).
 
     The imaginary parts are entire in r^2 and plane_wave_rule(k, x)
@@ -467,20 +474,14 @@ def coefficient_storage(k: float, x, entries: int, what: str, stored=None) -> in
     alone are stored, 8 B each, with the rule's (M, Q) complex phases when
     that takes fewer bytes than the complex coefficients, 16 B each:
     8 entries + 16 M Q < 16 entries.  Otherwise, as for points many
-    wavelengths apart, the coefficients stay complex.  stored is the
-    number of coefficients the operator allocates, when it keeps fewer than
-    entries (packed_pairs keeps about half of each symmetric matrix); the
-    branch is chosen on entries all the same.  The bytes the chosen branch
-    allocates, 8 or 16 per stored coefficient plus the phases on the real
-    one, pass linalg.check_dense_bytes for `what` before anything is
-    allocated.  Returns Q on the real branch and None on the complex one.
+    wavelengths apart, the coefficients stay complex.  The bytes of the
+    chosen branch pass linalg.check_dense_bytes for `what` before anything
+    is allocated.  Returns Q on the real branch and None on the complex one.
     """
-    x = np.asarray(x, dtype=float)
-    n_theta, n_phi = _plane_wave_orders(k, x)
-    phase_bytes = 16 * len(x) * n_theta * n_phi
-    directions = n_theta * n_phi if 8 * entries + phase_bytes < 16 * entries else None
-    stored = entries if stored is None else stored
-    check_dense_bytes(16 * stored if directions is None else 8 * stored + phase_bytes, what)
+    q = plane_wave_directions(k, x)
+    real_bytes = 8 * entries + 16 * len(x) * q
+    directions = q if real_bytes < 16 * entries else None
+    check_dense_bytes(16 * entries if directions is None else real_bytes, what)
     return directions
 
 

@@ -34,11 +34,10 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   The imaginary part of the kernel is entire in r^2 and, in the paper's
   regime a << d << lambda, close to low rank.  So when the plane-wave rule
   of kernels.plane_wave_rule needs fewer directions Q than there are
-  bodies (kernels.coefficient_storage), S_iso and S2 are stored real
-  (8 B per pair of bodies plus one block row, real GEMMs) and
-  the imaginary part is applied exactly through the rule's (M, Q) phases
-  in O(M Q); otherwise, as for a layout many wavelengths across, they stay
-  complex (16 B per pair).
+  bodies, S_iso and S2 are stored real (8 B per pair of bodies plus one
+  block row, real GEMMs) and the imaginary part is applied exactly
+  through the rule's (M, Q) phases in O(M Q); otherwise, as for a layout
+  many wavelengths across, they stay complex (16 B per pair).
 
 The solve forms that field with its own operator; the solution carries it
 with its centres and wave, which every field function checks it is given.
@@ -57,9 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (CoincidentPointsError, _cross, _cross_columns, _cross_sum,
-                      _moment_columns, array_bytes, coefficient_storage, kernel_hessian_parts,
-                      moment_fields, packed_entries, packed_pairs, packed_product,
-                      pair_matrix, plane_wave_rule, radiative_curl, radiative_field)
+                      _moment_columns, array_bytes, kernel_hessian_parts, moment_fields,
+                      packed_entries, packed_pairs, packed_product, pair_matrix,
+                      plane_wave_directions, plane_wave_rule, radiative_curl,
+                      radiative_field)
 from .linalg import (SolveReport, check_count, check_dense_bytes, check_positive,
                      check_solver, solve_operator)
 from .one_body import GammaMatrix
@@ -396,10 +396,13 @@ class ManyBodyOperator:
 
     The blocks are real, Re S_iso and Re S2 at 8 B per pair of bodies plus
     one block row, when the plane-wave rule (kernels.plane_wave_rule) on
-    the centres has fewer directions Q than there are bodies, the rule
-    kernels.coefficient_storage states for both dense operators; the rule's
+    the centres has fewer directions Q than there are bodies; the rule's
     (M, Q) phases, directions and weights are stored with them, and
-    directions is Q (None otherwise).  Each real block multiplies complex
+    directions is Q (None otherwise).  Q < M keeps the 16 M Q B of phases
+    below one complex (M, M) matrix.  It is not the byte-minimal choice for
+    packed blocks, which would be real only for Q below about M / 2, but a
+    real block is read at half the bytes and multiplied at half the flops
+    of a complex one in each matvec.  Each real block multiplies complex
     columns viewed as real ones, and the imaginary part i Im (k^2 g I + H)
     is summed over every j by two (M, Q) products (kernels.radiative_curl),
     less its self term (k^3 / 6 pi) |D_m| at j = m; the field at the centres
@@ -421,9 +424,11 @@ class ManyBodyOperator:
             m = self.count
             center = layout.centers.mean(axis=0)
             self._x = layout.centers - center
-            self.directions = coefficient_storage(k, self._x, 2 * m * m,
-                                                  "the dense many-body operator",
-                                                  stored=2 * packed_entries(m))
+            q = plane_wave_directions(k, self._x)
+            self.directions = q if q < m else None
+            stored = 2 * packed_entries(m)
+            check_dense_bytes(16 * stored if self.directions is None else 8 * stored + 16 * m * q,
+                              "the dense many-body operator")
             self._packed, self._blocks = packed_pairs(
                 layout.centers, center, lambda r: kernel_hessian_parts(k, r)[1:],
                 dtype=complex if self.directions is None else float)

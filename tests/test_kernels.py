@@ -361,6 +361,21 @@ def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex,
     return c
 
 
+def one_shot_packed_pairs(points, center, kernel, dtype=complex):
+    """Stand-in for packed_pairs that packs the full construction's matrices."""
+    s = full_pair_matrix(points, center, kernel, None)
+    if dtype is float:
+        s = s.real
+    rows = packed(s)
+    buffer = np.concatenate([view.ravel() for _, _, view in rows])
+    assert buffer.dtype == dtype
+    blocks, offset = [], 0
+    for a, b, view in rows:
+        blocks.append((a, b, buffer[offset:offset + view.size].reshape(view.shape)))
+        offset += view.size
+    return buffer, blocks
+
+
 def _one_body_c(mesh, layout):
     # the stored coefficients: C split into one matrix D per character of
     # the mesh's mirror group
@@ -375,25 +390,27 @@ def _gamma_numeric(mesh, layout):
 
 def _fields_at_centers(mesh, layout):
     # a dense solve forms the fields at the centres from its own coupling
-    # matrices, so the operator's one pair_matrix call feeds both
+    # matrices, so the operator's one packed_pairs call feeds both
     wave = default_wave()
     solution = many_body.solve_effective_field(layout, wave, one_body.gamma_sphere_analytic())
     assert solution.operator["coupling"] == "dense"
     return many_body.effective_field_at_centers(layout, wave, solution)
 
 
-#: Callers of pair_matrix: the module that imports it, and a function of
-#: (mesh, layout) returning the caller's result.
+#: Callers of the pair pass: the module that imports it, the name of the
+#: builder and its one-shot stand-in, and a function of (mesh, layout)
+#: returning the caller's result.
 PAIR_MATRIX_CALLERS = {
-    "one-body-C": (one_body, _one_body_c),
-    "gamma-numeric": (one_body, _gamma_numeric),
-    "effective-field-at-centers": (many_body, _fields_at_centers),
+    "one-body-C": (one_body, "pair_matrix", one_shot_pair_matrix, _one_body_c),
+    "gamma-numeric": (one_body, "pair_matrix", one_shot_pair_matrix, _gamma_numeric),
+    "effective-field-at-centers": (many_body, "packed_pairs", one_shot_packed_pairs,
+                                   _fields_at_centers),
 }
 
 
 @pytest.mark.parametrize("caller", PAIR_MATRIX_CALLERS)
 def test_pair_matrix_callers_match_one_shot_construction(monkeypatch, caller):
-    module, run = PAIR_MATRIX_CALLERS[caller]
+    module, name, one_shot, run = PAIR_MATRIX_CALLERS[caller]
     mesh = mesh_sphere(1e-9, 5, center=(0.1, 0.2, 0.3))  # P = 119
     rng = np.random.default_rng(9)
     grid = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -404,7 +421,8 @@ def test_pair_matrix_callers_match_one_shot_construction(monkeypatch, caller):
     block_rows(monkeypatch, count)  # several blocks and a ragged last one
     assert count % ROWS and count > 2 * ROWS
     blocked = run(mesh, layout)
-    monkeypatch.setattr(module, "pair_matrix", one_shot_pair_matrix)
+    # the packed stand-in keeps the block rows, so its products sum in the same order
+    monkeypatch.setattr(module, name, one_shot)
     assert np.array_equal(blocked, run(mesh, layout))
 
 
