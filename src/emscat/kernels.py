@@ -16,9 +16,12 @@ Away from r = 0 the Hessian trace equals -k^2 g.  The imaginary parts of
 g and of the scalar coefficients of its derivatives are entire in r^2, and
 plane_wave_rule separates them.  This module owns the format of the dense
 operators built on it: pair_blocks is the one pass over the pairs of
-points, pair_matrix writes it out as full matrices and packed_pairs as the
-packed upper block rows of symmetric ones, which packed_product applies;
-coefficient_storage picks real or complex coefficients by their bytes,
+points, in upper block rows; pair_matrix writes it out as full matrices
+(the oracles') and packed_pairs stores the symmetric ones once, as packed
+upper block rows, for both dense operators: the many-body coupling's two
+matrices from one pass, and the one-body operator's character blocks
+summed from one mirrored pass per group element.  packed_product applies
+them; coefficient_storage picks real or complex coefficients by their bytes,
 plane_wave_directions counts the rule's directions, a float dtype keeps the
 real parts, and radiative_field and radiative_curl add the imaginary
 parts back through the rule's table.  All lengths are in cm, k in 1/cm.
@@ -115,8 +118,9 @@ def pair_blocks(points: np.ndarray, center, kernel, signs=None, ids=None):
     one block of kernel temporaries whatever P.  kernel maps an array of
     distances to an array of its shape (it may overwrite its argument), or
     to a tuple of such arrays; blocks is its output, unweighted, with the
-    self pairs set to zero.  Raises CoincidentPointsError when two points
-    lie closer than R_MIN_SCALE * max(1, max |points|).
+    self pairs set to zero.  The generator keeps no block between steps.
+    Raises CoincidentPointsError when two points lie closer than
+    R_MIN_SCALE * max(1, max |points|).
 
     signs, (3,) of +-1, pairs each point with the mirror images of the
     points instead: r_ij = |x_i - signs * x_j|, still symmetric in (i, j).
@@ -133,12 +137,22 @@ def pair_blocks(points: np.ndarray, center, kernel, signs=None, ids=None):
     step = _block_rows(p)
     for a in range(0, p, step):
         b = min(p, a + step)
-        r = _distances(x[a:b], images[a:])
-        diag = _check_coincident(r, rows[a:b], cols[a:], guard)
-        blocks = kernel(r)
-        for block in blocks if isinstance(blocks, tuple) else (blocks,):
-            block[diag, diag] = 0.0
-        yield a, b, blocks
+        yield a, b, _pair_block(kernel, x[a:b], images[a:], rows[a:b], cols[a:], guard)
+
+
+def _pair_block(kernel, x, images, rows, cols, guard):
+    """One block of pair_blocks: kernel on |x_i - images_j|, self pairs zero."""
+    r = _distances(x, images)
+    diag = _check_coincident(r, rows, cols, guard)
+    blocks = kernel(r)
+    for block in _parts(blocks):
+        block[diag, diag] = 0.0
+    return blocks
+
+
+def _parts(blocks) -> tuple:
+    """A kernel's output as a tuple of arrays."""
+    return blocks if isinstance(blocks, tuple) else (blocks,)
 
 
 def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
@@ -160,11 +174,9 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
     out = None
     for a, b, blocks in pair_blocks(points, center, kernel, signs, ids):
         stacked = isinstance(blocks, tuple)
-        if not stacked:
-            blocks = (blocks,)
         if out is None:
-            out = np.empty((len(blocks), p, p), dtype=dtype)
-        for block, part in zip(blocks, out):
+            out = np.empty((len(_parts(blocks)), p, p), dtype=dtype)
+        for block, part in zip(_parts(blocks), out):
             if not np.iscomplexobj(part):
                 block = block.real
             np.multiply(block, w[a:], out=part[a:b, a:])
@@ -179,52 +191,99 @@ def packed_entries(p: int) -> int:
     return int(np.sum(np.minimum(step, p - a) * (p - a)))
 
 
-def packed_pairs(points: np.ndarray, center, kernel, dtype=complex) -> tuple[np.ndarray, list]:
+def block_row_entries(p: int) -> int:
+    """Entries of the largest block row of pair_blocks on p points: its first."""
+    return min(p, _block_rows(p)) * p
+
+
+def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
+                 mirrors=None) -> tuple[np.ndarray, list]:
     """The symmetric matrices S = kernel(r_ij), stored once: packed upper block rows.
 
-    kernel returns a tuple of n arrays, as for pair_matrix; the n matrices
-    are unweighted, so each is symmetric, and their self pairs are zero.
-    One pair_blocks pass writes each block as it comes into one flat buffer
-    of n packed_entries(P) entries (a float dtype keeps the real part), a
-    cousin of LAPACK's packed symmetric storage that keeps whole row blocks
-    for level-3 BLAS (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS
-    37(2), 2010).  Block row [a, b) is an (n, b - a, P - a) C-contiguous
-    view of the buffer holding rows [a, b) against columns [a, P), the
-    full diagonal block included.  Returns (buffer, blocks), blocks the list
-    of (a, b, view) that packed_product reads; an owner keeps both, so that
-    array_bytes counts the buffer once.  Each matrix takes at most
-    P (P + b) / 2 entries for b rows per block, about half of a full one.
+    kernel returns an array or a tuple of n arrays, as for pair_matrix; the
+    n matrices are unweighted, so each is symmetric, and their self pairs
+    are zero.  One pair_blocks pass writes each block as it comes into one
+    flat buffer of n packed_entries(P) entries (a float dtype keeps the
+    real part), a cousin of LAPACK's packed symmetric storage that keeps
+    whole row blocks for level-3 BLAS (Gustavson, Wasniewski, Dongarra and
+    Langou, ACM TOMS 37(2), 2010).  Block row [a, b) is an (n, b - a, P - a)
+    C-contiguous view of the buffer holding rows [a, b) against columns
+    [a, P), the full diagonal block included.  Returns (buffer, blocks),
+    blocks the list of (a, b, view) that packed_product reads; an owner
+    keeps both, so that array_bytes counts the buffer once.  Each matrix
+    takes at most P (P + b) / 2 entries for b rows per block, about half of
+    a full one.
+
+    mirrors = (signs, ids, characters) makes one pair_blocks pass per
+    element g of a mirror group, with signs[g] and ids[g], and stores the
+    m n matrices sum_g characters[psi, g] K_g, K_g the kernel's matrices of
+    pass g and characters an (m, |G|) table whose column 0 is the identity's,
+    as matrix psi n + t for part t of the kernel.  |x_i - R_g x_j| =
+    |x_j - R_g x_i|, so each sum is symmetric too.  The passes step through
+    the block rows together: block row [a, b) of every pass is added in
+    while the sums' rows are in cache, and one pass's block is held at a
+    time.
     """
     p = len(points)
+    signs, ids, characters = mirrors or ((None,), (None,), np.ones((1, 1)))
+    passes = [pair_blocks(points, center, kernel, s, i) for s, i in zip(signs, ids)]
     buffer, blocks, offset = None, [], 0
-    for a, b, parts in pair_blocks(points, center, kernel):
-        if buffer is None:
-            buffer = np.empty(len(parts) * packed_entries(p), dtype=dtype)
-        size = len(parts) * (b - a) * (p - a)
-        view = buffer[offset:offset + size].reshape(len(parts), b - a, p - a)
-        for stored, part in zip(view, parts):
-            stored[...] = part if np.iscomplexobj(stored) else part.real
+    step = _block_rows(p)
+    for a in range(0, p, step):
+        b = min(p, a + step)
+        for g, rows in enumerate(passes):
+            parts = _parts(next(rows)[2])
+            n = len(characters) * len(parts)
+            if buffer is None:
+                buffer = np.empty(n * packed_entries(p), dtype=dtype)
+            if g == 0:
+                view = buffer[offset:offset + n * (b - a) * (p - a)].reshape(n, b - a, p - a)
+            _sum_pass(view, parts, characters[:, g], g)
+            del parts  # so that the next pass's block is not built beside this one
         blocks.append((a, b, view))
-        offset += size
+        offset += view.size
     return buffer, blocks
 
 
-def packed_product(blocks: list, part: int, z: np.ndarray) -> np.ndarray:
+def _sum_pass(sums: np.ndarray, parts: tuple, signs: np.ndarray, g: int) -> None:
+    """sums[psi n + t] += signs[psi] * parts[t] for the n parts of pass g; pass 0 writes."""
+    for t, part in enumerate(parts):
+        if not np.iscomplexobj(sums):
+            part = part.real
+        for stored, sign in zip(sums[t::len(parts)], signs):
+            if g == 0:
+                stored[...] = part
+            elif sign > 0:
+                stored += part
+            else:
+                stored -= part
+
+
+def packed_product(blocks: list, part, z: np.ndarray) -> np.ndarray:
     """S @ z for matrix `part` of packed_pairs' blocks and a complex (P, c) block z.
 
-    By symmetry, two GEMMs per block row: out[a:b] += S[a:b, a:] @ z[a:]
-    and out[b:] += S[a:b, b:]^T @ z[a:b].  Real blocks multiply z viewed as
-    a float64 (P, 2c) block, as _product does.
+    part may also be a slice that picks n matrices, z then an (n, P, c)
+    stack, one product per matrix.  By symmetry, two GEMMs per block row:
+    out[a:b] += S[a:b, a:] @ z[a:] and out[b:] += S[a:b, b:]^T @ z[a:b].
+    The first block row holds every column, so it writes out, with no zero
+    fill; a block row that covers every row is one GEMM.  Real blocks
+    multiply z viewed as a float64 (..., P, 2c) block: real GEMMs, with no
+    copy of a C-contiguous complex z.
     """
     real = not np.iscomplexobj(blocks[0][2])
     w = np.ascontiguousarray(z, dtype=complex)
     if real:
         w = w.view(float)
-    out = np.zeros(w.shape, dtype=w.dtype)
+    out = np.empty(w.shape, dtype=w.dtype)
     for a, b, block in blocks:
         s = block[part]
-        out[a:b] += s @ w[a:]
-        out[b:] += s[:, b - a:].T @ w[a:b]
+        if a == 0:
+            np.matmul(s, w, out=out[..., :b, :])
+            if b < w.shape[-2]:
+                np.matmul(np.swapaxes(s[..., b:], -1, -2), w[..., :b, :], out=out[..., b:, :])
+        else:
+            out[..., a:b, :] += s @ w[..., a:, :]
+            out[..., b:, :] += np.swapaxes(s[..., b - a:], -1, -2) @ w[..., a:b, :]
     return out.view(complex) if real else out
 
 
@@ -257,18 +316,6 @@ def _cross_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _cross_sum(x: np.ndarray, product: np.ndarray) -> np.ndarray:
     """sum_j c_ij (x_i - x_j) x v_j = x_i x (c v)_i - (c (x x v))_i, given c @ [v, x x v]."""
     return _cross(x, product[..., :3]) - product[..., 3:]
-
-
-def _product(coeff: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """coeff @ z for a complex (..., n, c) block z and an (..., n, n) coeff.
-
-    A real coeff multiplies z viewed as a float64 (..., n, 2c) block: one
-    real GEMM per matrix, without a copy of z when z is complex and
-    C-contiguous.
-    """
-    if coeff.dtype == complex:
-        return coeff @ z
-    return (coeff @ np.ascontiguousarray(z, dtype=complex).view(float)).view(complex)
 
 
 def _scale(z: np.ndarray, s: np.ndarray) -> None:

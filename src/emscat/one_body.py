@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import (_cross, _cross_columns, _cross_sum, _moment_columns, _product,
-                      array_bytes, coefficient_storage, kernel_gradient_parts, moment_fields,
+from .kernels import (_cross, _cross_columns, _cross_sum, _moment_columns, array_bytes,
+                      block_row_entries, coefficient_storage, kernel_gradient_parts,
+                      moment_fields, packed_entries, packed_pairs, packed_product, pair_blocks,
                       pair_matrix, plane_wave_rule, radiative_field)
 from .linalg import SolveReport, check_dense_bytes, check_solver, solve_operator
 from .waves import IncidentWave
@@ -162,15 +163,14 @@ class _Orbits:
     stabiliser: np.ndarray  # (R,)
     characters: np.ndarray  # (|G|, |G|)
 
-    def block(self, mesh: CollocationMesh, g: int, kernel, dtype) -> np.ndarray:
-        """K_g[r, s] = kernel(|x_r - R_g x_s|) w_s / |Stab s|, zero where g fixes r = s.
+    @property
+    def mirrors(self) -> tuple:
+        """(signs, ids, characters): one pass per element, as kernels.packed_pairs takes them."""
+        return self.signs, [(self.reps, images) for images in self.maps], self.characters
 
-        One (R, R) block of kernels.pair_matrix, evaluated on its upper
-        triangle.  Callers hold one K_g at a time.
-        """
-        return pair_matrix(mesh.points[self.reps], mesh.center, kernel, dtype=dtype,
-                           weights=mesh.weights[self.reps] / self.stabiliser,
-                           signs=self.signs[g], ids=(self.reps, self.maps[g]))
+    def column_weights(self, mesh: CollocationMesh) -> np.ndarray:
+        """w_s / |Stab s| at the representatives: an orbit's weight over its points."""
+        return mesh.weights[self.reps] / self.stabiliser
 
 
 def _orbits(mesh: CollocationMesh) -> _Orbits:
@@ -215,34 +215,38 @@ class OneBodyOperator:
     1992).  With one representative r per orbit (R ~ P / |G| of them), the
     operator stores the |G| (R, R) matrices
 
-        D_psi[r, s] = sum_g psi(g) K_g[r, s] w_s / |Stab s|,
+        D_psi[r, s] = sum_g psi(g) K_g[r, s],
 
-    K_g[r, s] = c(|x_r - R_g x_s|), zero where g fixes r = s.  Each K_g is
-    symmetric, so kernels.pair_matrix evaluates it on the upper triangle.  A
-    scalar field f with f(g i) = psi(g) f(i) has (C f)_r = (D_psi f)_r.
-    J(g i) = R_g J(i) psi(g) makes its component q a field of character
-    psi sigma_q, sigma_q(g) the sign R_g puts on axis q, and its column
-    (x x J)_p = x_q J_r - x_r J_q one of psi sigma_q sigma_r, that is
-    psi sigma_0 sigma_1 sigma_2 sigma_p.  So the matvec projects J on the
-    characters, runs one (R, R) @ (R, 6) GEMM per character of D with the 6
-    columns of every character that it pairs with, takes the cross products
-    at the representatives as above, and maps the result back.  A mesh
-    without mirrors is the trivial group, D = C.  The scale s multiplies at
-    matvec time.
+    K_g[r, s] = c(|x_r - R_g x_s|), zero where g fixes r = s.  R_g is an
+    orthogonal involution, so |x_r - R_g x_s| = |x_s - R_g x_r|: each K_g,
+    and so each D_psi, is symmetric, and kernels.packed_pairs stores D once,
+    as packed upper block rows, from one pass per g over the upper triangle
+    summed through the character table as each block row comes.  The
+    weights v_s = w_s / |Stab s| go on the columns: a scalar field f with
+    f(g i) = psi(g) f(i) has (C f)_r = (D_psi (v f))_r.  J(g i) = R_g J(i) psi(g)
+    makes its component q a field of character psi sigma_q, sigma_q(g) the
+    sign R_g puts on axis q, and its column (x x J)_p = x_q J_r - x_r J_q one
+    of psi sigma_q sigma_r, that is psi sigma_0 sigma_1 sigma_2 sigma_p.  So
+    the matvec projects J on the characters and weights it by v, applies
+    each D_psi to the 6 columns of every character that it pairs with
+    (kernels.packed_product, two GEMMs per block row, one where a block row
+    covers all R rows), takes the cross products at the representatives as
+    above, and maps the result back.  A mesh without mirrors is the trivial
+    group, D = C / w_j.  The scale s multiplies at matvec time.
 
-    D is stored real, Re D at 8 B per pair over |G|, whenever that and the
+    D is stored real, Re D at 8 B per stored pair, whenever that and the
     (P, Q) phases of the plane-wave rule (kernels.plane_wave_rule) on the
-    mesh take fewer bytes than complex D at 16 B per pair over |G|:
-    8 |G| R^2 + 16 P Q < 16 |G| R^2 (kernels.coefficient_storage, the rule
-    of the many-body operator too), as on the bundled spheres and ellipsoid
-    at the default k (Q = 32).  Each GEMM is then one real (R, R) @ (R, 12)
-    product on the complex columns viewed as float64 (kernels._product),
-    directions is Q, and i Im C is applied on all P points by the rule: the
-    coupling gains N_i x sum_j i Im grad g(x_i - x_j) x w_j J_j
-    (kernels.radiative_field), in O(P Q).  A body many wavelengths across,
-    or a coarse mesh such as the 600-point cube of side 2e-7 cm (Q = 50,
-    |G| = 8), whose table would outweigh the halved blocks, keeps complex D
-    (directions None).  The choice is made once, from the mesh and k alone.
+    mesh take fewer bytes than complex D at 16 B per stored pair:
+    8 E + 16 P Q < 16 E for the E = |G| packed_entries(R) entries, about
+    |G| R^2 / 2 (kernels.coefficient_storage), as on the bundled spheres and
+    ellipsoid at the default k (Q = 32).  Each product then multiplies the
+    complex columns viewed as float64, directions is Q, and i Im C is
+    applied on all P points by the rule: the coupling gains
+    N_i x sum_j i Im grad g(x_i - x_j) x w_j J_j (kernels.radiative_field),
+    in O(P Q).  A body many wavelengths across, or a coarse mesh such as
+    the 600-point cube of side 2e-7 cm (Q = 50, |G| = 8), whose table would
+    outweigh the halved blocks, keeps complex D (directions None).  The
+    choice is made once, from the mesh and k alone.
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
@@ -258,24 +262,16 @@ class OneBodyOperator:
         self._pairing = np.arange(order)[:, None, None] ^ chi
 
         x = mesh.points - mesh.center
-        self.directions = coefficient_storage(wavenumber, x, order * len(reps) ** 2,
+        self.directions = coefficient_storage(wavenumber, x, order * packed_entries(len(reps)),
                                               "the one-body operator")
-        dtype = complex if self.directions is None else float
-        self._d = np.empty((order, len(reps), len(reps)), dtype=dtype)
-        for g in range(order):
-            k_g = orbits.block(mesh, g, lambda r: kernel_gradient_parts(wavenumber, r)[1], dtype)
-            for psi in range(order):
-                if g == 0:
-                    self._d[psi] = k_g
-                elif orbits.characters[psi, g] > 0:
-                    self._d[psi] += k_g
-                else:
-                    self._d[psi] -= k_g
-            del k_g  # so that the next K_g is not built beside this one
+        self._packed, self._blocks = packed_pairs(
+            mesh.points[reps], mesh.center, lambda r: kernel_gradient_parts(wavenumber, r)[1],
+            dtype=complex if self.directions is None else float, mirrors=orbits.mirrors)
         if self.directions is not None:
             self._phases, self._directions, self._weights = plane_wave_rule(wavenumber, x)
         self._x = x[reps]
         self._normals = mesh.normals[reps]
+        self._column_weights = orbits.column_weights(mesh)
         self._mesh = mesh
         self._scale = float(scale)
         self.mirrors = tuple("xyz"[axis] for axis in orbits.axes)
@@ -290,19 +286,22 @@ class OneBodyOperator:
     def record(self) -> dict:
         """What the operator is, as the artifacts write it: its mirrors, group
         order, orbits, bytes and plane-wave directions (None for complex D)."""
-        return {"mirrors": list(self.mirrors), "order": len(self._d), "orbits": self.orbits,
+        return {"mirrors": list(self.mirrors), "order": len(self._signs), "orbits": self.orbits,
                 "bytes": self.nbytes, "directions": self.directions}
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        order = len(self._d)
+        order = len(self._signs)
         j = np.asarray(x, dtype=complex).reshape(self.n_points, 3)
-        # J_psi(r) = sum_g psi(g) R_g J(g r) / |G|, one (R, 3) block per psi
+        # J_psi(r) = sum_g psi(g) R_g J(g r) / |G|, one (R, 3) block per psi,
+        # times the column weight v_r
         j_psi = np.einsum("hg,grq->hrq", self._characters / order,
                           j[self._maps] * self._signs[:, None, :])
-        # GEMM phi takes column c of character phi ^ chi_c, and gives it back
+        j_psi *= self._column_weights[:, None]
+        # D_psi takes column c of character psi ^ chi_c, and gives it back
         columns = np.take_along_axis(_cross_columns(self._x, j_psi), self._pairing, axis=0)
-        product = np.take_along_axis(_product(self._d, columns), self._pairing, axis=0)
-        # (A J_psi)(r) = N_r x sum_s D_psi[r, s] (x_r - x_s) x J_psi(s)
+        product = packed_product(self._blocks, slice(None), columns)
+        product = np.take_along_axis(product, self._pairing, axis=0)
+        # (A J_psi)(r) = N_r x sum_s D_psi[r, s] v_s (x_r - x_s) x J_psi(s)
         coupling = _cross(self._normals, _cross_sum(self._x, product))
         # back to the points: (A J)(g r) = sum_psi psi(g) R_g (A J_psi)(r)
         coupling = np.einsum("gh,hrq->grq", self._characters, coupling)
@@ -462,8 +461,12 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
 
     The sum is split by the mesh's mirror group as in OneBodyOperator: with
     d g0 / d s = c_st (x_s - x_t), c_st = -1 / (4 pi r_st^3), G is formed at
-    the R orbit representatives only, one real (R, R) block
-    K_g[r, s] = c(|x_r - R_g x_s|) w_s / |Stab s| per group element, and
+    the R orbit representatives only, from K_g[r, s] = c(|x_r - R_g x_s|)
+    applied to the columns [N_s, x_s (x) N_s] v_s, v_s = w_s / |Stab s|, of
+    each group element g, whose image g s has R_g x_s and R_g N_s.  Each K_g
+    is symmetric, and kernels.pair_blocks yields its upper block rows; each
+    block row's two GEMMs are applied as it comes, so one block row of
+    distances is held at a time and no (R, R) matrix exists.
     G(g r) = R_g G(r) R_g gives it at every point.  A mesh without mirrors
     is the trivial group: the plain sum over all P^2 pairs.
     """
@@ -471,14 +474,19 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
         raise ValueError(f"unknown frame {frame!r}")
     orbits = _orbits(mesh)
     reps = orbits.reps
-    check_dense_bytes(8 * len(reps) ** 2, "the static coupling matrix")
+    check_dense_bytes(8 * block_row_entries(len(reps)),
+                      "a block row of the static coupling matrix")
     x = mesh.points[reps] - mesh.center
-    columns = _moment_columns(x, mesh.normals[reps])
-    # sum_s c_rs [N_s, x_s (x) N_s] w_s; the image g s has R_g x_s and R_g N_s
+    columns = _moment_columns(x, mesh.normals[reps]) * orbits.column_weights(mesh)[:, None]
+    # sum_s c_rs [N_s, x_s (x) N_s] v_s over every image g s
     product = np.zeros(columns.shape)
-    for g, signs in enumerate(orbits.signs):
-        product += (orbits.block(mesh, g, _static_coefficient, float) @ columns
-                    * _moment_columns(signs[None], signs[None]))
+    signs, ids, _ = orbits.mirrors
+    for sign, pair_ids in zip(signs, ids):
+        z = columns * _moment_columns(sign[None], sign[None])
+        for a, b, block in pair_blocks(mesh.points[reps], mesh.center, _static_coefficient,
+                                       sign, pair_ids):
+            product[a:b] += block @ z[a:]
+            product[b:] += block[:, b - a:].T @ z[a:b]
 
     # per_source[r, p, q] = sum_s c_rs (x_sp - x_rp) N_sq w_s
     per_source = product[:, 3:].reshape(-1, 3, 3) - x[:, :, None] * product[:, None, :3]

@@ -172,10 +172,14 @@ def test_q_json_operator_is_the_operator_record(tmp_path, args):
 
 def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monkeypatch,
                                                                  capsys):
-    # P = 20258: 8 B x 4 x 5087^2 pairs of the split operator and 16 B x
-    # 20258 x 32 plane-wave phases, 0.781 GiB
-    monkeypatch.setattr(emscat.linalg, "physical_memory", lambda: 2**29)
-    monkeypatch.setattr(emscat.one_body, "pair_matrix",
+    # P = 20258: 8 B x 4 x 12,969,301 stored pairs of the split operator
+    # (packed_entries(5087), about 5087^2 / 2 per character) and 16 B x
+    # 20258 x 32 plane-wave phases, 425,389,728 B or 0.396 GiB
+    asked, check = [], emscat.kernels.check_dense_bytes
+    monkeypatch.setattr(emscat.kernels, "check_dense_bytes",
+                        lambda nbytes, what: check(asked.append(nbytes) or nbytes, what))
+    monkeypatch.setattr(emscat.linalg, "physical_memory", lambda: 2**28)
+    monkeypatch.setattr(emscat.one_body, "packed_pairs",
                         lambda *a, **k: pytest.fail("assembled"))
     monkeypatch.setattr(emscat.one_body, "plane_wave_rule",
                         lambda *a, **k: pytest.fail("assembled"))
@@ -186,7 +190,9 @@ def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monke
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "the one-body operator needs 0.781 GiB, more than the 0.5 GiB" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the one-body operator needs 0.396 GiB, more than the 0.25 GiB" in err
+    assert asked == [425_389_728]
     assert peak <= 16 * 2**20
 
 

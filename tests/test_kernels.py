@@ -1,5 +1,6 @@
 """Kernel values and derivatives against finite-difference oracles."""
 
+import functools
 import math
 import tracemalloc
 
@@ -351,22 +352,20 @@ def test_pair_matrix_equals_full_construction_in_full_blocks(kind):
     assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
 
 
-def one_shot_pair_matrix(points, center, kernel, weights=None, dtype=complex,
-                         signs=None, ids=None):
-    """Stand-in for pair_matrix that builds the full distances at once."""
-    c = full_pair_matrix(points, center, kernel, weights, signs, ids)
-    if dtype is float:
-        c = c.real  # a float dtype keeps the real part of a complex kernel
-    assert c.dtype == dtype
-    return c
+def one_shot_packed_pairs(points, center, kernel, dtype=complex, mirrors=None):
+    """Stand-in for packed_pairs that packs the full construction's matrices.
 
-
-def one_shot_packed_pairs(points, center, kernel, dtype=complex):
-    """Stand-in for packed_pairs that packs the full construction's matrices."""
-    s = full_pair_matrix(points, center, kernel, None)
-    if dtype is float:
-        s = s.real
-    rows = packed(s)
+    With mirrors, the full matrices of each pass are summed through the
+    character table in the order packed_pairs sums its block rows.
+    """
+    signs, ids, characters = mirrors or ((None,), (None,), np.ones((1, 1)))
+    terms = []
+    for g, (sign, pair_ids) in enumerate(zip(signs, ids)):
+        s = full_pair_matrix(points, center, kernel, None, sign, pair_ids)
+        s = (s.real if dtype is float else s).reshape(-1, *s.shape[-2:])
+        terms.append(characters[:, g, None, None, None] * s)  # (m, n, P, P), exact
+    sums = functools.reduce(np.add, terms)
+    rows = packed(sums.reshape(-1, *sums.shape[-2:]))
     buffer = np.concatenate([view.ravel() for _, _, view in rows])
     assert buffer.dtype == dtype
     blocks, offset = [], 0
@@ -376,12 +375,19 @@ def one_shot_packed_pairs(points, center, kernel, dtype=complex):
     return buffer, blocks
 
 
+def one_shot_pair_blocks(points, center, kernel, signs=None, ids=None):
+    """Stand-in for pair_blocks that yields the full construction's upper block rows."""
+    c = full_pair_matrix(points, center, kernel, None, signs, ids)
+    for a, b, view in packed(c[None]):
+        yield a, b, view[0]
+
+
 def _one_body_c(mesh, layout):
     # the stored coefficients: C split into one matrix D per character of
-    # the mesh's mirror group
+    # the mesh's mirror group, in packed upper block rows
     operator = one_body.OneBodyOperator(mesh, K)
     assert operator.mirrors == ("y", "z")
-    return operator._d
+    return operator._packed
 
 
 def _gamma_numeric(mesh, layout):
@@ -401,8 +407,8 @@ def _fields_at_centers(mesh, layout):
 #: builder and its one-shot stand-in, and a function of (mesh, layout)
 #: returning the caller's result.
 PAIR_MATRIX_CALLERS = {
-    "one-body-C": (one_body, "pair_matrix", one_shot_pair_matrix, _one_body_c),
-    "gamma-numeric": (one_body, "pair_matrix", one_shot_pair_matrix, _gamma_numeric),
+    "one-body-C": (one_body, "packed_pairs", one_shot_packed_pairs, _one_body_c),
+    "gamma-numeric": (one_body, "pair_blocks", one_shot_pair_blocks, _gamma_numeric),
     "effective-field-at-centers": (many_body, "packed_pairs", one_shot_packed_pairs,
                                    _fields_at_centers),
 }

@@ -10,8 +10,8 @@ import pytest
 import emscat.linalg as linalg
 from emscat import one_body
 from emscat.geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
-from emscat.kernels import (CoincidentPointsError, kernel_gradient_parts, pair_matrix,
-                            radiative_field)
+from emscat.kernels import (CoincidentPointsError, kernel_gradient_parts, packed_entries,
+                            pair_matrix, radiative_field)
 from emscat.linalg import solve_direct
 from emscat.one_body import (
     GammaMatrix,
@@ -192,23 +192,35 @@ def test_split_operator_matches_pairwise_oracle(wave, name):
     np.testing.assert_allclose(got, dense @ x, rtol=1e-12, atol=1e-12 * np.abs(dense @ x).max())
 
 
+def stored_blocks(op):
+    """The operator's |G| (R, R) matrices D_psi, unpacked from its upper block rows."""
+    order, r = len(op._blocks[0][2]), op.orbits
+    d = np.empty((order, r, r), dtype=op._packed.dtype)
+    for a, b, view in op._blocks:
+        d[:, a:b, a:] = view
+        d[:, a:, a:b] = np.swapaxes(view, 1, 2)
+    return d
+
+
 @pytest.mark.parametrize("name", SPLIT_MESHES)
 def test_split_stores_a_group_order_fraction_of_the_pairs(wave, name):
     mesh = SPLIT_MESHES[name][0]()
     op = OneBodyOperator(mesh, wave.wavenumber)
     order = 2 ** len(op.mirrors)
-    assert op._d.shape == (order, op.orbits, op.orbits)
+    assert stored_blocks(op).shape == (order, op.orbits, op.orbits)
+    # each D_psi once, in packed upper block rows: about R^2 / 2 entries
+    stored = order * packed_entries(op.orbits)
+    assert op._packed.shape == (stored,)
     # orbits of fewer than |G| points, on the mirror planes, make R exceed P / |G|
     assert mesh.n_points / order <= op.orbits <= 1.3 * mesh.n_points / order
     if op.directions is None:
-        # complex D: 16 B per pair over |G|
-        assert op._d.dtype == complex
-        assert op.nbytes <= 16 * op.orbits**2 * order + 64 * mesh.n_points
+        # complex D: 16 B per stored pair
+        assert op._packed.dtype == complex
+        assert op.nbytes <= 16 * stored + 64 * mesh.n_points
     else:
-        # real D at 8 B per pair over |G|, and the complex (P, Q) phases
-        assert op._d.dtype == float
-        assert op.nbytes <= (8 * op.orbits**2 * order + 16 * mesh.n_points * op.directions
-                             + 64 * mesh.n_points)
+        # real D at 8 B per stored pair, and the complex (P, Q) phases
+        assert op._packed.dtype == float
+        assert op.nbytes <= 8 * stored + 16 * mesh.n_points * op.directions + 64 * mesh.n_points
 
 
 def _nudged(mesh):
@@ -227,11 +239,11 @@ def test_nudged_point_leaves_the_trivial_group(wave):
     assert axes == () and np.array_equal(images, [np.arange(mesh.n_points)])
     op = OneBodyOperator(nudged, wave.wavenumber)
     assert op.mirrors == () and op.orbits == mesh.n_points
-    # the trivial group stores C itself, real on this small body
+    # the trivial group stores C / w_j itself, real on this small body
     c = pair_matrix(nudged.points, nudged.center,
-                    lambda r: kernel_gradient_parts(wave.wavenumber, r)[1], weights=nudged.weights)
+                    lambda r: kernel_gradient_parts(wave.wavenumber, r)[1])
     assert op.directions is not None
-    assert np.array_equal(op._d, c.real[None])
+    assert np.array_equal(stored_blocks(op), c.real[None])
     x = np.random.default_rng(4).normal(size=op.shape[0]) + 0j
     np.testing.assert_allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-12, atol=1e-12)
 
@@ -260,7 +272,7 @@ def test_radiative_part_matches_pairwise_imaginary_coupling(build, kd):
     mesh = build()
     k = _wavenumber(mesh, kd)
     op = OneBodyOperator(mesh, k)
-    assert op.directions is not None and op._d.dtype == float
+    assert op.directions is not None and op._packed.dtype == float
     rng = np.random.default_rng(12)
     j = rng.normal(size=(mesh.n_points, 3)) + 1j * rng.normal(size=(mesh.n_points, 3))
     expected = pairwise_radiative(mesh, k, j)
@@ -282,8 +294,8 @@ def test_real_blocks_are_the_real_part_of_the_complex_blocks(build, kd, monkeypa
     # the same mesh and k made to keep complex D
     monkeypatch.setattr(one_body, "coefficient_storage", lambda k, x, entries, what: None)
     full = OneBodyOperator(mesh, k)
-    assert real.directions is not None and full._d.dtype == complex
-    assert np.array_equal(real._d, full._d.real)
+    assert real.directions is not None and full._packed.dtype == complex
+    assert np.array_equal(real._packed, full._packed.real)
     # and the plane-wave rule carries the imaginary part of the matvec
     x = np.random.default_rng(13).normal(size=(2, real.shape[0])).T @ np.array([1.0, 1j])
     expected = full.matvec(x)
@@ -295,12 +307,12 @@ def test_wide_body_and_coarse_cube_keep_complex_blocks(wave):
     # rule would need far more directions than D has entries
     wide = OneBodyOperator(mesh_sphere(1.0, 8), wave.wavenumber)
     # the 600-point cube of side 2e-7 cm needs Q = 50: its table, 16 P Q,
-    # would outweigh what real D saves, 8 |G| R^2
+    # would outweigh what real D saves, 8 B per stored pair
     cube = OneBodyOperator(mesh_cube(1e-7, 10), wave.wavenumber)
     for op in (wide, cube):
-        assert op.directions is None and op._d.dtype == complex
+        assert op.directions is None and op._packed.dtype == complex
         assert not hasattr(op, "_phases")
-    assert 8 * 8 * cube.orbits**2 < 16 * 600 * 50
+    assert 8 * 8 * packed_entries(cube.orbits) < 16 * 600 * 50
 
 
 def test_mirrors_need_equal_normals_and_weights():
@@ -378,10 +390,10 @@ def test_operator_assembly_peak_memory_per_pair(wave):
 
 
 def test_operator_assembly_holds_c_plus_one_block(wave):
-    # C is stored split by the mirror group, y and z on the sphere, and real:
-    # 8 B per pair over |G| (5.9 MiB) and the (P, Q) phases (0.9 MiB), plus
-    # one K_g (1.5 MiB) and one row block of kernel temporaries; complex D
-    # alone would take 12.3 MiB and the unsplit C 47 MiB
+    # C is stored split by the mirror group, y and z on the sphere, real and
+    # once, in packed upper block rows: 8 B per stored pair (4.1 MiB) and the
+    # (P, Q) phases (0.9 MiB), plus one row block of kernel temporaries; the
+    # full real D would take 5.9 MiB, complex D 12.3 MiB and the unsplit C 47 MiB
     def assembly_peak(mesh):
         tracemalloc.start()
         try:
@@ -394,34 +406,37 @@ def test_operator_assembly_holds_c_plus_one_block(wave):
 
     mesh = mesh_sphere(1e-9, 18)  # P = 1762
     op, peak = assembly_peak(mesh)
-    p = mesh.n_points
-    assert peak <= 8 * p**2 / 4 + 16 * p * op.directions + 8 * 2**20
-    # at P = 3174 (R = 801) one K_g takes 4.9 MiB, more than the slack of 4
-    # MiB beside D, the phases and that one block: a second K_g built beside
-    # the first fails here (29.2 MiB measured, 34.1 MiB with two blocks)
+    p, r = mesh.n_points, op.orbits
+    assert peak <= 8 * 4 * packed_entries(r) + 16 * p * op.directions + 4 * 2**20
+    # at P = 3174 (R = 801) one full (R, R) K_g takes 4.9 MiB, more than the
+    # slack of 4 MiB beside the packed D (10.8 MiB), the phases and one row
+    # block of kernel temporaries (15.0 MiB measured; building the full D and
+    # one K_g beside it took 29.2 MiB)
     mesh = mesh_sphere(1e-9, 24)
     op, peak = assembly_peak(mesh)
     p, r = mesh.n_points, op.orbits
     assert r == 801
-    assert peak <= 8 * 4 * r**2 + 16 * p * op.directions + 8 * r**2 + 4 * 2**20
+    assert peak <= 8 * 4 * packed_entries(r) + 16 * p * op.directions + 4 * 2**20
 
 
 def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch):
     mesh = mesh_sphere(1e-9, 12)  # P = 766
     op = OneBodyOperator(mesh, wave.wavenumber)
     monkeypatch.setattr(linalg, "physical_memory", lambda: 2**20)
-    monkeypatch.setattr(one_body, "pair_matrix", lambda *a, **k: pytest.fail("allocated"))
-    monkeypatch.setattr(one_body, "plane_wave_rule", lambda *a, **k: pytest.fail("allocated"))
-    # 8 B x 4 x 197^2 pairs and 16 B x 766 x 32 phases, 8 B x 766^2 (no
-    # mirror) and 200 B x 766^2 (the 144 B of the matrix and its work arrays)
+    for builder in ("packed_pairs", "pair_blocks", "pair_matrix", "plane_wave_rule"):
+        monkeypatch.setattr(one_body, builder, lambda *a, **k: pytest.fail("allocated"))
+    # 8 B x 4 packed_entries(197) = 4 x 197^2 pairs (one block row holds all
+    # 197 rows) and 16 B x 766 x 32 phases, and 200 B x 766^2 (the 144 B of
+    # the matrix and its work arrays)
     with pytest.raises(ValueError, match=r"the one-body operator needs 0\.00152 GiB"):
         OneBodyOperator(mesh, wave.wavenumber)
-    with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.00437 GiB"):
-        gamma_numeric(_nudged(mesh))
     with pytest.raises(ValueError, match=r"dense one-body matrix needs 0\.109 GiB"):
         op.to_dense()
-    # gamma_numeric holds one K_g at a time: 8 B x 197^2 pairs
+    # gamma_numeric holds one block row of static distances at a time:
+    # 8 B x 85 x 766 pairs with no mirror, 8 B x 197^2 pairs split
     monkeypatch.setattr(linalg, "physical_memory", lambda: 2**18)
+    with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.000485 GiB"):
+        gamma_numeric(_nudged(mesh))
     with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.000289 GiB"):
         gamma_numeric(mesh)
 
