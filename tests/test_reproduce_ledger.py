@@ -8,11 +8,16 @@ one thread only once the one-body operator stored its coefficients real:
 OpenBLAS had rounded the complex GEMM of its 197-orbit blocks differently
 on one thread, and the real GEMM that replaced it gives the same bits at
 all three counts.  e-sphere and sweep-1386 are identical at the three
-counts too, and e-ellipsoid moves by up to 4.1e-15 at one thread (its
-one-body matvec on 269-orbit blocks differs in the last bits there); the
-three are compared at rtol 1e-10, since their last digits have moved with
-the thread count before (spreads up to 1.8e-12).  A change to this ledger
-is a change to the paper's reproduced numbers and must be deliberate.
+counts too, and e-ellipsoid moves by up to 1.1e-14 at one thread (its
+one-body matvec on 269-orbit blocks, two block rows of the packed
+character matrices, differs in the last bits there); the three are
+compared at rtol 1e-10, since their last digits have moved with the
+thread count before (spreads up to 1.8e-12).  A change to this ledger is
+a change to the paper's reproduced numbers and must be deliberate.  The
+last one, storing the one-body character blocks once as packed upper
+block rows with the weights on the columns, moved 19 cells, at most
+4.5e-12 (sweep-1386's last computed_e_error cell) and in the string rows
+at most 1.6e-14 (q-sphere's gap).
 
 sweep-1386's last computed_e_error cell, 5.8e-16 at radius 1e-10, is the
 most sensitive one: the mirror split moved J by 6.1e-13 there and this cell
@@ -38,12 +43,12 @@ from emscat.cli import main
 
 EXACT = {
     "q-sphere": {
-        "computed": ["3.730515158508326e-22", "3.759849295653089e-22",
-                     "0.007863293914745125"],
+        "computed": ["3.730515158508325e-22", "3.759849295653089e-22",
+                     "0.007863293914745252"],
     },
     "e-cube": {
-        "computed_error": ["9.848832654486854e-09", "9.87166280663586e-08",
-                           "1.347523237021053e-06", "0.0006329215427809769"],
+        "computed_error": ["9.848832654486738e-09", "9.871662806635747e-08",
+                           "1.347523237021043e-06", "0.0006329215427809769"],
     },
     "many-27": {
         "computed_norm": ["5.196151602690342", "5.196152421885643",
@@ -61,18 +66,18 @@ EXACT = {
 
 CLOSE = {
     "e-sphere": {
-        "computed_error": [2.704333715288117e-04, 2.704682109820213e-07,
-                           2.720259328463337e-10],
+        "computed_error": [2.704333715288123e-04, 2.704682109820277e-07,
+                           2.720259328463862e-10],
     },
     "e-ellipsoid": {
-        "computed_error": [3.657194242237845e-03, 3.636279031197726e-06,
-                           5.258427233230158e-09],
+        "computed_error": [3.657194242227543e-03, 3.636279031197217e-06,
+                           5.258427233229846e-09],
     },
     "sweep-1386": {
-        "computed_e_error": [5.800610518857751e-07, 5.800279618722614e-10,
-                             5.800649318264166e-13, 5.835559059805147e-16],
-        "computed_q_error": [6.175909690733176e-03, 6.146349249045676e-03,
-                             6.146079389825676e-03, 6.140281490210668e-03],
+        "computed_e_error": [5.800610518857722e-07, 5.800279618722470e-10,
+                             5.800649318267971e-13, 5.835559059831270e-16],
+        "computed_q_error": [6.175909690734105e-03, 6.146349249045417e-03,
+                             6.146079389825802e-03, 6.140281490209927e-03],
     },
 }
 
