@@ -221,8 +221,10 @@ def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
     as matrix psi n + t for part t of the kernel.  |x_i - R_g x_j| =
     |x_j - R_g x_i|, so each sum is symmetric too.  The passes step through
     the block rows together: block row [a, b) of every pass is added in
-    while the sums' rows are in cache, and one pass's block is held at a
-    time.
+    while the sums' rows are in cache, and a pass's block is released as
+    the next pass's is made, so at most two are held.  (Releasing it before
+    raised the peak RSS of a dense many-body solve by about 1.2 MiB at
+    M = 2197: glibc reused the freed blocks less well.)
     """
     p = len(points)
     signs, ids, characters = mirrors or ((None,), (None,), np.ones((1, 1)))
@@ -239,7 +241,6 @@ def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
             if g == 0:
                 view = buffer[offset:offset + n * (b - a) * (p - a)].reshape(n, b - a, p - a)
             _sum_pass(view, parts, characters[:, g], g)
-            del parts  # so that the next pass's block is not built beside this one
         blocks.append((a, b, view))
         offset += view.size
     return buffer, blocks
