@@ -21,10 +21,10 @@ points, in upper block rows; pair_matrix writes it out as full matrices
 upper block rows, for both dense operators: the many-body coupling's two
 matrices from one pass, and the one-body operator's character blocks
 summed from one mirrored pass per group element.  packed_product applies
-them; coefficient_storage picks real or complex coefficients by their bytes,
-plane_wave_directions counts the rule's directions, a float dtype keeps the
-real parts, and radiative_field and radiative_curl add the imaginary
-parts back through the rule's table.  All lengths are in cm, k in 1/cm.
+them.  PackedCoupling, the base of both operators, stores them real or
+complex by one rule: a float dtype keeps the real parts, and
+radiative_field and radiative_curl add the imaginary parts back through
+the plane-wave table.  All lengths are in cm, k in 1/cm.
 """
 
 from __future__ import annotations
@@ -78,22 +78,6 @@ def _check_coincident(r: np.ndarray, rows: np.ndarray, cols: np.ndarray, guard: 
         )
     r[diag, diag] = 1.0
     return diag
-
-
-def pair_distances(points: np.ndarray, center) -> np.ndarray:
-    """(P, P) distances |x_i - x_j| with 1.0 on the diagonal as a placeholder.
-
-    The distances are taken between points - center, so they keep full
-    precision for a small cluster far from the origin; the squares are
-    summed one component at a time, so no (P, P, 3) temporary is built.
-    Raises CoincidentPointsError when two points lie closer than
-    R_MIN_SCALE * max(1, max |points|).
-    """
-    x = points - center
-    r = _distances(x, x)
-    ids = np.arange(len(x))
-    _check_coincident(r, ids, ids, R_MIN_SCALE * max(1.0, float(np.abs(points).max())))
-    return r
 
 
 #: Distances evaluated per row block of pair_blocks: 512 KiB of r, so the
@@ -155,24 +139,23 @@ def _parts(blocks) -> tuple:
     return blocks if isinstance(blocks, tuple) else (blocks,)
 
 
-def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex,
-                signs=None, ids=None) -> np.ndarray:
+def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex) -> np.ndarray:
     """(P, P) matrix kernel(r_ij) w_j with a zero diagonal, r_ij = |x_i - x_j|.
 
-    One pass of pair_blocks(points, center, kernel, signs, ids), whose
-    arguments and guard it shares; for a kernel returning a tuple of n
-    arrays the result is the (n, P, P) stack of their matrices.  w_j = 1
-    when weights is None.  Each block and its weighted transpose are
-    written straight into the output, so assembly holds the output plus one
-    block.  For a kernel whose bits do not depend on the size of its
-    argument, as for every kernel in this module, the entries equal those
-    of kernel(pair_distances(points, center)) * w_j bit for bit; a float
-    dtype keeps the real part of a complex kernel.
+    One pass of pair_blocks(points, center, kernel), whose arguments and
+    guard it shares; for a kernel returning a tuple of n arrays the result
+    is the (n, P, P) stack of their matrices.  w_j = 1 when weights is
+    None.  Each block and its weighted transpose are written straight into
+    the output, so assembly holds the output plus one block.  For a kernel
+    whose bits do not depend on the size of its argument, as for every
+    kernel in this module, the entries equal those of the kernel on the
+    whole (P, P) distance matrix, times w_j, bit for bit; a float dtype
+    keeps the real part of a complex kernel.
     """
     p = len(points)
     w = np.ones(p) if weights is None else np.asarray(weights, dtype=float)
     out = None
-    for a, b, blocks in pair_blocks(points, center, kernel, signs, ids):
+    for a, b, blocks in pair_blocks(points, center, kernel):
         stacked = isinstance(blocks, tuple)
         if out is None:
             out = np.empty((len(_parts(blocks)), p, p), dtype=dtype)
@@ -210,9 +193,9 @@ def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
     C-contiguous view of the buffer holding rows [a, b) against columns
     [a, P), the full diagonal block included.  Returns (buffer, blocks),
     blocks the list of (a, b, view) that packed_product reads; an owner
-    keeps both, so that array_bytes counts the buffer once.  Each matrix
-    takes at most P (P + b) / 2 entries for b rows per block, about half of
-    a full one.
+    keeps both, so that PackedCoupling.nbytes counts the buffer once.  Each
+    matrix takes at most P (P + b) / 2 entries for b rows per block, about
+    half of a full one.
 
     mirrors = (signs, ids, characters) makes one pair_blocks pass per
     element g of a mirror group, with signs[g] and ids[g], and stores the
@@ -514,28 +497,62 @@ def plane_wave_directions(k: float, x) -> int:
     return n_theta * n_phi
 
 
-def coefficient_storage(k: float, x, entries: int, what: str) -> int | None:
-    """How a dense operator stores `entries` coefficients of the kernel on points x (M, 3).
+class PackedCoupling:
+    """Base of the dense operators: a pair kernel stored as packed_pairs blocks.
 
-    The imaginary parts are entire in r^2 and plane_wave_rule(k, x)
-    applies them exactly on all M points in O(M Q).  So the real parts
-    alone are stored, 8 B each, with the rule's (M, Q) complex phases when
-    that takes fewer bytes than the complex coefficients, 16 B each:
-    8 entries + 16 M Q < 16 entries.  Otherwise, as for points many
-    wavelengths apart, the coefficients stay complex.  The bytes of the
-    chosen branch pass linalg.check_dense_bytes for `what` before anything
-    is allocated.  Returns Q on the real branch and None on the complex one.
+    _pack stores the kernel's symmetric matrices once, real or complex, by
+    one rule.  The imaginary parts are entire in r^2, and plane_wave_rule
+    applies them exactly on the n points x of the operator in O(n Q).  So
+    the blocks are stored real, with the rule's table, when that makes one
+    matvec take fewer flops.  Matrix t multiplies columns[t] complex
+    columns per matvec: a complex block takes 8 flops per entry and column,
+    a real one half that (packed_product multiplies the columns viewed as
+    float64), and the table's two (n, Q) products on 3 columns take
+    48 n Q.  So the blocks are real when
+
+        12 n Q < sum_t packed_entries(len(points)) columns[t].
+
+    The one-body operator's |G| character matrices take 6 columns each,
+    which makes the rule 8 E + 16 n Q < 16 E for its E stored entries:
+    fewer bytes as well.  The many-body coupling's S_iso takes 3 and S2 15,
+    so its rule is 2 M Q < 3 packed_entries(M), about Q < 0.75 M.  Points
+    many wavelengths apart keep complex blocks.  The choice is made once,
+    from the points and k alone, and the bytes of the branch taken pass
+    linalg.check_dense_bytes before anything is allocated.  The arrays
+    stay attributes of the operator, so that nbytes counts them: _packed
+    and its block rows _blocks, and on the real branch the table's
+    _phases (n, Q), _directions and _weights.  directions is Q on the real
+    branch and None otherwise.
     """
-    q = plane_wave_directions(k, x)
-    real_bytes = 8 * entries + 16 * len(x) * q
-    directions = q if real_bytes < 16 * entries else None
-    check_dense_bytes(16 * entries if directions is None else real_bytes, what)
-    return directions
 
+    directions = None
 
-def array_bytes(owner) -> int:
-    """Bytes of the arrays an object holds as attributes: an operator's nbytes."""
-    return sum(v.nbytes for v in vars(owner).values() if isinstance(v, np.ndarray))
+    def _pack(self, points, center, kernel, k, x, columns, what, mirrors=None):
+        """Store packed_pairs(points, center, kernel, mirrors=mirrors), real or complex.
+
+        x (n, 3) are the operator's points, centred, on which the table
+        applies the imaginary parts; columns[t] counts the columns matrix t
+        multiplies in one matvec, and what names the operator in the guard.
+        """
+        n, q, entries = len(x), plane_wave_directions(k, x), packed_entries(len(points))
+        real = 12 * n * q < entries * sum(columns)
+        stored = entries * len(columns)
+        check_dense_bytes(8 * stored + 16 * n * q if real else 16 * stored, what)
+        self._packed, self._blocks = packed_pairs(points, center, kernel,
+                                                  float if real else complex, mirrors)
+        if real:
+            self.directions = q
+            self._phases, self._directions, self._weights = plane_wave_rule(k, x)
+
+    @property
+    def _table(self) -> tuple:
+        """The real branch's plane-wave table, as radiative_field takes it."""
+        return self._phases, self._directions, self._weights
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the operator's stored arrays."""
+        return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
 
 def moment_fields(k: float, sources, moments, x) -> tuple[np.ndarray, np.ndarray]:

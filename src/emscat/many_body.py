@@ -32,12 +32,9 @@ The coupling is applied along one of two paths, chosen from the centres alone:
   c_iso (x_m - x_j), the field at the centres is one (M, M) x (M, 6)
   product S_iso @ [Q, x x Q].
   The imaginary part of the kernel is entire in r^2 and, in the paper's
-  regime a << d << lambda, close to low rank.  So when the plane-wave rule
-  of kernels.plane_wave_rule needs fewer directions Q than there are
-  bodies, S_iso and S2 are stored real (8 B per pair of bodies plus one
-  block row, real GEMMs) and the imaginary part is applied exactly
-  through the rule's (M, Q) phases in O(M Q); otherwise, as for a layout
-  many wavelengths across, they stay complex (16 B per pair).
+  regime a << d << lambda, close to low rank, so S_iso and S2 are stored
+  real with the plane-wave table of the centres, or complex, by
+  kernels.PackedCoupling's rule.
 
 The solve forms that field with its own operator; the solution carries it
 with its centres and wave, which every field function checks it is given.
@@ -55,11 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (CoincidentPointsError, _cross, _cross_columns, _cross_sum,
-                      _moment_columns, array_bytes, kernel_hessian_parts, moment_fields,
-                      packed_entries, packed_pairs, packed_product, pair_matrix,
-                      plane_wave_directions, plane_wave_rule, radiative_curl,
-                      radiative_field)
+from .kernels import (CoincidentPointsError, PackedCoupling, _cross, _cross_columns,
+                      _cross_sum, _moment_columns, kernel_hessian_parts, moment_fields,
+                      packed_product, pair_matrix, radiative_curl, radiative_field)
 from .linalg import (SolveReport, check_count, check_dense_bytes, check_positive,
                      check_solver, solve_operator)
 from .one_body import GammaMatrix
@@ -369,7 +364,7 @@ def _grid_values(spectrum: np.ndarray, grid: LatticeGrid) -> np.ndarray:
     return cube.reshape(spectrum.shape[0], -1).T
 
 
-class ManyBodyOperator:
+class ManyBodyOperator(PackedCoupling):
     """Matrix-free application of the 3M x 3M effective-field system.
 
     coupling is "fft" on a grid layout (the FFT of the six unique Hessian
@@ -394,21 +389,13 @@ class ManyBodyOperator:
     O(M) contractions.  Centring keeps the terms from cancelling for a
     cluster far from the origin.
 
-    The blocks are real, Re S_iso and Re S2 at 8 B per pair of bodies plus
-    one block row, when the plane-wave rule (kernels.plane_wave_rule) on
-    the centres has fewer directions Q than there are bodies; the rule's
-    (M, Q) phases, directions and weights are stored with them, and
-    directions is Q (None otherwise).  Q < M keeps the 16 M Q B of phases
-    below one complex (M, M) matrix.  It is not the byte-minimal choice for
-    packed blocks, which would be real only for Q below about M / 2, but a
-    real block is read at half the bytes and multiplied at half the flops
-    of a complex one in each matvec.  Each real block multiplies complex
-    columns viewed as real ones, and the imaginary part i Im (k^2 g I + H)
-    is summed over every j by two (M, Q) products (kernels.radiative_curl),
-    less its self term (k^3 / 6 pi) |D_m| at j = m; the field at the centres
-    gains sum_j i Im grad g x Q_j (kernels.radiative_field).  Otherwise the
-    blocks are complex (16 B per pair) and hold both parts.  The choice is
-    made once, from the centres and k alone.
+    The blocks are stored real, with the plane-wave table on the centres,
+    or complex by kernels.PackedCoupling's rule, with 3 columns for S_iso
+    and 15 for S2.  On the real branch the imaginary part
+    i Im (k^2 g I + H) is summed over every j by two (M, Q) products
+    (kernels.radiative_curl), less its self term (k^3 / 6 pi) |D_m| at
+    j = m, and the field at the centres gains sum_j i Im grad g x Q_j
+    (kernels.radiative_field).
     """
 
     def __init__(self, layout: ManyBodyLayout, wavenumber: float, gamma: GammaMatrix):
@@ -418,22 +405,12 @@ class ManyBodyOperator:
         self.count = layout.count
         self.shape = (3 * self.count, 3 * self.count)
         self.coupling = "dense" if layout.grid is None else "fft"
-        self.directions = None
         k = wavenumber
         if layout.grid is None:
-            m = self.count
             center = layout.centers.mean(axis=0)
             self._x = layout.centers - center
-            q = plane_wave_directions(k, self._x)
-            self.directions = q if q < m else None
-            stored = 2 * packed_entries(m)
-            check_dense_bytes(16 * stored if self.directions is None else 8 * stored + 16 * m * q,
-                              "the dense many-body operator")
-            self._packed, self._blocks = packed_pairs(
-                layout.centers, center, lambda r: kernel_hessian_parts(k, r)[1:],
-                dtype=complex if self.directions is None else float)
-            if self.directions is not None:
-                self._phases, self._directions, self._weights = plane_wave_rule(k, self._x)
+            self._pack(layout.centers, center, lambda r: kernel_hessian_parts(k, r)[1:], k,
+                       self._x, (3, 15), "the dense many-body operator")
             return
         diff, g, c_iso, c_dir = _grid_kernel_parts(layout.grid, k)
         components = np.stack([
@@ -441,8 +418,6 @@ class ManyBodyOperator:
             for p, q in _SYM_PAIRS
         ])
         self._kernel_hat = np.fft.fftn(components, axes=(1, 2, 3))
-
-    nbytes = property(array_bytes, doc="Bytes held by the operator's stored arrays.")
 
     @property
     def record(self) -> dict:
@@ -474,8 +449,7 @@ class ManyBodyOperator:
             if self.directions is not None:
                 # radiative_curl includes the self pairs: take their limit out
                 k = self._wavenumber
-                table = (self._phases, self._directions, self._weights)
-                out += radiative_curl(k, table, u) - 1j * ((k**3 / (6.0 * np.pi)) * u)
+                out += radiative_curl(k, self._table, u) - 1j * ((k**3 / (6.0 * np.pi)) * u)
         return out @ self._tau.T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -500,8 +474,7 @@ class ManyBodyOperator:
         q = -self._layout.volumes[:, None] * a
         field = _cross_sum(self._x, packed_product(self._blocks, 0, _cross_columns(self._x, q)))
         if self.directions is not None:
-            table = (self._phases, self._directions, self._weights)
-            field += radiative_field(self._wavenumber, table, q)
+            field += radiative_field(self._wavenumber, self._table, q)
         return field
 
     def to_dense(self) -> np.ndarray:

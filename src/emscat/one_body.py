@@ -34,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CollocationMesh
-from .kernels import (_cross, _cross_columns, _cross_sum, _moment_columns, array_bytes,
-                      block_row_entries, coefficient_storage, kernel_gradient_parts,
-                      moment_fields, packed_entries, packed_pairs, packed_product, pair_blocks,
-                      pair_matrix, plane_wave_rule, radiative_field)
+from .kernels import (PackedCoupling, _cross, _cross_columns, _cross_sum, _moment_columns,
+                      block_row_entries, kernel_gradient_parts, moment_fields, packed_product,
+                      pair_blocks, pair_matrix, radiative_field)
 from .linalg import SolveReport, check_dense_bytes, check_solver, solve_operator
 from .waves import IncidentWave
 
@@ -193,7 +192,7 @@ def _orbits(mesh: CollocationMesh) -> _Orbits:
                    stabiliser=np.sum(maps == reps, axis=0), characters=characters)
 
 
-class OneBodyOperator:
+class OneBodyOperator(PackedCoupling):
     """Matrix-free application of the discretized boundary operator I + s A.
 
     A is the collocated coupling sum over grad g(i, j) terms; the scale s
@@ -234,19 +233,14 @@ class OneBodyOperator:
     above, and maps the result back.  A mesh without mirrors is the trivial
     group, D = C / w_j.  The scale s multiplies at matvec time.
 
-    D is stored real, Re D at 8 B per stored pair, whenever that and the
-    (P, Q) phases of the plane-wave rule (kernels.plane_wave_rule) on the
-    mesh take fewer bytes than complex D at 16 B per stored pair:
-    8 E + 16 P Q < 16 E for the E = |G| packed_entries(R) entries, about
-    |G| R^2 / 2 (kernels.coefficient_storage), as on the bundled spheres and
-    ellipsoid at the default k (Q = 32).  Each product then multiplies the
-    complex columns viewed as float64, directions is Q, and i Im C is
-    applied on all P points by the rule: the coupling gains
+    D is stored real, with the plane-wave table on all P points, or complex
+    by kernels.PackedCoupling's rule, with 6 columns per character.  On the
+    real branch the coupling gains
     N_i x sum_j i Im grad g(x_i - x_j) x w_j J_j (kernels.radiative_field),
-    in O(P Q).  A body many wavelengths across, or a coarse mesh such as
-    the 600-point cube of side 2e-7 cm (Q = 50, |G| = 8), whose table would
-    outweigh the halved blocks, keeps complex D (directions None).  The
-    choice is made once, from the mesh and k alone.
+    in O(P Q).  The bundled spheres and ellipsoid store real D at the
+    default k (Q = 32); a body many wavelengths across, or a coarse mesh
+    such as the 600-point cube of side 2e-7 cm (Q = 50, |G| = 8), keeps
+    complex D.
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
@@ -262,13 +256,9 @@ class OneBodyOperator:
         self._pairing = np.arange(order)[:, None, None] ^ chi
 
         x = mesh.points - mesh.center
-        self.directions = coefficient_storage(wavenumber, x, order * packed_entries(len(reps)),
-                                              "the one-body operator")
-        self._packed, self._blocks = packed_pairs(
-            mesh.points[reps], mesh.center, lambda r: kernel_gradient_parts(wavenumber, r)[1],
-            dtype=complex if self.directions is None else float, mirrors=orbits.mirrors)
-        if self.directions is not None:
-            self._phases, self._directions, self._weights = plane_wave_rule(wavenumber, x)
+        self._pack(mesh.points[reps], mesh.center,
+                   lambda r: kernel_gradient_parts(wavenumber, r)[1], wavenumber, x,
+                   (6,) * order, "the one-body operator", orbits.mirrors)
         self._x = x[reps]
         self._normals = mesh.normals[reps]
         self._column_weights = orbits.column_weights(mesh)
@@ -279,8 +269,6 @@ class OneBodyOperator:
         self.wavenumber = float(wavenumber)
         self.n_points = mesh.n_points
         self.shape = (3 * mesh.n_points,) * 2
-
-    nbytes = property(array_bytes, doc="Bytes held by the operator's stored arrays.")
 
     @property
     def record(self) -> dict:
@@ -309,8 +297,8 @@ class OneBodyOperator:
         coupling = coupling.reshape(-1, 3)[self._gather]
         if self.directions is not None:
             u = self._mesh.weights[:, None] * j
-            table = (self._phases, self._directions, self._weights)
-            coupling += _cross(self._mesh.normals, radiative_field(self.wavenumber, table, u))
+            coupling += _cross(self._mesh.normals,
+                               radiative_field(self.wavenumber, self._table, u))
         return (j + self._scale * coupling).reshape(-1)
 
     def to_dense(self) -> np.ndarray:

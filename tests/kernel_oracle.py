@@ -4,13 +4,16 @@ green evaluates g(x, t) = exp(ik|x - t|) / (4 pi |x - t|), its gradient and
 its Hessian in x at one point pair, straight from the closed forms in the
 emscat.kernels docstring.  The package's vectorized kernels and every
 operator built from them are checked against it pair by pair.
+pair_distances is the one-shot (P, P) distance matrix that the row-blocked
+pair pass of emscat.kernels is checked against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from emscat.kernels import FOUR_PI, R_MIN_SCALE, CoincidentPointsError
+from emscat.kernels import (FOUR_PI, R_MIN_SCALE, CoincidentPointsError, _check_coincident,
+                            _distances)
 
 
 @dataclass(frozen=True)
@@ -52,3 +55,19 @@ def green(k: float, x, t) -> KernelEval:
         + (-k * k - 3j * k / r + 3.0 / (r * r)) * np.outer(u, u)
     )
     return KernelEval(value=complex(value), gradient=gradient, hessian=hessian)
+
+
+def pair_distances(points: np.ndarray, center) -> np.ndarray:
+    """(P, P) distances |x_i - x_j| with 1.0 on the diagonal as a placeholder.
+
+    The distances are taken between points - center, so they keep full
+    precision for a small cluster far from the origin; the squares are
+    summed one component at a time, so no (P, P, 3) temporary is built.
+    Raises CoincidentPointsError when two points lie closer than
+    R_MIN_SCALE * max(1, max |points|).
+    """
+    x = points - center
+    r = _distances(x, x)
+    ids = np.arange(len(x))
+    _check_coincident(r, ids, ids, R_MIN_SCALE * max(1.0, float(np.abs(points).max())))
+    return r

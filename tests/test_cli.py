@@ -179,9 +179,9 @@ def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monke
     monkeypatch.setattr(emscat.kernels, "check_dense_bytes",
                         lambda nbytes, what: check(asked.append(nbytes) or nbytes, what))
     monkeypatch.setattr(emscat.linalg, "physical_memory", lambda: 2**28)
-    monkeypatch.setattr(emscat.one_body, "packed_pairs",
+    monkeypatch.setattr(emscat.kernels, "packed_pairs",
                         lambda *a, **k: pytest.fail("assembled"))
-    monkeypatch.setattr(emscat.one_body, "plane_wave_rule",
+    monkeypatch.setattr(emscat.kernels, "plane_wave_rule",
                         lambda *a, **k: pytest.fail("assembled"))
     tracemalloc.start()
     try:

@@ -10,13 +10,12 @@ import pytest
 import emscat.kernels as kernels
 import emscat.many_body as many_body
 import emscat.one_body as one_body
-from emscat.geometry import mesh_sphere
+from emscat.geometry import mesh_cube, mesh_ellipsoid, mesh_sphere
 from emscat.kernels import (
     CoincidentPointsError,
     kernel_gradient_parts,
     kernel_hessian_parts,
     moment_fields,
-    pair_distances,
     pair_matrix,
     plane_wave_rule,
     radiative_curl,
@@ -24,7 +23,7 @@ from emscat.kernels import (
 )
 from emscat.one_body import _static_coefficient
 from emscat.waves import default_wave
-from kernel_oracle import green
+from kernel_oracle import green, pair_distances
 
 K = 2.0 * np.pi / 6.0e-5  # default experiment wavenumber, 1/cm
 
@@ -407,9 +406,9 @@ def _fields_at_centers(mesh, layout):
 #: builder and its one-shot stand-in, and a function of (mesh, layout)
 #: returning the caller's result.
 PAIR_MATRIX_CALLERS = {
-    "one-body-C": (one_body, "packed_pairs", one_shot_packed_pairs, _one_body_c),
+    "one-body-C": (kernels, "packed_pairs", one_shot_packed_pairs, _one_body_c),
     "gamma-numeric": (one_body, "pair_blocks", one_shot_pair_blocks, _gamma_numeric),
-    "effective-field-at-centers": (many_body, "packed_pairs", one_shot_packed_pairs,
+    "effective-field-at-centers": (kernels, "packed_pairs", one_shot_packed_pairs,
                                    _fields_at_centers),
 }
 
@@ -423,7 +422,7 @@ def test_pair_matrix_callers_match_one_shot_construction(monkeypatch, caller):
     centers = (grid * 1.5 + 1.0 + rng.uniform(-0.2, 0.2, grid.shape)) * 1e-7
     layout = many_body.layout_from_centers(
         centers, 1e-7, 1e-9, volumes=rng.uniform(0.5, 2.0, 27) * 1e-22)
-    count = mesh.n_points if module is one_body else layout.count
+    count = layout.count if caller == "effective-field-at-centers" else mesh.n_points
     block_rows(monkeypatch, count)  # several blocks and a ragged last one
     assert count % ROWS and count > 2 * ROWS
     blocked = run(mesh, layout)
@@ -477,6 +476,21 @@ def test_packed_pairs_are_the_upper_block_rows_of_pair_matrix(monkeypatch, dtype
         assert np.shares_memory(view, buffer) and np.array_equal(view, expected)
 
 
+def mirrored_pair_matrix(points, center, kernel, weights, signs, ids, dtype=complex):
+    """(P, P) kernel(|x_i - signs x_j|) w_j from pair_blocks(..., signs, ids).
+
+    Each upper block row and its weighted transpose are written into the
+    output, as pair_matrix writes the unmirrored pass.
+    """
+    p = len(points)
+    w = np.ones(p) if weights is None else weights
+    out = np.empty((p, p), dtype=dtype)
+    for a, b, block in kernels.pair_blocks(points, center, kernel, signs, ids):
+        out[a:b, a:] = block * w[a:]
+        out[b:, a:b] = block[:, b - a:].T * w[a:b]
+    return out
+
+
 @pytest.mark.parametrize("p", [1, ROWS + 1, 5 * ROWS + 2])
 def test_mirrored_pair_matrix_equals_full_construction(monkeypatch, p):
     block_rows(monkeypatch, p)
@@ -488,7 +502,7 @@ def test_mirrored_pair_matrix_equals_full_construction(monkeypatch, p):
     # every third point is fixed by the mirror: only its self pair is zeroed
     ids = (np.arange(p), np.where(np.arange(p) % 3 == 0, np.arange(p), p + np.arange(p)))
     kernel = lambda r: kernel_gradient_parts(K, r)[1]
-    got = pair_matrix(points, center, kernel, weights=weights, signs=signs, ids=ids)
+    got = mirrored_pair_matrix(points, center, kernel, weights, signs, ids)
     expected = full_pair_matrix(points, center, kernel, weights, signs, ids)
     # the one-shot construction evaluates both triangles: |x_i - R x_j| = |x_j - R x_i|
     assert np.array_equal(got, expected)
@@ -504,7 +518,7 @@ def test_mirrored_pair_matrix_names_coincident_images(monkeypatch):
     points[7] = points[2] * signs  # point 7 is the mirror image of point 2
     ids = (np.arange(p), 100 + np.arange(p))
     with pytest.raises(CoincidentPointsError, match="points 2 and 107 are coincident"):
-        pair_matrix(points, np.zeros(3), np.reciprocal, dtype=float, signs=signs, ids=ids)
+        mirrored_pair_matrix(points, np.zeros(3), np.reciprocal, None, signs, ids, dtype=float)
 
 
 @pytest.mark.parametrize("i, j", [(5, 6), (1, 9)], ids=["inside-one-block", "across-blocks"])
@@ -515,6 +529,103 @@ def test_pair_matrix_names_coincident_points(monkeypatch, i, j):
     points[j] = points[i]
     with pytest.raises(CoincidentPointsError, match=f"points {i} and {j} are coincident"):
         pair_matrix(points, points.mean(axis=0), np.reciprocal, dtype=float)
+
+
+# --- PackedCoupling's branch rule -----------------------------------------------
+
+class _Branch(Exception):
+    """The dtype PackedCoupling._pack chose, raised by a stand-in packed_pairs."""
+
+
+def _operator_at(mesh, kd=None):
+    """The one-body operator on mesh at the default k, or where k D = kd."""
+    k = K if kd is None else kd / float(np.linalg.norm(np.ptp(mesh.points, axis=0)))
+    return one_body.OneBodyOperator(mesh, k)
+
+
+def _bodies(n, k=K, scale=1.0, count=None, kl=None):
+    """The dense many-body operator on the first count of n^3 jittered bodies.
+
+    The bodies sit on a grid of pitch 1.5 spacings, each moved by up to 0.2
+    spacing per axis, as in the many-body tests and the benchmark's scatter
+    workload; scale multiplies the centres.  kl, when given, sets k L = kl,
+    L the largest side of the layout's box.
+    """
+    rng = np.random.default_rng(n)
+    grid = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    centers = (grid * 1.5 + 1.0 + rng.uniform(-0.2, 0.2, size=grid.shape))[:count] * 1e-7
+    layout = many_body.layout_from_centers(centers * scale, scale * 1e-7, 1e-9)
+    if kl is not None:
+        k = kl / np.ptp(layout.centers, axis=0).max()
+    return many_body.ManyBodyOperator(layout, k, one_body.gamma_sphere_analytic())
+
+
+#: Every bundled mesh, benchmark size and dense test layout, with the branch
+#: of its blocks (Q, the plane-wave directions, in the comments).
+BRANCHES = {
+    # the bundled spheres and the ellipsoid, Q = 32; sweep-1386's radii take
+    # Q = 50, 32, 32 and 18
+    "sphere-245": (lambda: _operator_at(mesh_sphere(1e-9, 7)), float),
+    "sphere-330": (lambda: _operator_at(mesh_sphere(1e-9, 8)), float),
+    "sphere-766": (lambda: _operator_at(mesh_sphere(1e-9, 12)), float),
+    **{f"sphere-1386-{radius:g}": (lambda radius=radius: _operator_at(mesh_sphere(radius, 16)),
+                                   float)
+       for radius in (1e-7, 1e-8, 1e-9, 1e-10)},
+    "sphere-1762": (lambda: _operator_at(mesh_sphere(1e-9, 18)), float),
+    "sphere-3174": (lambda: _operator_at(mesh_sphere(1e-9, 24)), float),
+    "sphere-20258": (lambda: _operator_at(mesh_sphere(1e-9, 60)), float),
+    "ellipsoid-1052": (lambda: _operator_at(mesh_ellipsoid(1e-8, 1e-9, 1e-9, 14)), float),
+    "cube-600-small": (lambda: _operator_at(mesh_cube(1e-9, 10)), float),
+    # the coarse cubes and ellipsoid (Q = 32 and 50) and a body some 10^5
+    # wavelengths across keep complex blocks
+    "ellipsoid-76": (lambda: _operator_at(mesh_ellipsoid(1e-8, 1e-9, 1e-9, 4)), complex),
+    "cube-54": (lambda: _operator_at(mesh_cube(1e-7, 3)), complex),
+    "cube-600": (lambda: _operator_at(mesh_cube(1e-7, 10)), complex),
+    "sphere-1cm": (lambda: _operator_at(mesh_sphere(1.0, 8)), complex),
+    # the one-body tests' split meshes at k D = 0.2 (Q = 98) and 1 (Q = 162);
+    # tests/test_one_body.py pins its unsplit (nudged) meshes real
+    "sphere-766-kd0.2": (lambda: _operator_at(mesh_sphere(1e-9, 12), 0.2), float),
+    "sphere-1762-kd0.2": (lambda: _operator_at(mesh_sphere(1e-9, 18), 0.2), float),
+    "sphere-766-kd1": (lambda: _operator_at(mesh_sphere(1e-9, 12), 1.0), complex),
+    "sphere-1762-kd1": (lambda: _operator_at(mesh_sphere(1e-9, 18), 1.0), complex),
+    # jittered bodies at the default k: Q = 50 on 8, 72 on 27 to 216, 98 on
+    # 512 to 2197 (the benchmark's scatter sizes)
+    "bodies-8": (lambda: _bodies(2), complex),
+    "bodies-27": (lambda: _bodies(3), complex),
+    # 2 M Q < 3 packed_entries(M) holds for M > 48 at Q = 72; real iff Q < M
+    # kept these 60 and 64 bodies complex
+    "bodies-60": (lambda: _bodies(4, count=60), float),
+    "bodies-64": (lambda: _bodies(4), float),
+    # 60 bodies twice as far apart (Q = 98) stay complex
+    "bodies-60-sparse": (lambda: _bodies(4, scale=2.0, count=60), complex),
+    "bodies-216": (lambda: _bodies(6), float),
+    "bodies-512": (lambda: _bodies(8), float),
+    "bodies-729": (lambda: _bodies(9), float),
+    "bodies-1000": (lambda: _bodies(10), float),
+    "bodies-2197": (lambda: _bodies(13), float),
+    # the many-body tests' layouts at k L = 1 (Q = 242) and 3 (Q = 450), 30
+    # times the default k (Q = 392) and 100 times as far apart (Q = 1152)
+    "bodies-512-kl1": (lambda: _bodies(8, kl=1.0), float),
+    "bodies-512-kl3": (lambda: _bodies(8, kl=3.0), float),
+    "bodies-27-kl3": (lambda: _bodies(3, kl=3.0), complex),
+    "bodies-216-30k": (lambda: _bodies(6, 30 * K), complex),
+    "bodies-216-far": (lambda: _bodies(6, scale=1e2), complex),
+    # 216 bodies at k L = 1, which real iff Q < M kept complex
+    "bodies-216-kl1": (lambda: _bodies(6, kl=1.0), float),
+}
+
+
+@pytest.mark.parametrize("case", BRANCHES)
+def test_packed_coupling_branch_of_each_mesh_and_layout(monkeypatch, case):
+    build, dtype = BRANCHES[case]
+
+    def stop(points, center, kernel, dtype, mirrors=None):
+        raise _Branch(dtype)
+
+    monkeypatch.setattr(kernels, "packed_pairs", stop)
+    with pytest.raises(_Branch) as branch:
+        build()
+    assert branch.value.args[0] is dtype
 
 
 # --- moment_fields row blocks ----------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import emscat.kernels as kernels
 import emscat.many_body as many_body
-from emscat.kernels import kernel_hessian_parts, moment_fields, pair_distances
+from emscat.kernels import kernel_hessian_parts, moment_fields
 from emscat.linalg import SolveReport
 from emscat.many_body import (
     EffectiveFieldSolution,
@@ -32,7 +32,7 @@ from emscat.one_body import (
     moment_q_asymptotic,
 )
 from emscat.waves import IncidentWave, default_wave
-from kernel_oracle import green
+from kernel_oracle import green, pair_distances
 
 SPACING = 1e-7
 
@@ -393,8 +393,8 @@ def test_dense_operator_beyond_physical_memory_is_refused(wave, monkeypatch):
             need += 16 * m * q
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "physical_memory", lambda: need - 1)
-            patch.setattr(many_body, "packed_pairs", lambda *a, **k: pytest.fail("allocated"))
-            patch.setattr(many_body, "plane_wave_rule", lambda *a, **k: pytest.fail("allocated"))
+            patch.setattr(kernels, "packed_pairs", lambda *a, **k: pytest.fail("allocated"))
+            patch.setattr(kernels, "plane_wave_rule", lambda *a, **k: pytest.fail("allocated"))
             with pytest.raises(ValueError, match="the dense many-body operator needs"):
                 ManyBodyOperator(layout, wave.wavenumber, SKEW_GAMMA)
             # and the exact need passes the guard
@@ -665,7 +665,11 @@ def hand_built_solution(layout, wave, q):
     # raw coordinates cancels catastrophically here
     lambda: layout_from_centers(
         jittered_centers(4)[:60] + (0.3, 0.4, 0.5), spacing=SPACING, radius=1e-9),
-], ids=["grid-3x4x5", "jittered", "jittered-shifted"])
+    # twice as far apart, Q = 98: complex coefficients, where the two above
+    # store real ones with the plane-wave table
+    lambda: layout_from_centers(jittered_centers(4)[:60] * 2.0, spacing=2.0 * SPACING,
+                                radius=1e-9),
+], ids=["grid-3x4x5", "jittered", "jittered-shifted", "jittered-sparse"])
 def test_effective_field_at_centers_matches_pair_sum(wave, make_layout):
     layout = make_layout()
     assert layout.count == 60

@@ -7,12 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import emscat.kernels as kernels
 import emscat.linalg as linalg
 from emscat import one_body
 from emscat.geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
 from emscat.kernels import (CoincidentPointsError, kernel_gradient_parts, packed_entries,
                             pair_matrix, radiative_field)
 from emscat.linalg import solve_direct
+from emscat.many_body import ManyBodyOperator, layout_from_centers
 from emscat.one_body import (
     GammaMatrix,
     OneBodyOperator,
@@ -276,24 +278,36 @@ def test_radiative_part_matches_pairwise_imaginary_coupling(build, kd):
     rng = np.random.default_rng(12)
     j = rng.normal(size=(mesh.n_points, 3)) + 1j * rng.normal(size=(mesh.n_points, 3))
     expected = pairwise_radiative(mesh, k, j)
-    table = (op._phases, op._directions, op._weights)
-    got = np.cross(mesh.normals, radiative_field(k, table, mesh.weights[:, None] * j))
+    got = np.cross(mesh.normals, radiative_field(k, op._table, mesh.weights[:, None] * j))
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("build, kd", [
-    (lambda: mesh_sphere(1e-9, 12), 0.2),
-    (lambda: _nudged(mesh_sphere(1e-9, 12)), 0.2),
+def _one_body_at(mesh, kd):
+    return OneBodyOperator(mesh, _wavenumber(mesh, kd))
+
+
+def _many_body_216():
+    """The dense many-body operator on 216 jittered bodies at the default k (Q = 72)."""
+    rng = np.random.default_rng(6)
+    grid = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    centers = (grid * 1.5 + 1.0 + rng.uniform(-0.2, 0.2, size=grid.shape)) * 1e-7
+    # volumes 1e5 radius^3: a coupling of a few percent of the identity
+    layout = layout_from_centers(centers, 1e-7, 1e-9, volumes=np.full(216, 1e-22))
+    return ManyBodyOperator(layout, default_wave().wavenumber, gamma_sphere_analytic())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _one_body_at(mesh_sphere(1e-9, 12), 0.2),
+    lambda: _one_body_at(_nudged(mesh_sphere(1e-9, 12)), 0.2),
     # at k D = 1 the split sphere's Q exceeds |G| R^2 / 2 P and D stays complex
-    (lambda: _nudged(mesh_sphere(1e-9, 12)), 1.0),
-], ids=["split-0.2", "nudged-0.2", "nudged-1"])
-def test_real_blocks_are_the_real_part_of_the_complex_blocks(build, kd, monkeypatch):
-    mesh = build()
-    k = _wavenumber(mesh, kd)
-    real = OneBodyOperator(mesh, k)
-    # the same mesh and k made to keep complex D
-    monkeypatch.setattr(one_body, "coefficient_storage", lambda k, x, entries, what: None)
-    full = OneBodyOperator(mesh, k)
+    lambda: _one_body_at(_nudged(mesh_sphere(1e-9, 12)), 1.0),
+    _many_body_216,
+], ids=["split-0.2", "nudged-0.2", "nudged-1", "many-body-216"])
+def test_real_blocks_are_the_real_part_of_the_complex_blocks(build, monkeypatch):
+    real = build()
+    # the same operator made to keep complex blocks: the rule finds too many directions
+    monkeypatch.setattr(kernels, "plane_wave_directions", lambda k, x: 2**62)
+    full = build()
     assert real.directions is not None and full._packed.dtype == complex
     assert np.array_equal(real._packed, full._packed.real)
     # and the plane-wave rule carries the imaginary part of the matvec
@@ -425,8 +439,9 @@ def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch)
     mesh = mesh_sphere(1e-9, 12)  # P = 766
     op = OneBodyOperator(mesh, wave.wavenumber)
     monkeypatch.setattr(linalg, "physical_memory", lambda: 2**20)
-    for builder in ("packed_pairs", "pair_blocks", "pair_matrix", "plane_wave_rule"):
-        monkeypatch.setattr(one_body, builder, lambda *a, **k: pytest.fail("allocated"))
+    for module, builder in ((kernels, "packed_pairs"), (one_body, "pair_blocks"),
+                            (one_body, "pair_matrix"), (kernels, "plane_wave_rule")):
+        monkeypatch.setattr(module, builder, lambda *a, **k: pytest.fail("allocated"))
     # 8 B x 4 packed_entries(197) = 4 x 197^2 pairs (one block row holds all
     # 197 rows) and 16 B x 766 x 32 phases, and 200 B x 766^2 (the 144 B of
     # the matrix and its work arrays)
