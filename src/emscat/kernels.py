@@ -22,9 +22,17 @@ upper block rows, for both dense operators: the many-body coupling's two
 matrices from one pass, and the one-body operator's character blocks
 summed from one mirrored pass per group element.  packed_product applies
 them.  PackedCoupling, the base of both operators, stores them real or
-complex by one rule: a float dtype keeps the real parts, and
-radiative_field and radiative_curl add the imaginary parts back through
-the plane-wave table.  All lengths are in cm, k in 1/cm.
+complex by one rule: radiative_field and radiative_curl add the imaginary
+parts back through the plane-wave table.  The real parts are the static
+kernel c0 = -1 / (4 pi r^3) times an entire function of y = (kr)^2,
+
+    Re c_iso = c0 (cos kr + kr sin kr),
+    Re c_dir = -c0 ((3 - y) cos kr + 3 kr sin kr) / r^2,
+
+so while k D <= 1, D the extent of the points, real_coupling_series sums
+them as short series in y, with no transcendental call; past that the
+real blocks keep the real part of the complex kernel.  All lengths are in
+cm, k in 1/cm.
 """
 
 from __future__ import annotations
@@ -204,10 +212,12 @@ def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
     as matrix psi n + t for part t of the kernel.  |x_i - R_g x_j| =
     |x_j - R_g x_i|, so each sum is symmetric too.  The passes step through
     the block rows together: block row [a, b) of every pass is added in
-    while the sums' rows are in cache, and a pass's block is released as
-    the next pass's is made, so at most two are held.  (Releasing it before
-    raised the peak RSS of a dense many-body solve by about 1.2 MiB at
-    M = 2197: glibc reused the freed blocks less well.)
+    while the sums' rows are in cache, and a pass's block is released
+    before the next pass's is made, so one is held within a block row.
+    The last pass's block of a row is released as the next row's first
+    block is made: releasing it before raised the peak RSS of a dense
+    many-body solve (one pass) by about 1.2 MiB at M = 2197, as glibc
+    reused the freed blocks less well.
     """
     p = len(points)
     signs, ids, characters = mirrors or ((None,), (None,), np.ones((1, 1)))
@@ -217,6 +227,8 @@ def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
     for a in range(0, p, step):
         b = min(p, a + step)
         for g, rows in enumerate(passes):
+            if g:
+                del parts  # the previous pass's block, before this pass's is made
             parts = _parts(next(rows)[2])
             n = len(characters) * len(parts)
             if buffer is None:
@@ -378,8 +390,89 @@ def kernel_hessian_parts(
     return g, c_iso, c_dir
 
 
-#: Truncation target of plane_wave_rule: half a unit in the last place.
+#: Truncation target of plane_wave_rule and real_coupling_series: half a
+#: unit in the last place.
 PLANE_WAVE_TOL = np.finfo(float).eps / 2
+
+#: Coefficients of y^n, n = 0 .. 11, in f_iso(y) = cos x + x sin x (row 0)
+#: and f_dir(y) = (3 - y) cos x + 3 x sin x = 3 f_iso - y cos x (row 1),
+#: y = x^2: (-1)^n (1 - 2n) / (2n)! and (-1)^n (2n - 1)(2n - 3) / (2n)!.
+#: k D = 1 takes them up to n = 9.
+_SERIES = np.array([[(-1) ** n * (1 - 2 * n) / math.factorial(2 * n) for n in range(12)],
+                    [(-1) ** n * (2 * n - 1) * (2 * n - 3) / math.factorial(2 * n)
+                     for n in range(12)]])
+
+#: Largest k D at which the real blocks are summed by real_coupling_series.
+#: Up to it f_iso >= 1 and f_dir >= 3 (both grow with x while x <= pi / 2),
+#: so the series neither vanish nor cancel.
+SERIES_KD_MAX = 1.0
+
+
+def series_degree(k: float, x) -> int | None:
+    """Degree of real_coupling_series for wavenumber k on the points x (n, 3).
+
+    With D the diagonal of the points' bounding box, as in
+    _plane_wave_orders, no pair is farther apart than D, so y <= (k D)^2.
+    From n = 2 on, the terms of both series alternate in sign and fall in
+    size while y <= 1, so the dropped tail is below its first term; the
+    degree is the smallest N whose term N + 1, relative to the least value
+    of its series (1 and 3), is below PLANE_WAVE_TOL at y = (k D)^2.  None
+    past k D = SERIES_KD_MAX: the complex kernel's real part is kept there.
+    """
+    kd = k * float(np.linalg.norm(np.ptp(np.asarray(x, dtype=float), axis=0)))
+    if not kd <= SERIES_KD_MAX:
+        return None
+    y = kd * kd
+    degree = 0
+    while max(abs(_SERIES[0, degree + 1]), abs(_SERIES[1, degree + 1]) / 3.0) * y ** (
+            degree + 1) >= PLANE_WAVE_TOL:
+        degree += 1
+    return degree
+
+
+def _horner(coefficients: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_n coefficients[n] y^n, by Horner's rule; out must not be y."""
+    if len(coefficients) == 1:
+        out.fill(coefficients[0])
+        return out
+    np.multiply(y, coefficients[-1], out=out)
+    for c in coefficients[-2:0:-1]:
+        out += c
+        out *= y
+    out += coefficients[0]
+    return out
+
+
+def real_coupling_series(k: float, r: np.ndarray, degree: int, hessian: bool = False):
+    """Re c_iso, and (Re c_iso, Re c_dir) when hessian, on the distances r.
+
+    c_iso = c0 (1 - ikr) e^{ikr} and c_dir = -c0 (3 - 3ikr - (kr)^2) e^{ikr} / r^2
+    with c0 = -1 / (4 pi r^3) (kernel_hessian_parts), so
+
+        Re c_iso = c0 f_iso(y),   Re c_dir = -c0 f_dir(y) / r^2,   y = (kr)^2,
+
+    each series (_SERIES) summed to `degree` by Horner's rule.  No
+    transcendental function is called; every step is one rounded float
+    operation per element, so the bits do not depend on the size of r.
+    At series_degree's degree, for points at most D apart with k D <= 1,
+    both are within 3 eps of the exact values (2.2 and 2.7 eps on 20000
+    sampled pairs; the complex kernel's real parts 2.4 and 2.8 eps).  r is
+    overwritten.
+    """
+    r2 = np.multiply(r, r)
+    c0 = np.multiply(r2, r, out=r)
+    c0 *= -FOUR_PI
+    np.reciprocal(c0, out=c0)
+    y = np.multiply(r2, k * k)
+    iso = _horner(_SERIES[0, :degree + 1], y, np.empty_like(y))
+    iso *= c0
+    if not hessian:
+        return iso
+    # -c0 f_dir / r^2 as (c0 / r^2) times the negated series, exactly
+    np.divide(c0, r2, out=r2)
+    c_dir = _horner(-_SERIES[1, :degree + 1], y, c0)
+    c_dir *= r2
+    return iso, c_dir
 
 
 def _plane_wave_orders(k: float, x: np.ndarray) -> tuple[int, int]:
@@ -500,15 +593,16 @@ def plane_wave_directions(k: float, x) -> int:
 class PackedCoupling:
     """Base of the dense operators: a pair kernel stored as packed_pairs blocks.
 
-    _pack stores the kernel's symmetric matrices once, real or complex, by
-    one rule.  The imaginary parts are entire in r^2, and plane_wave_rule
-    applies them exactly on the n points x of the operator in O(n Q).  So
-    the blocks are stored real, with the rule's table, when that makes one
-    matvec take fewer flops.  Matrix t multiplies columns[t] complex
-    columns per matvec: a complex block takes 8 flops per entry and column,
-    a real one half that (packed_product multiplies the columns viewed as
-    float64), and the table's two (n, Q) products on 3 columns take
-    48 n Q.  So the blocks are real when
+    _pack stores the symmetric matrices of c_iso, and of c_dir for a
+    Hessian kernel, once, real or complex, by one rule.  The imaginary
+    parts are entire in r^2, and plane_wave_rule applies them exactly on
+    the n points x of the operator in O(n Q).  So the blocks are stored
+    real, with the rule's table, when that makes one matvec take fewer
+    flops.  Matrix t multiplies columns[t] complex columns per matvec: a
+    complex block takes 8 flops per entry and column, a real one half that
+    (packed_product multiplies the columns viewed as float64), and the
+    table's two (n, Q) products on 3 columns take 48 n Q.  So the blocks
+    are real when
 
         12 n Q < sum_t packed_entries(len(points)) columns[t].
 
@@ -518,30 +612,48 @@ class PackedCoupling:
     so its rule is 2 M Q < 3 packed_entries(M), about Q < 0.75 M.  Points
     many wavelengths apart keep complex blocks.  The choice is made once,
     from the points and k alone, and the bytes of the branch taken pass
-    linalg.check_dense_bytes before anything is allocated.  The arrays
-    stay attributes of the operator, so that nbytes counts them: _packed
-    and its block rows _blocks, and on the real branch the table's
-    _phases (n, Q), _directions and _weights.  directions is Q on the real
-    branch and None otherwise.
+    linalg.check_dense_bytes before anything is allocated.
+
+    The kernel is chosen with the branch: real blocks are summed by
+    real_coupling_series to degree series_degree(k, x) while k D <= 1, and
+    keep the real part of kernel_gradient_parts' or kernel_hessian_parts'
+    complex values otherwise, as complex blocks do.  The arrays stay
+    attributes of the operator, so that nbytes counts them: _packed and its
+    block rows _blocks, and on the real branch the table's _phases (n, Q),
+    _directions and _weights.  directions is Q on the real branch and None
+    otherwise; series is the degree of the series, None where the complex
+    kernel ran.
     """
 
     directions = None
+    series = None
 
-    def _pack(self, points, center, kernel, k, x, columns, what, mirrors=None):
+    def _pack(self, points, center, k, x, columns, what, hessian=False, mirrors=None):
         """Store packed_pairs(points, center, kernel, mirrors=mirrors), real or complex.
 
-        x (n, 3) are the operator's points, centred, on which the table
-        applies the imaginary parts; columns[t] counts the columns matrix t
-        multiplies in one matvec, and what names the operator in the guard.
+        The kernel is c_iso, or (c_iso, c_dir) when hessian.  x (n, 3) are
+        the operator's points, centred, on which the table applies the
+        imaginary parts; columns[t] counts the columns matrix t multiplies
+        in one matvec, and what names the operator in the guard.
         """
         n, q, entries = len(x), plane_wave_directions(k, x), packed_entries(len(points))
         real = 12 * n * q < entries * sum(columns)
         stored = entries * len(columns)
         check_dense_bytes(8 * stored + 16 * n * q if real else 16 * stored, what)
+        degree = series_degree(k, x) if real else None
+        if degree is not None:
+            def kernel(r):
+                return real_coupling_series(k, r, degree, hessian)
+        elif hessian:
+            def kernel(r):
+                return kernel_hessian_parts(k, r)[1:]
+        else:
+            def kernel(r):
+                return kernel_gradient_parts(k, r)[1]
         self._packed, self._blocks = packed_pairs(points, center, kernel,
                                                   float if real else complex, mirrors)
         if real:
-            self.directions = q
+            self.directions, self.series = q, degree
             self._phases, self._directions, self._weights = plane_wave_rule(k, x)
 
     @property

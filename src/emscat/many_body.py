@@ -391,7 +391,9 @@ class ManyBodyOperator(PackedCoupling):
 
     The blocks are stored real, with the plane-wave table on the centres,
     or complex by kernels.PackedCoupling's rule, with 3 columns for S_iso
-    and 15 for S2.  On the real branch the imaginary part
+    and 15 for S2; real blocks are summed by the series in (kr)^2 while
+    k D <= 1 (record["series"] gives its degree).  On the real branch the
+    imaginary part
     i Im (k^2 g I + H) is summed over every j by two (M, Q) products
     (kernels.radiative_curl), less its self term (k^3 / 6 pi) |D_m| at
     j = m, and the field at the centres gains sum_j i Im grad g x Q_j
@@ -409,8 +411,8 @@ class ManyBodyOperator(PackedCoupling):
         if layout.grid is None:
             center = layout.centers.mean(axis=0)
             self._x = layout.centers - center
-            self._pack(layout.centers, center, lambda r: kernel_hessian_parts(k, r)[1:], k,
-                       self._x, (3, 15), "the dense many-body operator")
+            self._pack(layout.centers, center, k, self._x, (3, 15),
+                       "the dense many-body operator", hessian=True)
             return
         diff, g, c_iso, c_dir = _grid_kernel_parts(layout.grid, k)
         components = np.stack([
@@ -422,8 +424,11 @@ class ManyBodyOperator(PackedCoupling):
     @property
     def record(self) -> dict:
         """What the operator is, as the artifacts write it: its coupling path,
-        bytes and plane-wave directions (None unless the dense blocks are real)."""
-        return {"coupling": self.coupling, "bytes": self.nbytes, "directions": self.directions}
+        bytes, plane-wave directions (None unless the dense blocks are real)
+        and the degree of the series that summed real blocks (None where the
+        complex kernel did)."""
+        return {"coupling": self.coupling, "bytes": self.nbytes, "directions": self.directions,
+                "series": self.series}
 
     def _coupling(self, a: np.ndarray) -> np.ndarray:
         if self.coupling == "fft":

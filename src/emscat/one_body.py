@@ -234,8 +234,10 @@ class OneBodyOperator(PackedCoupling):
     group, D = C / w_j.  The scale s multiplies at matvec time.
 
     D is stored real, with the plane-wave table on all P points, or complex
-    by kernels.PackedCoupling's rule, with 6 columns per character.  On the
-    real branch the coupling gains
+    by kernels.PackedCoupling's rule, with 6 columns per character; real D
+    is summed by the series in (kr)^2 while k D <= 1 (record["series"]
+    gives its degree, 2 on the bundled bodies).  On the real branch the
+    coupling gains
     N_i x sum_j i Im grad g(x_i - x_j) x w_j J_j (kernels.radiative_field),
     in O(P Q).  The bundled spheres and ellipsoid store real D at the
     default k (Q = 32); a body many wavelengths across, or a coarse mesh
@@ -256,9 +258,8 @@ class OneBodyOperator(PackedCoupling):
         self._pairing = np.arange(order)[:, None, None] ^ chi
 
         x = mesh.points - mesh.center
-        self._pack(mesh.points[reps], mesh.center,
-                   lambda r: kernel_gradient_parts(wavenumber, r)[1], wavenumber, x,
-                   (6,) * order, "the one-body operator", orbits.mirrors)
+        self._pack(mesh.points[reps], mesh.center, wavenumber, x, (6,) * order,
+                   "the one-body operator", mirrors=orbits.mirrors)
         self._x = x[reps]
         self._normals = mesh.normals[reps]
         self._column_weights = orbits.column_weights(mesh)
@@ -273,9 +274,11 @@ class OneBodyOperator(PackedCoupling):
     @property
     def record(self) -> dict:
         """What the operator is, as the artifacts write it: its mirrors, group
-        order, orbits, bytes and plane-wave directions (None for complex D)."""
+        order, orbits, bytes, plane-wave directions (None for complex D) and
+        the degree of the series that summed real D (None where the complex
+        kernel did)."""
         return {"mirrors": list(self.mirrors), "order": len(self._signs), "orbits": self.orbits,
-                "bytes": self.nbytes, "directions": self.directions}
+                "bytes": self.nbytes, "directions": self.directions, "series": self.series}
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         order = len(self._signs)

@@ -141,8 +141,9 @@ def test_one_body_q_json_records_the_split_operator(tmp_path, args, mirrors, poi
     assert points / order <= operator["orbits"] < 1.1 * points / order
     # |G| (R, R) real matrices and the complex (P, Q) plane-wave phases at
     # both bodies' size; the orbits on the mirror planes, of fewer than |G|
-    # points, put R above P / |G|
-    assert operator["directions"] == 32
+    # points, put R above P / |G|; at k D = 3.6e-4 the series in (kr)^2
+    # takes degree 2
+    assert operator["directions"] == 32 and operator["series"] == 2
     assert operator["bytes"] <= (8 * order * operator["orbits"]**2 + 16 * points * 32
                                  + 256 * points)
 
@@ -153,7 +154,7 @@ def test_one_body_q_json_records_complex_coefficients_as_no_directions(tmp_path)
     assert run_cli(["one-body", "--shape", "cube", "--radius", "1e-7", "--distances", "1.73e-5",
                     "--output-dir", str(tmp_path)]) == 0
     operator = json.loads((tmp_path / "Q.json").read_text())["operator"]
-    assert operator["directions"] is None
+    assert operator["directions"] is None and operator["series"] is None
     assert operator["bytes"] <= 16 * 8 * operator["orbits"]**2 + 256 * 600
 
 
@@ -510,7 +511,7 @@ def test_many_body_summary(many_body_run):
     assert payload["operator"]["coupling"] == "fft"
     # six kernel spectra on the zero-padded 6^3 grid plus the 3 x 3 tau
     assert payload["operator"]["bytes"] == (6 * 6**3 + 9) * 16
-    assert payload["operator"]["directions"] is None
+    assert payload["operator"]["directions"] is None and payload["operator"]["series"] is None
     assert (many_body_run / "centers.csv").exists()
     assert (many_body_run / "E_centers.csv").exists()
     lines = (many_body_run / "solution.csv").read_text().splitlines()

@@ -1,6 +1,5 @@
 """Kernel values and derivatives against finite-difference oracles."""
 
-import functools
 import math
 import tracemalloc
 
@@ -23,7 +22,8 @@ from emscat.kernels import (
 )
 from emscat.one_body import _static_coefficient
 from emscat.waves import default_wave
-from kernel_oracle import green, pair_distances
+from kernel_oracle import (full_pair_matrix, green, one_shot_packed_pairs, packed,
+                           pair_distances)
 
 K = 2.0 * np.pi / 6.0e-5  # default experiment wavenumber, 1/cm
 
@@ -294,30 +294,6 @@ PAIR_KERNELS = {
 }
 
 
-def full_pair_matrix(points, center, kernel, weights, signs=None, ids=None):
-    """The one-shot construction: pair_distances, kernel, times w_j, zero diagonal.
-
-    A kernel returning a tuple gives the stack of its matrices.  With signs,
-    the distances are taken to the mirror images signs * (x_j - center) and
-    only the self pairs that ids = (rows, images) name are zeroed.
-    """
-    if signs is None:
-        r = pair_distances(points, center)
-        self_pairs = np.arange(len(points))
-    else:
-        x = points - center
-        r = kernels._distances(x, x * signs)
-        self_pairs = np.flatnonzero(ids[0] == ids[1])
-        r[self_pairs, self_pairs] = 1.0
-    c = kernel(r)
-    if isinstance(c, tuple):
-        c = np.stack(c)
-    if weights is not None:
-        c *= weights
-    c[..., self_pairs, self_pairs] = 0.0
-    return c
-
-
 def block_rows(monkeypatch, p):
     monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * p * ROWS)
 
@@ -349,29 +325,6 @@ def test_pair_matrix_equals_full_construction_in_full_blocks(kind):
     center = points.mean(axis=0)
     got = pair_matrix(points, center, kernel, weights=weights, dtype=dtype)
     assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
-
-
-def one_shot_packed_pairs(points, center, kernel, dtype=complex, mirrors=None):
-    """Stand-in for packed_pairs that packs the full construction's matrices.
-
-    With mirrors, the full matrices of each pass are summed through the
-    character table in the order packed_pairs sums its block rows.
-    """
-    signs, ids, characters = mirrors or ((None,), (None,), np.ones((1, 1)))
-    terms = []
-    for g, (sign, pair_ids) in enumerate(zip(signs, ids)):
-        s = full_pair_matrix(points, center, kernel, None, sign, pair_ids)
-        s = (s.real if dtype is float else s).reshape(-1, *s.shape[-2:])
-        terms.append(characters[:, g, None, None, None] * s)  # (m, n, P, P), exact
-    sums = functools.reduce(np.add, terms)
-    rows = packed(sums.reshape(-1, *sums.shape[-2:]))
-    buffer = np.concatenate([view.ravel() for _, _, view in rows])
-    assert buffer.dtype == dtype
-    blocks, offset = [], 0
-    for a, b, view in rows:
-        blocks.append((a, b, buffer[offset:offset + view.size].reshape(view.shape)))
-        offset += view.size
-    return buffer, blocks
 
 
 def one_shot_pair_blocks(points, center, kernel, signs=None, ids=None):
@@ -429,14 +382,6 @@ def test_pair_matrix_callers_match_one_shot_construction(monkeypatch, caller):
     # the packed stand-in keeps the block rows, so its products sum in the same order
     monkeypatch.setattr(module, name, one_shot)
     assert np.array_equal(blocked, run(mesh, layout))
-
-
-def packed(s):
-    """A symmetric (n, P, P) stack s laid out as packed_pairs' upper block rows."""
-    p = s.shape[-1]
-    step = kernels._block_rows(p)
-    return [(a, min(p, a + step), np.ascontiguousarray(s[:, a:a + step, a:]))
-            for a in range(0, p, step)]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

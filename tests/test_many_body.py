@@ -8,7 +8,7 @@ import pytest
 
 import emscat.kernels as kernels
 import emscat.many_body as many_body
-from emscat.kernels import kernel_hessian_parts, moment_fields
+from emscat.kernels import kernel_hessian_parts, moment_fields, real_coupling_series
 from emscat.linalg import SolveReport
 from emscat.many_body import (
     EffectiveFieldSolution,
@@ -352,17 +352,23 @@ def test_dense_coefficients_equal_full_construction(wave, monkeypatch):
         # 4 rows per block: many row blocks, the last one ragged
         monkeypatch.setattr(kernels, "PAIR_BLOCK_BYTES", 8 * m * 4)
         operator = ManyBodyOperator(layout, k, SKEW_GAMMA)
-        g, c_iso, c_dir = kernel_hessian_parts(
-            k, pair_distances(layout.centers, layout.centers.mean(axis=0)))
+        r = pair_distances(layout.centers, layout.centers.mean(axis=0))
+        g, c_iso, c_dir = kernel_hessian_parts(k, r)
         # the stored isotropic part is c_iso, unweighted; k^2 g + c_iso comes
         # from the trace identity in the matvec, the volumes from its columns
         expected = np.stack([c_iso, c_dir])
         for part in expected:
             np.fill_diagonal(part, 0.0)
         if dtype is float:
-            # the real branch keeps the real parts' bits; the plane-wave
-            # table carries the imaginary ones
-            expected = expected.real
+            # the real branch sums the real parts as series in (kr)^2, within
+            # rounding of the complex kernel's; the plane-wave table carries
+            # the imaginary ones
+            assert operator.series == 5  # k D = 0.14
+            series = np.stack(real_coupling_series(k, r, operator.series, hessian=True))
+            for part, other in zip(series, expected.real):
+                np.fill_diagonal(part, 0.0)
+                assert np.linalg.norm(part - other) <= 1e-15 * np.linalg.norm(other)
+            expected = series
         assert operator._packed.dtype == dtype
         # the upper block rows tile the buffer in order, 4 rows each
         bounds = [(a, b) for a, b, _ in operator._blocks]
@@ -791,7 +797,7 @@ def test_effective_field_at_centers_rejects_other_centres_of_the_same_count(wave
 
 
 def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
-    calls = {"pair_blocks": 0, "kernel_hessian_parts": 0, "kernel_gradient_parts": 0}
+    kernels_of_a_pass = ("kernel_hessian_parts", "kernel_gradient_parts", "real_coupling_series")
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -799,17 +805,29 @@ def test_dense_solve_and_fields_take_one_pass_over_the_pairs(wave, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module in (kernels, many_body):
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    layout = unequal_volume_layout()
-    solution = solve_effective_field(layout, wave, SKEW_GAMMA)
-    effective_field_at_centers(layout, wave, solution)
-    assert solution.operator["coupling"] == "dense"
-    # the gradient stage runs only inside the Hessian kernel of that one pass
-    assert calls["pair_blocks"] == 1
-    assert calls["kernel_gradient_parts"] == calls["kernel_hessian_parts"] > 0
+    for n, dtype in DENSE_BRANCHES:
+        calls = dict.fromkeys(("pair_blocks",) + kernels_of_a_pass, 0)
+        with monkeypatch.context() as patch:
+            for module in (kernels, many_body):
+                for name in calls:
+                    if hasattr(module, name):
+                        patch.setattr(module, name, counting(name, getattr(module, name)))
+            layout = unequal_volume_layout(n=n)
+            solution = solve_effective_field(layout, wave, SKEW_GAMMA)
+            effective_field_at_centers(layout, wave, solution)
+        assert solution.operator["coupling"] == "dense"
+        assert calls["pair_blocks"] == 1
+        if dtype is complex:
+            # the gradient stage runs only inside the Hessian kernel of that one pass
+            assert solution.operator["series"] is None
+            assert calls["kernel_gradient_parts"] == calls["kernel_hessian_parts"] > 0
+            assert calls["real_coupling_series"] == 0
+        else:
+            # the real branch's pass (one block row of 216) sums the series
+            # once, and no complex kernel runs
+            assert solution.operator["series"] == 5
+            assert calls["real_coupling_series"] == 1
+            assert calls["kernel_gradient_parts"] == calls["kernel_hessian_parts"] == 0
 
 
 def test_dense_path_matches_fft_path_off_the_grid(wave):

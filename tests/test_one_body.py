@@ -12,7 +12,7 @@ import emscat.linalg as linalg
 from emscat import one_body
 from emscat.geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
 from emscat.kernels import (CoincidentPointsError, kernel_gradient_parts, packed_entries,
-                            pair_matrix, radiative_field)
+                            pair_matrix, radiative_field, real_coupling_series)
 from emscat.linalg import solve_direct
 from emscat.many_body import ManyBodyOperator, layout_from_centers
 from emscat.one_body import (
@@ -33,7 +33,7 @@ from emscat.one_body import (
     _local_frames,
 )
 from emscat.waves import IncidentWave, default_wave
-from kernel_oracle import green
+from kernel_oracle import full_pair_matrix, green, one_shot_packed_pairs
 
 VOLUME = 4.0 / 3.0 * np.pi * 1e-27  # sphere a = 1e-9 cm
 
@@ -241,11 +241,16 @@ def test_nudged_point_leaves_the_trivial_group(wave):
     assert axes == () and np.array_equal(images, [np.arange(mesh.n_points)])
     op = OneBodyOperator(nudged, wave.wavenumber)
     assert op.mirrors == () and op.orbits == mesh.n_points
-    # the trivial group stores C / w_j itself, real on this small body
-    c = pair_matrix(nudged.points, nudged.center,
-                    lambda r: kernel_gradient_parts(wave.wavenumber, r)[1])
-    assert op.directions is not None
-    assert np.array_equal(stored_blocks(op), c.real[None])
+    # the trivial group stores C / w_j itself, real on this small body: the
+    # series in (kr)^2 to degree 2, within rounding of the complex kernel's
+    # real part
+    assert op.directions is not None and op.series == 2
+    c = full_pair_matrix(nudged.points, nudged.center,
+                         lambda r: real_coupling_series(wave.wavenumber, r, 2), None)
+    assert np.array_equal(stored_blocks(op), c[None])
+    c_complex = pair_matrix(nudged.points, nudged.center,
+                            lambda r: kernel_gradient_parts(wave.wavenumber, r)[1])
+    assert np.linalg.norm(c - c_complex.real) <= 1e-15 * np.linalg.norm(c_complex.real)
     x = np.random.default_rng(4).normal(size=op.shape[0]) + 0j
     np.testing.assert_allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-12, atol=1e-12)
 
@@ -305,11 +310,21 @@ def _many_body_216():
 ], ids=["split-0.2", "nudged-0.2", "nudged-1", "many-body-216"])
 def test_real_blocks_are_the_real_part_of_the_complex_blocks(build, monkeypatch):
     real = build()
+    # real blocks are summed by the series in (kr)^2 (k D <= 1 in every
+    # case), bit for bit as from the one-shot matrices of the same kernel
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "packed_pairs", one_shot_packed_pairs)
+        one_shot = build()
+    assert real.series is not None and real._packed.dtype == float
+    assert np.array_equal(real._packed, one_shot._packed)
     # the same operator made to keep complex blocks: the rule finds too many directions
     monkeypatch.setattr(kernels, "plane_wave_directions", lambda k, x: 2**62)
     full = build()
     assert real.directions is not None and full._packed.dtype == complex
-    assert np.array_equal(real._packed, full._packed.real)
+    assert full.series is None
+    # and equal to the complex blocks' real part within rounding
+    error = np.linalg.norm(real._packed - full._packed.real)
+    assert error <= 1e-15 * np.linalg.norm(full._packed.real)
     # and the plane-wave rule carries the imaginary part of the matvec
     x = np.random.default_rng(13).normal(size=(2, real.shape[0])).T @ np.array([1.0, 1j])
     expected = full.matvec(x)
@@ -406,8 +421,9 @@ def test_operator_assembly_peak_memory_per_pair(wave):
 def test_operator_assembly_holds_c_plus_one_block(wave):
     # C is stored split by the mirror group, y and z on the sphere, real and
     # once, in packed upper block rows: 8 B per stored pair (4.1 MiB) and the
-    # (P, Q) phases (0.9 MiB), plus one row block of kernel temporaries; the
-    # full real D would take 5.9 MiB, complex D 12.3 MiB and the unsplit C 47 MiB
+    # (P, Q) phases (0.9 MiB), plus one row block of the series kernel's
+    # float temporaries; the full real D would take 5.9 MiB, complex D 12.3
+    # MiB and the unsplit C 47 MiB
     def assembly_peak(mesh):
         tracemalloc.start()
         try:
@@ -415,24 +431,24 @@ def test_operator_assembly_holds_c_plus_one_block(wave):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op.mirrors == ("y", "z") and op.directions == 32
+        assert op.mirrors == ("y", "z") and op.directions == 32 and op.series == 2
         return op, peak
 
     mesh = mesh_sphere(1e-9, 18)  # P = 1762
     op, peak = assembly_peak(mesh)
     p, r = mesh.n_points, op.orbits
-    assert peak <= 8 * 4 * packed_entries(r) + 16 * p * op.directions + 5 * 2**20
+    # 1.30 MiB above the stored bytes measured; 1.80 MiB while a pass's block
+    # was held as the next pass's was made
+    assert peak <= 8 * 4 * packed_entries(r) + 16 * p * op.directions + 1.5 * 2**20
     # at P = 3174 (R = 801) the packed D takes 10.8 MiB and the phases 1.5
-    # MiB; the slack of 5 MiB holds the kernel temporaries of one row block
-    # and the block before it, but not one full (R, R) K_g (4.9 MiB) beside
-    # them, nor the blocks of all four passes at once (16.0 MiB measured,
-    # 20.1 MiB with every pass's block held; the full D and one K_g beside it
-    # took 29.2 MiB)
+    # MiB; the slack of 1.5 MiB holds the temporaries of one row block (1.03
+    # MiB measured), but not one full (R, R) K_g (4.9 MiB) beside them, nor
+    # the complex kernel's temporaries (16.0 MiB measured with them)
     mesh = mesh_sphere(1e-9, 24)
     op, peak = assembly_peak(mesh)
     p, r = mesh.n_points, op.orbits
     assert r == 801
-    assert peak <= 8 * 4 * packed_entries(r) + 16 * p * op.directions + 5 * 2**20
+    assert peak <= 8 * 4 * packed_entries(r) + 16 * p * op.directions + 1.5 * 2**20
 
 
 def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch):
