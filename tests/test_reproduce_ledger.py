@@ -17,7 +17,7 @@ A change to this ledger is a change to the paper's reproduced numbers and
 must be deliberate.  The last one, summing the real one-body blocks as
 the static kernel times a series in (kr)^2 in place of the complex
 kernel's real part, moved 13 cells of the four one-body tables, at most
-5.4e-12 (sweep-1386's last computed_e_error cell) and in the string rows
+5.3e-12 (sweep-1386's last computed_e_error cell) and in the string rows
 at most 3.2e-14 (q-sphere's gap); e-cube (complex blocks), many-27 and
 many-1000 (FFT path) did not move.
 
