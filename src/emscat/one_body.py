@@ -494,7 +494,7 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
 
 def _static_coefficient(r: np.ndarray) -> np.ndarray:
     """-1 / (4 pi r^3), in place."""
-    r **= 3
+    r *= r * r
     r *= -4.0 * np.pi
     np.reciprocal(r, out=r)
     return r
