@@ -153,6 +153,7 @@ def cmd_one_body(config: RunConfig) -> int:
         "q_exact": _pairs(report.q_exact), "q_asym": _pairs(report.q_asym),
         "gamma": _pairs(gamma.gamma), "tau": _pairs(gamma.tau),
         "solver": asdict(current.report), "operator": current.operator,
+        "characters": list(current.characters),
     }, config)
     distances, gaps = np.reshape(report.e_asym_rel, (-1, 2)).T
     _write_csv(outdir / "E_table.csv", {"distance": distances, "Ee": report.e_exact,

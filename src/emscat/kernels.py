@@ -517,7 +517,7 @@ def _plane_wave_orders(k: float, x: np.ndarray) -> tuple[int, int]:
     return n_theta, 2 * n_theta
 
 
-def plane_wave_rule(k: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def plane_wave_rule(k: float, x, at=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plane-wave table of the Funk-Hecke rule on the points x (M, 3).
 
     sin(k r) / (k r) = (1 / 4 pi) int_{S^2} exp(ik s.(x_m - x_j)) ds, r = |x_m - x_j|,
@@ -530,9 +530,15 @@ def plane_wave_rule(k: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of x is below double rounding.  Returns (phases (M, Q) = exp(ik x_m.s_q),
     directions (Q, 3), weights (Q,) summing to 4 pi).  Pass x centred on the
     points, so that the phases keep their precision far from the origin.
+    at, (m, 3), takes the phases at those points instead, on the rule of x.
+
+    Each axis mirror maps the rule onto itself (plane_wave_images): the
+    theta nodes are symmetric about the equator and n_phi is even.
     """
     x = np.asarray(x, dtype=float)
     n_theta, n_phi = _plane_wave_orders(k, x)
+    if at is not None:
+        x = np.asarray(at, dtype=float)
     cos_theta, w_theta = np.polynomial.legendre.leggauss(n_theta)
     sin_theta = np.sqrt(1.0 - cos_theta * cos_theta)
     phi = 2.0 * np.pi / n_phi * np.arange(n_phi)
@@ -547,12 +553,33 @@ def plane_wave_rule(k: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phases, directions, weights
 
 
+def plane_wave_images(q: int, signs: np.ndarray) -> np.ndarray:
+    """(len(signs), Q) indices: row g takes direction q of plane_wave_rule's Q = q
+    directions to its mirror image, s[images[g, q]] = signs[g] * s[q].
+
+    The directions are n_theta nodes in cos theta, symmetric about 0, times
+    n_phi = 2 n_theta angles phi_j = 2 pi j / n_phi, row-major: mirroring z
+    reverses the nodes, y takes phi_j to -phi_j and x to pi - phi_j.
+    """
+    n_theta = math.isqrt(q // 2)
+    n_phi = 2 * n_theta
+    node, angle = np.divmod(np.arange(q), n_phi)
+    images = []
+    for sx, sy, sz in np.asarray(signs):
+        j = angle if sy > 0 else -angle
+        if sx < 0:
+            j = n_phi // 2 - j
+        i = node if sz > 0 else n_theta - 1 - node
+        images.append(i * n_phi + j % n_phi)
+    return np.array(images, dtype=np.intp).reshape(-1, q)
+
+
 def _plane_wave_sums(phases: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(Q, c) sums over the points, sum_j exp(-ik s_q.x_j) u_j, for plane_wave_rule's phases."""
     return (phases.T @ u.conj()).conj()
 
 
-def radiative_field(k: float, table, u: np.ndarray) -> np.ndarray:
+def radiative_field(k: float, table, u: np.ndarray, mirrors=None) -> np.ndarray:
     """sum_j i Im grad g(x_m - x_j) x u_j at every point m, u (M, 3) complex.
 
     table is plane_wave_rule(k, x).  Im grad g(d) = (k / 16 pi^2) int ik s
@@ -560,11 +587,24 @@ def radiative_field(k: float, table, u: np.ndarray) -> np.ndarray:
     the sum is (-k^2 / 16 pi^2) sum_q w_q exp(ik s_q.x_m) s_q x B_q with
     B_q = sum_j exp(-ik s_q.x_j) u_j, in O(M Q).  The integrand is odd in s,
     so the self pair j = m adds nothing.
+
+    mirrors = (images, signs) sums over the images of the points under a
+    mirror group instead, u then (M, n, 3): n fields u_k with
+    u_k(g j) = signs[g, k] * u_k(j) componentwise, given at M points whose
+    images R_g x_j, with x_j, are the points of the sum.  R_g s_q is
+    direction images[g, q] (plane_wave_images), so B_q of field k is
+    sum_g signs[g, k] * B'_k[images[g, q]], B' the sums over the M points
+    alone; the result is (M, n, 3), each field's sum at the M points.
     """
     phases, directions, weights = table
-    b = _cross(directions, _plane_wave_sums(phases, u))
-    b *= (-k * k / (16.0 * np.pi**2)) * weights[:, None]
-    return phases @ b
+    sums = _plane_wave_sums(phases, u.reshape(len(u), -1)).reshape(-1, *u.shape[1:])
+    if mirrors is not None:
+        images, signs = mirrors
+        sums = (sums[images] * signs[:, None]).sum(axis=0)
+        directions = directions[:, None]
+    b = _cross(directions, sums)
+    b *= ((-k * k / (16.0 * np.pi**2)) * weights).reshape(-1, *[1] * (u.ndim - 1))
+    return (phases @ b.reshape(len(b), -1)).reshape(u.shape)
 
 
 def radiative_curl(k: float, table, u: np.ndarray) -> np.ndarray:
@@ -608,7 +648,9 @@ class PackedCoupling:
 
     The one-body operator's |G| character matrices take 6 columns each,
     which makes the rule 8 E + 16 n Q < 16 E for its E stored entries:
-    fewer bytes as well.  The many-body coupling's S_iso takes 3 and S2 15,
+    fewer bytes as well, and its table holds only the R rows of its orbit
+    representatives, the |G| characters' two (R, Q) products on 3 columns
+    each taking 48 R |G| Q, about 48 n Q.  The many-body coupling's S_iso takes 3 and S2 15,
     so its rule is 2 M Q < 3 packed_entries(M), about Q < 0.75 M.  Points
     many wavelengths apart keep complex blocks.  The choice is made once,
     from the points and k alone, and the bytes of the branch taken pass
@@ -620,7 +662,7 @@ class PackedCoupling:
     complex values otherwise, as complex blocks do.  The arrays stay
     attributes of the operator, so that nbytes counts them: _packed and its
     block rows _blocks, and on the real branch the table's _phases (n, Q),
-    _directions and _weights.  directions is Q on the real branch and None
+    or (R, Q) on the rows that _pack is given, _directions and _weights.  directions is Q on the real branch and None
     otherwise; series is the degree of the series, None where the complex
     kernel ran.
     """
@@ -628,18 +670,23 @@ class PackedCoupling:
     directions = None
     series = None
 
-    def _pack(self, points, center, k, x, columns, what, hessian=False, mirrors=None):
+    def _pack(self, points, center, k, x, columns, what, hessian=False, mirrors=None,
+              rows=None):
         """Store packed_pairs(points, center, kernel, mirrors=mirrors), real or complex.
 
         The kernel is c_iso, or (c_iso, c_dir) when hessian.  x (n, 3) are
         the operator's points, centred, on which the table applies the
         imaginary parts; columns[t] counts the columns matrix t multiplies
-        in one matvec, and what names the operator in the guard.
+        in one matvec, and what names the operator in the guard.  rows
+        picks the points of x at which the table holds its phases, all by
+        default: the one-body operator holds them at its orbit
+        representatives, and the mirror images give the rest.
         """
         n, q, entries = len(x), plane_wave_directions(k, x), packed_entries(len(points))
+        at = x if rows is None else x[rows]
         real = 12 * n * q < entries * sum(columns)
         stored = entries * len(columns)
-        check_dense_bytes(8 * stored + 16 * n * q if real else 16 * stored, what)
+        check_dense_bytes(8 * stored + 16 * len(at) * q if real else 16 * stored, what)
         degree = series_degree(k, x) if real else None
         if degree is not None:
             def kernel(r):
@@ -654,7 +701,7 @@ class PackedCoupling:
                                                   float if real else complex, mirrors)
         if real:
             self.directions, self.series = q, degree
-            self._phases, self._directions, self._weights = plane_wave_rule(k, x)
+            self._phases, self._directions, self._weights = plane_wave_rule(k, x, at)
 
     @property
     def _table(self) -> tuple:

@@ -28,21 +28,25 @@ s = 2 moment converges to (3/2) |D| |curl E0| while the asymptotic formula
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import linalg
 from .geometry import CollocationMesh
 from .kernels import (PackedCoupling, _cross, _cross_columns, _cross_sum, _moment_columns,
                       block_row_entries, kernel_gradient_parts, moment_fields, packed_product,
-                      pair_blocks, pair_matrix, radiative_field)
-from .linalg import SolveReport, check_dense_bytes, check_solver, solve_operator
+                      pair_blocks, pair_matrix, plane_wave_images, radiative_field)
+from .linalg import ConvergenceError, SolveReport, check_dense_bytes, check_solver
 from .waves import IncidentWave
 
 __all__ = [
     "GammaMatrix",
     "SurfaceCurrent",
+    "CharacterBasis",
     "OneBodyOperator",
     "mirror_group",
     "assemble_one_body",
@@ -87,12 +91,16 @@ class SurfaceCurrent:
     """Solved surface density, one complex 3-vector per collocation point.
 
     operator is the record of the operator that produced the current
-    (OneBodyOperator.record); None when the current was not built by a solve.
+    (OneBodyOperator.record) and characters the characters of its mirror
+    group that the solve kept, those the right-hand side does not leave
+    empty (solve_currents); both None when the current was not built by a
+    solve.
     """
 
     values: np.ndarray
     report: SolveReport
     operator: dict | None = None
+    characters: tuple | None = None
 
 
 #: A mirror maps a mesh onto itself when every image lands on a mesh point,
@@ -192,6 +200,40 @@ def _orbits(mesh: CollocationMesh) -> _Orbits:
                    stabiliser=np.sum(maps == reps, axis=0), characters=characters)
 
 
+#: A character whose right-hand side is at most this many ulps of |b| holds
+#: only rounding: the incidence leaves it empty by symmetry, and the solve
+#: skips it.  The default wave's empty characters hold at most 1.5e-16 |b|
+#: on the bundled meshes; a character holding 1e-13 |b| is solved.
+EMPTY_CHARACTER_ULPS = 64
+
+
+@dataclass(frozen=True)
+class CharacterBasis:
+    """Unknowns of a one-body solve: the components of J on some characters.
+
+    A vector of the basis is the flattened (R, n, 3) array
+    c[r, k] = sqrt(|G| / |Stab r|) J_psi(r) of the n characters
+    psi = characters[k] of the mirror group, J_psi the part of J with
+    J_psi(g i) = psi(g) R_g J_psi(i) (OneBodyOperator.to_characters).  The
+    factor makes the map from the points an isometry.  A representative r
+    fixed by g has J_psi(r) = psi(g) R_g J_psi(r), so where psi(g) R_g flips
+    component q that component is zero; scale[r, k, q] is the factor, and 0
+    on such a forced zero.  mirrored[g, k, q] = psi(g) (R_g)_qq.
+
+    Column c of [J_psi, x x J_psi] is a field of character psi ^ chi_c, which
+    D_{psi ^ chi_c} multiplies: the columns, flattened to (R, 6 n), go to the
+    stored blocks `blocks`, a slice, column i into slot slot[i] of block
+    blocks.start + block[i].
+    """
+
+    characters: tuple
+    scale: np.ndarray  # (R, n, 3)
+    mirrored: np.ndarray  # (|G|, n, 3)
+    blocks: slice
+    block: np.ndarray  # (6 n,)
+    slot: np.ndarray  # (6 n,)
+
+
 class OneBodyOperator(PackedCoupling):
     """Matrix-free application of the discretized boundary operator I + s A.
 
@@ -222,27 +264,36 @@ class OneBodyOperator(PackedCoupling):
     as packed upper block rows, from one pass per g over the upper triangle
     summed through the character table as each block row comes.  The
     weights v_s = w_s / |Stab s| go on the columns: a scalar field f with
-    f(g i) = psi(g) f(i) has (C f)_r = (D_psi (v f))_r.  J(g i) = R_g J(i) psi(g)
-    makes its component q a field of character psi sigma_q, sigma_q(g) the
-    sign R_g puts on axis q, and its column (x x J)_p = x_q J_r - x_r J_q one
-    of psi sigma_q sigma_r, that is psi sigma_0 sigma_1 sigma_2 sigma_p.  So
-    the matvec projects J on the characters and weights it by v, applies
-    each D_psi to the 6 columns of every character that it pairs with
-    (kernels.packed_product, two GEMMs per block row, one where a block row
-    covers all R rows), takes the cross products at the representatives as
-    above, and maps the result back.  A mesh without mirrors is the trivial
-    group, D = C / w_j.  The scale s multiplies at matvec time.
+    f(g i) = psi(g) f(i) has (C f)_r = (D_psi (v f))_r.
 
-    D is stored real, with the plane-wave table on all P points, or complex
-    by kernels.PackedCoupling's rule, with 6 columns per character; real D
-    is summed by the series in (kr)^2 while k D <= 1 (record["series"]
-    gives its degree, 2 on the bundled bodies).  On the real branch the
-    coupling gains
-    N_i x sum_j i Im grad g(x_i - x_j) x w_j J_j (kernels.radiative_field),
-    in O(P Q).  The bundled spheres and ellipsoid store real D at the
-    default k (Q = 32); a body many wavelengths across, or a coarse mesh
-    such as the 600-point cube of side 2e-7 cm (Q = 50, |G| = 8), keeps
-    complex D.
+    The operator works on the characters' components of J (CharacterBasis):
+    J(g i) = R_g J(i) psi(g) makes its component q a field of character
+    psi sigma_q, sigma_q(g) the sign R_g puts on axis q, and its column
+    (x x J)_p = x_q J_r - x_r J_q one of psi sigma_q sigma_r, that is
+    psi sigma_0 sigma_1 sigma_2 sigma_p.  So matvec(c, basis) forms the 6
+    columns of the basis's characters at the representatives, applies each
+    D_psi that pairs with one of them to those columns only, as one
+    kernels.packed_product on a slice of the blocks (two GEMMs per block
+    row, one where a block row covers all R rows), and takes the cross
+    products at the representatives: no gather over the points, and no
+    product on a character the basis leaves out.  solve_currents maps the
+    right-hand side to the characters once, solves those it does not leave
+    empty, and maps each solution back once.  matvec(x) in the point basis
+    is to_points(matvec(to_characters(x))).  A mesh without mirrors is the
+    trivial group, D = C / w_j.  The scale s multiplies at matvec time.
+
+    D is stored real, with the plane-wave table, or complex by
+    kernels.PackedCoupling's rule, with 6 columns per character; real D is
+    summed by the series in (kr)^2 while k D <= 1 (record["series"] gives
+    its degree, 2 on the bundled bodies).  On the real branch the coupling
+    gains N_i x sum_j i Im grad g(x_i - x_j) x w_j J_j
+    (kernels.radiative_field), in O(R Q |G|) per character: each axis
+    mirror maps the rule's directions onto themselves, so the table holds
+    the phases at the R representatives only and the mirrored sums are
+    gathered from theirs (kernels.plane_wave_images).  The bundled spheres
+    and ellipsoid store real D at the default k (Q = 32); a body many
+    wavelengths across, or a coarse mesh such as the 600-point cube of side
+    2e-7 cm (Q = 50, |G| = 8), keeps complex D.
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
@@ -254,15 +305,22 @@ class OneBodyOperator(PackedCoupling):
         # column c of [J, x x J] is a field of character psi ^ chi_c
         bit = {axis: 1 << n for n, axis in enumerate(orbits.axes)}
         axis_bits = np.array([bit.get(q, 0) for q in range(3)])
-        chi = np.concatenate([axis_bits, np.bitwise_xor.reduce(axis_bits) ^ axis_bits])
-        self._pairing = np.arange(order)[:, None, None] ^ chi
+        self._chi = np.concatenate([axis_bits, np.bitwise_xor.reduce(axis_bits) ^ axis_bits])
+        # orbit r has |G| / |Stab r| points; component q of J_psi(r) is free
+        # where every g fixing r has psi(g) sigma_q(g) = 1
+        self._norms = np.sqrt(order / orbits.stabiliser)
+        flips = orbits.characters[:, :, None] * orbits.signs < 0  # (psi, g, q)
+        fixes = (orbits.maps == reps).T  # (R, g)
+        self._free = ~np.any(flips & fixes[:, None, :, None], axis=2)  # (R, psi, q)
 
         x = mesh.points - mesh.center
         self._pack(mesh.points[reps], mesh.center, wavenumber, x, (6,) * order,
-                   "the one-body operator", mirrors=orbits.mirrors)
+                   "the one-body operator", mirrors=orbits.mirrors, rows=reps)
+        if self.directions is not None:
+            self._images = plane_wave_images(self.directions, orbits.signs)
         self._x = x[reps]
         self._normals = mesh.normals[reps]
-        self._column_weights = orbits.column_weights(mesh)
+        self._column_weights = orbits.column_weights(mesh) / self._norms
         self._mesh = mesh
         self._scale = float(scale)
         self.mirrors = tuple("xyz"[axis] for axis in orbits.axes)
@@ -280,29 +338,69 @@ class OneBodyOperator(PackedCoupling):
         return {"mirrors": list(self.mirrors), "order": len(self._signs), "orbits": self.orbits,
                 "bytes": self.nbytes, "directions": self.directions, "series": self.series}
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def basis(self, characters=None) -> CharacterBasis:
+        """The CharacterBasis of characters, indices into the group's character
+        table in increasing order; every character by default."""
         order = len(self._signs)
+        kept = np.arange(order) if characters is None else np.asarray(characters, dtype=np.intp)
+        if kept.ndim != 1 or not kept.size or np.any(np.diff(kept) <= 0) or not (
+                0 <= kept[0] and kept[-1] < order):
+            raise ValueError(f"characters must be increasing indices below {order}, "
+                             f"got {characters!r}")
+        block = (kept[:, None] ^ self._chi).ravel()
+        slot = np.array([np.count_nonzero(block[:i] == h) for i, h in enumerate(block)])
+        low = int(block.min())
+        return CharacterBasis(characters=tuple(kept.tolist()),
+                              scale=self._norms[:, None, None] * self._free[:, kept],
+                              mirrored=self._characters[kept].T[:, :, None] * self._signs[:, None],
+                              blocks=slice(low, int(block.max()) + 1), block=block - low,
+                              slot=slot)
+
+    def to_characters(self, x: np.ndarray, basis: CharacterBasis | None = None) -> np.ndarray:
+        """The (R, n, 3) components in basis (every character by default) of the
+        current x at the points, 3P values or (P, 3):
+        J_psi(r) = sum_g psi(g) R_g J(g r) / |G|, scaled by basis.scale."""
+        basis = self.basis() if basis is None else basis
         j = np.asarray(x, dtype=complex).reshape(self.n_points, 3)
-        # J_psi(r) = sum_g psi(g) R_g J(g r) / |G|, one (R, 3) block per psi,
-        # times the column weight v_r
-        j_psi = np.einsum("hg,grq->hrq", self._characters / order,
-                          j[self._maps] * self._signs[:, None, :])
-        j_psi *= self._column_weights[:, None]
-        # D_psi takes column c of character psi ^ chi_c, and gives it back
-        columns = np.take_along_axis(_cross_columns(self._x, j_psi), self._pairing, axis=0)
-        product = packed_product(self._blocks, slice(None), columns)
-        product = np.take_along_axis(product, self._pairing, axis=0)
+        c = np.einsum("gkq,grq->rkq", basis.mirrored, j[self._maps])
+        c *= basis.scale / len(self._signs)
+        return c
+
+    def to_points(self, c: np.ndarray, basis: CharacterBasis | None = None) -> np.ndarray:
+        """The (P, 3) current at the points of the components c in basis (every
+        character by default): J(g r) = sum_psi psi(g) R_g J_psi(r)."""
+        basis = self.basis() if basis is None else basis
+        c = np.reshape(c, (self.orbits, -1, 3)) / self._norms[:, None, None]
+        return np.einsum("gkq,rkq->grq", basis.mirrored, c).reshape(-1, 3)[self._gather]
+
+    def matvec(self, x: np.ndarray, basis: CharacterBasis | None = None) -> np.ndarray:
+        """(I + s A) x for a current x at the points, 3P values.  With basis, x
+        holds the flattened components in basis and so does the result: the
+        product GMRES runs on, which the point basis maps to and from."""
+        if basis is None:
+            basis = self.basis()
+            return self.to_points(self._product(self.to_characters(x, basis), basis),
+                                  basis).reshape(-1)
+        return self._product(np.reshape(x, (self.orbits, -1, 3)), basis).reshape(-1)
+
+    def _product(self, c: np.ndarray, basis: CharacterBasis) -> np.ndarray:
+        """(I + s A) c for the (R, n, 3) components c in basis."""
+        vj = c * self._column_weights[:, None, None]
+        # D_psi takes column c of character psi ^ chi_c
+        columns = _cross_columns(self._x[:, None], vj).reshape(self.orbits, -1)
+        z = np.zeros((basis.blocks.stop - basis.blocks.start,
+                      self.orbits, basis.slot.max() + 1), dtype=complex)
+        z[basis.block, :, basis.slot] = columns.T
+        product = packed_product(self._blocks, basis.blocks, z)[basis.block, :, basis.slot]
         # (A J_psi)(r) = N_r x sum_s D_psi[r, s] v_s (x_r - x_s) x J_psi(s)
-        coupling = _cross(self._normals, _cross_sum(self._x, product))
-        # back to the points: (A J)(g r) = sum_psi psi(g) R_g (A J_psi)(r)
-        coupling = np.einsum("gh,hrq->grq", self._characters, coupling)
-        coupling *= self._signs[:, None, :]
-        coupling = coupling.reshape(-1, 3)[self._gather]
+        field = _cross_sum(self._x[:, None], product.T.reshape(vj.shape[:2] + (6,)))
         if self.directions is not None:
-            u = self._mesh.weights[:, None] * j
-            coupling += _cross(self._mesh.normals,
-                               radiative_field(self.wavenumber, self._table, u))
-        return (j + self._scale * coupling).reshape(-1)
+            field += radiative_field(self.wavenumber, self._table, vj,
+                                     (self._images, basis.mirrored))
+        coupling = _cross(self._normals[:, None], field)
+        coupling *= self._scale * basis.scale
+        coupling += c
+        return coupling
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full (3P, 3P) matrix (small systems / oracles).
@@ -377,6 +475,17 @@ def solve_currents(
     (I + s0 A + sigma I) J = -s0 N x E0 with sigma = s0 / s - 1, so every
     scale is a shift of one system and GMRES solves them on one Krylov
     basis (linalg.solve_gmres), which never materializes the matrix.
+
+    GMRES runs on the components of J on the characters of the mesh's
+    mirror group (OneBodyOperator.basis): the right-hand side is mapped to
+    them once, a character whose part of it is at most EMPTY_CHARACTER_ULPS
+    ulps of |b| is left out, since the operator keeps every character to
+    itself, and each solution is mapped back once.  The map is an isometry,
+    so the report's final_residual is that of the point system: GMRES's
+    residual and the right-hand side left out, sqrt(r^2 + d^2) / |b|.  With
+    every character left out (b = 0) the current is zero, converged, after
+    0 iterations.
+
     Raises ConvergenceError if GMRES stalls; every current carries the
     report of the whole solve.  ValueError, before assembly, for a bad knob
     (linalg.check_solver) or a scale that is 0 or not finite.
@@ -386,11 +495,30 @@ def solve_currents(
     if not scales or not all(np.isfinite(s) and s != 0.0 for s in scales):
         raise ValueError(f"scales must be finite and non-zero, got {scales}")
     operator, rhs = assemble_one_body(mesh, wave, scale=scales[0])
-    x, report = solve_operator(operator, rhs, tol=tol, restart=restart,
-                               max_iter=max_iter, what="boundary",
-                               shifts=[scales[0] / s - 1.0 for s in scales])
-    return [SurfaceCurrent(values=row.reshape(mesh.n_points, 3), report=report,
-                           operator=operator.record) for row in x]
+    b_norm = float(np.linalg.norm(rhs))
+    if not np.isfinite(b_norm):
+        raise ValueError("right-hand side holds NaN or inf entries")
+    b = operator.to_characters(rhs)
+    norms = np.linalg.norm(b, axis=(0, 2))
+    kept = np.flatnonzero(norms > EMPTY_CHARACTER_ULPS * np.finfo(float).eps * b_norm)
+    if not kept.size:
+        values = [np.zeros((mesh.n_points, 3), dtype=complex) for _ in scales]
+        report = SolveReport(0, 0.0, True, [])
+    else:
+        basis = operator.basis(kept)
+        x, report = linalg.solve_gmres(partial(operator.matvec, basis=basis),
+                                       b[:, kept].reshape(-1), tol=tol, restart=restart,
+                                       max_iter=max_iter,
+                                       shifts=[scales[0] / s - 1.0 for s in scales])
+        residual = math.hypot(report.final_residual * float(np.linalg.norm(norms[kept])),
+                              float(np.linalg.norm(np.delete(norms, kept)))) / b_norm
+        report = replace(report, final_residual=residual,
+                         converged=report.converged and residual <= tol)
+        if not report.converged:
+            raise ConvergenceError(f"boundary solve stalled at residual {residual:.3e}", report)
+        values = [operator.to_points(row, basis) for row in x]
+    return [SurfaceCurrent(values=v, report=report, operator=operator.record,
+                           characters=tuple(kept.tolist())) for v in values]
 
 
 def solve_current(

@@ -139,13 +139,23 @@ def test_one_body_q_json_records_the_split_operator(tmp_path, args, mirrors, poi
     order = 2 ** len(mirrors)
     assert operator["mirrors"] == mirrors and operator["order"] == order
     assert points / order <= operator["orbits"] < 1.1 * points / order
-    # |G| (R, R) real matrices and the complex (P, Q) plane-wave phases at
-    # both bodies' size; the orbits on the mirror planes, of fewer than |G|
-    # points, put R above P / |G|; at k D = 3.6e-4 the series in (kr)^2
-    # takes degree 2
+    # |G| (R, R) real matrices and the complex (R, Q) plane-wave phases at
+    # the orbit representatives at both bodies' size; the orbits on the
+    # mirror planes, of fewer than |G| points, put R above P / |G|; at
+    # k D = 3.6e-4 the series in (kr)^2 takes degree 2
     assert operator["directions"] == 32 and operator["series"] == 2
-    assert operator["bytes"] <= (8 * order * operator["orbits"]**2 + 16 * points * 32
-                                 + 256 * points)
+    assert operator["bytes"] <= (8 * order * operator["orbits"]**2
+                                 + 16 * operator["orbits"] * 32 + 256 * points)
+
+
+@pytest.mark.parametrize("args, characters", [([], [2, 3]), (["--shape", "cube"], [4, 6])],
+                         ids=["sphere", "cube"])
+def test_one_body_q_json_records_the_solved_characters(tmp_path, args, characters):
+    # the default wave fills 2 of the 4 characters of the sphere's group and
+    # 2 of the 8 of the cube's; the solve skips the others
+    assert run_cli(["one-body", *args, "--output-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "Q.json").read_text())
+    assert payload["characters"] == characters
 
 
 def test_one_body_q_json_records_complex_coefficients_as_no_directions(tmp_path):
@@ -175,7 +185,8 @@ def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monke
                                                                  capsys):
     # P = 20258: 8 B x 4 x 12,969,301 stored pairs of the split operator
     # (packed_entries(5087), about 5087^2 / 2 per character) and 16 B x
-    # 20258 x 32 plane-wave phases, 425,389,728 B or 0.396 GiB
+    # 5087 x 32 plane-wave phases at the orbit representatives, 417,622,176 B
+    # or 0.389 GiB
     asked, check = [], emscat.kernels.check_dense_bytes
     monkeypatch.setattr(emscat.kernels, "check_dense_bytes",
                         lambda nbytes, what: check(asked.append(nbytes) or nbytes, what))
@@ -192,8 +203,8 @@ def test_operator_beyond_physical_memory_exits_2_before_assembly(tmp_path, monke
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "the one-body operator needs 0.396 GiB, more than the 0.25 GiB" in err
-    assert asked == [425_389_728]
+    assert "the one-body operator needs 0.389 GiB, more than the 0.25 GiB" in err
+    assert asked == [417_622_176]
     assert peak <= 16 * 2**20
 
 

@@ -16,6 +16,7 @@ from emscat.kernels import (
     kernel_hessian_parts,
     moment_fields,
     pair_matrix,
+    plane_wave_images,
     plane_wave_rule,
     radiative_curl,
     radiative_field,
@@ -221,6 +222,30 @@ def test_plane_wave_rule_is_antipodal_with_the_exact_self_term():
     np.testing.assert_allclose(w @ s, 0.0, atol=1e-14)
     np.testing.assert_allclose((s.T * w) @ s, 4.0 * np.pi / 3.0 * np.eye(3), rtol=1e-14,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("kd", [0.0, 1.0, 30.0])
+def test_axis_mirrors_map_the_plane_wave_rule_onto_itself(kd):
+    x = np.random.default_rng(14).normal(size=(5, 3))
+    x *= kd / K / max(float(np.linalg.norm(np.ptp(x, axis=0))), 1e-300)
+    _, s, w = plane_wave_rule(K, x)
+    signs = np.array([[sx, sy, sz] for sz in (1, -1) for sy in (1, -1) for sx in (1, -1)],
+                     dtype=float)
+    images = plane_wave_images(len(s), signs)
+    assert images.shape == (8, len(s))
+    for sign, image in zip(signs, images):
+        assert np.array_equal(np.sort(image), np.arange(len(s)))
+        # to the rounding of the angles 2 pi j / n_phi, a few ulps of 2 pi
+        np.testing.assert_allclose(s[image], s * sign, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(w[image], w)
+
+
+def test_plane_wave_rule_takes_the_phases_at_other_points_on_its_own_rule():
+    x = np.random.default_rng(15).normal(size=(40, 3)) * (3.0 / K)
+    phases, s, w = plane_wave_rule(K, x)
+    some, s_some, w_some = plane_wave_rule(K, x, x[::7])
+    assert np.array_equal(s_some, s) and np.array_equal(w_some, w)
+    assert np.array_equal(some, phases[::7])
 
 
 def test_plane_wave_orders_of_a_cm_size_layout_are_finite():

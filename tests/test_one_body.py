@@ -12,7 +12,7 @@ import emscat.linalg as linalg
 from emscat import one_body
 from emscat.geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
 from emscat.kernels import (CoincidentPointsError, kernel_gradient_parts, packed_entries,
-                            pair_matrix, radiative_field, real_coupling_series)
+                            pair_matrix, real_coupling_series)
 from emscat.linalg import solve_direct
 from emscat.many_body import ManyBodyOperator, layout_from_centers
 from emscat.one_body import (
@@ -220,9 +220,11 @@ def test_split_stores_a_group_order_fraction_of_the_pairs(wave, name):
         assert op._packed.dtype == complex
         assert op.nbytes <= 16 * stored + 64 * mesh.n_points
     else:
-        # real D at 8 B per stored pair, and the complex (P, Q) phases
+        # real D at 8 B per stored pair, and the complex (R, Q) phases at the
+        # orbit representatives
         assert op._packed.dtype == float
-        assert op.nbytes <= 8 * stored + 16 * mesh.n_points * op.directions + 64 * mesh.n_points
+        assert op._phases.shape == (op.orbits, op.directions)
+        assert op.nbytes <= 8 * stored + 16 * op.orbits * op.directions + 64 * mesh.n_points
 
 
 def _nudged(mesh):
@@ -283,7 +285,10 @@ def test_radiative_part_matches_pairwise_imaginary_coupling(build, kd):
     rng = np.random.default_rng(12)
     j = rng.normal(size=(mesh.n_points, 3)) + 1j * rng.normal(size=(mesh.n_points, 3))
     expected = pairwise_radiative(mesh, k, j)
-    got = np.cross(mesh.normals, radiative_field(k, op._table, mesh.weights[:, None] * j))
+    # with the stored blocks zeroed, the matvec applies only the table, split
+    # by the mirrors on the orbit representatives' phases
+    op._packed[:] = 0.0
+    got = op.matvec(j.reshape(-1)).reshape(-1, 3) - j
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -421,9 +426,10 @@ def test_operator_assembly_peak_memory_per_pair(wave):
 def test_operator_assembly_holds_c_plus_one_block(wave):
     # C is stored split by the mirror group, y and z on the sphere, real and
     # once, in packed upper block rows: 8 B per stored pair (4.1 MiB) and the
-    # (P, Q) phases (0.9 MiB), plus one row block of the series kernel's
-    # float temporaries; the full real D would take 5.9 MiB, complex D 12.3
-    # MiB and the unsplit C 47 MiB
+    # (R, Q) phases at the orbit representatives (0.2 MiB), plus one row
+    # block of the series kernel's float temporaries, which the bound allows
+    # 16 P Q (0.9 MiB) and 1.5 MiB; the full real D would take 5.9 MiB,
+    # complex D 12.3 MiB and the unsplit C 47 MiB
     def assembly_peak(mesh):
         tracemalloc.start()
         try:
@@ -437,13 +443,13 @@ def test_operator_assembly_holds_c_plus_one_block(wave):
     mesh = mesh_sphere(1e-9, 18)  # P = 1762
     op, peak = assembly_peak(mesh)
     p, r = mesh.n_points, op.orbits
-    # 1.30 MiB above the stored bytes measured; 1.80 MiB while a pass's block
-    # was held as the next pass's was made
+    # 2.19 MiB above the packed D measured: the temporaries of a row block,
+    # made before the phases
     assert peak <= 8 * 4 * packed_entries(r) + 16 * p * op.directions + 1.5 * 2**20
-    # at P = 3174 (R = 801) the packed D takes 10.8 MiB and the phases 1.5
-    # MiB; the slack of 1.5 MiB holds the temporaries of one row block (1.03
-    # MiB measured), but not one full (R, R) K_g (4.9 MiB) beside them, nor
-    # the complex kernel's temporaries (16.0 MiB measured with them)
+    # at P = 3174 (R = 801) the packed D takes 10.8 MiB and 16 P Q is 1.5
+    # MiB; the slack holds the temporaries of one row block (2.62 MiB above
+    # the packed D measured), but not one full (R, R) K_g (4.9 MiB) beside
+    # them, nor the complex kernel's temporaries (16.0 MiB measured with them)
     mesh = mesh_sphere(1e-9, 24)
     op, peak = assembly_peak(mesh)
     p, r = mesh.n_points, op.orbits
@@ -459,9 +465,9 @@ def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch)
                             (one_body, "pair_matrix"), (kernels, "plane_wave_rule")):
         monkeypatch.setattr(module, builder, lambda *a, **k: pytest.fail("allocated"))
     # 8 B x 4 packed_entries(197) = 4 x 197^2 pairs (one block row holds all
-    # 197 rows) and 16 B x 766 x 32 phases, and 200 B x 766^2 (the 144 B of
-    # the matrix and its work arrays)
-    with pytest.raises(ValueError, match=r"the one-body operator needs 0\.00152 GiB"):
+    # 197 rows) and 16 B x 197 x 32 phases at the orbit representatives, and
+    # 200 B x 766^2 (the 144 B of the matrix and its work arrays)
+    with pytest.raises(ValueError, match=r"the one-body operator needs 0\.00125 GiB"):
         OneBodyOperator(mesh, wave.wavenumber)
     with pytest.raises(ValueError, match=r"dense one-body matrix needs 0\.109 GiB"):
         op.to_dense()
@@ -559,6 +565,129 @@ def test_zero_incident_field_gives_zero_current():
     )
     current = solve_current(mesh, wave)
     assert np.all(current.values == 0)
+
+
+def test_nothing_to_solve_gives_zero_current_after_no_iteration():
+    mesh = mesh_sphere(1e-9, 4)
+    wave = IncidentWave(amplitude=np.zeros(3), direction=np.array([0.0, 1.0, 0.0]),
+                        wavenumber=default_wave().wavenumber)
+    near, moment = solve_currents(mesh, wave, (2.0, 1.0))
+    for current in (near, moment):
+        assert current.characters == () and np.all(current.values == 0)
+        assert current.report.iterations == 0 and current.report.converged
+        assert current.report.final_residual == 0.0
+
+
+def test_non_finite_incident_field_is_refused_not_left_out(wave):
+    # a NaN right-hand side must not pass for an empty one
+    mesh = mesh_sphere(1e-9, 4)
+    broken = SimpleNamespace(wavenumber=wave.wavenumber,
+                             field=lambda x: np.where(x[:, :1] > 0, np.nan, wave.field(x)))
+    with pytest.raises(ValueError, match="NaN or inf"):
+        solve_current(mesh, broken)
+
+
+# --- the character basis -------------------------------------------------------
+
+@pytest.mark.parametrize("build, characters, stabilised", [
+    (lambda: mesh_sphere(1e-9, 12), (2, 3), 11),
+    (lambda: mesh_ellipsoid(1e-8, 1e-9, 1e-9, 14), (2, 3), 12),
+    (lambda: mesh_cube(1e-7, 10), (4, 6), 0),
+], ids=["sphere-766", "ellipsoid-1052", "cube-600"])
+def test_default_wave_solves_only_the_characters_it_fills(wave, build, characters,
+                                                          stabilised):
+    mesh = build()
+    current = solve_current(mesh, wave, scale=2.0)
+    assert current.characters == characters
+    assert current.report.converged and current.report.final_residual <= 1e-10
+    op, rhs = assemble_one_body(mesh, wave, scale=2.0)
+    norms = np.linalg.norm(op.to_characters(rhs), axis=(0, 2))
+    # the characters left out hold rounding only
+    assert np.delete(norms, characters).max() <= 1e-15 * norms.max()
+    # representatives on a mirror plane with a component that their
+    # character forces to zero
+    basis = op.basis(characters)
+    assert np.count_nonzero(np.any(basis.scale == 0, axis=(1, 2))) == stabilised
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mesh_sphere(1e-9, 8),
+    lambda: mesh_ellipsoid(1e-8, 1e-9, 1e-9, 8),
+    lambda: mesh_cube(1e-7, 5),
+], ids=["sphere", "ellipsoid", "cube"])
+def test_character_solve_matches_the_dense_oracle(wave, build):
+    mesh = build()
+    current = solve_current(mesh, wave, tol=1e-12, scale=2.0)
+    assert len(current.characters) < current.operator["order"]
+    expected = lu_current(mesh, wave, 2.0)
+    assert np.linalg.norm(current.values - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mesh_ellipsoid(1e-8, 1e-9, 1e-9, 8),
+    lambda: mesh_cube(1e-7, 5),
+], ids=["ellipsoid", "cube"])
+def test_two_scale_shifted_solve_equals_two_one_scale_solves(wave, build):
+    mesh = build()
+    near, moment = solve_currents(mesh, wave, (2.0, 1.0))
+    near_alone = solve_current(mesh, wave, scale=2.0)
+    moment_alone = solve_current(mesh, wave, scale=1.0)
+    assert near.characters == moment.characters == near_alone.characters
+    assert moment_alone.characters == near.characters
+    assert np.array_equal(near.values, near_alone.values)
+    assert np.linalg.norm(moment.values - moment_alone.values) <= (
+        1e-9 * np.linalg.norm(moment_alone.values))
+
+
+def _tilted_wave(wave, mesh, share):
+    """wave plus a tangential field at the points of mesh whose right-hand side
+    lies in character 0, which wave leaves empty, with share of its |b|."""
+    op = OneBodyOperator(mesh, wave.wavenumber)
+    basis = op.basis((0,))
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(mesh.n_points, 3)) + 1j * rng.normal(size=(mesh.n_points, 3))
+    t = op.to_points(op.to_characters(np.cross(mesh.normals, v), basis), basis)
+    # -N x (N x t) = t for tangential t
+    extra = np.cross(mesh.normals, t)
+    extra *= share * np.linalg.norm(np.cross(mesh.normals, wave.field(mesh.points)))
+    extra /= np.linalg.norm(t)
+    return SimpleNamespace(wavenumber=wave.wavenumber,
+                           field=lambda x: wave.field(x) + extra)
+
+
+def test_a_character_holding_1e_13_of_the_rhs_is_solved(wave):
+    mesh = mesh_sphere(1e-9, 8)
+    assert solve_current(mesh, wave).characters == (2, 3)
+    current = solve_current(mesh, _tilted_wave(wave, mesh, 1e-13))
+    assert current.characters == (0, 2, 3)
+    assert current.report.converged and current.report.final_residual <= 1e-10
+
+
+def test_the_rhs_left_out_counts_in_the_final_residual(wave):
+    # 1e-15 of |b| in character 0 is rounding: it is left out, and the
+    # residual of the point system is at least that share
+    mesh = mesh_sphere(1e-9, 8)
+    current = solve_current(mesh, _tilted_wave(wave, mesh, 1e-15), tol=1e-13)
+    assert current.characters == (2, 3)
+    assert 0.99e-15 <= current.report.final_residual <= 1e-13
+
+
+def test_basis_refuses_characters_outside_the_group(wave):
+    op = OneBodyOperator(mesh_sphere(1e-9, 4), wave.wavenumber)
+    for characters in ((), (4,), (3, 2), (-1, 2), (1, 1)):
+        with pytest.raises(ValueError, match="characters must be increasing"):
+            op.basis(characters)
+
+
+def test_gmres_applies_the_operator_through_its_matvec(wave, monkeypatch):
+    # a tracer that wraps OneBodyOperator.matvec sees every product of the solve
+    calls = []
+    matvec = OneBodyOperator.matvec
+    monkeypatch.setattr(OneBodyOperator, "matvec",
+                        lambda self, x, basis=None: calls.append(basis) or matvec(self, x, basis))
+    current = solve_current(mesh_sphere(1e-9, 8), wave)
+    assert len(calls) > current.report.iterations
+    assert all(basis.characters == (2, 3) for basis in calls)
 
 
 def test_solve_linearity_in_amplitude(sphere766):

@@ -1,5 +1,6 @@
-"""Property test of the one-body coupling A on split and unsplit meshes and on
-both coefficient branches: reciprocity, on generated tangential vectors."""
+"""Property tests of the one-body coupling A on split and unsplit meshes and on
+both coefficient branches: reciprocity, on generated tangential vectors, and
+the character basis the solve runs in, on generated currents."""
 
 import functools
 
@@ -84,3 +85,48 @@ def test_coupling_is_reciprocal(case, seed):
     rhs = mesh.weights @ np.einsum("ip,ip->i", j_n, au)
     scale = mesh.weights @ (np.linalg.norm(u_n, axis=1) * np.linalg.norm(aj, axis=1))
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+#: The character basis's cases: CASES, and the ellipsoid past k D = 1.
+BASIS_CASES = [*CASES, ("ellipsoid", 2.0)]
+
+
+def test_basis_cases_cover_stabilised_points_and_every_group():
+    operators = [coupling(*case) for case in BASIS_CASES]
+    assert {op.mirrors for op in operators} == {(), ("y", "z"), ("x", "y", "z")}
+    # points on a mirror plane, with components their characters force to zero
+    assert any(np.any(op.basis().scale == 0) for op in operators)
+
+
+def random_current(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(BASIS_CASES), seeds)
+def test_map_to_the_characters_is_an_isometry(case, seed):
+    operator = coupling(*case)
+    x = random_current(np.random.default_rng(seed), operator.shape[0])
+    c = operator.to_characters(x)
+    assert abs(np.linalg.norm(c) - np.linalg.norm(x)) <= 1e-15 * np.linalg.norm(x)
+    back = operator.to_points(c).reshape(-1)
+    assert np.linalg.norm(back - x) <= 1e-15 * np.linalg.norm(x)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(BASIS_CASES), seeds)
+def test_product_on_some_characters_is_the_dense_operator(case, seed):
+    # a current on a random non-empty set of characters: the product in
+    # their basis, mapped to the points, is to_dense() @ x, and the
+    # components forced to zero stay zero
+    operator = coupling(*case)
+    rng = np.random.default_rng(seed)
+    order = 2 ** len(operator.mirrors)
+    kept = np.flatnonzero(rng.random(order) < 0.5)
+    basis = operator.basis(kept if kept.size else [rng.integers(order)])
+    c = random_current(rng, basis.scale.shape) * (basis.scale > 0)
+    product = operator.matvec(c.reshape(-1), basis).reshape(c.shape)
+    assert np.all(product[basis.scale == 0] == 0)
+    expected = operator.to_dense() @ operator.to_points(c, basis).reshape(-1)
+    np.testing.assert_allclose(operator.to_points(product, basis).reshape(-1), expected,
+                               rtol=1e-12, atol=1e-12 * np.abs(expected).max())
