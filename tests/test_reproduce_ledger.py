@@ -7,19 +7,19 @@ threads on that box, so they are compared as strings.  q-sphere held at
 one thread only once the one-body operator stored its coefficients real:
 OpenBLAS had rounded the complex GEMM of its 197-orbit blocks differently
 on one thread, and the real GEMM that replaced it gives the same bits at
-all three counts.  e-sphere is identical at the three counts too;
-e-ellipsoid moves by up to 5.6e-15 at one thread (its one-body matvec on
-269-orbit blocks, two block rows of the packed character matrices,
-differs in the last bits there) and sweep-1386's third computed_e_error
-cell by 2.2e-16; the three are compared at rtol 1e-10, since their last
-digits have moved with the thread count before (spreads up to 1.8e-12).
+all three counts.  e-sphere, e-ellipsoid and sweep-1386 are identical at
+the three counts too, since the one-body solve runs in the character
+basis (before it, e-ellipsoid moved by up to 5.6e-15 at one thread and
+sweep-1386's third computed_e_error cell by 2.2e-16); the three are
+compared at rtol 1e-10, since their last digits have moved with the
+thread count before (spreads up to 1.8e-12).
 A change to this ledger is a change to the paper's reproduced numbers and
-must be deliberate.  The last one, summing the real one-body blocks as
-the static kernel times a series in (kr)^2 in place of the complex
-kernel's real part, moved 13 cells of the four one-body tables, at most
-5.3e-12 (sweep-1386's last computed_e_error cell) and in the string rows
-at most 3.2e-14 (q-sphere's gap); e-cube (complex blocks), many-27 and
-many-1000 (FFT path) did not move.
+must be deliberate.  The last one, solving the one-body equation in the
+mirror group's character basis and leaving out the characters the
+incidence leaves empty, moved 20 cells of the five one-body tables, at
+most 1.7e-11 (sweep-1386's last computed_e_error cell) and in the string
+rows at most 3.2e-14 (q-sphere's gap); many-27 and many-1000 (FFT path)
+did not move.
 
 sweep-1386's last computed_e_error cell, 5.8e-16 at radius 1e-10, is the
 most sensitive one: the mirror split moved J by 6.1e-13 there and this cell
@@ -45,12 +45,12 @@ from emscat.cli import main
 
 EXACT = {
     "q-sphere": {
-        "computed": ["3.730515158508324e-22", "3.759849295653089e-22",
-                     "0.007863293914745505"],
+        "computed": ["3.730515158508323e-22", "3.759849295653089e-22",
+                     "0.00786329391474576"],
     },
     "e-cube": {
-        "computed_error": ["9.848832654486738e-09", "9.871662806635747e-08",
-                           "1.347523237021043e-06", "0.0006329215427809769"],
+        "computed_error": ["9.848832654486766e-09", "9.87166280663586e-08",
+                           "1.347523237021037e-06", "0.0006329215427809773"],
     },
     "many-27": {
         "computed_norm": ["5.196151602690342", "5.196152421885643",
@@ -68,18 +68,18 @@ EXACT = {
 
 CLOSE = {
     "e-sphere": {
-        "computed_error": [2.704333715288123e-04, 2.704682109820283e-07,
-                           2.720259328463993e-10],
+        "computed_error": [2.704333715288116e-04, 2.70468210982024e-07,
+                           2.720259328463814e-10],
     },
     "e-ellipsoid": {
-        "computed_error": [3.657194242228364e-03, 3.636279031197235e-06,
-                           5.258427233230118e-09],
+        "computed_error": [3.657194242234534e-03, 3.636279031197525e-06,
+                           5.25842723322952e-09],
     },
     "sweep-1386": {
-        "computed_e_error": [5.800610518857675e-07, 5.800279618722434e-10,
-                             5.800649318265667e-13, 5.835559059862468e-16],
-        "computed_q_error": [6.175909690733839e-03, 6.146349249045417e-03,
-                             6.146079389825929e-03, 6.140281490210545e-03],
+        "computed_e_error": [5.800610518857694e-07, 5.800279618722008e-10,
+                             5.800649318264506e-13, 5.835559059765613e-16],
+        "computed_q_error": [6.175909690733972e-03, 6.146349249045676e-03,
+                             6.146079389825422e-03, 6.140281490209927e-03],
     },
 }
 
