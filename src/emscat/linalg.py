@@ -164,7 +164,10 @@ def _gmres_cycle(apply_a, r, beta, sigmas, restart, budget, b_norm, tol, history
     turned non-finite.  history gets the largest estimate of the shifts
     still running, per step.
     """
-    v = np.zeros((restart + 1, r.shape[0]), dtype=complex)
+    # uninitialised: a cycle reads only the rows it has written, so a basis
+    # that reuses freed heap memory touches those rows' pages, not all
+    # restart + 1 of them, as zero-filling would
+    v = np.empty((restart + 1, r.shape[0]), dtype=complex)
     v[0] = r / beta
     rotations = [_ShiftRotations(sigma, restart, beta) for sigma in sigmas]
     inner = [0] * len(sigmas)

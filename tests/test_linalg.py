@@ -218,6 +218,26 @@ def test_shifted_rows_match_direct_solves(restart):
     assert abs(report.final_residual - max(residuals)) <= 1e-13
 
 
+@pytest.mark.parametrize("restart", [50, 3])
+def test_gmres_reads_no_basis_row_it_has_not_written(monkeypatch, restart):
+    # the Krylov basis is allocated uninitialised: filled with NaN instead,
+    # every solve keeps its bits
+    a, b = random_system(60, 9, dominance=1.0)
+    before = solve_gmres(lambda v: a @ v, b, tol=1e-11, restart=restart, shifts=SHIFTS)
+
+    class NaNFilled:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, dtype=float):
+            return np.full(shape, np.nan, dtype=dtype)
+
+    monkeypatch.setattr(emscat.linalg, "np", NaNFilled())
+    after = solve_gmres(lambda v: a @ v, b, tol=1e-11, restart=restart, shifts=SHIFTS)
+    assert np.array_equal(after[0], before[0]) and after[1] == before[1]
+
+
 def test_shifts_share_one_arnoldi_process():
     a, b = random_system(60, 9, dominance=1.0)
     calls = []
