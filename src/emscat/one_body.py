@@ -32,6 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,8 +208,7 @@ def _orbits(mesh: CollocationMesh) -> _Orbits:
 EMPTY_CHARACTER_ULPS = 64
 
 
-@dataclass(frozen=True)
-class CharacterBasis:
+class CharacterBasis(NamedTuple):
     """Unknowns of a one-body solve: the components of J on some characters.
 
     A vector of the basis is the flattened (R, n, 3) array
