@@ -588,13 +588,14 @@ def radiative_field(k: float, table, u: np.ndarray, mirrors=None) -> np.ndarray:
     B_q = sum_j exp(-ik s_q.x_j) u_j, in O(M Q).  The integrand is odd in s,
     so the self pair j = m adds nothing.
 
-    mirrors = (images, signs) sums over the images of the points under a
-    mirror group instead, u then (M, n, 3): n fields u_k with
-    u_k(g j) = signs[g, k] * u_k(j) componentwise, given at M points whose
-    images R_g x_j, with x_j, are the points of the sum.  R_g s_q is
-    direction images[g, q] (plane_wave_images), so B_q of field k is
-    sum_g signs[g, k] * B'_k[images[g, q]], B' the sums over the M points
-    alone; the result is (M, n, 3), each field's sum at the M points.
+    mirrors = (images, signs) sums over every image R_g x_j of the M points
+    under a mirror group instead, one term per element g, so u carries
+    1 / |Stab j| for a point that some g fixes.  u is then (M, n, 3): n
+    fields with u_k(g j) = signs[g, k] * u_k(j), signs (|G|, n, 3) acting
+    per component.  R_g s_q is direction images[g, q] (plane_wave_images),
+    so field k's B_q is sum_g signs[g, k] * B'_k[images[g, q]], B' the sums
+    over the M points alone; the result, (M, n, 3), is each field's sum at
+    the M points.
     """
     phases, directions, weights = table
     sums = _plane_wave_sums(phases, u.reshape(len(u), -1)).reshape(-1, *u.shape[1:])
@@ -650,8 +651,9 @@ class PackedCoupling:
     which makes the rule 8 E + 16 n Q < 16 E for its E stored entries:
     fewer bytes as well, and its table holds only the R rows of its orbit
     representatives, the |G| characters' two (R, Q) products on 3 columns
-    each taking 48 R |G| Q, about 48 n Q.  The many-body coupling's S_iso takes 3 and S2 15,
-    so its rule is 2 M Q < 3 packed_entries(M), about Q < 0.75 M.  Points
+    each taking 48 R |G| Q, about 48 n Q.  The many-body coupling's S_iso
+    takes 3 and S2 15, so its rule is 2 M Q < 3 packed_entries(M), about
+    Q < 0.75 M.  Points
     many wavelengths apart keep complex blocks.  The choice is made once,
     from the points and k alone, and the bytes of the branch taken pass
     linalg.check_dense_bytes before anything is allocated.
@@ -662,9 +664,9 @@ class PackedCoupling:
     complex values otherwise, as complex blocks do.  The arrays stay
     attributes of the operator, so that nbytes counts them: _packed and its
     block rows _blocks, and on the real branch the table's _phases (n, Q),
-    or (R, Q) on the rows that _pack is given, _directions and _weights.  directions is Q on the real branch and None
-    otherwise; series is the degree of the series, None where the complex
-    kernel ran.
+    or (R, Q) on the rows that _pack is given, _directions and _weights.
+    directions is Q on the real branch and None otherwise; series is the
+    degree of the series, None where the complex kernel ran.
     """
 
     directions = None
