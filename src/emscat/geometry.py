@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollocationMesh:
     """Immutable collocation mesh.
 
@@ -46,6 +46,11 @@ class CollocationMesh:
     weights : (P,) float, patch areas in cm^2
     volume : float, body volume in cm^3
     center : (3,) float, reference point of the body (cm)
+
+    The arrays are the mesh's own read-only copies, so what the solver
+    derives from a mesh once (its orbits under its mirror group, the static
+    sums of gamma_numeric) holds as long as the mesh lives.  Meshes compare
+    and hash by identity: their array fields make == meaningless.
     """
 
     points: np.ndarray
@@ -57,7 +62,9 @@ class CollocationMesh:
     def __post_init__(self):
         """Raise ValueError, naming the field, on any broken mesh invariant."""
         for name in ("points", "normals", "weights", "center"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         p = len(self.points) if self.points.ndim else 0
         shapes = {"points": (p, 3), "normals": (p, 3), "weights": (p,), "center": (3,)}
         for name, shape in shapes.items():

@@ -530,3 +530,17 @@ def test_mesh_rejects_non_finite_entries(cube600, name):
     fields[name].flat[-1] = np.nan
     with pytest.raises(ValueError, match=f"mesh {name} must be finite"):
         CollocationMesh(**fields)
+
+
+def test_mesh_arrays_are_read_only_copies():
+    base = mesh_sphere(1e-9, 4)
+    points = base.points.copy()
+    mesh = replace(base, points=points)
+    for name in ("points", "normals", "weights", "center"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mesh, name)[0] = 0.0
+    # the caller's array stays its own and writable, and editing it leaves the mesh
+    before = mesh.points.copy()
+    points[0] = 0.0
+    assert points.flags.writeable and not np.shares_memory(points, mesh.points)
+    assert np.array_equal(mesh.points, before)
