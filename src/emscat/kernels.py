@@ -188,7 +188,7 @@ def block_row_entries(p: int) -> int:
 
 
 def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
-                 mirrors=None) -> tuple[np.ndarray, list]:
+                 mirrors=None, visit=None) -> tuple[np.ndarray, list]:
     """The symmetric matrices S = kernel(r_ij), stored once: packed upper block rows.
 
     kernel returns an array or a tuple of n arrays, as for pair_matrix; the
@@ -218,6 +218,12 @@ def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
     block is made: releasing it before raised the peak RSS of a dense
     many-body solve (one pass) by about 1.2 MiB at M = 2197, as glibc
     reused the freed blocks less well.
+
+    visit(g, a, b, blocks), when given, sees pass g's kernel output on block
+    row [a, b), self pairs zero, before it is summed, and returns the parts
+    to sum in its place; returning () stores nothing.  The one-body operator
+    feeds gamma's static sums from it, and gamma_numeric's own pass is this
+    pass with nothing stored.
     """
     p = len(points)
     signs, ids, characters = mirrors or ((None,), (None,), np.ones((1, 1)))
@@ -229,7 +235,10 @@ def packed_pairs(points: np.ndarray, center, kernel, dtype=complex,
         for g, rows in enumerate(passes):
             if g:
                 del parts  # the previous pass's block, before this pass's is made
-            parts = _parts(next(rows)[2])
+            parts = next(rows)[2]
+            if visit is not None:
+                parts = visit(g, a, b, parts)
+            parts = _parts(parts)
             n = len(characters) * len(parts)
             if buffer is None:
                 buffer = np.empty(n * packed_entries(p), dtype=dtype)
@@ -443,6 +452,16 @@ def _horner(coefficients: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
+def static_parts(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, r^2) on the distances r: the static kernel c0 = -1 / (4 pi r^3),
+    written over r, and the square r^2 that real_coupling_series needs."""
+    r2 = np.multiply(r, r)
+    c0 = np.multiply(r2, r, out=r)
+    c0 *= -FOUR_PI
+    np.reciprocal(c0, out=c0)
+    return c0, r2
+
+
 def real_coupling_series(k: float, r: np.ndarray, degree: int, hessian: bool = False):
     """Re c_iso, and (Re c_iso, Re c_dir) when hessian, on the distances r.
 
@@ -457,13 +476,17 @@ def real_coupling_series(k: float, r: np.ndarray, degree: int, hessian: bool = F
     At series_degree's degree, for points at most D apart with k D <= 1,
     both are within 3 eps of the exact values (2.2 and 2.7 eps on 20000
     sampled pairs; the complex kernel's real parts 2.4 and 2.8 eps).  r is
-    overwritten.
+    overwritten.  It is series_factors on static_parts(r): a pass can use
+    the static kernel c0 before the series scales it.
     """
-    r2 = np.multiply(r, r)
-    c0 = np.multiply(r2, r, out=r)
-    c0 *= -FOUR_PI
-    np.reciprocal(c0, out=c0)
-    y = np.multiply(r2, k * k)
+    return series_factors(k, *static_parts(r), degree, hessian)
+
+
+def series_factors(k: float, c0: np.ndarray, r2: np.ndarray, degree: int,
+                   hessian: bool = False):
+    """real_coupling_series from static_parts' (c0, r^2); r2 is overwritten, and c0
+    too when hessian.  A zero r^2 and c0 give a zero Re c_iso."""
+    y = np.multiply(r2, k * k, out=r2 if not hessian else None)
     iso = _horner(_SERIES[0, :degree + 1], y, np.empty_like(y))
     iso *= c0
     if not hessian:
@@ -673,7 +696,7 @@ class PackedCoupling:
     series = None
 
     def _pack(self, points, center, k, x, columns, what, hessian=False, mirrors=None,
-              rows=None):
+              rows=None, static=None):
         """Store packed_pairs(points, center, kernel, mirrors=mirrors), real or complex.
 
         The kernel is c_iso, or (c_iso, c_dir) when hessian.  x (n, 3) are
@@ -683,6 +706,11 @@ class PackedCoupling:
         picks the points of x at which the table holds its phases, all by
         default: the one-body operator holds them at its orbit
         representatives, and the mirror images give the rest.
+
+        static(g, a, b, c0), for a c_iso kernel, is handed each block of
+        static coefficients c0 = -1 / (4 pi r^3) (static_parts), self pairs
+        zero, where the series scales it: pass g, block row [a, b).  It is
+        called only where the series runs, that is where self.series is set.
         """
         n, q, entries = len(x), plane_wave_directions(k, x), packed_entries(len(points))
         at = x if rows is None else x[rows]
@@ -690,7 +718,15 @@ class PackedCoupling:
         stored = entries * len(columns)
         check_dense_bytes(8 * stored + 16 * len(at) * q if real else 16 * stored, what)
         degree = series_degree(k, x) if real else None
-        if degree is not None:
+        visit = None
+        if degree is not None and static is not None:
+            kernel = static_parts
+
+            def visit(g, a, b, parts):
+                c0, r2 = parts
+                static(g, a, b, c0)
+                return series_factors(k, c0, r2, degree)
+        elif degree is not None:
             def kernel(r):
                 return real_coupling_series(k, r, degree, hessian)
         elif hessian:
@@ -700,7 +736,7 @@ class PackedCoupling:
             def kernel(r):
                 return kernel_gradient_parts(k, r)[1]
         self._packed, self._blocks = packed_pairs(points, center, kernel,
-                                                  float if real else complex, mirrors)
+                                                  float if real else complex, mirrors, visit)
         if real:
             self.directions, self.series = q, degree
             self._phases, self._directions, self._weights = plane_wave_rule(k, x, at)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -39,8 +40,9 @@ import numpy as np
 from . import linalg
 from .geometry import CollocationMesh
 from .kernels import (PackedCoupling, _cross, _cross_columns, _cross_sum, _moment_columns,
-                      block_row_entries, kernel_gradient_parts, moment_fields, packed_product,
-                      pair_blocks, pair_matrix, plane_wave_images, radiative_field)
+                      block_row_entries, kernel_gradient_parts, moment_fields, packed_pairs,
+                      packed_product, pair_matrix, plane_wave_images, radiative_field,
+                      static_parts)
 from .linalg import ConvergenceError, SolveReport, check_dense_bytes, check_solver
 from .waves import IncidentWave
 
@@ -151,7 +153,7 @@ def mirror_group(mesh: CollocationMesh) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(axes), images
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Orbits:
     """A mesh's points as orbits of its mirror group G (mirror_group).
 
@@ -160,7 +162,8 @@ class _Orbits:
     maps[g, n].  Point i is g_i r_i, row gather[i] of a (|G| R) stack of
     per-element results, one (R, ...) block per g.  stabiliser[n] counts the
     elements that fix reps[n], and characters[psi, g] = psi(g) is the +-1
-    character table.
+    character table.  static_sums are gamma_numeric's (R, 12) pair sums
+    (_StaticSums), once a pass over the mesh has made them.
     """
 
     axes: tuple[int, ...]
@@ -170,6 +173,7 @@ class _Orbits:
     signs: np.ndarray  # (|G|, 3)
     stabiliser: np.ndarray  # (R,)
     characters: np.ndarray  # (|G|, |G|)
+    static_sums: np.ndarray | None = None  # (R, 12)
 
     @property
     def mirrors(self) -> tuple:
@@ -181,8 +185,16 @@ class _Orbits:
         return mesh.weights[self.reps] / self.stabiliser
 
 
+#: The _Orbits of each mesh object, made once and dropped with the mesh,
+#: whose arrays are read-only, so they cannot go stale.
+_MESH_ORBITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _orbits(mesh: CollocationMesh) -> _Orbits:
     """The orbit tables of mesh under its mirror group; the lowest index represents."""
+    orbits = _MESH_ORBITS.get(mesh)
+    if orbits is not None:
+        return orbits
     axes, images = mirror_group(mesh)
     p = mesh.n_points
     rep_of = images.min(axis=0)
@@ -196,9 +208,35 @@ def _orbits(mesh: CollocationMesh) -> _Orbits:
         flip[axis] = -1.0
         signs = np.concatenate([signs, signs * flip])
         characters = np.kron([[1.0, 1.0], [1.0, -1.0]], characters)
-    return _Orbits(axes=axes, reps=reps, maps=maps,
-                   gather=g_of * len(reps) + np.searchsorted(reps, rep_of), signs=signs,
-                   stabiliser=np.sum(maps == reps, axis=0), characters=characters)
+    orbits = _MESH_ORBITS[mesh] = _Orbits(
+        axes=axes, reps=reps, maps=maps, gather=g_of * len(reps) + np.searchsorted(reps, rep_of),
+        signs=signs, stabiliser=np.sum(maps == reps, axis=0), characters=characters)
+    return orbits
+
+
+class _StaticSums:
+    """gamma_numeric's pair sums, gathered block row by block row from a mirrored pass.
+
+    product[r] = sum_s c_rs [N_s, x_s (x) N_s] v_s over every image g s of the
+    representatives, c_rs = -1 / (4 pi r_rs^3) and v_s = w_s / |Stab s|: the
+    image g s has R_g x_s and R_g N_s, so its columns are the representatives'
+    times the signs R_g puts on them.  Called as kernels.packed_pairs' visit
+    on block row [a, b) of K_g, the static block c0, it applies the row's two
+    GEMMs, as packed_product does, and stores nothing.
+    """
+
+    def __init__(self, mesh: CollocationMesh, orbits: _Orbits):
+        x = mesh.points[orbits.reps] - mesh.center
+        self.columns = _moment_columns(x, mesh.normals[orbits.reps])
+        self.columns *= orbits.column_weights(mesh)[:, None]
+        self.signs = [_moment_columns(sign[None], sign[None]) for sign in orbits.signs]
+        self.product = np.zeros(self.columns.shape)
+
+    def __call__(self, g: int, a: int, b: int, c0: np.ndarray) -> tuple:
+        z = self.columns[a:] * self.signs[g]
+        self.product[a:b] += c0 @ z
+        self.product[b:] += c0[:, b - a:].T @ z[:b - a]
+        return ()
 
 
 #: A character whose right-hand side is at most this many ulps of |b| holds
@@ -294,6 +332,12 @@ class OneBodyOperator(PackedCoupling):
     and ellipsoid store real D at the default k (Q = 32); a body many
     wavelengths across, or a coarse mesh such as the 600-point cube of side
     2e-7 cm (Q = 50, |G| = 8), keeps complex D.
+
+    The series scales the static kernel c0 = -1 / (4 pi r^3), so on that
+    branch the pass also makes gamma_numeric's static sums, unless the mesh
+    already keeps them: each static block row of K_g feeds their two GEMMs
+    before the series scales it (_StaticSums).  The mesh keeps them, with
+    its orbit tables, and not the operator.
     """
 
     def __init__(self, mesh: CollocationMesh, wavenumber: float, scale: float = 1.0):
@@ -314,8 +358,11 @@ class OneBodyOperator(PackedCoupling):
         self._free = ~np.any(flips & fixes[:, None, :, None], axis=2)  # (R, psi, q)
 
         x = mesh.points - mesh.center
+        sums = _StaticSums(mesh, orbits) if orbits.static_sums is None else None
         self._pack(mesh.points[reps], mesh.center, wavenumber, x, (6,) * order,
-                   "the one-body operator", mirrors=orbits.mirrors, rows=reps)
+                   "the one-body operator", mirrors=orbits.mirrors, rows=reps, static=sums)
+        if sums is not None and self.series is not None:
+            orbits.static_sums = sums.product
         if self.directions is not None:
             self._images = plane_wave_images(self.directions, orbits.signs)
         self._x = x[reps]
@@ -582,30 +629,32 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
     d g0 / d s = c_st (x_s - x_t), c_st = -1 / (4 pi r_st^3), G is formed at
     the R orbit representatives only, from K_g[r, s] = c(|x_r - R_g x_s|)
     applied to the columns [N_s, x_s (x) N_s] v_s, v_s = w_s / |Stab s|, of
-    each group element g, whose image g s has R_g x_s and R_g N_s.  Each K_g
-    is symmetric, and kernels.pair_blocks yields its upper block rows; each
-    block row's two GEMMs are applied as it comes, so one block row of
-    distances is held at a time and no (R, R) matrix exists.
-    G(g r) = R_g G(r) R_g gives it at every point.  A mesh without mirrors
-    is the trivial group: the plain sum over all P^2 pairs.
+    each group element g, whose image g s has R_g x_s and R_g N_s
+    (_StaticSums).  G(g r) = R_g G(r) R_g gives it at every point.  A mesh
+    without mirrors is the trivial group: the plain sum over all P^2 pairs.
+
+    The (R, 12) sums do not depend on k or the frame, and the mesh keeps
+    them.  An OneBodyOperator whose blocks the series sums makes them in
+    its own pass: each static block row c0 of K_g feeds the sums' two GEMMs
+    and is then scaled by the series.  Otherwise the first call makes them
+    in the same mirrored pass (kernels.packed_pairs) with nothing stored,
+    one block row of distances held at a time and no (R, R) matrix.  Either
+    pass adds the block rows in the same order, so gamma has the same bits
+    whichever made them.
     """
     if frame not in ("local", "lab"):
         raise ValueError(f"unknown frame {frame!r}")
     orbits = _orbits(mesh)
     reps = orbits.reps
-    check_dense_bytes(8 * block_row_entries(len(reps)),
-                      "a block row of the static coupling matrix")
+    if orbits.static_sums is None:
+        check_dense_bytes(8 * block_row_entries(len(reps)),
+                          "a block row of the static coupling matrix")
+        sums = _StaticSums(mesh, orbits)
+        packed_pairs(mesh.points[reps], mesh.center, _static_coefficient, float,
+                     orbits.mirrors, visit=sums)
+        orbits.static_sums = sums.product
+    product = orbits.static_sums
     x = mesh.points[reps] - mesh.center
-    columns = _moment_columns(x, mesh.normals[reps]) * orbits.column_weights(mesh)[:, None]
-    # sum_s c_rs [N_s, x_s (x) N_s] v_s over every image g s
-    product = np.zeros(columns.shape)
-    signs, ids, _ = orbits.mirrors
-    for sign, pair_ids in zip(signs, ids):
-        z = columns * _moment_columns(sign[None], sign[None])
-        for a, b, block in pair_blocks(mesh.points[reps], mesh.center, _static_coefficient,
-                                       sign, pair_ids):
-            product[a:b] += block @ z[a:]
-            product[b:] += block[:, b - a:].T @ z[a:b]
 
     # per_source[r, p, q] = sum_s c_rs (x_sp - x_rp) N_sq w_s
     per_source = product[:, 3:].reshape(-1, 3, 3) - x[:, :, None] * product[:, None, :3]
@@ -621,11 +670,8 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
 
 
 def _static_coefficient(r: np.ndarray) -> np.ndarray:
-    """-1 / (4 pi r^3), in place."""
-    r *= r * r
-    r *= -4.0 * np.pi
-    np.reciprocal(r, out=r)
-    return r
+    """-1 / (4 pi r^3), in place: the series kernel's c0, bit for bit."""
+    return static_parts(r)[0]
 
 
 def moment_q_asymptotic(

@@ -108,16 +108,21 @@ def packed(s):
             for a in range(0, p, step)]
 
 
-def one_shot_packed_pairs(points, center, kernel, dtype=complex, mirrors=None):
+def one_shot_packed_pairs(points, center, kernel, dtype=complex, mirrors=None, visit=None):
     """Stand-in for packed_pairs that packs the full construction's matrices.
 
     With mirrors, the full matrices of each pass are summed through the
-    character table in the order packed_pairs sums its block rows.
+    character table in the order packed_pairs sums its block rows.  visit
+    sees each pass's full matrices as one block row, and returns the ones
+    packed.
     """
     signs, ids, characters = mirrors or ((None,), (None,), np.ones((1, 1)))
     terms = []
     for g, (sign, pair_ids) in enumerate(zip(signs, ids)):
         s = full_pair_matrix(points, center, kernel, None, sign, pair_ids)
+        if visit is not None:
+            s = visit(g, 0, len(points), tuple(s) if s.ndim == 3 else s)
+            s = np.stack(s) if isinstance(s, tuple) else s
         s = (s.real if dtype is float else s).reshape(-1, *s.shape[-2:])
         terms.append(characters[:, g, None, None, None] * s)  # (m, n, P, P), exact
     sums = functools.reduce(np.add, terms)

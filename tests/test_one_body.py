@@ -1,7 +1,10 @@
 """One-body boundary solver: assembly oracles, moments, gamma, fields."""
 
+import gc
 import tracemalloc
 import warnings
+import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -461,7 +464,7 @@ def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch)
     mesh = mesh_sphere(1e-9, 12)  # P = 766
     op = OneBodyOperator(mesh, wave.wavenumber)
     monkeypatch.setattr(linalg, "physical_memory", lambda: 2**20)
-    for module, builder in ((kernels, "packed_pairs"), (one_body, "pair_blocks"),
+    for module, builder in ((kernels, "packed_pairs"), (one_body, "packed_pairs"),
                             (one_body, "pair_matrix"), (kernels, "plane_wave_rule")):
         monkeypatch.setattr(module, builder, lambda *a, **k: pytest.fail("allocated"))
     # 8 B x 4 packed_entries(197) = 4 x 197^2 pairs (one block row holds all
@@ -477,7 +480,9 @@ def test_dense_allocations_beyond_physical_memory_are_refused(wave, monkeypatch)
     with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.000485 GiB"):
         gamma_numeric(_nudged(mesh))
     with pytest.raises(ValueError, match=r"static coupling matrix needs 0\.000289 GiB"):
-        gamma_numeric(mesh)
+        gamma_numeric(replace(mesh))
+    # op's pass made mesh's static sums: gamma_numeric only reduces them
+    gamma_numeric(mesh)
 
 
 def test_dense_matrix_peak_is_what_its_guard_asks(wave, monkeypatch):
@@ -886,6 +891,76 @@ def test_gamma_numeric_translation_invariant(off_origin_mesh, frame):
         rtol=1e-12,
         atol=1e-12,
     )
+
+
+#: Meshes of the one-pass gamma tests: the operator's pass makes gamma's
+#: static sums on the four real-branch meshes (P = 766 is one block row of
+#: its R = 197 representatives), and the cube keeps complex blocks, so
+#: gamma_numeric makes them in its own pass.
+ONE_PASS_MESHES = {
+    "sphere-766": (lambda: mesh_sphere(1e-9, 12), True),
+    "sphere-3174": (lambda: mesh_sphere(1e-9, 24), True),
+    "ellipsoid-1052": (lambda: mesh_ellipsoid(1e-8, 1e-9, 1e-9, 14), True),
+    "nudged-766": (lambda: _nudged(mesh_sphere(1e-9, 12)), True),
+    "cube-600": (lambda: mesh_cube(1e-7, 10), False),
+}
+
+
+@pytest.mark.parametrize("name", ONE_PASS_MESHES)
+def test_gamma_after_a_solve_equals_gamma_of_a_fresh_mesh(wave, name):
+    build, fused = ONE_PASS_MESHES[name]
+    mesh = build()
+    solve_current(mesh, wave, scale=2.0)
+    assert (one_body._orbits(mesh).static_sums is not None) == fused
+    # both passes add the block rows of every K_g in the same order: the same bits
+    for frame in ("local", "lab"):
+        assert np.array_equal(gamma_numeric(mesh, frame).gamma,
+                              gamma_numeric(replace(mesh), frame).gamma)
+
+
+def test_gamma_does_not_depend_on_the_solves_before_it(wave):
+    expected = gamma_numeric(mesh_sphere(1e-9, 12), "lab").gamma
+    for kd in (None, 0.2):
+        for scale in (1.0, 2.0):
+            mesh = mesh_sphere(1e-9, 12)
+            k = wave.wavenumber if kd is None else _wavenumber(mesh, kd)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # k a = 0.1 is outside the small-body regime
+                solve_current(mesh, replace(wave, wavenumber=k), scale=scale)
+            assert np.array_equal(gamma_numeric(mesh, "lab").gamma, expected)
+
+
+def test_solve_and_both_gammas_make_one_pass_per_group_element(wave, monkeypatch):
+    calls = {"pair_blocks": 0, "mirror_group": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(kernels, "pair_blocks")
+    counting(one_body, "mirror_group")
+    mesh = mesh_sphere(1e-9, 12)
+    current = solve_current(mesh, wave)
+    gamma_numeric(mesh, "local")
+    gamma_numeric(mesh, "lab")
+    assert current.operator["order"] == 4 and current.operator["series"] == 2
+    assert calls == {"pair_blocks": 4, "mirror_group": 1}
+
+
+def test_what_a_mesh_keeps_dies_with_it(wave):
+    mesh = mesh_sphere(1e-9, 8)
+    solve_current(mesh, wave)
+    gamma_numeric(mesh)
+    orbits = one_body._orbits(mesh)
+    assert orbits.static_sums is not None
+    refs = weakref.ref(mesh), weakref.ref(orbits)
+    del mesh, orbits
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_gamma_numeric_rejects_unknown_frame(sphere766):
