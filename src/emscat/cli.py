@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import warnings
@@ -429,6 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main uses, built once per process: parse_args keeps no state
+#: between calls, each returning a fresh namespace of the defaults.
+_parser = functools.cache(build_parser)
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     data = {}
     if getattr(args, "config", None):
@@ -445,8 +451,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")

@@ -773,3 +773,28 @@ def test_table_config_keeps_caller_warnings(tmp_path, capsys):
     assert len(config.warnings) == 1
     assert emscat.cli.cmd_reproduce(config, "q-sphere") == 0
     assert len(config.warnings) == 1
+
+
+def test_main_reuses_one_parser_and_keeps_no_state(monkeypatch):
+    # main parses every call with one parser: a flag given to one call is
+    # back at its default in the next
+    seen = []
+
+    def stop(args):
+        seen.append(vars(args))
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(emscat.cli, "_resolve_config", stop)
+    emscat.cli._parser.cache_clear()
+    for argv in (["reproduce", "q-sphere", "--tol", "1e-6"], ["one-body", "--m-phi", "8"],
+                 ["reproduce", "e-cube"]):
+        assert main(argv) == 2
+    first, one_body, again = seen
+    assert (first["command"], first["table_id"], first["tol"]) == ("reproduce", "q-sphere", 1e-6)
+    assert (one_body["command"], one_body["m_phi"], one_body["tol"]) == ("one-body", 8, None)
+    assert "table_id" not in one_body
+    assert (again["command"], again["table_id"], again["tol"]) == ("reproduce", "e-cube", None)
+    assert "m_phi" not in again
+    assert emscat.cli._parser.cache_info()[:2] == (2, 1)  # hits, misses
+    # build_parser still makes a fresh parser
+    assert emscat.cli.build_parser() is not emscat.cli._parser()
