@@ -185,9 +185,9 @@ class _Orbits:
         return mesh.weights[self.reps] / self.stabiliser
 
 
-#: The _Orbits of each mesh object, made once and dropped with the mesh,
-#: whose arrays are read-only, so they cannot go stale.
-_MESH_ORBITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: The _Orbits of each mesh object, made once and dropped with the mesh.
+#: A mesh's arrays are read-only, so they cannot go stale.
+_MESH_ORBITS = weakref.WeakKeyDictionary()
 
 
 def _orbits(mesh: CollocationMesh) -> _Orbits:
@@ -634,7 +634,7 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
     without mirrors is the trivial group: the plain sum over all P^2 pairs.
 
     The (R, 12) sums do not depend on k or the frame, and the mesh keeps
-    them.  An OneBodyOperator whose blocks the series sums makes them in
+    them.  A OneBodyOperator whose blocks the series sums makes them in
     its own pass: each static block row c0 of K_g feeds the sums' two GEMMs
     and is then scaled by the series.  Otherwise the first call makes them
     in the same mirrored pass (kernels.packed_pairs) with nothing stored,
