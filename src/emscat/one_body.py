@@ -663,7 +663,7 @@ def gamma_numeric(mesh: CollocationMesh, frame: str = "local") -> GammaMatrix:
 
     if frame == "local":
         basis = _local_frames(mesh.normals)  # (t, 3, 3), columns u, v, n
-        per_source = np.einsum("tap,tab,tbq->tpq", basis, per_source, basis)
+        per_source = np.swapaxes(basis, 1, 2) @ per_source @ basis
 
     gamma = np.einsum("t,tpq->pq", mesh.weights, per_source) / mesh.area
     return GammaMatrix.from_gamma(gamma)
