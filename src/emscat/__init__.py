@@ -32,7 +32,6 @@ from .linalg import (
     SolveReport,
     solve_direct,
     solve_gmres,
-    solve_operator,
 )
 from .many_body import (
     EffectiveFieldSolution,

@@ -439,7 +439,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     data = {}
     if getattr(args, "config", None):
         data = RunConfig.from_json(args.config).to_dict()
-    skip = {"command", "config", "table_id", "output", "func"}
+    skip = {"command", "config", "table_id", "output"}
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue

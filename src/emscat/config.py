@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .geometry import CollocationMesh, mesh_cube, mesh_ellipsoid, mesh_sphere
-from .linalg import check_count, check_positive
+from .linalg import check_array, check_count, check_positive
 from .waves import FREQUENCY, IncidentWave, WAVELENGTH, WAVE_SPEED
 
 
@@ -28,26 +27,11 @@ SHAPES = ("sphere", "ellipsoid", "cube")
 GAMMA_MODES = ("sphere", "numeric-local", "numeric-lab")
 
 
-def _check_number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
 def _numbers(name: str, value, shape: tuple, what: str, valid=np.isfinite) -> tuple:
-    """value, numbers of the given shape (None matches any length), as tuples.
-
-    valid(array) must hold for every entry; else ConfigError naming name,
-    with what describing the expected value.
-    """
-    try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        array = np.asarray(None)
-    if (array.dtype.kind not in "iuf" or array.ndim != len(shape)
-            or any(n not in (None, m) for n, m in zip(shape, array.shape))
-            or not valid(array.astype(float)).all()):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return tuple(map(tuple, value)) if array.ndim == 2 else tuple(value)
+    """value, checked by linalg.check_array, as the caller's own entries in tuples."""
+    if check_array(name, value, shape, what, valid).ndim == 2:
+        return tuple(map(tuple, value))
+    return tuple(value)
 
 
 @dataclass
@@ -115,14 +99,13 @@ class RunConfig:
         if not any(self.eval_direction):
             raise ConfigError("eval_direction must be nonzero")
         self.wave()  # direction a unit vector transverse to amplitude
-        _check_number("radius", self.radius)
+        check_array("radius", self.radius, (), "a number", valid=np.isreal)
         for name in ("tol", "spacing", "particle_radius"):
             check_positive(name, getattr(self, name))
         for name in ("count", "restart", "max_iter", "m_phi", "n_per_face"):
             check_count(name, getattr(self, name), 1)
-        _check_number("bie_scale", self.bie_scale)
-        if not (np.isfinite(self.bie_scale) and self.bie_scale != 0):
-            raise ConfigError(f"bie_scale must be a finite nonzero number, got {self.bie_scale}")
+        check_array("bie_scale", self.bie_scale, (), "a finite nonzero number",
+                    valid=lambda a: np.isfinite(a) & (a != 0))
         for name, choices in (("shape", SHAPES), ("gamma_mode", GAMMA_MODES)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; choose from {choices}")

@@ -147,7 +147,7 @@ def _parts(blocks) -> tuple:
     return blocks if isinstance(blocks, tuple) else (blocks,)
 
 
-def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex) -> np.ndarray:
+def pair_matrix(points: np.ndarray, center, kernel, weights=None) -> np.ndarray:
     """(P, P) matrix kernel(r_ij) w_j with a zero diagonal, r_ij = |x_i - x_j|.
 
     One pass of pair_blocks(points, center, kernel), whose arguments and
@@ -157,8 +157,7 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex)
     the output, so assembly holds the output plus one block.  For a kernel
     whose bits do not depend on the size of its argument, as for every
     kernel in this module, the entries equal those of the kernel on the
-    whole (P, P) distance matrix, times w_j, bit for bit; a float dtype
-    keeps the real part of a complex kernel.
+    whole (P, P) distance matrix, times w_j, bit for bit, in a complex array.
     """
     p = len(points)
     w = np.ones(p) if weights is None else np.asarray(weights, dtype=float)
@@ -166,10 +165,8 @@ def pair_matrix(points: np.ndarray, center, kernel, weights=None, dtype=complex)
     for a, b, blocks in pair_blocks(points, center, kernel):
         stacked = isinstance(blocks, tuple)
         if out is None:
-            out = np.empty((len(_parts(blocks)), p, p), dtype=dtype)
+            out = np.empty((len(_parts(blocks)), p, p), dtype=complex)
         for block, part in zip(_parts(blocks), out):
-            if not np.iscomplexobj(part):
-                block = block.real
             np.multiply(block, w[a:], out=part[a:b, a:])
             np.multiply(block[:, b - a:].T, w[a:b], out=part[b:, a:b])
     return out if stacked else out[0]

@@ -28,9 +28,9 @@ __all__ = [
     "SolveReport",
     "solve_direct",
     "solve_gmres",
+    "check_array",
     "check_solver",
     "check_dense_bytes",
-    "solve_operator",
 ]
 
 #: A diagonal entry of R (A = QR) below this fraction of the largest matrix
@@ -211,18 +211,6 @@ def _residual(apply_a, b, x, sigma):
     return b - ax
 
 
-def _check_shifts(shifts) -> list:
-    """The shifts as a list, [0] for None; ValueError unless finite and non-empty."""
-    if shifts is None:
-        return [0]
-    sigmas = np.asarray(shifts, dtype=complex)
-    if sigmas.ndim != 1 or sigmas.size == 0:
-        raise ValueError(f"shifts must be a non-empty sequence of numbers, got {shifts!r}")
-    if not np.all(np.isfinite(sigmas)):
-        raise ValueError(f"shifts hold NaN or inf entries: {shifts!r}")
-    return sigmas.tolist()
-
-
 def _rows(xs: list, shifts) -> np.ndarray:
     """The one solution when unshifted, else the (len(shifts), n) stack."""
     return xs[0] if shifts is None else np.stack(xs)
@@ -264,7 +252,9 @@ def solve_gmres(
     b = np.asarray(b, dtype=complex)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side holds NaN or inf entries")
-    sigmas = _check_shifts(shifts)
+    sigmas = [0] if shifts is None else check_array(
+        "shifts", shifts, (None,), "a non-empty sequence of finite numbers",
+        valid=lambda a: a.size > 0 and np.isfinite(a), kinds="iufc").astype(complex).tolist()
     n = b.shape[0]
     restart = min(restart, n)
 
@@ -320,6 +310,25 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def check_array(name: str, value, shape: tuple, what: str, valid=np.isfinite,
+                kinds: str = "iuf") -> np.ndarray:
+    """value as an array of the given shape (None matches any length), or
+    ValueError naming name, with what describing the expected value.
+
+    The array's dtype kind must be one of kinds (a bool, a str or a ragged
+    nesting is refused by default) and valid(array) must hold for every entry.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    if (array.dtype.kind not in kinds or array.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, array.shape))
+            or not np.all(valid(array))):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return array
+
+
 def check_solver(tol, restart, max_iter) -> None:
     """Raise ValueError naming the knob unless tol is a finite number > 0 and
     restart and max_iter are integers >= 1.
@@ -348,27 +357,3 @@ def check_dense_bytes(nbytes: int, what: str) -> None:
     if nbytes > limit:
         raise ValueError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
                          f"{limit / 2**30:.3g} GiB of physical memory")
-
-
-def solve_operator(
-    operator,
-    rhs: np.ndarray,
-    tol: float = 1e-10,
-    restart: int = 50,
-    max_iter: int = 1000,
-    what: str = "linear",
-    shifts=None,
-) -> tuple[np.ndarray, SolveReport]:
-    """Solve operator x = rhs by GMRES on operator.matvec.
-
-    The matrix is never materialized.  Raises ConvergenceError ("<what>
-    solve stalled ...") when GMRES stalls.  shifts solves
-    (operator + sigma I) x = rhs for each sigma, as in solve_gmres.
-    """
-    x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart,
-                            max_iter=max_iter, shifts=shifts)
-    if not report.converged:
-        raise ConvergenceError(
-            f"{what} solve stalled at residual {report.final_residual:.3e}", report
-        )
-    return x, report

@@ -55,8 +55,8 @@ import numpy as np
 from .kernels import (CoincidentPointsError, PackedCoupling, _cross, _cross_columns,
                       _cross_sum, _moment_columns, kernel_hessian_parts, moment_fields,
                       packed_product, pair_matrix, radiative_curl, radiative_field)
-from .linalg import (SolveReport, check_count, check_dense_bytes, check_positive,
-                     check_solver, solve_operator)
+from .linalg import (ConvergenceError, SolveReport, check_array, check_count, check_dense_bytes,
+                     check_positive, check_solver, solve_gmres)
 from .one_body import GammaMatrix
 from .waves import IncidentWave
 
@@ -119,12 +119,8 @@ class ManyBodyLayout:
     def __post_init__(self):
         check_positive("layout spacing", self.spacing)
         check_positive("layout radius", self.radius, zero=True)
-        try:
-            box = np.asarray(self.box)
-        except ValueError:  # a ragged nesting
-            box = np.asarray(None)
-        if box.dtype.kind not in "iuf" or box.shape != (2, 3) or not np.isfinite(box).all():
-            raise ValueError(f"layout box must be two finite corners, got {self.box!r}")
+        box = check_array("layout box", self.box, (2, 3), "two finite corners")
+        object.__setattr__(self, "box", tuple(map(tuple, self.box)))
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "volumes", np.asarray(self.volumes, dtype=float))
@@ -240,7 +236,7 @@ def lattice_layout(
             f"count must be a positive perfect cube for lattice placement, got {count}; "
             "use layout_from_centers for irregular configurations"
         )
-    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    lo, hi = check_array("layout box", box, (2, 3), "two finite corners").astype(float)
     if np.any(lo + (n - 1) * spacing > hi + 1e-15):
         raise ValueError("lattice does not fit inside the box")
     idx = np.arange(n) * spacing
@@ -251,7 +247,7 @@ def lattice_layout(
         radius=radius,
         spacing=spacing,
         volumes=np.full(count, SPHERE_VOLUME_COEFF * radius**3),
-        box=(tuple(lo), tuple(hi)),
+        box=box,
     )
 
 
@@ -269,7 +265,7 @@ def layout_from_centers(
         volumes = np.full(centers.shape[0], SPHERE_VOLUME_COEFF * radius**3)
     return ManyBodyLayout(
         centers=centers, radius=radius, spacing=spacing, volumes=np.asarray(volumes),
-        box=(tuple(box[0]), tuple(box[1])),
+        box=box,
     )
 
 
@@ -566,8 +562,10 @@ def solve_effective_field(
     """
     check_solver(tol, restart, max_iter)
     operator, rhs = assemble_many_body(layout, wave, gamma)
-    x, report = solve_operator(operator, rhs, tol=tol, restart=restart,
-                               max_iter=max_iter, what="effective-field")
+    x, report = solve_gmres(operator.matvec, rhs, tol=tol, restart=restart, max_iter=max_iter)
+    if not report.converged:
+        raise ConvergenceError(
+            f"effective-field solve stalled at residual {report.final_residual:.3e}", report)
     a = x.reshape(layout.count, 3)
     return EffectiveFieldSolution(
         a_values=a,

@@ -43,7 +43,7 @@ from .kernels import (PackedCoupling, _cross, _cross_columns, _cross_sum, _momen
                       block_row_entries, kernel_gradient_parts, moment_fields, packed_pairs,
                       packed_product, pair_matrix, plane_wave_images, radiative_field,
                       static_parts)
-from .linalg import ConvergenceError, SolveReport, check_dense_bytes, check_solver
+from .linalg import ConvergenceError, SolveReport, check_array, check_dense_bytes, check_solver
 from .waves import IncidentWave
 
 __all__ = [
@@ -77,12 +77,8 @@ class GammaMatrix:
 
     @classmethod
     def from_gamma(cls, gamma: np.ndarray) -> "GammaMatrix":
-        try:
-            matrix = np.asarray(gamma, dtype=complex)
-        except (TypeError, ValueError):  # a string or a ragged nesting
-            matrix = np.empty(0)
-        if matrix.shape != (3, 3) or not np.isfinite(matrix).all():
-            raise ValueError(f"gamma must be a finite 3 x 3 matrix, got {gamma!r}")
+        matrix = check_array("gamma", gamma, (3, 3), "a finite 3 x 3 matrix",
+                             kinds="biufc").astype(complex)
         shifted = np.eye(3) + matrix
         if abs(np.linalg.det(shifted)) < 1e-12:
             raise np.linalg.LinAlgError("I + gamma is singular")
@@ -535,12 +531,13 @@ def solve_currents(
 
     Raises ConvergenceError if GMRES stalls; every current carries the
     report of the whole solve.  ValueError, before assembly, for a bad knob
-    (linalg.check_solver) or a scale that is 0 or not finite.
+    (linalg.check_solver) or bad scales (linalg.check_array): none, or one
+    that is not a number, 0 or not finite.
     """
     check_solver(tol, restart, max_iter)
-    scales = [float(s) for s in scales]
-    if not scales or not all(np.isfinite(s) and s != 0.0 for s in scales):
-        raise ValueError(f"scales must be finite and non-zero, got {scales}")
+    scales = check_array("scales", scales, (None,), "finite and non-zero numbers, at least one",
+                         valid=lambda a: a.size > 0 and np.isfinite(a) & (a != 0)
+                         ).astype(float).tolist()
     operator, rhs = assemble_one_body(mesh, wave, scale=scales[0])
     b_norm = float(np.linalg.norm(rhs))
     if not np.isfinite(b_norm):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_positive
+from .linalg import check_array, check_positive
 
 #: Default physical parameters shared by all bundled experiments:
 #: speed of light in cm/s, source frequency in Hz and wavelength in cm.
@@ -31,16 +31,10 @@ class IncidentWave:
     permeability: float = 1.0
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=float)
-        direc = np.asarray(self.direction, dtype=float)
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "direction", direc)
-        if amp.shape != (3,) or direc.shape != (3,):
-            raise ValueError("amplitude and direction must be 3-vectors")
-        if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(direc))):
-            raise ValueError(
-                f"amplitude {amp.tolist()} and direction {direc.tolist()} must be finite"
-            )
+        for name in ("amplitude", "direction"):
+            array = check_array(name, getattr(self, name), (3,), "3 finite numbers")
+            object.__setattr__(self, name, array.astype(float))
+        amp, direc = self.amplitude, self.direction
         if abs(np.linalg.norm(direc) - 1.0) > 1e-12:
             raise ValueError(f"direction must be a unit vector, |d|={np.linalg.norm(direc)!r}")
         scale = max(1.0, float(np.linalg.norm(amp)))

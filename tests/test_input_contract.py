@@ -94,15 +94,26 @@ CASES += [("lattice_layout", "spacing", st.just(value))
           for value in NON_FINITE + [0.0] + NOT_NUMBERS]
 CASES += [("layout", "radius", NEGATIVE)]
 CASES += [("lattice_layout", name, NEGATIVE) for name in ("spacing", "radius")]
-CASES += [("layout", "box", corner(value)) for value in NON_FINITE + ["1"]]
-CASES += [("layout", "box", st.just(((0.0, 0.0, 0.0), (1.0, 1.0))))]  # ragged
+#: The array arguments, all checked by linalg.check_array: a ragged nesting,
+#: a str, a bool array, a wrong shape and NaN are each refused.
+CASES += [(where, "box", corner(value)) for where in ("layout", "lattice_layout")
+          for value in NON_FINITE + ["1"]]
+CASES += [(where, "box", st.just(value)) for where in ("layout", "lattice_layout")
+          for value in [((0.0, 0.0, 0.0), (1.0, 1.0)), "box", np.ones((2, 3), dtype=bool),
+                        ((0.0,) * 3,), ((0.0,) * 3, (1.0,) * 3, (2.0,) * 3)]]
 CASES += [(where, "center", st.just(value)) for where in ("mesh_sphere", "mesh_ellipsoid",
                                                           "mesh_cube")
           for value in [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0),
-                        (0.0, np.inf, 0.0), ("0", "0", "0"), ((0.0,), (0.0, 0.0))]]
+                        (0.0, np.inf, 0.0), ("0", "0", "0"), ((0.0,), (0.0, 0.0)),
+                        "000", (False, False, False), np.zeros((1, 3))]]
+CASES += [("IncidentWave", name, st.just(value)) for name in ("amplitude", "direction")
+          for value in [((1.0,), (0.0, 0.0)), ("1", "0", "0"), "100", (True, False, False),
+                        (1.0, 0.0), np.zeros((3, 3)), (np.nan, 0.0, 0.0), (0.0, 0.0, np.inf)]]
+# gamma takes bool entries (check_array kinds "biufc"), so its bools have a wrong shape
 CASES += [("GammaMatrix.from_gamma", "gamma", entry(value)) for value in NON_FINITE]
 CASES += [("GammaMatrix.from_gamma", "gamma", st.just(value))
-          for value in [np.zeros((2, 2)), True, "x", [[0.0] * 3] * 2 + [[0.0] * 2]]]
+          for value in [np.zeros((2, 2)), True, np.ones((3,), dtype=bool), "x",
+                        [[0.0] * 3] * 2 + [[0.0] * 2], [["0"] * 3] * 3, np.zeros((3, 3, 1))]]
 
 
 def no_assembly(*args, **kwargs):

@@ -201,16 +201,6 @@ def test_radiative_sums_match_green_pair_sums(kd):
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_pair_matrix_keeps_the_real_part_for_a_float_dtype():
-    rng = np.random.default_rng(6)
-    points = rng.normal(size=(40, 3)) * 1e-7
-    weights = rng.uniform(0.5, 2.0, 40)
-    for kernel in (lambda r: kernel_gradient_parts(K, r)[1], lambda r: kernel_hessian_parts(K, r)):
-        full = pair_matrix(points, points.mean(axis=0), kernel, weights=weights)
-        real = pair_matrix(points, points.mean(axis=0), kernel, weights=weights, dtype=float)
-        assert real.dtype == float and np.array_equal(real, full.real)
-
-
 def test_plane_wave_rule_is_antipodal_with_the_exact_self_term():
     x = np.random.default_rng(12).normal(size=(5, 3)) / K
     _, s, w = plane_wave_rule(K, x)
@@ -313,10 +303,10 @@ def test_pair_distances_match_pairwise_norms():
 ROWS = 4
 
 PAIR_KERNELS = {
-    "weighted-complex": (lambda r: kernel_gradient_parts(K, r)[1], True, complex),
-    "real-static": (_static_coefficient, False, float),
-    "unweighted-complex": (lambda r: kernel_gradient_parts(K, r)[1], False, complex),
-    "weighted-tuple": (lambda r: kernel_hessian_parts(K, r), True, complex),
+    "weighted-complex": (lambda r: kernel_gradient_parts(K, r)[1], True),
+    "real-static": (_static_coefficient, False),
+    "unweighted-complex": (lambda r: kernel_gradient_parts(K, r)[1], False),
+    "weighted-tuple": (lambda r: kernel_hessian_parts(K, r), True),
 }
 
 
@@ -331,11 +321,11 @@ def test_pair_matrix_equals_full_construction(monkeypatch, kind, p):
     block_rows(monkeypatch, p)
     rng = np.random.default_rng(p)
     points = (1.0, 2.0, 3.0) + rng.normal(size=(p, 3)) * 1e-7
-    kernel, weighted, dtype = PAIR_KERNELS[kind]
+    kernel, weighted = PAIR_KERNELS[kind]
     weights = rng.uniform(0.5, 2.0, p) if weighted else None
     center = points.mean(axis=0)
-    got = pair_matrix(points, center, kernel, weights=weights, dtype=dtype)
-    assert got.dtype == dtype
+    got = pair_matrix(points, center, kernel, weights=weights)
+    assert got.dtype == complex
     assert got.shape == ((3,) if kind == "weighted-tuple" else ()) + (p, p)
     assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
 
@@ -346,10 +336,10 @@ def test_pair_matrix_equals_full_construction_in_full_blocks(kind):
     # pairs against the 300 x 300 of the full construction
     rng = np.random.default_rng(300)
     points = (1.0, 2.0, 3.0) + rng.normal(size=(300, 3)) * 1e-7
-    kernel, weighted, dtype = PAIR_KERNELS[kind]
+    kernel, weighted = PAIR_KERNELS[kind]
     weights = rng.uniform(0.5, 2.0, 300) if weighted else None
     center = points.mean(axis=0)
-    got = pair_matrix(points, center, kernel, weights=weights, dtype=dtype)
+    got = pair_matrix(points, center, kernel, weights=weights)
     assert np.array_equal(got, full_pair_matrix(points, center, kernel, weights))
 
 
@@ -442,7 +432,8 @@ def test_packed_pairs_are_the_upper_block_rows_of_pair_matrix(monkeypatch, dtype
     kernel = lambda r: kernel_hessian_parts(K, r)[1:]
     buffer, blocks = kernels.packed_pairs(points, center, kernel, dtype=dtype)
     assert buffer.dtype == dtype and buffer.size == 2 * kernels.packed_entries(p)
-    full = pair_matrix(points, center, kernel, dtype=dtype)
+    full = pair_matrix(points, center, kernel)
+    full = full.real if dtype is float else full
     assert [(a, b) for a, b, _ in blocks] == [(a, b) for a, b, _ in packed(full)]
     for (_, _, view), (_, _, expected) in zip(blocks, packed(full)):
         assert np.shares_memory(view, buffer) and np.array_equal(view, expected)
@@ -500,7 +491,7 @@ def test_pair_matrix_names_coincident_points(monkeypatch, i, j):
     points = np.random.default_rng(2).normal(size=(p, 3)) * 1e-7
     points[j] = points[i]
     with pytest.raises(CoincidentPointsError, match=f"points {i} and {j} are coincident"):
-        pair_matrix(points, points.mean(axis=0), np.reciprocal, dtype=float)
+        pair_matrix(points, points.mean(axis=0), np.reciprocal)
 
 
 # --- PackedCoupling's branch rule -----------------------------------------------

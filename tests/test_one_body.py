@@ -269,8 +269,7 @@ def pairwise_radiative(mesh, k, j):
     """i Im A J from Im c_iso on every pair of points: N_i x sum_j i Im C_ij d x J_j."""
     x = mesh.points - mesh.center
     c = pair_matrix(mesh.points, mesh.center,
-                    lambda r: kernel_gradient_parts(k, r)[1].imag, weights=mesh.weights,
-                    dtype=float)
+                    lambda r: kernel_gradient_parts(k, r)[1].imag, weights=mesh.weights).real
     # sum_j C_ij (x_i - x_j) x J_j = x_i x (C J)_i - (C (x x J))_i
     return 1j * np.cross(mesh.normals, np.cross(x, c @ j) - c @ np.cross(x, j))
 
@@ -552,7 +551,9 @@ def test_shifted_gmres_matches_lu_at_two_scales(wave):
     assert currents[0].report.final_residual <= 1e-12
 
 
-@pytest.mark.parametrize("scales", [(), (2.0, 0.0), (np.nan,), (1.0, np.inf)])
+# ("2",) is what solve_current(mesh, wave, scale="2") passes
+@pytest.mark.parametrize("scales", [(), (2.0, 0.0), (np.nan,), (1.0, np.inf), [None],
+                                    [1.0, "a"], ("2",)])
 def test_bad_scales_rejected_before_assembly(wave, monkeypatch, scales):
     def no_assembly(*args, **kwargs):
         raise AssertionError("operator assembled before the scales were checked")
